@@ -17,7 +17,6 @@ from .core import (
     as_rational,
     format_graph,
     format_witness,
-    hop_distances,
     is_dispersed,
     midpoint,
     normalize_point,
@@ -59,7 +58,6 @@ from .matching import (
     edmonds_gallai,
     matching_number,
     maximum_matching,
-    near_perfect_matching,
 )
 from .oracle import (
     DEFAULT_CANDIDATE_CAP,

@@ -1,7 +1,8 @@
 """Command-line front end for the dispersion solver suite.
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
-error, 3 resource guard tripped (candidate cap or timeout).
+error, 3 resource guard tripped (candidate cap or timeout), 4 internal
+error (a structural guarantee failed; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import format_graph, format_witness, parse_graph, subdivide
 from .dispatch import disp
 from .errors import (
     GraphFormatError,
+    InternalConsistencyError,
     NPHardRegimeError,
     OracleTimeoutError,
     SizeGuardExceededError,
@@ -167,6 +169,9 @@ def run(argv: list[str]) -> int:
     except (SizeGuardExceededError, OracleTimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

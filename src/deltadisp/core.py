@@ -50,7 +50,6 @@ __all__ = [
     "SubdivisionMap",
     "parse_graph",
     "format_graph",
-    "hop_distances",
     "point_distance",
     "subdivide",
     "is_dispersed",
@@ -175,11 +174,6 @@ class Graph:
                         queue.append(x)
             rows.append(tuple(dist))
         return tuple(rows)
-
-
-def hop_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Symmetric table of vertex-to-vertex shortest path lengths."""
-    return g.hop_table
 
 
 @dataclass(frozen=True, order=True)

@@ -1,17 +1,18 @@
 """Maximum matching in general graphs and the structure of maximum matchings.
 
-The matching search is a blossom-contracting augmenting-path algorithm
-(O(V^3)); the decomposition classifies vertices by whether some maximum
-matching misses them and exposes the structural guarantees every maximum
-matching then satisfies (odd factor-critical components, perfectly matched
-even components, and the separator matched into distinct odd components).
+One engine, Edmonds' blossom-contracting alternating search (O(V^3)),
+augments to a maximum matching; one final search from all its exposed
+vertices then marks the vertices some maximum matching misses.  The
+decomposition built on them exposes the guarantees every maximum matching
+satisfies (odd factor-critical components, perfectly matched even
+components, and the separator matched into distinct odd components).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Graph
 from .errors import InternalConsistencyError
@@ -22,8 +23,8 @@ __all__ = [
     "EGDecomposition",
     "maximum_matching",
     "matching_number",
+    "matching_and_inessential",
     "edmonds_gallai",
-    "near_perfect_matching",
 ]
 
 
@@ -35,9 +36,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def pairs(self, g: Graph) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(g.edges[e] for e in self.edges))
 
     def cover_map(self, g: Graph) -> dict[int, int]:
         """Vertex -> matched partner, for covered vertices only."""
@@ -51,20 +49,28 @@ class Matching:
         return cover
 
 
-def _blossom(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Maximum cardinality matching; returns partner per vertex (-1 free)."""
-    match = [-1] * n
-    # greedy seed halves the number of augmenting searches
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+def _search(
+    adj: Sequence[Sequence[int]], match: Sequence[int], roots: Sequence[int]
+) -> tuple[int, list[int], list[bool]]:
+    """One alternating search grown from the exposed vertices `roots`.
 
+    Returns ``(end, parent, outer)``: ``end`` is an exposed non-root vertex
+    that closes an augmenting path (-1 if the search finds none),
+    ``parent`` holds the tree links to flip along that path, and ``outer``
+    marks the even-labelled vertices, contracted blossoms included.  An
+    edge between the outer vertices of two different trees also closes an
+    augmenting path; the search cannot follow it, so it raises instead
+    (with a single root it cannot occur).
+    """
+    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
+    outer = [False] * n
+    tree = [-1] * n
+    for r in roots:
+        outer[r] = True
+        tree[r] = r
+    queue = deque(roots)
 
     def lowest_common_base(a: int, b: int) -> int:
         seen = [False] * n
@@ -90,43 +96,53 @@ def _blossom(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
             child = match[v]
             v = parent[child]
 
-    def find_augmenting(root: int) -> int:
-        nonlocal parent, base
-        parent = [-1] * n
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # odd cycle: contract the blossom down to its base
-                    stem = lowest_common_base(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, stem, to, in_blossom)
-                    mark_path(to, stem, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = stem
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        return to
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return -1
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer[to]:
+                if tree[to] != tree[v]:
+                    raise InternalConsistencyError(
+                        f"outer vertices {v} and {to} lie in different alternating trees"
+                    )
+                # odd cycle: contract the blossom down to its base
+                stem = lowest_common_base(v, to)
+                in_blossom = [False] * n
+                mark_path(v, stem, to, in_blossom)
+                mark_path(to, stem, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = stem
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return to, parent, outer
+                tree[to] = tree[match[to]] = tree[v]
+                outer[match[to]] = True
+                queue.append(match[to])
+    return -1, parent, outer
+
+
+def _blossom(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Maximum cardinality matching; returns partner per vertex (-1 free)."""
+    n = len(adj)
+    match = [-1] * n
+    # greedy seed halves the number of augmenting searches
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
 
     for v in range(n):
         if match[v] == -1:
-            exposed = find_augmenting(v)
-            if exposed == -1:
-                continue
+            exposed, parent, _ = _search(adj, match, [v])
             while exposed != -1:
                 prev = parent[exposed]
                 nxt = match[prev]
@@ -134,6 +150,26 @@ def _blossom(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
                 match[prev] = exposed
                 exposed = nxt
     return match
+
+
+def matching_and_inessential(
+    adjacency: Sequence[Sequence[int]],
+) -> tuple[list[int], frozenset[int]]:
+    """A maximum matching (partner per vertex, -1 free) and the set D of
+    vertices some maximum matching misses.
+
+    D is the outer vertex set of one final search grown from every exposed
+    vertex (Gallai-Edmonds structure theorem).  If that search can still
+    augment, the matching was not maximum: InternalConsistencyError.
+    """
+    match = _blossom(adjacency)
+    exposed = [v for v, partner in enumerate(match) if partner == -1]
+    end, _, outer = _search(adjacency, match, exposed)
+    if end != -1:
+        raise InternalConsistencyError(
+            f"augmenting path to {end} remains after the matching search"
+        )
+    return match, frozenset(v for v, is_outer in enumerate(outer) if is_outer)
 
 
 def _pairs_to_matching(g: Graph, match: Sequence[int]) -> Matching:
@@ -149,21 +185,12 @@ def _pairs_to_matching(g: Graph, match: Sequence[int]) -> Matching:
 
 def maximum_matching(g: Graph) -> Matching:
     """A maximum cardinality matching of g."""
-    return _pairs_to_matching(g, _blossom(g.vertex_count, g.adjacency))
+    return _pairs_to_matching(g, _blossom(g.adjacency))
 
 
 def matching_number(g: Graph) -> int:
     """Size of a maximum cardinality matching."""
     return len(maximum_matching(g))
-
-
-def _matching_number_without(g: Graph, banned: int) -> int:
-    adj = [
-        [] if v == banned else [u for u in nbrs if u != banned]
-        for v, nbrs in enumerate(g.adjacency)
-    ]
-    match = _blossom(g.vertex_count, adj)
-    return sum(1 for partner in match if partner != -1) // 2
 
 
 def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) -> list[frozenset[int]]:
@@ -208,18 +235,14 @@ class EGDecomposition:
 def edmonds_gallai(g: Graph) -> EGDecomposition:
     """Compute the decomposition and verify its structural guarantees.
 
-    The inessential set is found by the definitional test (one matching run
-    per vertex); the remaining structure is read off one maximum matching.
-    Any violated guarantee raises InternalConsistencyError rather than
-    passing silently.
+    The inessential set and the maximum matching the rest of the structure
+    is read off come from one call of the matching engine.  Any violated
+    guarantee raises InternalConsistencyError rather than passing silently.
     """
     n = g.vertex_count
-    base = maximum_matching(g)
-    size = len(base)
-    inessential = frozenset(
-        v for v in range(n) if _matching_number_without(g, v) == size
-    )
     adjacency = g.adjacency
+    match, inessential = matching_and_inessential(adjacency)
+    base = _pairs_to_matching(g, match)
     separator = frozenset(
         u for v in inessential for u in adjacency[v]
     ) - inessential
@@ -282,29 +305,3 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
         base_matching=base,
     )
 
-
-def near_perfect_matching(g: Graph, component: Iterable[int], missed: int) -> Matching:
-    """A matching covering every vertex of `component` except `missed`.
-
-    The component must be factor-critical (as the odd components of the
-    decomposition are); failure to cover signals an internal bug.
-    """
-    comp = frozenset(component)
-    if missed not in comp:
-        raise ValueError(f"vertex {missed} is not in the component")
-    verts = sorted(comp - {missed})
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[u] for u in g.adjacency[v] if u in index] for v in verts]
-    match = _blossom(len(verts), adj)
-    if any(partner == -1 for partner in match):
-        raise InternalConsistencyError(
-            f"component {sorted(comp)} has no near-perfect matching missing {missed}"
-        )
-    edges = set()
-    for i, j in enumerate(match):
-        if j > i:
-            e = g.edge_index(verts[i], verts[j])
-            if e is None:
-                raise InternalConsistencyError("matched pair is not an edge")
-            edges.add(e)
-    return Matching(frozenset(edges))

@@ -5,13 +5,13 @@ An optimal 2-dispersed set can always be brought into canonical form
 decomposition: even components contribute perfect matchings, odd components
 near-perfect matchings, and the only real decision is which singleton
 inessential vertices to keep as vertex points.  That decision minimizes
-``|neighbourhood(T)| - |T|``, which reduces to a minimum s-t cut in a small
-directed auxiliary network.
+``|neighbourhood(T)| - |T|``, whose minimum is the matching deficiency of
+the bipartite singleton/separator graph; the same matching engine that
+builds the decomposition solves it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -22,7 +22,7 @@ from .matching import (
     EGDecomposition,
     component_split,
     edmonds_gallai,
-    near_perfect_matching,
+    matching_and_inessential,
 )
 
 __all__ = [
@@ -74,97 +74,28 @@ def surplus(inst: CutInstance, subset: Iterable[int]) -> int:
     return len(hit) - len(chosen)
 
 
-class _FlowNetwork:
-    """Tiny Dinic max-flow over integer capacities."""
-
-    def __init__(self, n: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for to, cap, _ in self.adj[v]:
-                if cap > 0 and level[to] < 0:
-                    level[to] = level[v] + 1
-                    queue.append(to)
-        return level if level[t] >= 0 else None
-
-    def _push(self, v: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
-        if v == t:
-            return pushed
-        while it[v] < len(self.adj[v]):
-            arc = self.adj[v][it[v]]
-            to, cap, rev = arc
-            if cap > 0 and level[to] == level[v] + 1:
-                got = self._push(to, t, min(pushed, cap), level, it)
-                if got > 0:
-                    arc[1] -= got
-                    self.adj[to][rev][1] += got
-                    return got
-            it[v] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._push(s, t, 1 << 60, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for to, cap, _ in self.adj[v]:
-                if cap > 0 and to not in seen:
-                    seen.add(to)
-                    queue.append(to)
-        return seen
-
-
 def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
     """Minimum of ``|neighbourhood(T)| - |T|`` over subsets T of the left side.
 
-    Solved as a minimum s-t cut: unit arcs from the source into the left
-    side and from the right side into the sink, effectively-infinite arcs
-    across.  The minimizing T is the left part of the source side of the
-    canonical (residual-reachable) minimum cut.  The empty set gives 0, so
-    the result is never positive.
+    By the deficiency form of Hall's theorem the minimum is ``nu(B) - |left|``,
+    where nu(B) is the matching number of the bipartite graph B of the
+    arcs.  The minimizing T is the set of left vertices some maximum
+    matching of B misses: those reachable by alternating paths from the
+    exposed left vertices, whose neighbourhood is matched into T.  The empty
+    set gives 0, so the result is never positive.
     """
     left = sorted(inst.left)
-    right = sorted(inst.right)
-    if not left:
-        return 0, frozenset()
-    node = {("L", x): 2 + i for i, x in enumerate(left)}
-    node.update({("R", y): 2 + len(left) + i for i, y in enumerate(right)})
-    infinite = len(left) + len(right) + 1  # exceeds any finite cut
-    net = _FlowNetwork(2 + len(left) + len(right))
-    for x in left:
-        net.add_arc(0, node[("L", x)], 1)
-    for y in right:
-        net.add_arc(node[("R", y)], 1, 1)
+    index = {("L", x): i for i, x in enumerate(left)}
+    index.update({("R", y): len(left) + j for j, y in enumerate(sorted(inst.right))})
+    adjacency: list[list[int]] = [[] for _ in index]
     for x, y in sorted(inst.arcs):
-        net.add_arc(node[("L", x)], node[("R", y)], infinite)
-    cut = net.max_flow(0, 1)
-    reach = net.residual_reachable(0)
-    chosen = frozenset(x for x in left if node[("L", x)] in reach)
-    value = cut - len(left)
+        adjacency[index[("L", x)]].append(index[("R", y)])
+        adjacency[index[("R", y)]].append(index[("L", x)])
+    match, inessential = matching_and_inessential(adjacency)
+    value = (len(match) - match.count(-1)) // 2 - len(left)
+    chosen = frozenset(x for x in left if index[("L", x)] in inessential)
     if value != surplus(inst, chosen):
-        raise InternalConsistencyError("cut value does not match its minimizer")
+        raise InternalConsistencyError("matching deficiency does not match its minimizer")
     return value, chosen
 
 
@@ -192,24 +123,16 @@ def disp2(g: Graph) -> tuple[int, CanonicalWitness]:
         - best_surplus
     )
 
-    vertex_points = set(chosen)
-    midpoints: set[int] = set()
+    # The base matching is perfect on the remainder, near-perfect inside each
+    # odd component and matches every separator vertex into the inessential
+    # set; all of its edges become midpoints except at separator vertices
+    # next to a chosen singleton.
     hit = {y for x, y in arcs if x in chosen}
-    for y in sorted(dec.separator - hit):
-        e = g.edge_index(y, dec.partner[y])
-        if e is None:
-            raise InternalConsistencyError("partner pair is not an edge")
-        midpoints.add(e)
-    for comp in dec.odd_components:
-        incoming = [x for x in dec.partner.values() if x in comp]
-        missed = incoming[0] if incoming else min(comp)
-        midpoints |= near_perfect_matching(g, comp, missed).edges
-    for e in dec.base_matching.edges:
-        u, v = g.edges[e]
-        if u in dec.remainder and v in dec.remainder:
-            midpoints.add(e)
+    midpoints = frozenset(
+        e for e in dec.base_matching.edges if hit.isdisjoint(g.edges[e])
+    )
 
-    witness = CanonicalWitness(frozenset(vertex_points), frozenset(midpoints))
+    witness = CanonicalWitness(chosen, midpoints)
     ws = witness.to_witness_set(g)
     if len(ws) != value or not is_dispersed(g, ws.points, Fraction(2)):
         raise InternalConsistencyError("assembled witness does not match the value")

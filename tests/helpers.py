@@ -77,8 +77,9 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
     return Graph(n, tuple(tree + pool[:extra_edges]))
 
 
-def brute_matching_number(g: Graph, banned: int | None = None) -> int:
-    """Exhaustive maximum matching size, optionally with one vertex removed."""
+def brute_matching_number(g: Graph, vertices=None) -> int:
+    """Exhaustive maximum matching size of the subgraph induced by `vertices`
+    (all of g by default)."""
     n = g.vertex_count
     adj = [0] * n
     for u, v in g.edges:
@@ -104,17 +105,26 @@ def brute_matching_number(g: Graph, banned: int | None = None) -> int:
         memo[avail] = best
         return best
 
-    full = (1 << n) - 1
-    if banned is not None:
-        full &= ~(1 << banned)
-    return rec(full)
+    if vertices is None:
+        vertices = range(n)
+    return rec(sum(1 << v for v in set(vertices)))
 
 
 def brute_inessential(g: Graph) -> frozenset[int]:
     """Definitional test: vertices missed by some maximum matching."""
+    everything = frozenset(range(g.vertex_count))
     size = brute_matching_number(g)
     return frozenset(
-        v for v in range(g.vertex_count) if brute_matching_number(g, v) == size
+        v for v in everything if brute_matching_number(g, everything - {v}) == size
+    )
+
+
+def brute_factor_critical(g: Graph, component) -> bool:
+    """Does the subgraph induced by `component` have a perfect matching
+    after deleting any one of its vertices?"""
+    comp = frozenset(component)
+    return all(
+        2 * brute_matching_number(g, comp - {x}) == len(comp) - 1 for x in comp
     )
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     all_connected_graphs,
+    brute_factor_critical,
     brute_inessential,
     brute_min_surplus,
     connected_graphs_max_edges,
@@ -29,7 +30,6 @@ from deltadisp import (
     extract_certificate,
     is_dispersed,
     matching_number,
-    near_perfect_matching,
     predicted_bound,
     subdivide,
     verify_certificate,
@@ -272,7 +272,7 @@ def test_criterion_8_min_cut_equals_exhaustive():
         expected = brute_min_surplus(inst)
         if value != expected or not chosen <= left:
             failures.append((inst, value, expected))
-    _report(8, "min-cut surplus equals exhaustive minimum on 100 instances (|left| <= 12)", failures)
+    _report(8, "minimum surplus equals exhaustive minimum on 100 instances (|left| <= 12)", failures)
 
 
 def test_criterion_9_decomposition_structure():
@@ -299,8 +299,8 @@ def test_criterion_9_decomposition_structure():
             for comp in dec.odd_components:
                 if len(comp) % 2 == 0:
                     failures.append((g, "even odd-component"))
-                for x in comp:
-                    near_perfect_matching(g, comp, x)  # factor-critical, raises if not
+                if not brute_factor_critical(g, comp):
+                    failures.append((g, "odd component not factor-critical"))
             cover = dec.base_matching.cover_map(g)
             for v in dec.remainder:
                 if cover.get(v) not in dec.remainder:

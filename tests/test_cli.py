@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltadisp import is_dispersed, parse_graph, parse_witness
+from deltadisp import InternalConsistencyError, is_dispersed, parse_graph, parse_witness
 from deltadisp.cli import run
 
 K2_TEXT = "2 1\n0 1\n"
@@ -70,6 +70,16 @@ class TestSolve:
         p.write_text("2 1\n0 0\n")
         assert run(["solve", str(p), "--delta", "2"]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_internal_error_exits_4(self, k2, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("odd remainder component [0]")
+
+        monkeypatch.setattr("deltadisp.cli.disp", broken)
+        assert run(["solve", str(k2), "--delta", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: odd remainder component [0]\n"
+        assert "Traceback" not in err
 
 
 class TestOracle:

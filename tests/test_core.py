@@ -19,7 +19,6 @@ from deltadisp import (
     WitnessSet,
     format_graph,
     format_witness,
-    hop_distances,
     is_dispersed,
     midpoint,
     normalize_point,
@@ -114,16 +113,16 @@ def test_graph_format_roundtrip_property(g):
 
 class TestHopDistances:
     def test_k2(self):
-        assert hop_distances(K2)[0][1] == 1
+        assert K2.hop_table[0][1] == 1
 
     def test_path(self):
-        assert hop_distances(P3)[0][2] == 2
+        assert P3.hop_table[0][2] == 2
 
     def test_cycle_shorter_arc(self):
-        assert hop_distances(C5)[0][2] == 2
+        assert C5.hop_table[0][2] == 2
 
     def test_symmetric_with_zero_diagonal(self):
-        table = hop_distances(C5)
+        table = C5.hop_table
         for u in range(5):
             assert table[u][u] == 0
             for v in range(5):
@@ -158,7 +157,7 @@ class TestPointDistance:
         rng = random.Random(3)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 4))
-            table = hop_distances(g)
+            table = g.hop_table
             for u in range(g.vertex_count):
                 for v in range(g.vertex_count):
                     d = point_distance(g, vertex_point(g, u), vertex_point(g, v))

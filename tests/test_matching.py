@@ -5,6 +5,7 @@ import random
 import pytest
 from helpers import (
     all_connected_graphs,
+    brute_factor_critical,
     brute_inessential,
     brute_matching_number,
     random_connected_graph,
@@ -15,7 +16,6 @@ from deltadisp import (
     edmonds_gallai,
     matching_number,
     maximum_matching,
-    near_perfect_matching,
 )
 
 K2 = Graph(2, ((0, 1),))
@@ -103,6 +103,13 @@ class TestEdmondsGallai:
                 dec = edmonds_gallai(g)
                 assert dec.inessential == brute_inessential(g)
 
+    def test_random_inessential_against_brute(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(7, 12)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            assert edmonds_gallai(g).inessential == brute_inessential(g)
+
     def test_base_matching_structure(self):
         rng = random.Random(4)
         for _ in range(50):
@@ -117,30 +124,10 @@ class TestEdmondsGallai:
 
 
 class TestNearPerfectMatching:
-    def test_triangle_missing_zero(self):
-        m = near_perfect_matching(C3, {0, 1, 2}, 0)
-        assert {C3.edges[e] for e in m.edges} == {(1, 2)}
-
-    def test_c5_missing_each(self):
-        for v in range(5):
-            m = near_perfect_matching(C5, set(range(5)), v)
-            covered = {x for e in m.edges for x in C5.edges[e]}
-            assert covered == set(range(5)) - {v}
-
-    def test_singleton_component(self):
-        m = near_perfect_matching(P3, {0}, 0)
-        assert len(m) == 0
-
-    def test_missed_must_be_inside(self):
-        with pytest.raises(ValueError):
-            near_perfect_matching(C3, {0, 1}, 2)
-
     def test_factor_critical_components(self):
         rng = random.Random(5)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 7))
             dec = edmonds_gallai(g)
             for comp in dec.odd_components:
-                for x in comp:
-                    m = near_perfect_matching(g, comp, x)
-                    assert len(m) == (len(comp) - 1) // 2
+                assert brute_factor_critical(g, comp)

@@ -1,4 +1,4 @@
-"""The polynomial 2-dispersion algorithm and its min-cut subproblem."""
+"""The polynomial 2-dispersion algorithm and its minimum-surplus subproblem."""
 
 import random
 from fractions import Fraction
@@ -60,8 +60,9 @@ class TestMinSurplus:
 
     def test_never_positive_and_matches_brute(self):
         rng = random.Random(6)
-        for _ in range(150):
-            inst = random_cut_instance(rng)
+        small = [random_cut_instance(rng) for _ in range(150)]
+        larger = [random_cut_instance(rng, max_side=10) for _ in range(150)]
+        for inst in small + larger:
             value, chosen = min_surplus(inst)
             assert value <= 0
             assert value == surplus(inst, chosen)
