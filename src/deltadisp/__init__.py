@@ -71,7 +71,6 @@ from .solve2 import (
     disp2,
     min_surplus,
     surplus,
-    validate_canonical,
 )
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ no floats appear anywhere on the solver path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -87,33 +88,38 @@ class Graph:
     """A connected simple undirected graph with unit-length edges.
 
     Edges keep their position in ``edges``, so an edge index is a stable
-    handle; points on edges refer to edges by this index.  Construction
-    validates simplicity and connectivity; use :func:`parse_graph` for
-    line-aware errors on text input.
+    handle; points on edges refer to edges by this index.  Construction is
+    the one place a graph is validated: vertex range, self-loops, duplicate
+    edges and connectivity, each with its own error type (all are
+    ``ValueError``).  ``first_line``, when given, is the text line of edge 0
+    and makes each edge error name its line (see :func:`parse_graph`).
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    first_line: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
+    def __post_init__(self, first_line: int | None) -> None:
         n = self.vertex_count
         if n < 1:
             raise ValueError("graph must have at least one vertex")
+        edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
+        for k, (u, v) in enumerate(self.edges):
+            u, v = int(u), int(v)
+            line = None if first_line is None else first_line + k
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=line)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise SelfLoopError(f"self-loop at vertex {u}", line=line)
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=line)
             seen.add(key)
-        if not _connected(n, self.edges):
-            raise ValueError("graph is not connected")
+            edges.append((u, v))
+        object.__setattr__(self, "edges", tuple(edges))
+        if not _connected(n, edges):
+            raise DisconnectedGraphError("graph is not connected")
 
     @property
     def edge_count(self) -> int:
@@ -276,13 +282,84 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction:
 
 
 def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
-    """True iff all pairs of distinct normalized points are >= delta apart."""
-    norm = sorted({normalize_point(g, p) for p in points})
+    """True iff all pairs of distinct normalized points are >= delta apart.
+
+    Exact and local, in integers: offsets and delta are scaled by the lcm
+    L of their denominators, so an edge is L long.  Two points on one edge
+    are exactly their offset difference apart (a route around the edge is
+    at least L long), so only neighbours in offset order are compared.
+    Every other route leaves one point's edge at an end x and enters the
+    other's at an end y, and costs at least L hops(x, y); a pair closer
+    than delta therefore has ends fewer than delta hops apart.  Along such
+    a route a nearer point on the same edge, or the vertex itself, is
+    closer still, so each vertex keeps only its two nearest points and a
+    bounded breadth-first search from each occupied vertex pairs them up.
+
+    The cost is the sort of each edge's points plus one search ball of
+    radius below delta per occupied vertex: linear in the witness times
+    the ball size, with no all-pairs table.
+    """
+    norm = {normalize_point(g, p) for p in points}
     delta = as_rational(delta)
-    for i in range(len(norm)):
-        for j in range(i + 1, len(norm)):
-            if point_distance(g, norm[i], norm[j]) < delta:
-                return False
+    if len(norm) < 2:
+        return True
+    scale = lcm(delta.denominator, *(p.offset.denominator for p in norm))
+    limit = delta.numerator * (scale // delta.denominator)
+
+    vertices: set[int] = set()
+    on_edge: dict[int, list[int]] = {}
+    for p in norm:
+        v = point_as_vertex(g, p)
+        if v is None:
+            offset = p.offset.numerator * (scale // p.offset.denominator)
+            on_edge.setdefault(p.edge_index, []).append(offset)
+        else:
+            vertices.add(v)
+
+    # per vertex, its (distance, point) pairs for the two nearest points;
+    # a vertex point is (0, v), an interior point (edge, scaled offset)
+    near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in vertices}
+
+    def attach(v: int, distance: int, point: object) -> None:
+        kept = near.setdefault(v, [])
+        kept.append((distance, point))
+        if len(kept) > 2:
+            kept.sort(key=lambda item: item[0])
+            kept.pop()
+
+    for e, offsets in on_edge.items():
+        u, v = g.edges[e]
+        offsets.sort()
+        line = ([0] if u in vertices else []) + offsets + ([scale] if v in vertices else [])
+        if any(b - a < limit for a, b in zip(line, line[1:])):
+            return False
+        attach(u, offsets[0], (e, offsets[0]))
+        attach(v, scale - offsets[-1], (e, offsets[-1]))
+
+    for x, here in near.items():
+        if len(here) == 2 and here[0][0] + here[1][0] < limit:
+            return False
+        nearest = min(d for d, _ in here)
+        radius = (limit - nearest - 1) // scale  # hops a closer pair can span
+        seen = {x}
+        frontier = [x]
+        hops = 0
+        while frontier and hops < radius:
+            hops += 1
+            reach = limit - hops * scale
+            ring = []
+            for w in frontier:
+                for y in g.adjacency[w]:
+                    if y in seen:
+                        continue
+                    seen.add(y)
+                    ring.append(y)
+                    there = near.get(y)
+                    if there is not None and any(
+                        a + b < reach and p != q for a, p in here for b, q in there
+                    ):
+                        return False
+            frontier = ring
     return True
 
 
@@ -401,7 +478,9 @@ def parse_graph(text: str) -> Graph:
 
     Vertex ids are 0-based.  Raises a distinct error naming the offending
     line for each failure mode: malformed line, vertex id out of range,
-    self-loop, duplicate edge, disconnected graph.
+    self-loop, duplicate edge, disconnected graph.  Errors come in line
+    order: the edge lines are parsed lazily while :class:`Graph` validates
+    them, and the trailing lines are checked before connectivity.
     """
     lines = text.splitlines()
     if not lines or not lines[0].split():
@@ -417,10 +496,13 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError("vertex count must be positive", line=1)
     if m < 0:
         raise MalformedLineError("edge count must be non-negative", line=1)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for k in range(m):
-        lineno = k + 2
+    return Graph(n, _edge_lines(lines, m), first_line=2)
+
+
+def _edge_lines(lines: list[str], m: int) -> Iterator[tuple[int, int]]:
+    """The m edge lines after the header as ``(u, v)``, then a check that
+    nothing but blank lines follows them."""
+    for lineno in range(2, m + 2):
         if lineno - 1 >= len(lines):
             raise MalformedLineError("missing edge line", line=lineno)
         parts = lines[lineno - 1].split()
@@ -430,21 +512,10 @@ def parse_graph(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedLineError("expected two integers 'u v'", line=lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"vertex id outside [0, {n})", line=lineno)
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}", line=lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=lineno)
-        seen.add(key)
-        edges.append((u, v))
+        yield u, v
     for extra, content in enumerate(lines[m + 1 :], start=m + 2):
         if content.split():
             raise MalformedLineError("unexpected extra line", line=extra)
-    if not _connected(n, edges):
-        raise DisconnectedGraphError("graph is not connected")
-    return Graph(n, tuple(edges))
 
 
 def format_graph(g: Graph) -> str:

@@ -27,14 +27,18 @@ def disp(
 ) -> tuple[int, WitnessSet]:
     """Maximum size of a delta-dispersed point set, with a witness.
 
-    The witness is verified (cardinality and pairwise spacing) before it is
-    returned, so an internal construction bug cannot surface as a wrong
-    answer.  A single point is always placeable, so the value is >= 1.
+    The witness is verified (cardinality and pairwise spacing) once before
+    it is returned, so an internal construction bug cannot surface as a
+    wrong answer.  At delta = 2 that check is the one ``disp2`` runs on its
+    own witness.  A single point is always placeable, so the value is >= 1.
     """
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     a, b = delta.numerator, delta.denominator
+    if delta == 2:
+        value, canonical = disp2(g)
+        return value, canonical.to_witness_set(g)
     if a == 1:
         value, witness = _unit_numerator(g, b)
     elif a == 2:
@@ -69,7 +73,7 @@ def _unit_numerator(g: Graph, b: int) -> tuple[int, WitnessSet]:
 
 
 def _numerator_two(g: Graph, b: int) -> tuple[int, WitnessSet]:
-    """delta = 2/(2z+1): an optimal delta=2 set plus z extra points per edge.
+    """delta = 2/(2z+1), z >= 1: an optimal delta=2 set plus z points per edge.
 
     The canonical delta=2 witness partitions the edges into those touching
     one of its vertices, those holding one of its midpoints, and the rest;
@@ -79,8 +83,6 @@ def _numerator_two(g: Graph, b: int) -> tuple[int, WitnessSet]:
         raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
     z = (b - 1) // 2
     base_value, canonical = disp2(g)
-    if z == 0:
-        return base_value, canonical.to_witness_set(g)
 
     delta = Fraction(2, b)
     vertices = canonical.vertex_points

@@ -57,13 +57,16 @@ def build_conflict_graph(
     delta: Fraction,
     cap: int = DEFAULT_CANDIDATE_CAP,
     grid_denominator: int | None = None,
+    deadline: float | None = None,
 ) -> ConflictGraph:
     """Enumerate the half-step grid candidates and their conflicts.
 
     Candidates are every vertex plus the interior points at offsets
     i/(2b), deduplicated; `grid_denominator` overrides the default 2b grid
     (used by completeness checks against finer grids).  Distances are
-    compared exactly, in integer units of one grid step.
+    compared exactly, in integer units of one grid step.  Raises
+    OracleTimeoutError once `monotonic()` passes `deadline`, checked
+    before each candidate's row of conflicts.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -92,6 +95,8 @@ def build_conflict_graph(
     threshold = int(delta * q)
     conflicts = [0] * count
     for i in range(count):
+        if deadline is not None and monotonic() > deadline:
+            raise OracleTimeoutError("conflict-graph build exceeded its time budget")
         ia, ib, da, db = ends[i]
         row_a = hops[ia]
         row_b = hops[ib]
@@ -206,10 +211,11 @@ def brute_disp(
     Deterministic: ties in the search are broken by candidate index, so the
     returned witness is reproducible.  Raises SizeGuardExceededError when
     the grid is larger than `cap` and OracleTimeoutError when `timeout`
-    seconds elapse.
+    seconds elapse, counted from the call: the budget covers the conflict
+    build as well as the search.
     """
-    cg = build_conflict_graph(g, delta, cap=cap)
     deadline = None if timeout is None else monotonic() + timeout
+    cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     value, mask = _max_independent_set(cg.conflicts, deadline)
     points = []
     i = 0

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Graph, WitnessSet, is_dispersed, midpoint, vertex_point, vicinity
+from .core import Graph, WitnessSet, is_dispersed, midpoint, vertex_point
 from .errors import InternalConsistencyError
-from .matching import (
-    EGDecomposition,
-    component_split,
-    edmonds_gallai,
-    matching_and_inessential,
-)
+from .matching import edmonds_gallai, matching_and_inessential
 
 __all__ = [
     "CanonicalWitness",
@@ -31,7 +26,6 @@ __all__ = [
     "surplus",
     "min_surplus",
     "disp2",
-    "validate_canonical",
 ]
 
 
@@ -137,56 +131,3 @@ def disp2(g: Graph) -> tuple[int, CanonicalWitness]:
     if len(ws) != value or not is_dispersed(g, ws.points, Fraction(2)):
         raise InternalConsistencyError("assembled witness does not match the value")
     return value, witness
-
-
-def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> bool:
-    """Check the structural properties an optimal canonical witness satisfies.
-
-    P1: the midpoint edges induce a near-perfect matching in every odd
-    inessential component of size >= 3.  P2: each separator vertex sees the
-    witness only through the midpoint of a single edge into the inessential
-    set, if at all.  P3: the midpoint edges induce a perfect matching in
-    every remainder component.
-    """
-    points = frozenset(w.to_witness_set(g).points)
-    remainder_components = tuple(component_split(g.adjacency, dec.remainder))
-
-    for comp in dec.odd_components:
-        if not _induces_matching(g, w.edge_midpoints, comp, len(comp) - 1):
-            return False
-
-    for y in dec.separator:
-        hits = vicinity(g, y) & points
-        if not hits:
-            continue
-        if len(hits) != 1:
-            return False
-        (hit,) = hits
-        if hit.offset != Fraction(1, 2):
-            return False
-        u, v = g.edges[hit.edge_index]
-        if y not in (u, v):
-            return False
-        other = u if v == y else v
-        if other not in dec.inessential:
-            return False
-
-    for comp in remainder_components:
-        if not _induces_matching(g, w.edge_midpoints, comp, len(comp)):
-            return False
-    return True
-
-
-def _induces_matching(
-    g: Graph, midpoint_edges: frozenset[int], comp: frozenset[int], want_covered: int
-) -> bool:
-    """Do the midpoint edges inside `comp` form a matching covering
-    exactly `want_covered` of its vertices?"""
-    covered: set[int] = set()
-    for e in midpoint_edges:
-        u, v = g.edges[e]
-        if u in comp and v in comp:
-            if u in covered or v in covered:
-                return False
-            covered.update((u, v))
-    return len(covered) == want_covered

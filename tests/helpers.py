@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the production code paths: matching
 numbers come from exhaustive enumeration over vertex masks, subset minima
-from iterating all subsets, and linear feasibility from grid search.
+from iterating all subsets, linear feasibility from grid search, and
+dispersion from comparing every pair of points with the point metric.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from deltadisp import Graph
-from deltadisp.solve2 import CutInstance
+from deltadisp import Graph, normalize_point, point_distance, vicinity
+from deltadisp.matching import EGDecomposition, component_split
+from deltadisp.solve2 import CanonicalWitness, CutInstance
 
 
 def _connected_mask(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -75,6 +77,35 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
     ]
     rng.shuffle(pool)
     return Graph(n, tuple(tree + pool[:extra_edges]))
+
+
+def random_cactus(rng: random.Random, n: int) -> Graph:
+    """A random connected cactus: cycles of length 3 to 7 and pendant edges
+    hung off existing vertices until there are n."""
+    edges: list[tuple[int, int]] = []
+    count = 1
+    while count < n:
+        anchor = rng.randrange(count)
+        length = rng.randint(3, 7)
+        if length > n - count + 1 or rng.random() < 0.3:
+            edges.append((anchor, count))
+            count += 1
+            continue
+        cycle = [anchor] + list(range(count, count + length - 1))
+        edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+        count += length - 1
+    return Graph(n, tuple(edges))
+
+
+def brute_is_dispersed(g: Graph, points, delta) -> bool:
+    """All-pairs reference: every two distinct points at least delta apart
+    under `point_distance` (which reads the all-pairs hop table)."""
+    norm = sorted({normalize_point(g, p) for p in points})
+    for i in range(len(norm)):
+        for j in range(i + 1, len(norm)):
+            if point_distance(g, norm[i], norm[j]) < delta:
+                return False
+    return True
 
 
 def brute_matching_number(g: Graph, vertices=None) -> int:
@@ -172,3 +203,56 @@ def grid_feasible(nvars: int, rows, grid_denominator: int) -> bool:
         ):
             return True
     return False
+
+
+def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> bool:
+    """Check the structural properties an optimal canonical witness satisfies.
+
+    P1: the midpoint edges induce a near-perfect matching in every odd
+    inessential component of size >= 3.  P2: each separator vertex sees the
+    witness only through the midpoint of a single edge into the inessential
+    set, if at all.  P3: the midpoint edges induce a perfect matching in
+    every remainder component.
+    """
+    points = frozenset(w.to_witness_set(g).points)
+    remainder_components = tuple(component_split(g.adjacency, dec.remainder))
+
+    for comp in dec.odd_components:
+        if not _induces_matching(g, w.edge_midpoints, comp, len(comp) - 1):
+            return False
+
+    for y in dec.separator:
+        hits = vicinity(g, y) & points
+        if not hits:
+            continue
+        if len(hits) != 1:
+            return False
+        (hit,) = hits
+        if hit.offset != Fraction(1, 2):
+            return False
+        u, v = g.edges[hit.edge_index]
+        if y not in (u, v):
+            return False
+        other = u if v == y else v
+        if other not in dec.inessential:
+            return False
+
+    for comp in remainder_components:
+        if not _induces_matching(g, w.edge_midpoints, comp, len(comp)):
+            return False
+    return True
+
+
+def _induces_matching(
+    g: Graph, midpoint_edges: frozenset[int], comp: frozenset[int], want_covered: int
+) -> bool:
+    """Do the midpoint edges inside `comp` form a matching covering
+    exactly `want_covered` of its vertices?"""
+    covered: set[int] = set()
+    for e in midpoint_edges:
+        u, v = g.edges[e]
+        if u in comp and v in comp:
+            if u in covered or v in covered:
+                return False
+            covered.update((u, v))
+    return len(covered) == want_covered

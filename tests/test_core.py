@@ -4,7 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import connected_graphs_max_edges, random_connected_graph
+from helpers import (
+    brute_is_dispersed,
+    connected_graphs_max_edges,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,6 +276,52 @@ def test_oracle_scaling_5_edges():
     _check_oracle_scaling(5)
 
 
+def _random_offset(rng):
+    q = rng.randint(1, 6)
+    return Fraction(rng.randint(0, q), q)
+
+
+def _as_other_edge(g, p, rng):
+    """p written on a random edge through it if it is a vertex, else p."""
+    v = point_as_vertex(g, p)
+    if v is None:
+        return p
+    e = rng.choice(g.incident_edges[v])
+    return Point(e, Fraction(0) if g.edges[e][0] == v else Fraction(1))
+
+
+def _differential_cases(rng, rounds):
+    """(graph, points, delta) triples around the dispersion boundary."""
+    for r in range(rounds):
+        n = rng.randint(2, 10)
+        kind = r % 4
+        if kind == 0:
+            g = random_tree(rng, n)
+        elif kind == 1:
+            g = random_connected_graph(rng, n, rng.randint(1, 4))
+        elif kind == 2:
+            g = random_cactus(rng, n)
+        else:
+            g = Graph(n + 1, tuple((i, (i + 1) % (n + 1)) for i in range(n + 1)))
+        delta = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        # a greedy dispersed set over random candidates: every point the
+        # reference accepts next to the ones already kept
+        kept = []
+        for _ in range(12):
+            p = Point(rng.randrange(g.edge_count), _random_offset(rng))
+            if brute_is_dispersed(g, kept + [p], delta):
+                kept.append(p)
+        yield g, kept, delta
+        yield g, [_as_other_edge(g, p, rng) for p in kept] + kept[:1], delta
+        extra = Point(rng.randrange(g.edge_count), _random_offset(rng))
+        yield g, kept + [extra], delta
+        interior = [p for p in kept if point_as_vertex(g, normalize_point(g, p)) is None]
+        if interior:
+            p = rng.choice(interior)
+            yield g, kept + [Point(p.edge_index, _random_offset(rng))], delta
+        yield g, kept, delta * rng.choice((Fraction(1, 2), Fraction(3, 2), 2))
+
+
 class TestIsDispersed:
     def test_star_leaves(self):
         leaves = [vertex_point(STAR, v) for v in (1, 2, 3)]
@@ -281,6 +333,73 @@ class TestIsDispersed:
 
     def test_single_point_any_delta(self):
         assert is_dispersed(C3, [midpoint(C3, 0)], Fraction(100))
+
+    def test_same_edge_pairs_compare_directly(self):
+        pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
+        assert is_dispersed(C3, pts, Fraction(3, 5))
+        assert not is_dispersed(C3, pts, Fraction(2, 3))
+
+    def test_vertex_written_on_two_edges_is_one_point(self):
+        pts = [Point(0, Fraction(1)), Point(1, Fraction(0)), vertex_point(P3, 0)]
+        assert is_dispersed(P3, pts, Fraction(1))
+        assert not is_dispersed(P3, pts, Fraction(3, 2))
+
+    def test_ends_beyond_delta_hops_never_conflict(self):
+        # on a 7-cycle, 1/4 past vertex 0 and 1/4 past vertex 3: 3/4 to
+        # vertex 1, two hops to vertex 3, then 1/4, so 3 apart
+        c7 = Graph(7, tuple((i, (i + 1) % 7) for i in range(7)))
+        pts = [Point(0, Fraction(1, 4)), Point(3, Fraction(1, 4))]
+        assert brute_is_dispersed(c7, pts, Fraction(3))
+        assert is_dispersed(c7, pts, Fraction(3))
+        assert not is_dispersed(c7, pts, Fraction(13, 4))
+
+    def test_single_vertex_graph(self):
+        g = Graph(1, ())
+        assert is_dispersed(g, [], Fraction(3))
+        assert is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
+        assert brute_is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
+
+    def test_builds_no_hop_table(self):
+        g = random_connected_graph(random.Random(40), 30, 10)
+        pts = [midpoint(g, e) for e in range(g.edge_count)]
+        assert is_dispersed(g, pts, Fraction(1))
+        assert not is_dispersed(g, pts, Fraction(3))
+        assert "hop_table" not in g.__dict__
+
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(41)
+        outcomes = {True: 0, False: 0}
+        mismatches = []
+        for g, pts, delta in _differential_cases(rng, 400):
+            want = brute_is_dispersed(g, pts, delta)
+            outcomes[want] += 1
+            if is_dispersed(g, pts, delta) != want:
+                mismatches.append((g, pts, delta))
+        assert mismatches == []
+        assert min(outcomes.values()) >= 300, outcomes
+
+
+@st.composite
+def point_sets(draw):
+    g = draw(connected_graphs())
+    if g.edge_count == 0:
+        points = draw(st.lists(st.just(Point(-1, Fraction(0))), max_size=1))
+    else:
+        offsets = st.integers(1, 6).flatmap(
+            lambda q: st.integers(0, q).map(lambda i: Fraction(i, q))
+        )
+        points = draw(
+            st.lists(st.builds(Point, st.integers(0, g.edge_count - 1), offsets), max_size=8)
+        )
+    delta = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 5)))
+    return g, points, delta
+
+
+@settings(max_examples=300, derandomize=True)
+@given(case=point_sets())
+def test_is_dispersed_matches_reference_property(case):
+    g, points, delta = case
+    assert is_dispersed(g, points, delta) == brute_is_dispersed(g, points, delta)
 
 
 class TestVicinity:
@@ -372,3 +491,26 @@ class TestGraphValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Graph(0, ())
+
+    def test_typed_errors_without_line(self):
+        for edges, error in (
+            (((0, 2),), VertexRangeError),
+            (((0, 0),), SelfLoopError),
+            (((0, 1), (1, 0)), DuplicateEdgeError),
+        ):
+            with pytest.raises(error) as err:
+                Graph(2, edges)
+            assert err.value.line is None
+        with pytest.raises(DisconnectedGraphError):
+            Graph(4, ((0, 1), (2, 3)))
+
+    def test_parse_reports_the_first_faulty_line(self):
+        with pytest.raises(DuplicateEdgeError) as err:
+            parse_graph("3 3\n0 1\n1 0\n1 2 7")
+        assert err.value.line == 3
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph("3 2\n0 1\n1 x\n2 2")
+        assert err.value.line == 3
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph("4 2\n0 1\n2 3\n9 9")
+        assert err.value.line == 4

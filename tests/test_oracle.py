@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import connected_graphs_max_edges, random_connected_graph
+from helpers import connected_graphs_max_edges, random_connected_graph, random_tree
 
 from deltadisp import (
     Graph,
@@ -124,6 +124,30 @@ class TestBruteDisp:
         g = random_connected_graph(random.Random(35), 8, 10)
         with pytest.raises(OracleTimeoutError):
             brute_disp(g, Fraction(3, 2), timeout=0.0)
+
+    def test_deadline_covers_conflict_build(self, monkeypatch):
+        # the clock reads 0 when brute_disp takes its deadline and far past
+        # it afterwards, so the first row of the conflict build must stop it
+        from deltadisp import oracle
+
+        readings = iter([0.0])
+        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        g = random_connected_graph(random.Random(36), 8, 10)
+        with pytest.raises(OracleTimeoutError, match="conflict-graph build"):
+            brute_disp(g, Fraction(3, 2), timeout=1.0)
+
+    def test_expired_deadline_stops_build_at_first_row(self, monkeypatch):
+        from deltadisp import oracle
+
+        g = random_tree(random.Random(37), 250)  # 997 candidates at delta 5/2
+        rows = []
+        monkeypatch.setattr(oracle, "monotonic", lambda: rows.append(1) or 1.0)
+        with pytest.raises(OracleTimeoutError):
+            build_conflict_graph(g, Fraction(5, 2), deadline=0.0)
+        assert len(rows) == 1
+        rows.clear()
+        cg = build_conflict_graph(g, Fraction(5, 2), deadline=2.0)
+        assert len(cg.candidates) == 997 and len(rows) == 997
 
     def test_finer_grid_same_optimum(self):
         # completeness of the half-step grid: quarter-step search agrees

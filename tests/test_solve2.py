@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_connected_graphs, brute_min_surplus, random_connected_graph
+from helpers import (
+    all_connected_graphs,
+    brute_min_surplus,
+    random_connected_graph,
+    validate_canonical,
+)
 
 from deltadisp import (
     Graph,
@@ -17,7 +22,6 @@ from deltadisp import (
     is_dispersed,
     matching_number,
     midpoint,
-    validate_canonical,
     vertex_point,
 )
 from deltadisp.solve2 import CanonicalWitness, CutInstance, min_surplus, surplus
