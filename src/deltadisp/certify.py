@@ -4,8 +4,12 @@ A certificate names the vertices that carry facilities plus, per edge, how
 many facilities sit strictly inside it.  Whether some placement with those
 counts is delta-dispersed is a linear feasibility question over the
 distances from each occupied edge's endpoints to the nearest interior
-facility; it is decided exactly over the rationals by Fourier-Motzkin
-elimination.
+facility.  Every constraint has at most two variables, each with
+coefficient +-1 (a UTVPI system), so it is feasible over the rationals iff
+its doubled constraint graph has no negative cycle (Mine, *The Octagon
+Abstract Domain*, 2006; Lahiri & Musuvathi, FroCoS 2005).  Weights are
+integers once scaled by delta's denominator, only endpoints fewer than
+delta hops apart give constraints, and a rejection names the cycle.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Graph, WitnessSet, as_rational, point_as_vertex
-from .errors import MalformedLineError
+from .core import Graph, WitnessSet, as_rational, hop_ball, point_as_vertex
+from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
     "Certificate",
@@ -67,9 +71,12 @@ def extract_certificate(g: Graph, ws: WitnessSet) -> Certificate:
 def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> Verdict:
     """Accept iff the certificate claims >= k facilities and is realizable.
 
-    Rejection reasons fall into three classes: cardinality shortfall,
-    a vertex pair of the certificate closer than delta, or an infeasible
-    linear system (reported with the elimination stage that exposed it).
+    Rejection reasons fall into three classes: cardinality shortfall, a
+    vertex pair ``(u, w)`` of the certificate fewer than delta hops apart,
+    or an infeasible system.  An infeasible system is an edge holding more
+    points than fit at spacing delta, or a negative cycle, reported as the
+    constraints along it, e.g. ``infeasible system: x(1,0) >= 1/2;
+    x(0,0) + x(1,0) <= 1; x(0,0) >= 3/2``.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -84,17 +91,13 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     if cert.total < k:
         return Verdict(False, f"cardinality shortfall: certificate claims {cert.total} < k={k}")
 
-    hops = g.hop_table
-    vs = sorted(cert.vertices)
-    for i, u in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if hops[u][w] < delta:
-                return Verdict(
-                    False,
-                    f"vertex pair ({u}, {w}) at distance {hops[u][w]} < {delta}",
-                )
+    p, q = delta.numerator, delta.denominator
+    radius = (p - 1) // q  # the largest hop count below delta
+    for u in sorted(cert.vertices):
+        for w, hops in hop_ball(g, u, radius):
+            if w > u and w in cert.vertices:
+                return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
 
-    # one point per edge's endpoint side: x measures vertex-to-nearest-interior
     occupied = sorted(cert.interior_counts)
     cap = int(1 / delta) + 1
     for e in occupied:
@@ -104,110 +107,91 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
                 f"infeasible system: edge {e} cannot hold {cert.interior_counts[e]} "
                 f"points at spacing {delta}",
             )
-    variables: list[tuple[int, int]] = []  # (vertex, edge)
-    for e in occupied:
-        u, v = g.edges[e]
-        variables.append((u, e))
-        variables.append((v, e))
-    var_id = {uv: i for i, uv in enumerate(variables)}
-    labels = [f"x({u},{e})" for u, e in variables]
-    nvars = len(variables)
 
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    # x(u,e): distance from end u of occupied edge e to its nearest interior
+    # point, in units of 1/q.  Rows are x_i + x_j <= b or >= b (j is None
+    # for x_i >= b); node 2i of the doubled graph stands for +x_i, 2i+1 for
+    # -x_i.  x >= 0 implies every row whose ends are delta or more hops
+    # apart, and the wrap-around row of an edge (c >= 2 only when delta <= 1).
+    variables = [(u, e) for e in occupied for u in g.edges[e]]
+    ends: dict[int, list[tuple[int, int]]] = {}  # vertex -> (edge, variable)
+    for i, (u, e) in enumerate(variables):
+        ends.setdefault(u, []).append((e, i))
+    lower = [0] * len(variables)
+    rows: list[tuple[int, int | None, str, int]] = []
+    for i in range(0, len(variables), 2):
+        count = cert.interior_counts[variables[i][1]]
+        rows.append((i, i + 1, "<=", q - (count - 1) * p))
+    for u, here in ends.items():
+        for w, hops in hop_ball(g, u, radius):
+            need = p - hops * q
+            for e, i in here:
+                if w in cert.vertices:
+                    lower[i] = max(lower[i], need)
+                rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
+    rows.extend((i, None, ">=", b) for i, b in enumerate(lower))
 
-    def add(coeffs: dict[int, Fraction], rhs: Fraction) -> None:
-        dense = [Fraction(0)] * nvars
-        for idx, c in coeffs.items():
-            dense[idx] = c
-        rows.append((tuple(dense), Fraction(rhs)))
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * len(variables))]
+    for r, (i, j, relation, b) in enumerate(rows):
+        if j is None:
+            arcs[2 * i].append((2 * i + 1, -2 * b, r))
+        elif relation == "<=":
+            arcs[2 * i + 1].append((2 * j, b, r))
+            arcs[2 * j + 1].append((2 * i, b, r))
+        else:
+            arcs[2 * i].append((2 * j + 1, -b, r))
+            arcs[2 * j].append((2 * i + 1, -b, r))
+    cycle = _negative_cycle(arcs)
+    if cycle is None:
+        return Verdict(True)
 
-    one = Fraction(1)
-    for e in occupied:
-        u, v = g.edges[e]
-        xu, xv = var_id[(u, e)], var_id[(v, e)]
-        count = cert.interior_counts[e]
-        add({xu: -one}, Fraction(0))
-        add({xv: -one}, Fraction(0))
-        add({xu: one, xv: one}, 1 - (count - 1) * delta)
-    for w in cert.vertices:
-        for e in occupied:
-            for u in g.edges[e]:
-                add({var_id[(u, e)]: -one}, hops[u][w] - delta)
-    for a_pos, e in enumerate(occupied):
-        for f in occupied[a_pos:]:
-            if e == f:
-                # wrap-around between the two extreme interior points
-                if cert.interior_counts[e] >= 2:
-                    u, v = g.edges[e]
-                    add(
-                        {var_id[(u, e)]: -one, var_id[(v, e)]: -one},
-                        hops[u][v] - delta,
-                    )
-                continue
-            for u in g.edges[e]:
-                for w in g.edges[f]:
-                    add(
-                        {var_id[(u, e)]: -one, var_id[(w, f)]: -one},
-                        hops[u][w] - delta,
-                    )
+    def name(i: int) -> str:
+        return "x({},{})".format(*variables[i])
 
-    feasible, stage = fourier_motzkin_feasible(nvars, rows, labels)
-    if not feasible:
-        return Verdict(False, f"infeasible system ({stage})")
-    return Verdict(True)
+    said = []
+    for i, j, relation, b in (rows[r] for r in dict.fromkeys(cycle)):
+        pair = name(i) if j is None else f"{name(i)} + {name(j)}"
+        said.append(f"{pair} {relation} {Fraction(b, q)}")
+    return Verdict(False, "infeasible system: " + "; ".join(said))
 
 
-def fourier_motzkin_feasible(
-    nvars: int,
-    rows: list[tuple[tuple[Fraction, ...], Fraction]],
-    labels: list[str] | None = None,
-) -> tuple[bool, str | None]:
-    """Exact feasibility of ``coeffs . x <= rhs`` rows over the rationals.
+def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
+    """Rows on a negative cycle of the graph, or None if it has none.
 
-    Eliminates variables in index order; on infeasibility the second
-    element names the stage that exposed the contradiction.  Dominated rows
-    (same normalized coefficients, larger bound) are pruned at every stage.
+    ``arcs[t]`` lists ``(head, weight, row)``.  Bellman-Ford from a virtual
+    source joined to every node by a zero arc, relaxing in rounds the arcs
+    out of the nodes lowered in the round before.  After each round the
+    parent arcs of the lowered nodes are followed: a cycle among them is
+    negative (Cherkassky & Goldberg, *Negative-cycle detection algorithms*,
+    1999), so a rejection costs rounds in proportion to the cycle's length.
+    Weights are integers, so without such a cycle the rounds end.
     """
-    labels = labels or [f"x{i}" for i in range(nvars)]
-
-    def normalize(batch):
-        kept: dict[tuple[Fraction, ...], Fraction] = {}
-        for coeffs, rhs in batch:
-            scale = next((abs(c) for c in coeffs if c != 0), None)
-            if scale is None:
-                if rhs < 0:
-                    return None
-                continue
-            key = tuple(c / scale for c in coeffs)
-            rhs = rhs / scale
-            if key not in kept or rhs < kept[key]:
-                kept[key] = rhs
-        return [(k, v) for k, v in kept.items()]
-
-    current = normalize(rows)
-    if current is None:
-        return False, "contradiction in the initial constraints"
-    for j in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in current:
-            c = coeffs[j]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        combined = rest
-        for pc, pr in pos:
-            pj = pc[j]
-            for nc, nr in neg:
-                nj = -nc[j]
-                coeffs = tuple(a / pj + b / nj for a, b in zip(pc, nc))
-                combined.append((coeffs, pr / pj + nr / nj))
-        current = normalize(combined)
-        if current is None:
-            return False, f"contradiction after eliminating {labels[j]}"
-    return True, None
+    dist = [0] * len(arcs)
+    parent: list[tuple[int, int, int] | None] = [None] * len(arcs)  # tail, weight, row
+    lowered = list(range(len(arcs)))
+    while lowered:
+        changed: dict[int, None] = {}
+        for t in lowered:
+            for h, w, r in arcs[t]:
+                if dist[t] + w < dist[h]:
+                    dist[h] = dist[t] + w
+                    parent[h] = (t, w, r)
+                    changed[h] = None
+        lowered = list(changed)
+        done: set[int] = set()
+        for v in lowered:
+            path: dict[int, tuple[int, int, int]] = {}
+            while v not in done and v not in path and parent[v] is not None:
+                path[v] = parent[v]
+                v = parent[v][0]
+            if v in path:
+                nodes = list(path)
+                cycle = [path[x] for x in reversed(nodes[nodes.index(v) :])]
+                if sum(w for _, w, _ in cycle) >= 0:
+                    raise InternalConsistencyError("parent cycle of non-negative weight")
+                return [r for _, _, r in cycle]
+            done.update(path)
+    return None
 
 
 # ---------------------------------------------------------------------------

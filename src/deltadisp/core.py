@@ -54,6 +54,7 @@ __all__ = [
     "point_distance",
     "subdivide",
     "is_dispersed",
+    "hop_ball",
     "vicinity",
     "vertex_point",
     "normalize_point",
@@ -292,8 +293,9 @@ def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
     other's at an end y, and costs at least L hops(x, y); a pair closer
     than delta therefore has ends fewer than delta hops apart.  Along such
     a route a nearer point on the same edge, or the vertex itself, is
-    closer still, so each vertex keeps only its two nearest points and a
-    bounded breadth-first search from each occupied vertex pairs them up.
+    closer still, so each vertex keeps only its two nearest points, and a
+    :func:`hop_ball` around each occupied vertex pairs them up (hop 0, the
+    vertex itself, compares its own two points).
 
     The cost is the sort of each edge's points plus one search ball of
     radius below delta per occupied vertex: linear in the witness times
@@ -337,30 +339,40 @@ def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
         attach(v, scale - offsets[-1], (e, offsets[-1]))
 
     for x, here in near.items():
-        if len(here) == 2 and here[0][0] + here[1][0] < limit:
-            return False
         nearest = min(d for d, _ in here)
         radius = (limit - nearest - 1) // scale  # hops a closer pair can span
-        seen = {x}
-        frontier = [x]
-        hops = 0
-        while frontier and hops < radius:
-            hops += 1
+        for y, hops in hop_ball(g, x, radius):
+            there = near.get(y)
+            if there is None:
+                continue
             reach = limit - hops * scale
-            ring = []
-            for w in frontier:
-                for y in g.adjacency[w]:
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    ring.append(y)
-                    there = near.get(y)
-                    if there is not None and any(
-                        a + b < reach and p != q for a, p in here for b, q in there
-                    ):
-                        return False
-            frontier = ring
+            if any(a + b < reach and p != q for a, p in here for b, q in there):
+                return False
     return True
+
+
+def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
+    """``(vertex, hops)`` for the vertices at most ``radius`` hops from
+    ``source``, nearest first, starting with ``(source, 0)``.
+
+    A breadth-first search that stops at the radius, so its cost is the
+    size of the ball, not of the graph; this is the one bounded search the
+    local checks (:func:`is_dispersed`, certificate verification) share.
+    """
+    yield source, 0
+    seen = {source}
+    ring = [source]
+    for hops in range(1, radius + 1):
+        next_ring = []
+        for w in ring:
+            for y in g.adjacency[w]:
+                if y not in seen:
+                    seen.add(y)
+                    next_ring.append(y)
+                    yield y, hops
+        if not next_ring:
+            return
+        ring = next_ring
 
 
 def vicinity(g: Graph, v: int) -> frozenset[Point]:

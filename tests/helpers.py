@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths: matching
 numbers come from exhaustive enumeration over vertex masks, subset minima
-from iterating all subsets, linear feasibility from grid search, and
-dispersion from comparing every pair of points with the point metric.
+from iterating all subsets, linear feasibility from grid search or
+Fourier-Motzkin elimination over the dense all-pairs certificate system,
+and dispersion from comparing every pair of points with the point metric.
 """
 
 from __future__ import annotations
@@ -203,6 +204,112 @@ def grid_feasible(nvars: int, rows, grid_denominator: int) -> bool:
         ):
             return True
     return False
+
+
+def dense_certificate_system(g: Graph, delta: Fraction, cert):
+    """The certificate's linear system with a row for every endpoint pair.
+
+    Variables are ``x(u,e)`` for each end u of each occupied edge e, the
+    distance from u to e's nearest interior point; rows are
+    ``coeffs . x <= rhs`` over the all-pairs hop table, including the rows
+    that ``x >= 0`` implies.  Returns ``(nvars, rows, labels)``, or None
+    when two certificate vertices are closer than delta (no system then).
+    """
+    hops = g.hop_table
+    vs = sorted(cert.vertices)
+    for i, u in enumerate(vs):
+        for w in vs[i + 1 :]:
+            if hops[u][w] < delta:
+                return None
+    occupied = sorted(cert.interior_counts)
+    variables = [(u, e) for e in occupied for u in g.edges[e]]
+    var_id = {uv: i for i, uv in enumerate(variables)}
+    nvars = len(variables)
+    one = Fraction(1)
+    rows = []
+
+    def add(coeffs, rhs):
+        dense = [Fraction(0)] * nvars
+        for idx, c in coeffs.items():
+            dense[idx] = c
+        rows.append((tuple(dense), Fraction(rhs)))
+
+    for e in occupied:
+        u, v = g.edges[e]
+        count = cert.interior_counts[e]
+        add({var_id[(u, e)]: -one}, 0)
+        add({var_id[(v, e)]: -one}, 0)
+        add({var_id[(u, e)]: one, var_id[(v, e)]: one}, 1 - (count - 1) * delta)
+    for w in cert.vertices:
+        for e in occupied:
+            for u in g.edges[e]:
+                add({var_id[(u, e)]: -one}, hops[u][w] - delta)
+    for pos, e in enumerate(occupied):
+        for f in occupied[pos:]:
+            if e == f:
+                # wrap-around between the two extreme interior points
+                if cert.interior_counts[e] >= 2:
+                    u, v = g.edges[e]
+                    add({var_id[(u, e)]: -one, var_id[(v, e)]: -one}, hops[u][v] - delta)
+                continue
+            for u in g.edges[e]:
+                for w in g.edges[f]:
+                    add({var_id[(u, e)]: -one, var_id[(w, f)]: -one}, hops[u][w] - delta)
+    return nvars, rows, [f"x({u},{e})" for u, e in variables]
+
+
+def fourier_motzkin_feasible(
+    nvars: int,
+    rows: list[tuple[tuple[Fraction, ...], Fraction]],
+    labels: list[str] | None = None,
+) -> tuple[bool, str | None]:
+    """Exact feasibility of ``coeffs . x <= rhs`` rows over the rationals.
+
+    Eliminates variables in index order; on infeasibility the second
+    element names the stage that exposed the contradiction.  Dominated rows
+    (same normalized coefficients, larger bound) are pruned at every stage.
+    The cost can grow exponentially with the number of variables.
+    """
+    labels = labels or [f"x{i}" for i in range(nvars)]
+
+    def normalize(batch):
+        kept: dict[tuple[Fraction, ...], Fraction] = {}
+        for coeffs, rhs in batch:
+            scale = next((abs(c) for c in coeffs if c != 0), None)
+            if scale is None:
+                if rhs < 0:
+                    return None
+                continue
+            key = tuple(c / scale for c in coeffs)
+            rhs = rhs / scale
+            if key not in kept or rhs < kept[key]:
+                kept[key] = rhs
+        return [(k, v) for k, v in kept.items()]
+
+    current = normalize(rows)
+    if current is None:
+        return False, "contradiction in the initial constraints"
+    for j in range(nvars):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs in current:
+            c = coeffs[j]
+            if c > 0:
+                pos.append((coeffs, rhs))
+            elif c < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        combined = rest
+        for pc, pr in pos:
+            pj = pc[j]
+            for nc, nr in neg:
+                nj = -nc[j]
+                coeffs = tuple(a / pj + b / nj for a, b in zip(pc, nc))
+                combined.append((coeffs, pr / pj + nr / nj))
+        current = normalize(combined)
+        if current is None:
+            return False, f"contradiction after eliminating {labels[j]}"
+    return True, None
 
 
 def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> bool:

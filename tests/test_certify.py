@@ -4,7 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import grid_feasible, random_connected_graph
+from helpers import (
+    dense_certificate_system,
+    fourier_motzkin_feasible,
+    grid_feasible,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadisp import (
     Certificate,
@@ -20,7 +29,6 @@ from deltadisp import (
     verify_certificate,
     vertex_point,
 )
-from deltadisp.certify import fourier_motzkin_feasible
 
 K2 = Graph(2, ((0, 1),))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -78,8 +86,9 @@ class TestVerify:
         cert = Certificate(frozenset({0}), {0: 1})
         verdict = verify_certificate(K2, Fraction(3, 2), cert, 2)
         assert not verdict.accepted
-        assert "infeasible system" in verdict.reason
-        assert "eliminating" in verdict.reason
+        assert verdict.reason.startswith("infeasible system: ")
+        assert "x(0,0) >= 3/2" in verdict.reason
+        assert "x(0,0) + x(1,0) <= 1" in verdict.reason
 
     def test_vertex_next_to_occupied_edge(self):
         # vertex 1 plus one interior point on edge (0,2) at delta=1: feasible
@@ -115,6 +124,47 @@ class TestRoundTrip:
             assert verify_certificate(g, delta, cert, value).accepted
 
 
+def _random_certificates(rng, rounds):
+    """(graph, delta, certificate) triples with at most four occupied edges,
+    so the dense reference system has at most eight variables."""
+    for r in range(rounds):
+        n = rng.randint(2, 7)
+        kind = r % 4
+        if kind == 0:
+            g = random_tree(rng, n)
+        elif kind == 1:
+            g = random_connected_graph(rng, n, rng.randint(1, 3))
+        elif kind == 2:
+            g = random_cactus(rng, n)
+        else:
+            g = Graph(n + 1, tuple((i, (i + 1) % (n + 1)) for i in range(n + 1)))
+        delta = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        if delta.numerator <= 2 and rng.random() < 0.5:
+            # a solver certificate with one point or one vertex too many
+            _, witness = disp(g, delta)
+            cert = extract_certificate(g, witness)
+            counts, vertices = dict(cert.interior_counts), set(cert.vertices)
+            if rng.random() < 0.5:
+                e = rng.randrange(g.edge_count)
+                counts[e] = counts.get(e, 0) + 1
+            else:
+                vertices.add(rng.randrange(g.vertex_count))
+        else:
+            vertices = set(rng.sample(range(g.vertex_count), rng.randint(0, min(2, n))))
+            cap = int(1 / delta) + 1
+            edges = rng.sample(range(g.edge_count), rng.randint(0, min(4, g.edge_count)))
+            counts = {e: rng.randint(1, cap) for e in edges}
+        if len(counts) <= 4:
+            yield g, delta, Certificate(frozenset(vertices), counts)
+
+
+def _reference_verdict(g, delta, cert):
+    """True/False from Fourier-Motzkin on the dense system, or None when two
+    certificate vertices are closer than delta."""
+    system = dense_certificate_system(g, delta, cert)
+    return None if system is None else fourier_motzkin_feasible(*system)[0]
+
+
 class TestFourierMotzkin:
     def test_matches_grid_oracle_on_extracted_systems(self):
         # tamper with real certificates to exercise both outcomes
@@ -133,12 +183,32 @@ class TestFourierMotzkin:
             if 2 * len(tampered.interior_counts) > 4:
                 continue
             verdict = verify_certificate(g, delta, tampered, 0)
-            expected = _grid_check(g, delta, tampered)
-            if expected is None:
+            system = dense_certificate_system(g, delta, tampered)
+            if system is None:
                 continue
+            nvars, rows, _ = system
+            expected = grid_feasible(nvars, rows, 4 * delta.denominator)
             assert verdict.accepted == expected, (g, delta, tampered)
             checked += 1
         assert checked >= 20
+
+    def test_matches_reference_on_random_certificates(self):
+        rng = random.Random(43)
+        outcomes = {True: 0, False: 0, None: 0}
+        mismatches = []
+        for g, delta, cert in _random_certificates(rng, 600):
+            want = _reference_verdict(g, delta, cert)
+            outcomes[want] += 1
+            verdict = verify_certificate(g, delta, cert, 0)
+            if verdict.accepted != bool(want):
+                mismatches.append((g, delta, cert, verdict))
+            elif want is None:
+                assert verdict.reason.startswith("vertex pair"), verdict
+            elif not want:
+                assert verdict.reason.startswith("infeasible system: "), verdict
+        assert mismatches == []
+        assert sum(outcomes.values()) >= 400
+        assert min(outcomes[True], outcomes[False]) >= 100, outcomes
 
     def test_trivial_contradiction(self):
         rows = [((Fraction(0),), Fraction(-1))]
@@ -154,56 +224,53 @@ class TestFourierMotzkin:
         assert not feasible and "x(0,0)" in stage
 
 
-def _grid_check(g, delta, cert):
-    """Grid-search feasibility of the same system verify_certificate decides.
+@st.composite
+def small_certificates(draw):
+    n = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        if u != v and (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    g = Graph(n, tuple(edges))
+    delta = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 5)))
+    vertices = draw(st.frozensets(st.integers(0, n - 1), max_size=2))
+    counts = draw(
+        st.dictionaries(
+            st.integers(0, g.edge_count - 1), st.integers(1, int(1 / delta) + 1), max_size=3
+        )
+    )
+    return g, delta, Certificate(vertices, counts)
 
-    Returns None when the vertex-pair precheck already fails (the LP is not
-    reached in that case).
-    """
-    hops = g.hop_table
-    vs = sorted(cert.vertices)
-    for i, u in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if hops[u][w] < delta:
-                return None
-    occupied = sorted(cert.interior_counts)
-    variables = []
-    for e in occupied:
-        u, v = g.edges[e]
-        variables.append((u, e))
-        variables.append((v, e))
-    var_id = {uv: i for i, uv in enumerate(variables)}
-    nvars = len(variables)
-    one = Fraction(1)
-    rows = []
 
-    def add(coeffs, rhs):
-        dense = [Fraction(0)] * nvars
-        for idx, c in coeffs.items():
-            dense[idx] = c
-        rows.append((tuple(dense), Fraction(rhs)))
+@settings(max_examples=300, derandomize=True)
+@given(case=small_certificates())
+def test_verify_matches_reference_property(case):
+    g, delta, cert = case
+    want = _reference_verdict(g, delta, cert)
+    assert verify_certificate(g, delta, cert, 0).accepted == bool(want)
 
-    for e in occupied:
-        u, v = g.edges[e]
-        count = cert.interior_counts[e]
-        add({var_id[(u, e)]: -one}, 0)
-        add({var_id[(v, e)]: -one}, 0)
-        add({var_id[(u, e)]: one, var_id[(v, e)]: one}, 1 - (count - 1) * delta)
-    for w in cert.vertices:
-        for e in occupied:
-            for u in g.edges[e]:
-                add({var_id[(u, e)]: -one}, hops[u][w] - delta)
-    for pos, e in enumerate(occupied):
-        for f in occupied[pos:]:
-            if e == f:
-                if cert.interior_counts[e] >= 2:
-                    u, v = g.edges[e]
-                    add({var_id[(u, e)]: -one, var_id[(v, e)]: -one}, hops[u][v] - delta)
-                continue
-            for u in g.edges[e]:
-                for w in g.edges[f]:
-                    add({var_id[(u, e)]: -one, var_id[(w, f)]: -one}, hops[u][w] - delta)
-    return grid_feasible(nvars, rows, 4 * delta.denominator)
+
+class TestUntrustedCertificates:
+    @pytest.mark.parametrize("kind", ["tree", "sparse"])
+    def test_large_certificates_stay_local(self, kind):
+        rng = random.Random(44)
+        edges = set(random_tree(rng, 2000).edges)
+        while kind == "sparse" and len(edges) < 2199:
+            u, v = rng.sample(range(2000), 2)
+            if (v, u) not in edges:
+                edges.add((u, v))
+        g = Graph(2000, tuple(sorted(edges)))
+        delta = Fraction(2, 3)
+        value, witness = disp(g, delta)
+        cert = extract_certificate(g, witness)
+        assert len(cert.interior_counts) == g.edge_count  # every edge occupied
+        assert verify_certificate(g, delta, cert, value).accepted
+        counts = dict(cert.interior_counts)
+        counts[min(e for e, c in counts.items() if c < int(1 / delta) + 1)] += 1
+        verdict = verify_certificate(g, delta, Certificate(cert.vertices, counts), 0)
+        assert not verdict.accepted
+        assert verdict.reason.startswith("infeasible system: x(")
+        assert "hop_table" not in g.__dict__
 
 
 class TestFormat:

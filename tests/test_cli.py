@@ -128,6 +128,15 @@ class TestVerify:
         assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 1
         assert capsys.readouterr().out.startswith("reject")
 
+    def test_infeasible_system_is_one_line(self, k2, tmp_path, capsys):
+        cert = tmp_path / "c.txt"
+        cert.write_text("2\nW: 0\n0 1\n")
+        assert run(["verify", str(k2), "--delta", "3/2", "--certificate", str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1
+        assert out.startswith("reject: infeasible system: x(")
+        assert err == ""
+
     def test_bad_certificate_file(self, star, tmp_path):
         cert = tmp_path / "c.txt"
         cert.write_text("zzz\n")
