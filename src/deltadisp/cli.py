@@ -1,8 +1,9 @@
 """Command-line front end for the dispersion solver suite.
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
-error, 3 resource guard tripped (candidate cap or timeout), 4 internal
-error (a structural guarantee failed; a bug, not bad input).
+error, 3 resource guard tripped (candidate cap or timeout; a timeout names
+the verified lower bound the oracle had found), 4 internal error (a
+structural guarantee failed; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ def run(argv: list[str]) -> int:
     except NPHardRegimeError as exc:
         print(f"error: {exc} (use --brute-force)", file=sys.stderr)
         return 2
-    except (SizeGuardExceededError, OracleTimeoutError) as exc:
+    except OracleTimeoutError as exc:
+        bound = "" if exc.best is None else f"; verified lower bound {exc.best}"
+        print(f"error: {exc}{bound}", file=sys.stderr)
+        return 3
+    except SizeGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:

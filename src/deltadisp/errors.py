@@ -1,5 +1,12 @@
 """Exception types shared across the solver suite."""
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .core import WitnessSet
+
 
 class DispersionError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,7 +53,19 @@ class SizeGuardExceededError(DispersionError):
 
 
 class OracleTimeoutError(DispersionError):
-    """The brute-force search exceeded its time budget."""
+    """The brute-force search exceeded its time budget.
+
+    ``best`` and ``witness`` are the largest dispersed set found before the
+    budget ran out, a verified lower bound on the dispersion number, when
+    the raiser has one (``brute_disp`` always does); otherwise None.
+    """
+
+    def __init__(
+        self, message: str, best: int | None = None, witness: WitnessSet | None = None
+    ):
+        super().__init__(message)
+        self.best = best
+        self.witness = witness
 
 
 class InternalConsistencyError(DispersionError):

@@ -4,13 +4,20 @@ For spacing a/b in lowest terms there is always an optimal dispersed set
 whose offsets all have denominator 2b, so searching the finite grid of
 half-step points is complete.  The grid points and their pairwise conflicts
 (distance strictly below the spacing) form a conflict graph; an optimal
-dispersed set is a maximum independent set in it, found here by a
-deterministic branch-and-bound with a greedy clique-cover bound.
+dispersed set is a maximum independent set in it.  Conflicts are built
+locally: a pair can conflict only if its edges have ends fewer than the
+spacing apart in hops, so each candidate is compared only with the
+candidates around a bounded breadth-first search of its ends, and no
+all-pairs table is built.  The independent set is found by a
+deterministic branch-and-reduce search (Akiba & Iwata, TCS 2016): at
+every node, isolated candidates are taken and dominating ones dropped
+until neither applies, then a greedy clique-cover bound prunes, then the
+search branches.  Domination alone solves the conflict graphs of trees.
 
 This solver is the ground truth the polynomial algorithms are tested
 against, and the only exact route in the NP-hard regime (numerator >= 3).
 It is meant for desk-scale instances; a candidate cap and an optional time
-budget guard it.
+budget guard it, and a timeout still reports the best dispersed set found.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from time import monotonic
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .core import Graph, Point, WitnessSet, as_rational, vertex_point
-from .errors import OracleTimeoutError, SizeGuardExceededError
+from .core import Graph, Point, WitnessSet, as_rational, hop_ball, is_dispersed, vertex_point
+from .errors import InternalConsistencyError, OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
 
@@ -64,9 +71,12 @@ def build_conflict_graph(
     Candidates are every vertex plus the interior points at offsets
     i/(2b), deduplicated; `grid_denominator` overrides the default 2b grid
     (used by completeness checks against finer grids).  Distances are
-    compared exactly, in integer units of one grid step.  Raises
-    OracleTimeoutError once `monotonic()` passes `deadline`, checked
-    before each candidate's row of conflicts.
+    compared exactly, in integer units of one grid step.  A candidate is
+    compared only with the candidates on edges that have an end within
+    ``(threshold-1)//q`` hops of one of its own ends (:func:`hop_ball`),
+    where ``threshold = delta * q``; farther pairs are at least `delta`
+    apart.  Raises OracleTimeoutError once `monotonic()` passes
+    `deadline`, checked before each candidate's row of conflicts.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -82,39 +92,57 @@ def build_conflict_graph(
         )
 
     candidates: list[Point] = [vertex_point(g, v) for v in range(n)]
-    # scaled geometry per candidate: (end_a, end_b, steps to a, steps to b)
-    ends: list[tuple[int, int, int, int]] = [(v, v, 0, 0) for v in range(n)]
-    on_edge: list[int] = [-1] * n
-    for e, (u, v) in enumerate(g.edges):
-        for i in range(1, q):
-            candidates.append(Point(e, Fraction(i, q)))
-            ends.append((u, v, i, q - i))
-            on_edge.append(e)
+    offsets = [Fraction(i, q) for i in range(1, q)]
+    for e in range(m):
+        candidates.extend(Point(e, x) for x in offsets)
 
-    hops = g.hop_table
     threshold = int(delta * q)
-    conflicts = [0] * count
-    for i in range(count):
+    # a pair closer than delta has ends at most this many hops apart
+    radius = (threshold - 1) // q
+    # Along an edge, the steps fewer than `threshold` from a point that is
+    # r steps from one end form a run of min(threshold-1-r, q-1) steps from
+    # that end.  As bits over the edge's q-1 steps, lowest step first:
+    from_a = [(1 << max(0, min(threshold - 1 - r, q - 1))) - 1 for r in range(threshold + 1)]
+    from_b = [bits << (q - 1 - bits.bit_length()) for bits in from_a]
+    edges, incident = g.edges, g.incident_edges
+    conflicts: list[int] = []
+
+    def add_row(reach: dict[int, int], own_edge: int = -1, along: int = 0) -> None:
+        """Append the row of the next candidate, which is ``reach[y]`` <
+        threshold steps from each vertex y near it; an interior candidate
+        also conflicts with the steps on its own edge it reaches directly,
+        the bits `along`."""
         if deadline is not None and monotonic() > deadline:
             raise OracleTimeoutError("conflict-graph build exceeded its time budget")
-        ia, ib, da, db = ends[i]
-        row_a = hops[ia]
-        row_b = hops[ib]
-        for j in range(i + 1, count):
-            ja, jb, ea, eb = ends[j]
-            d = min(
-                da + q * row_a[ja] + ea,
-                da + q * row_a[jb] + eb,
-                db + q * row_b[ja] + ea,
-                db + q * row_b[jb] + eb,
-            )
-            if on_edge[i] == on_edge[j] != -1:
-                direct = abs(da - ea)
-                if direct < d:
-                    d = direct
-            if d < threshold:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
+        mask = 0
+        near: set[int] = set()
+        for y in reach:
+            mask |= 1 << y
+            near.update(incident[y])
+        for f in near:
+            a, b = edges[f]
+            ends = from_a[reach.get(a, threshold)] | from_b[reach.get(b, threshold)]
+            mask |= ends << (n + f * (q - 1))
+        if own_edge >= 0:
+            mask |= along << (n + own_edge * (q - 1))
+        conflicts.append(mask & ~(1 << len(conflicts)))
+
+    # vertex y is candidate y, step t of edge e is candidate n + e(q-1) + t-1
+    for v in range(n):
+        add_row({y: q * hops for y, hops in hop_ball(g, v, radius)})
+    for e, (u, v) in enumerate(edges):
+        ball_u = list(hop_ball(g, u, radius))
+        ball_v = list(hop_ball(g, v, radius))
+        for t in range(1, q):
+            reach = {}
+            for y, hops in ball_u:
+                if t + q * hops < threshold:
+                    reach[y] = t + q * hops
+            for y, hops in ball_v:
+                if q - t + q * hops < reach.get(y, threshold):
+                    reach[y] = q - t + q * hops
+            lo, hi = max(1, t - threshold + 1), min(q - 1, t + threshold - 1)
+            add_row(reach, e, ((1 << (hi - lo + 1)) - 1) << (lo - 1))
     return ConflictGraph(delta, tuple(candidates), tuple(conflicts))
 
 
@@ -139,14 +167,67 @@ def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
     return len(cliques)
 
 
+class _SearchTimeout(OracleTimeoutError):
+    """The search's deadline passed; ``mask`` is its incumbent."""
+
+    def __init__(self, mask: int):
+        super().__init__("independent-set search exceeded its time budget")
+        self.mask = mask
+
+
+def _reduce(
+    conflicts: tuple[int, ...], rem: int, dirty: int, check: Callable[[], None]
+) -> tuple[int, int]:
+    """Apply isolation and domination to `rem` until neither fires.
+
+    Returns ``(taken, rem)``: the isolated candidates taken and what is
+    left.  Domination: when adjacent u and v have N[v] within N[u] (both
+    restricted to `rem`), some maximum independent set avoids u, so u is
+    dropped.  This covers pendant and simplicial candidates, so it solves
+    the chordal conflict graphs of trees outright; it never folds, so
+    every candidate keeps its meaning.  Only the `dirty` candidates, whose
+    neighbourhoods shrank since they were last examined, can have become
+    dominated or isolated; they are examined in ascending index order.
+    `check` runs once per pass and raises when the deadline has passed.
+    """
+    taken = 0
+    while dirty:
+        check()
+        dirty &= rem
+        shrunk = 0
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            if not rem & low:
+                continue
+            nv = conflicts[low.bit_length() - 1] & rem
+            r = nv
+            while r:
+                ub = r & -r
+                r ^= ub
+                u = conflicts[ub.bit_length() - 1]
+                if nv & ~u == ub:  # N[v] within N[u]: drop u
+                    rem ^= ub
+                    nv ^= ub
+                    shrunk |= u
+            if not nv:
+                taken |= low
+                rem ^= low
+        dirty = shrunk
+    return taken, rem
+
+
 def _max_independent_set(
     conflicts: tuple[int, ...], deadline: float | None
 ) -> tuple[int, int]:
-    """Deterministic branch-and-bound MIS; returns (size, chosen bitmask).
+    """Deterministic branch-and-reduce MIS; returns (size, chosen bitmask).
 
-    Branches on the candidate with the most remaining conflicts (ties by
-    lowest index); conflict-free candidates are taken greedily since they
-    can never hurt.
+    Every node first runs :func:`_reduce` to a fixpoint, then prunes by a
+    greedy clique-cover bound, then branches on the candidate with the most
+    remaining conflicts (ties by lowest index), taking it before dropping
+    it.  A greedy pass in index order seeds the incumbent.  Raises
+    OracleTimeoutError, carrying the incumbent mask, once `monotonic()`
+    passes `deadline`, checked at every node and every reduction pass.
     """
     n = len(conflicts)
     if n == 0:
@@ -162,13 +243,25 @@ def _max_independent_set(
         rem &= ~(conflicts[low.bit_length() - 1] | low)
     best = best_mask.bit_count()
 
-    stack = [(0, 0, full)]
-    while stack:
+    def check() -> None:
         if deadline is not None and monotonic() > deadline:
-            raise OracleTimeoutError("independent-set search exceeded its time budget")
-        count, chosen, rem = stack.pop()
+            raise _SearchTimeout(best_mask)
 
-        free = 0
+    # (size so far, chosen, remaining, remaining candidates to re-examine)
+    stack = [(0, 0, full, full)]
+    while stack:
+        check()
+        count, chosen, rem, dirty = stack.pop()
+        taken, rem = _reduce(conflicts, rem, dirty, check)
+        chosen |= taken
+        count += taken.bit_count()
+        if rem == 0:
+            if count > best:
+                best = count
+                best_mask = chosen
+            continue
+        if count + _clique_cover_size(conflicts, rem) <= best:
+            continue
         pick = -1
         pick_degree = -1
         r = rem
@@ -177,26 +270,21 @@ def _max_independent_set(
             r ^= low
             v = low.bit_length() - 1
             degree = (conflicts[v] & rem).bit_count()
-            if degree == 0:
-                free |= low
-            elif degree > pick_degree:
+            if degree > pick_degree:
                 pick_degree = degree
                 pick = v
-        if free:
-            # conflict-free picks leave all other degrees unchanged
-            chosen |= free
-            count += free.bit_count()
-            rem &= ~free
-        if rem == 0:
-            if count > best:
-                best = count
-                best_mask = chosen
-            continue
-        if count + _clique_cover_size(conflicts, rem) <= best:
-            continue
         bit = 1 << pick
-        stack.append((count, chosen, rem & ~bit))
-        stack.append((count + 1, chosen | bit, rem & ~(conflicts[pick] | bit)))
+        nbrs = conflicts[pick] & rem
+        after_take = rem & ~nbrs & ~bit
+        # taking pick removes its neighbours, so theirs are re-examined
+        touched = 0
+        r = nbrs
+        while r:
+            low = r & -r
+            r ^= low
+            touched |= conflicts[low.bit_length() - 1]
+        stack.append((count, chosen, rem ^ bit, nbrs))
+        stack.append((count + 1, chosen | bit, after_take, touched & after_take))
     return best, best_mask
 
 
@@ -212,19 +300,34 @@ def brute_disp(
     returned witness is reproducible.  Raises SizeGuardExceededError when
     the grid is larger than `cap` and OracleTimeoutError when `timeout`
     seconds elapse, counted from the call: the budget covers the conflict
-    build as well as the search.
+    build as well as the search.  The timeout error carries the best
+    dispersed set found so far as ``best`` and ``witness``: the search's
+    incumbent, or a single vertex if the conflict build did not finish.
     """
     deadline = None if timeout is None else monotonic() + timeout
-    cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
-    value, mask = _max_independent_set(cg.conflicts, deadline)
-    points = []
-    i = 0
-    while mask:
-        if mask & 1:
-            points.append(cg.candidates[i])
-        mask >>= 1
-        i += 1
-    witness = WitnessSet.build(g, points, cg.delta)
+    try:
+        cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
+    except OracleTimeoutError as exc:
+        raise _with_incumbent(exc, g, [vertex_point(g, 0)], as_rational(delta)) from None
+    try:
+        value, mask = _max_independent_set(cg.conflicts, deadline)
+    except _SearchTimeout as exc:
+        raise _with_incumbent(exc, g, _points(cg, exc.mask), cg.delta) from None
+    witness = WitnessSet.build(g, _points(cg, mask), cg.delta)
     if len(witness) != value:
         raise AssertionError("witness size disagrees with the search value")
     return value, witness
+
+
+def _points(cg: ConflictGraph, mask: int) -> list[Point]:
+    return [p for i, p in enumerate(cg.candidates) if mask >> i & 1]
+
+
+def _with_incumbent(
+    exc: OracleTimeoutError, g: Graph, points: list[Point], delta: Fraction
+) -> OracleTimeoutError:
+    """`exc`'s message with `points` attached as a checked witness."""
+    witness = WitnessSet.build(g, points, delta)
+    if not is_dispersed(g, witness.points, delta):
+        raise InternalConsistencyError("the search's incumbent is not dispersed")
+    return OracleTimeoutError(str(exc), best=len(witness), witness=witness)

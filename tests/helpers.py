@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths: matching
 numbers come from exhaustive enumeration over vertex masks, subset minima
 from iterating all subsets, linear feasibility from grid search or
 Fourier-Motzkin elimination over the dense all-pairs certificate system,
-and dispersion from comparing every pair of points with the point metric.
+dispersion from comparing every pair of points with the point metric,
+grid conflicts from every pair of candidates over the all-pairs hop table,
+and maximum independent sets from a plain branch-and-bound.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from deltadisp import Graph, normalize_point, point_distance, vicinity
+from deltadisp import Graph, as_rational, normalize_point, point_distance, vicinity
 from deltadisp.matching import EGDecomposition, component_split
 from deltadisp.solve2 import CanonicalWitness, CutInstance
 
@@ -363,3 +365,102 @@ def _induces_matching(
                 return False
             covered.update((u, v))
     return len(covered) == want_covered
+
+
+def all_pairs_conflicts(g: Graph, delta, grid_denominator: int | None = None) -> tuple[int, ...]:
+    """Conflict bitmasks of the oracle's grid from every pair of candidates.
+
+    Candidates are numbered as in ``build_conflict_graph``: the vertices,
+    then the q-1 interior steps of each edge in edge order.  Each pair's
+    distance is the minimum over its four end routes through the all-pairs
+    hop table, and its direct distance when both lie on one edge.
+    """
+    delta = as_rational(delta)
+    q = 2 * delta.denominator if grid_denominator is None else grid_denominator
+    n = g.vertex_count
+    # (end a, end b, steps to a, steps to b, edge or -1) per candidate
+    ends = [(v, v, 0, 0, -1) for v in range(n)]
+    for e, (u, v) in enumerate(g.edges):
+        ends.extend((u, v, i, q - i, e) for i in range(1, q))
+    hops = g.hop_table
+    threshold = delta * q
+    conflicts = [0] * len(ends)
+    for i, (ia, ib, da, db, ie) in enumerate(ends):
+        for j in range(i + 1, len(ends)):
+            ja, jb, ea, eb, je = ends[j]
+            d = min(
+                da + q * hops[ia][ja] + ea,
+                da + q * hops[ia][jb] + eb,
+                db + q * hops[ib][ja] + ea,
+                db + q * hops[ib][jb] + eb,
+            )
+            if ie == je != -1:
+                d = min(d, abs(da - ea))
+            if d < threshold:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return tuple(conflicts)
+
+
+def _clique_cover_size(conflicts, remaining: int) -> int:
+    cliques: list[int] = []
+    r = remaining
+    while r:
+        low = r & -r
+        r ^= low
+        cv = conflicts[low.bit_length() - 1]
+        for idx, members in enumerate(cliques):
+            if members & ~cv == 0:
+                cliques[idx] = members | low
+                break
+        else:
+            cliques.append(low)
+    return len(cliques)
+
+
+def reference_max_independent_set(conflicts) -> tuple[int, int]:
+    """Plain branch-and-bound MIS without reductions: (size, bitmask).
+
+    A greedy pass seeds the incumbent; at each node conflict-free
+    candidates are taken, a greedy clique cover bounds the rest, and the
+    search branches on the candidate with the most remaining conflicts.
+    """
+    n = len(conflicts)
+    full = (1 << n) - 1
+    best_mask = 0  # greedy seed, ascending index
+    rem = full
+    while rem:
+        low = rem & -rem
+        best_mask |= low
+        rem &= ~(conflicts[low.bit_length() - 1] | low)
+    best = best_mask.bit_count()
+    stack = [(0, 0, full)]
+    while stack:
+        count, chosen, rem = stack.pop()
+        free = 0
+        pick = -1
+        pick_degree = -1
+        r = rem
+        while r:
+            low = r & -r
+            r ^= low
+            v = low.bit_length() - 1
+            degree = (conflicts[v] & rem).bit_count()
+            if degree == 0:
+                free |= low
+            elif degree > pick_degree:
+                pick_degree = degree
+                pick = v
+        chosen |= free
+        count += free.bit_count()
+        rem &= ~free
+        if rem == 0:
+            if count > best:
+                best, best_mask = count, chosen
+            continue
+        if count + _clique_cover_size(conflicts, rem) <= best:
+            continue
+        bit = 1 << pick
+        stack.append((count, chosen, rem & ~bit))
+        stack.append((count + 1, chosen | bit, rem & ~(conflicts[pick] | bit)))
+    return best, best_mask

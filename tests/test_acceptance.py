@@ -1,9 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 6 carries the ``slow`` marker (its stated budget is much
-larger than the rest of the suite); everything else runs in the default
-tier.  All comparisons are exact.
+lines.  All criteria run in the default tier.  All comparisons are exact.
 """
 
 import random
@@ -13,6 +11,7 @@ import pytest
 from helpers import (
     all_connected_graphs,
     brute_factor_critical,
+    brute_independent_sets,
     brute_inessential,
     brute_min_surplus,
     connected_graphs_max_edges,
@@ -211,21 +210,31 @@ def test_criterion_5_matching_lower_bound():
     _report(5, "disp2(g) >= matching number on 1000 random graphs (<=12 vertices)", failures)
 
 
-@pytest.mark.slow
 def test_criterion_6_gadget_end_to_end():
     failures = []
-    inst = build_gadget(cubic_catalogue()["k4"], Fraction(3))
-    witness = witness_from_independent_set(inst, {0})
-    if len(witness) != 19:
-        failures.append(("witness size", len(witness)))
-    if not is_dispersed(inst.g, witness.points, Fraction(3)):
-        failures.append("witness not dispersed")
-    if predicted_bound(inst, 1) != 19:
-        failures.append(("predicted bound", predicted_bound(inst, 1)))
-    value, _ = brute_disp(inst.g, Fraction(3), timeout=900)
-    if value != 19:
-        failures.append(("brute optimum", value))
-    _report(6, "K4 gadget at delta=3: witness of 19 is dispersed and optimal", failures)
+    # source graph, its independence number, the predicted bound at delta=3
+    for name, alpha, bound in (("k4", 1, 19), ("k33", 3, 30), ("cube", 4, 40)):
+        h = cubic_catalogue()[name]
+        inst = build_gadget(h, Fraction(3))
+        largest = max(brute_independent_sets(h), key=len)
+        if len(largest) != alpha:
+            failures.append((name, "independence number", len(largest)))
+        witness = witness_from_independent_set(inst, largest)
+        if len(witness) != bound:
+            failures.append((name, "witness size", len(witness)))
+        if not is_dispersed(inst.g, witness.points, Fraction(3)):
+            failures.append((name, "witness not dispersed"))
+        if predicted_bound(inst, alpha) != bound:
+            failures.append((name, "predicted bound", predicted_bound(inst, alpha)))
+        value, _ = brute_disp(inst.g, Fraction(3), timeout=900)
+        if value != bound:
+            failures.append((name, "brute optimum", value))
+    _report(
+        6,
+        "K4, K3,3 and cube gadgets at delta=3: witnesses of 19, 30 and 40 "
+        "are dispersed and optimal",
+        failures,
+    )
 
 
 def test_criterion_7_certificate_roundtrip(

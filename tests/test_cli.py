@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and file round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,15 @@ class TestOracle:
 
     def test_timeout_exits_3(self, k4):
         assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3
+
+    def test_timeout_names_verified_lower_bound(self, k4, capsys):
+        assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        pattern = r"error: .* exceeded its time budget; verified lower bound [1-9]\d*"
+        assert re.fullmatch(pattern, lines[0])
 
     def test_agreement_with_solve(self, tmp_path, capsys):
         graphs = {

@@ -166,7 +166,6 @@ class TestWitness:
             assert len(w) == predicted_bound(inst, len(ind))
 
 
-@pytest.mark.slow
 def test_k4_gadget_optimum_matches_predicted_bound():
     # the hard direction, confirmed exhaustively at desk scale
     inst = build_gadget(K4, Fraction(3))
@@ -174,7 +173,6 @@ def test_k4_gadget_optimum_matches_predicted_bound():
     assert value == predicted_bound(inst, 1)  # independence number of K4 is 1
 
 
-@pytest.mark.slow
 def test_k4_even_numerator_gadget_optimum():
     # no constructive witness for even numerators; the optimum is checked
     # purely by exhaustive search
@@ -182,6 +180,19 @@ def test_k4_even_numerator_gadget_optimum():
     value, witness = brute_disp(inst.g, Fraction(4), timeout=900)
     assert value == predicted_bound(inst, 1)
     assert is_dispersed(inst.g, witness.points, Fraction(4))
+
+
+@pytest.mark.parametrize("name,alpha", [("k4", 1), ("k33", 3), ("cube", 4)])
+@pytest.mark.parametrize(
+    "delta", [Fraction(3), Fraction(4), Fraction(5), Fraction(5, 2), Fraction(7, 2)]
+)
+def test_gadget_optimum_matches_predicted_bound(name, alpha, delta):
+    # the paper's reduction: the gadget's dispersion number is the bound
+    # its source graph's independence number alpha predicts
+    inst = build_gadget(cubic_catalogue()[name], delta)
+    value, witness = brute_disp(inst.g, delta, cap=1000)
+    assert value == predicted_bound(inst, alpha)
+    assert is_dispersed(inst.g, witness.points, delta)
 
 
 class TestMapFile:

@@ -4,7 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import connected_graphs_max_edges, random_connected_graph, random_tree
+from helpers import (
+    all_pairs_conflicts,
+    connected_graphs_max_edges,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+    reference_max_independent_set,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltadisp import (
     Graph,
@@ -15,6 +24,7 @@ from deltadisp import (
     is_dispersed,
     point_distance,
 )
+from deltadisp.oracle import _max_independent_set, _reduce
 
 K2 = Graph(2, ((0, 1),))
 C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -81,6 +91,107 @@ class TestConflictGraph:
         with pytest.raises(SizeGuardExceededError):
             build_conflict_graph(C3, Fraction(1, 100), cap=50)
 
+    def test_matches_all_pairs_reference(self):
+        mismatches = []
+        for g, delta in _differential_cases(random.Random(60), 300):
+            if build_conflict_graph(g, delta).conflicts != all_pairs_conflicts(g, delta):
+                mismatches.append((g, delta))
+            q = 4 * delta.denominator  # a finer grid than the default
+            if g.vertex_count + g.edge_count * (q - 1) <= 200:
+                cg = build_conflict_graph(g, delta, grid_denominator=q)
+                if cg.conflicts != all_pairs_conflicts(g, delta, q):
+                    mismatches.append((g, delta, q))
+        assert mismatches == []
+
+    def test_builds_no_hop_table(self):
+        g = random_tree(random.Random(61), 200)
+        value, witness = brute_disp(g, Fraction(5, 2))
+        assert len(witness) == value
+        assert "hop_table" not in g.__dict__
+
+
+def _differential_cases(rng, rounds):
+    """(graph, delta) pairs on trees, sparse graphs and cacti with delta
+    numerators 1-9 over denominators 1-4, at most 200 grid candidates."""
+    cases = 0
+    while cases < rounds:
+        n = rng.randint(2, 12)
+        kind = cases % 3
+        if kind == 0:
+            g = random_tree(rng, n)
+        elif kind == 1:
+            g = random_connected_graph(rng, n, rng.randint(1, n // 2 + 1))
+        else:
+            g = random_cactus(rng, n)
+        delta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        if g.vertex_count + g.edge_count * (2 * delta.denominator - 1) <= 200:
+            cases += 1
+            yield g, delta
+
+
+def _is_independent(conflicts, mask):
+    return all(not conflicts[i] & mask for i in range(len(conflicts)) if mask >> i & 1)
+
+
+class TestSearch:
+    def test_matches_reference(self):
+        mismatches = []
+        for g, delta in _differential_cases(random.Random(62), 400):
+            conflicts = build_conflict_graph(g, delta).conflicts
+            value, mask = _max_independent_set(conflicts, None)
+            if value != reference_max_independent_set(conflicts)[0]:
+                mismatches.append((g, delta))
+            assert mask.bit_count() == value
+            assert _is_independent(conflicts, mask)
+        assert mismatches == []
+
+    def test_reductions_solve_tree_conflict_graphs(self):
+        # a tree's conflict graph is chordal: domination and isolation
+        # alone empty it, so the search never branches
+        rng = random.Random(63)
+        for _ in range(40):
+            g = random_tree(rng, rng.randint(2, 30))
+            delta = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            conflicts = build_conflict_graph(g, delta).conflicts
+            full = (1 << len(conflicts)) - 1
+            taken, rem = _reduce(conflicts, full, full, lambda: None)
+            assert rem == 0
+            assert taken.bit_count() == reference_max_independent_set(conflicts)[0]
+
+    def test_deadline_covers_reductions(self, monkeypatch):
+        # the clock passes the deadline right after the root node's check;
+        # the root's reductions solve a tree outright, so only a check
+        # inside them can stop the search
+        from deltadisp import oracle
+
+        conflicts = build_conflict_graph(random_tree(random.Random(64), 30), Fraction(3)).conflicts
+        readings = iter([0.0])
+        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        with pytest.raises(OracleTimeoutError, match="independent-set search"):
+            _max_independent_set(conflicts, 1.0)
+
+
+@st.composite
+def conflict_masks(draw):
+    """A symmetric, irreflexive conflict relation on up to 16 candidates."""
+    n = draw(st.integers(0, 16))
+    conflicts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return tuple(conflicts)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(conflicts=conflict_masks())
+def test_search_matches_reference_property(conflicts):
+    value, mask = _max_independent_set(conflicts, None)
+    assert value == reference_max_independent_set(conflicts)[0]
+    assert mask.bit_count() == value
+    assert _is_independent(conflicts, mask)
+
 
 class TestBruteDisp:
     @pytest.mark.parametrize(
@@ -124,6 +235,29 @@ class TestBruteDisp:
         g = random_connected_graph(random.Random(35), 8, 10)
         with pytest.raises(OracleTimeoutError):
             brute_disp(g, Fraction(3, 2), timeout=0.0)
+
+    def test_timeout_carries_verified_incumbent(self):
+        g = random_connected_graph(random.Random(35), 8, 10)
+        with pytest.raises(OracleTimeoutError) as err:
+            brute_disp(g, Fraction(3, 2), timeout=0.0)
+        assert err.value.best == len(err.value.witness) >= 1
+        assert is_dispersed(g, err.value.witness.points, Fraction(3, 2))
+
+    def test_search_timeout_keeps_greedy_incumbent(self, monkeypatch):
+        # the clock stands still through the deadline and the conflict
+        # build, then passes the deadline at the search's first node
+        from deltadisp import oracle
+
+        g = random_connected_graph(random.Random(39), 9, 6)
+        delta = Fraction(7, 2)
+        optimum = brute_disp(g, delta)[0]
+        readings = iter([0.0] * (1 + g.vertex_count + g.edge_count * 3))
+        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        with pytest.raises(OracleTimeoutError, match="independent-set search") as err:
+            brute_disp(g, delta, timeout=1.0)
+        best, witness = err.value.best, err.value.witness
+        assert 1 <= best == len(witness) <= optimum
+        assert is_dispersed(g, witness.points, delta)
 
     def test_deadline_covers_conflict_build(self, monkeypatch):
         # the clock reads 0 when brute_disp takes its deadline and far past
@@ -169,7 +303,5 @@ class TestBruteDisp:
 
 
 def _brute_with_grid(g, delta, grid_denominator):
-    from deltadisp.oracle import _max_independent_set
-
     cg = build_conflict_graph(g, delta, cap=5000, grid_denominator=grid_denominator)
     return _max_independent_set(cg.conflicts, None)[0]
