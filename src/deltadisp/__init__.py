@@ -23,10 +23,8 @@ from .core import (
     parse_graph,
     parse_witness,
     point_as_vertex,
-    point_distance,
     subdivide,
     vertex_point,
-    vicinity,
 )
 from .dispatch import disp
 from .errors import (
@@ -56,8 +54,6 @@ from .matching import (
     EGDecomposition,
     Matching,
     edmonds_gallai,
-    matching_number,
-    maximum_matching,
 )
 from .oracle import (
     DEFAULT_CANDIDATE_CAP,

@@ -3,9 +3,12 @@
 A graph here is a finite connected simple undirected graph whose edges all
 have unit length.  Facilities may sit anywhere on an edge, so alongside the
 usual vertex/edge structure this module models the continuum of edge points
-with exact rational offsets: the shortest-path metric between points, edge
-subdivision, vertex vicinities, and the dispersion predicate that every
-solver in the suite is measured against.
+with exact rational offsets, the bounded hop search the local checks
+share, and the dispersion predicate that every solver in the suite is
+measured against.  Edge subdivision maps points exactly: the points of
+offset denominator c are the vertices of the c-subdivision, and their
+distance is their hop count there divided by c, so the oracle's half-step
+grid for spacing a/b is the vertex set of the 2b-subdivision.
 
 All values are immutable and all arithmetic is exact (`fractions.Fraction`);
 no floats appear anywhere on the solver path.
@@ -51,11 +54,9 @@ __all__ = [
     "SubdivisionMap",
     "parse_graph",
     "format_graph",
-    "point_distance",
     "subdivide",
     "is_dispersed",
     "hop_ball",
-    "vicinity",
     "vertex_point",
     "normalize_point",
     "point_as_vertex",
@@ -163,25 +164,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @cached_property
-    def hop_table(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs vertex distances, one BFS per vertex (unit edges)."""
-        n = self.vertex_count
-        adjacency = self.adjacency
-        rows = []
-        for s in range(n):
-            dist = [-1] * n
-            dist[s] = 0
-            queue = deque([s])
-            while queue:
-                w = queue.popleft()
-                for x in adjacency[w]:
-                    if dist[x] < 0:
-                        dist[x] = dist[w] + 1
-                        queue.append(x)
-            rows.append(tuple(dist))
-        return tuple(rows)
-
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -248,38 +230,6 @@ def point_as_vertex(g: Graph, p: Point) -> int | None:
     if p.offset == 1:
         return g.edges[p.edge_index][1]
     return None
-
-
-def point_distance(g: Graph, p: Point, q: Point) -> Fraction:
-    """Shortest-path distance between two points of the graph.
-
-    The minimum is taken over the four endpoint routes (leave p's edge at
-    either end, enter q's edge at either end, with the vertex hop metric in
-    between) and, when both points lie on the same edge, the direct
-    along-edge distance.
-    """
-    p = normalize_point(g, p)
-    q = normalize_point(g, q)
-    if p == q:
-        return Fraction(0)
-    hops = g.hop_table
-    pa, pb = g.edges[p.edge_index]
-    qa, qb = g.edges[q.edge_index]
-    dpa = p.offset
-    dpb = 1 - p.offset
-    dqa = q.offset
-    dqb = 1 - q.offset
-    best = min(
-        dpa + hops[pa][qa] + dqa,
-        dpa + hops[pa][qb] + dqb,
-        dpb + hops[pb][qa] + dqa,
-        dpb + hops[pb][qb] + dqb,
-    )
-    if p.edge_index == q.edge_index:
-        direct = abs(p.offset - q.offset)
-        if direct < best:
-            best = direct
-    return best
 
 
 def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
@@ -375,16 +325,6 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
         ring = next_ring
 
 
-def vicinity(g: Graph, v: int) -> frozenset[Point]:
-    """Vertex v together with the midpoints of all its incident edges."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    pts = {vertex_point(g, v)}
-    for e in g.incident_edges[v]:
-        pts.add(midpoint(g, e))
-    return frozenset(pts)
-
-
 @dataclass(frozen=True)
 class WitnessSet:
     """A finite set of points claimed to be delta-dispersed."""
@@ -447,18 +387,22 @@ class SubdivisionMap:
         segment = position.numerator // position.denominator
         return Point(p.edge_index * c + segment, position - segment)
 
+    def source_point(self, v: int) -> Point:
+        """The point of the source graph at target vertex v."""
+        n = self.source.vertex_count
+        if v < n:
+            return vertex_point(self.source, v)
+        edge, rem = divmod(v - n, self.factor - 1)
+        return Point(edge, Fraction(rem + 1, self.factor))
+
     def inverse(self, p: Point) -> Point:
         p = normalize_point(self.target, p)
         if p.edge_index == -1:
             return p
-        c = self.factor
-        n = self.source.vertex_count
         v = point_as_vertex(self.target, p)
         if v is not None:
-            if v < n:
-                return vertex_point(self.source, v)
-            edge, rem = divmod(v - n, c - 1)
-            return Point(edge, Fraction(rem + 1, c))
+            return self.source_point(v)
+        c = self.factor
         edge, segment = divmod(p.edge_index, c)
         return normalize_point(self.source, Point(edge, (segment + p.offset) / c))
 

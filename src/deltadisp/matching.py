@@ -21,8 +21,6 @@ __all__ = [
     "Matching",
     "component_split",
     "EGDecomposition",
-    "maximum_matching",
-    "matching_number",
     "matching_and_inessential",
     "edmonds_gallai",
 ]
@@ -181,16 +179,6 @@ def _pairs_to_matching(g: Graph, match: Sequence[int]) -> Matching:
                 raise InternalConsistencyError(f"matched pair ({v}, {u}) is not an edge")
             edges.add(e)
     return Matching(frozenset(edges))
-
-
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum cardinality matching of g."""
-    return _pairs_to_matching(g, _blossom(g.adjacency))
-
-
-def matching_number(g: Graph) -> int:
-    """Size of a maximum cardinality matching."""
-    return len(maximum_matching(g))
 
 
 def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) -> list[frozenset[int]]:

@@ -2,14 +2,14 @@
 
 For spacing a/b in lowest terms there is always an optimal dispersed set
 whose offsets all have denominator 2b, so searching the finite grid of
-half-step points is complete.  The grid points and their pairwise conflicts
-(distance strictly below the spacing) form a conflict graph; an optimal
-dispersed set is a maximum independent set in it.  Conflicts are built
-locally: a pair can conflict only if its edges have ends fewer than the
-spacing apart in hops, so each candidate is compared only with the
-candidates around a bounded breadth-first search of its ends, and no
-all-pairs table is built.  The independent set is found by a
-deterministic branch-and-reduce search (Akiba & Iwata, TCS 2016): at
+half-step points is complete.  That grid is exactly the vertex set of the
+2b-subdivision (every edge replaced by a chain of 2b unit edges), and two
+grid points are closer than a/b exactly when they are fewer than 2a hops
+apart there (Hartmann & Lendl, MFCS 2022).  The conflict graph is
+therefore the (2a-1)-hop ball of each subdivision vertex, computed for all
+vertices at once as bitsets, one round per hop; no all-pairs table is
+built.  An optimal dispersed set is a maximum independent set in it, found
+by a deterministic branch-and-reduce search (Akiba & Iwata, TCS 2016): at
 every node, isolated candidates are taken and dominating ones dropped
 until neither applies, then a greedy clique-cover bound prunes, then the
 search branches.  Domination alone solves the conflict graphs of trees.
@@ -24,10 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from time import monotonic
-from typing import Callable, Iterator
+from typing import Callable
 
-from .core import Graph, Point, WitnessSet, as_rational, hop_ball, is_dispersed, vertex_point
+from .core import (
+    Graph,
+    Point,
+    SubdivisionMap,
+    WitnessSet,
+    as_rational,
+    is_dispersed,
+    subdivide,
+    vertex_point,
+)
 from .errors import InternalConsistencyError, OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -39,24 +49,21 @@ DEFAULT_CANDIDATE_CAP = 2000
 class ConflictGraph:
     """Grid candidates plus their pairwise conflict relation.
 
+    Candidate i is vertex i of ``grid.target``, the subdivision whose
+    vertices are the grid, and the point ``grid.source_point(i)`` of the
+    original graph; ``candidates`` lists those points on first use.
     ``conflicts[i]`` is a bitmask over candidate indices whose distance to
     candidate i is strictly below delta.  The relation is symmetric and
     irreflexive by construction.
     """
 
     delta: Fraction
-    candidates: tuple[Point, ...]
     conflicts: tuple[int, ...]
+    grid: SubdivisionMap
 
-    def conflict_pairs(self) -> Iterator[tuple[int, int]]:
-        for i, mask in enumerate(self.conflicts):
-            mask >>= i + 1
-            j = i + 1
-            while mask:
-                if mask & 1:
-                    yield (i, j)
-                mask >>= 1
-                j += 1
+    @cached_property
+    def candidates(self) -> tuple[Point, ...]:
+        return tuple(map(self.grid.source_point, range(len(self.conflicts))))
 
 
 def build_conflict_graph(
@@ -66,17 +73,20 @@ def build_conflict_graph(
     grid_denominator: int | None = None,
     deadline: float | None = None,
 ) -> ConflictGraph:
-    """Enumerate the half-step grid candidates and their conflicts.
+    """The grid candidates of spacing `delta` and their conflicts.
 
-    Candidates are every vertex plus the interior points at offsets
-    i/(2b), deduplicated; `grid_denominator` overrides the default 2b grid
-    (used by completeness checks against finer grids).  Distances are
-    compared exactly, in integer units of one grid step.  A candidate is
-    compared only with the candidates on edges that have an end within
-    ``(threshold-1)//q`` hops of one of its own ends (:func:`hop_ball`),
-    where ``threshold = delta * q``; farther pairs are at least `delta`
-    apart.  Raises OracleTimeoutError once `monotonic()` passes
-    `deadline`, checked before each candidate's row of conflicts.
+    The grid of step 1/q, q = 2b by default (`grid_denominator` overrides
+    it, for completeness checks against finer grids), is the vertex set of
+    ``subdivide(g, q)``: vertex v stays candidate v, and step t of edge e
+    is chain vertex n + e(q-1) + t-1.  Points of the grid are exactly their
+    hop count in the subdivision times 1/q apart, so the candidates closer
+    than delta to a candidate are its ball of radius delta*q - 1 there.
+    The balls grow as bitsets, one round per hop: each round ORs every
+    vertex's neighbours' balls into its own, and the rounds stop early
+    once none grows, so the work is bounded by the graph, not by delta.
+    The candidate cap is checked before anything is allocated.  Raises
+    OracleTimeoutError once `monotonic()` passes `deadline`, checked
+    before each round.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -84,66 +94,26 @@ def build_conflict_graph(
     q = 2 * delta.denominator if grid_denominator is None else int(grid_denominator)
     if q < 1 or (delta * q).denominator != 1:
         raise ValueError(f"grid denominator {q} does not resolve delta {delta}")
-    n, m = g.vertex_count, g.edge_count
-    count = n + m * (q - 1)
+    count = g.vertex_count + g.edge_count * (q - 1)
     if count > cap:
         raise SizeGuardExceededError(
             f"{count} candidates exceed the cap of {cap}"
         )
 
-    candidates: list[Point] = [vertex_point(g, v) for v in range(n)]
-    offsets = [Fraction(i, q) for i in range(1, q)]
-    for e in range(m):
-        candidates.extend(Point(e, x) for x in offsets)
-
-    threshold = int(delta * q)
-    # a pair closer than delta has ends at most this many hops apart
-    radius = (threshold - 1) // q
-    # Along an edge, the steps fewer than `threshold` from a point that is
-    # r steps from one end form a run of min(threshold-1-r, q-1) steps from
-    # that end.  As bits over the edge's q-1 steps, lowest step first:
-    from_a = [(1 << max(0, min(threshold - 1 - r, q - 1))) - 1 for r in range(threshold + 1)]
-    from_b = [bits << (q - 1 - bits.bit_length()) for bits in from_a]
-    edges, incident = g.edges, g.incident_edges
-    conflicts: list[int] = []
-
-    def add_row(reach: dict[int, int], own_edge: int = -1, along: int = 0) -> None:
-        """Append the row of the next candidate, which is ``reach[y]`` <
-        threshold steps from each vertex y near it; an interior candidate
-        also conflicts with the steps on its own edge it reaches directly,
-        the bits `along`."""
+    target, grid = subdivide(g, q)
+    reach = [1 << v for v in range(count)]
+    for _ in range(int(delta * q) - 1):
         if deadline is not None and monotonic() > deadline:
             raise OracleTimeoutError("conflict-graph build exceeded its time budget")
-        mask = 0
-        near: set[int] = set()
-        for y in reach:
-            mask |= 1 << y
-            near.update(incident[y])
-        for f in near:
-            a, b = edges[f]
-            ends = from_a[reach.get(a, threshold)] | from_b[reach.get(b, threshold)]
-            mask |= ends << (n + f * (q - 1))
-        if own_edge >= 0:
-            mask |= along << (n + own_edge * (q - 1))
-        conflicts.append(mask & ~(1 << len(conflicts)))
-
-    # vertex y is candidate y, step t of edge e is candidate n + e(q-1) + t-1
-    for v in range(n):
-        add_row({y: q * hops for y, hops in hop_ball(g, v, radius)})
-    for e, (u, v) in enumerate(edges):
-        ball_u = list(hop_ball(g, u, radius))
-        ball_v = list(hop_ball(g, v, radius))
-        for t in range(1, q):
-            reach = {}
-            for y, hops in ball_u:
-                if t + q * hops < threshold:
-                    reach[y] = t + q * hops
-            for y, hops in ball_v:
-                if q - t + q * hops < reach.get(y, threshold):
-                    reach[y] = q - t + q * hops
-            lo, hi = max(1, t - threshold + 1), min(q - 1, t + threshold - 1)
-            add_row(reach, e, ((1 << (hi - lo + 1)) - 1) << (lo - 1))
-    return ConflictGraph(delta, tuple(candidates), tuple(conflicts))
+        grown = []
+        for ball, nbrs in zip(reach, target.adjacency):
+            for u in nbrs:
+                ball |= reach[u]
+            grown.append(ball)
+        if grown == reach:
+            break
+        reach = grown
+    return ConflictGraph(delta, tuple(ball ^ (1 << v) for v, ball in enumerate(reach)), grid)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
@@ -320,7 +290,7 @@ def brute_disp(
 
 
 def _points(cg: ConflictGraph, mask: int) -> list[Point]:
-    return [p for i, p in enumerate(cg.candidates) if mask >> i & 1]
+    return [cg.grid.source_point(i) for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _with_incumbent(

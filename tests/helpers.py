@@ -6,17 +6,22 @@ from iterating all subsets, linear feasibility from grid search or
 Fourier-Motzkin elimination over the dense all-pairs certificate system,
 dispersion from comparing every pair of points with the point metric,
 grid conflicts from every pair of candidates over the all-pairs hop table,
-and maximum independent sets from a plain branch-and-bound.
+and maximum independent sets from a plain branch-and-bound.  The all-pairs
+hop table, the point metric over it, vertex vicinities, the matching
+shorthands and the conflict-pair listing live here too, since only tests
+use them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
-from deltadisp import Graph, as_rational, normalize_point, point_distance, vicinity
-from deltadisp.matching import EGDecomposition, component_split
+from deltadisp import Graph, Matching, Point, as_rational, midpoint, normalize_point, vertex_point
+from deltadisp.matching import EGDecomposition, component_split, matching_and_inessential
 from deltadisp.solve2 import CanonicalWitness, CutInstance
 
 
@@ -98,6 +103,81 @@ def random_cactus(rng: random.Random, n: int) -> Graph:
         edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
         count += length - 1
     return Graph(n, tuple(edges))
+
+
+@lru_cache(maxsize=64)
+def hop_table(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs vertex distances, one breadth-first search per vertex;
+    cached, since `point_distance` reads it for every pair of points."""
+    n = g.vertex_count
+    rows = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            w = queue.popleft()
+            for x in g.adjacency[w]:
+                if dist[x] < 0:
+                    dist[x] = dist[w] + 1
+                    queue.append(x)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def point_distance(g: Graph, p: Point, q: Point) -> Fraction:
+    """Shortest-path distance between two points of the graph.
+
+    The minimum is taken over the four endpoint routes (leave p's edge at
+    either end, enter q's edge at either end, with the vertex hop metric in
+    between) and, when both points lie on the same edge, the direct
+    along-edge distance.
+    """
+    p = normalize_point(g, p)
+    q = normalize_point(g, q)
+    if p == q:
+        return Fraction(0)
+    hops = hop_table(g)
+    pa, pb = g.edges[p.edge_index]
+    qa, qb = g.edges[q.edge_index]
+    dpa, dpb = p.offset, 1 - p.offset
+    dqa, dqb = q.offset, 1 - q.offset
+    best = min(
+        dpa + hops[pa][qa] + dqa,
+        dpa + hops[pa][qb] + dqb,
+        dpb + hops[pb][qa] + dqa,
+        dpb + hops[pb][qb] + dqb,
+    )
+    if p.edge_index == q.edge_index:
+        best = min(best, abs(p.offset - q.offset))
+    return best
+
+
+def vicinity(g: Graph, v: int) -> frozenset[Point]:
+    """Vertex v together with the midpoints of all its incident edges."""
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} out of range")
+    return frozenset([vertex_point(g, v)] + [midpoint(g, e) for e in g.incident_edges[v]])
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """A maximum matching of g from the blossom engine, as edge indices."""
+    match, _ = matching_and_inessential(g.adjacency)
+    return Matching(frozenset(g.edge_index(v, u) for v, u in enumerate(match) if u > v))
+
+
+def matching_number(g: Graph) -> int:
+    return len(maximum_matching(g))
+
+
+def conflict_pairs(cg) -> list[tuple[int, int]]:
+    """The conflicting candidate pairs (i, j), i < j, of a conflict graph."""
+    return [
+        (i, j)
+        for i, mask in enumerate(cg.conflicts)
+        for j in range(i + 1, mask.bit_length())
+        if mask >> j & 1
+    ]
 
 
 def brute_is_dispersed(g: Graph, points, delta) -> bool:
@@ -217,7 +297,7 @@ def dense_certificate_system(g: Graph, delta: Fraction, cert):
     that ``x >= 0`` implies.  Returns ``(nvars, rows, labels)``, or None
     when two certificate vertices are closer than delta (no system then).
     """
-    hops = g.hop_table
+    hops = hop_table(g)
     vs = sorted(cert.vertices)
     for i, u in enumerate(vs):
         for w in vs[i + 1 :]:
@@ -382,7 +462,7 @@ def all_pairs_conflicts(g: Graph, delta, grid_denominator: int | None = None) ->
     ends = [(v, v, 0, 0, -1) for v in range(n)]
     for e, (u, v) in enumerate(g.edges):
         ends.extend((u, v, i, q - i, e) for i in range(1, q))
-    hops = g.hop_table
+    hops = hop_table(g)
     threshold = delta * q
     conflicts = [0] * len(ends)
     for i, (ia, ib, da, db, ie) in enumerate(ends):

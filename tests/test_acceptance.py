@@ -15,6 +15,7 @@ from helpers import (
     brute_inessential,
     brute_min_surplus,
     connected_graphs_max_edges,
+    matching_number,
     random_connected_graph,
     random_tree,
 )
@@ -28,7 +29,6 @@ from deltadisp import (
     edmonds_gallai,
     extract_certificate,
     is_dispersed,
-    matching_number,
     predicted_bound,
     subdivide,
     verify_certificate,

@@ -1,5 +1,7 @@
 """Graph parsing, the point metric, subdivision, and dispersion checking."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -7,13 +9,17 @@ import pytest
 from helpers import (
     brute_is_dispersed,
     connected_graphs_max_edges,
+    hop_table,
+    point_distance,
     random_cactus,
     random_connected_graph,
     random_tree,
+    vicinity,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltadisp
 from deltadisp import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -31,10 +37,8 @@ from deltadisp import (
     parse_graph,
     parse_witness,
     point_as_vertex,
-    point_distance,
     subdivide,
     vertex_point,
-    vicinity,
 )
 
 K2 = Graph(2, ((0, 1),))
@@ -117,18 +121,30 @@ def test_graph_format_roundtrip_property(g):
     assert parse_graph(format_graph(g)) == g
 
 
+def test_package_has_no_all_pairs_table():
+    # the O(n^2) hop table and the point metric over it are test references
+    # (tests/helpers.py); no code of the package can build one
+    assert not hasattr(Graph, "hop_table")
+    modules = [deltadisp] + [
+        importlib.import_module(f"deltadisp.{info.name}")
+        for info in pkgutil.iter_modules(deltadisp.__path__)
+    ]
+    assert len(modules) > 5
+    assert not [m.__name__ for m in modules if hasattr(m, "point_distance")]
+
+
 class TestHopDistances:
     def test_k2(self):
-        assert K2.hop_table[0][1] == 1
+        assert hop_table(K2)[0][1] == 1
 
     def test_path(self):
-        assert P3.hop_table[0][2] == 2
+        assert hop_table(P3)[0][2] == 2
 
     def test_cycle_shorter_arc(self):
-        assert C5.hop_table[0][2] == 2
+        assert hop_table(C5)[0][2] == 2
 
     def test_symmetric_with_zero_diagonal(self):
-        table = C5.hop_table
+        table = hop_table(C5)
         for u in range(5):
             assert table[u][u] == 0
             for v in range(5):
@@ -163,7 +179,7 @@ class TestPointDistance:
         rng = random.Random(3)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 4))
-            table = g.hop_table
+            table = hop_table(g)
             for u in range(g.vertex_count):
                 for v in range(g.vertex_count):
                     d = point_distance(g, vertex_point(g, u), vertex_point(g, v))
@@ -359,12 +375,11 @@ class TestIsDispersed:
         assert is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
         assert brute_is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
 
-    def test_builds_no_hop_table(self):
+    def test_edge_midpoints_of_sparse_graph(self):
         g = random_connected_graph(random.Random(40), 30, 10)
         pts = [midpoint(g, e) for e in range(g.edge_count)]
         assert is_dispersed(g, pts, Fraction(1))
         assert not is_dispersed(g, pts, Fraction(3))
-        assert "hop_table" not in g.__dict__
 
     def test_matches_all_pairs_reference(self):
         rng = random.Random(41)

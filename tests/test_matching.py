@@ -8,15 +8,12 @@ from helpers import (
     brute_factor_critical,
     brute_inessential,
     brute_matching_number,
+    matching_number,
+    maximum_matching,
     random_connected_graph,
 )
 
-from deltadisp import (
-    Graph,
-    edmonds_gallai,
-    matching_number,
-    maximum_matching,
-)
+from deltadisp import Graph, edmonds_gallai
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))

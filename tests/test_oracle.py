@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from helpers import (
     all_pairs_conflicts,
+    conflict_pairs,
     connected_graphs_max_edges,
+    hop_table,
+    point_distance,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -22,7 +25,7 @@ from deltadisp import (
     brute_disp,
     build_conflict_graph,
     is_dispersed,
-    point_distance,
+    subdivide,
 )
 from deltadisp.oracle import _max_independent_set, _reduce
 
@@ -35,13 +38,13 @@ class TestConflictGraph:
     def test_k2_delta_2_all_conflict(self):
         cg = build_conflict_graph(K2, Fraction(2))
         assert len(cg.candidates) == 3
-        assert len(list(cg.conflict_pairs())) == 3
+        assert len(conflict_pairs(cg)) == 3
 
     def test_k2_delta_half_quarter_grid(self):
         # grid 1/(2b) = 1/4: five candidates, adjacent ones conflict
         cg = build_conflict_graph(K2, Fraction(1, 2))
         assert len(cg.candidates) == 5
-        pairs = list(cg.conflict_pairs())
+        pairs = conflict_pairs(cg)
         assert len(pairs) == 4
         for i, j in pairs:
             d = point_distance(K2, cg.candidates[i], cg.candidates[j])
@@ -50,7 +53,7 @@ class TestConflictGraph:
     def test_triangle_delta_1_midpoint_conflicts(self):
         cg = build_conflict_graph(C3, Fraction(1))
         assert len(cg.candidates) == 6
-        pairs = set(cg.conflict_pairs())
+        pairs = set(conflict_pairs(cg))
         assert len(pairs) == 6  # each midpoint vs its two endpoints
         mids = [i for i, p in enumerate(cg.candidates) if p.offset == Fraction(1, 2)]
         for i in mids:
@@ -78,7 +81,7 @@ class TestConflictGraph:
                 for j in range(i + 1, len(cand))
                 if point_distance(g, cand[i], cand[j]) < delta
             }
-            assert set(cg.conflict_pairs()) == expected
+            assert set(conflict_pairs(cg)) == expected
 
     def test_symmetric_irreflexive(self):
         cg = build_conflict_graph(C3, Fraction(3, 2))
@@ -103,11 +106,10 @@ class TestConflictGraph:
                     mismatches.append((g, delta, q))
         assert mismatches == []
 
-    def test_builds_no_hop_table(self):
+    def test_brute_disp_on_200_vertex_tree(self):
         g = random_tree(random.Random(61), 200)
         value, witness = brute_disp(g, Fraction(5, 2))
         assert len(witness) == value
-        assert "hop_table" not in g.__dict__
 
 
 def _differential_cases(rng, rounds):
@@ -251,8 +253,16 @@ class TestBruteDisp:
         g = random_connected_graph(random.Random(39), 9, 6)
         delta = Fraction(7, 2)
         optimum = brute_disp(g, delta)[0]
-        readings = iter([0.0] * (1 + g.vertex_count + g.edge_count * 3))
-        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        clock = [0.0]
+        build = oracle.build_conflict_graph
+
+        def build_then_expire(*args, **kwargs):
+            cg = build(*args, **kwargs)
+            clock[0] = 1e9
+            return cg
+
+        monkeypatch.setattr(oracle, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(oracle, "build_conflict_graph", build_then_expire)
         with pytest.raises(OracleTimeoutError, match="independent-set search") as err:
             brute_disp(g, delta, timeout=1.0)
         best, witness = err.value.best, err.value.witness
@@ -271,17 +281,36 @@ class TestBruteDisp:
             brute_disp(g, Fraction(3, 2), timeout=1.0)
 
     def test_expired_deadline_stops_build_at_first_row(self, monkeypatch):
+        # the build reads the clock once before each round of ball growth:
+        # an expired deadline stops it at its first read, and a finished
+        # build reads it at most once per hop of the radius delta*q - 1 = 9
+        # (exactly 9 here: the subdivision is wider than 9 hops)
         from deltadisp import oracle
 
         g = random_tree(random.Random(37), 250)  # 997 candidates at delta 5/2
-        rows = []
-        monkeypatch.setattr(oracle, "monotonic", lambda: rows.append(1) or 1.0)
+        reads = []
+        monkeypatch.setattr(oracle, "monotonic", lambda: reads.append(1) or 1.0)
         with pytest.raises(OracleTimeoutError):
             build_conflict_graph(g, Fraction(5, 2), deadline=0.0)
-        assert len(rows) == 1
-        rows.clear()
+        assert len(reads) == 1
+        reads.clear()
         cg = build_conflict_graph(g, Fraction(5, 2), deadline=2.0)
-        assert len(cg.candidates) == 997 and len(rows) == 997
+        assert len(cg.candidates) == 997 and len(reads) == 9
+
+    def test_saturation_bounds_rounds_by_the_graph(self, monkeypatch):
+        # an untrusted huge delta must not drive the work: the balls stop
+        # growing after diameter(subdivision) rounds, and one more round
+        # that changes nothing ends the build
+        from deltadisp import oracle
+
+        p4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        diameter = max(map(max, hop_table(subdivide(p4, 2)[0])))
+        reads = []
+        monkeypatch.setattr(oracle, "monotonic", lambda: reads.append(1) or 0.0)
+        cg = build_conflict_graph(p4, Fraction(10**6), deadline=1.0)
+        full = (1 << 7) - 1  # 4 vertices and one midpoint per edge
+        assert cg.conflicts == tuple(full ^ (1 << i) for i in range(7))
+        assert len(reads) <= diameter + 2
 
     def test_finer_grid_same_optimum(self):
         # completeness of the half-step grid: quarter-step search agrees

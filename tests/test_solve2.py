@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_connected_graphs,
     brute_min_surplus,
+    matching_number,
     random_connected_graph,
     validate_canonical,
 )
@@ -20,7 +21,6 @@ from deltadisp import (
     disp2,
     edmonds_gallai,
     is_dispersed,
-    matching_number,
     midpoint,
     vertex_point,
 )
