@@ -12,6 +12,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .certify import parse_certificate, verify_certificate
@@ -86,10 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: one parser per process: building it costs more than most commands
+_shared_parser = cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

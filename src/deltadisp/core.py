@@ -91,15 +91,23 @@ class Graph:
 
     Edges keep their position in ``edges``, so an edge index is a stable
     handle; points on edges refer to edges by this index.  Construction is
-    the one place a graph is validated: vertex range, self-loops, duplicate
-    edges and connectivity, each with its own error type (all are
-    ``ValueError``).  ``first_line``, when given, is the text line of edge 0
+    the one place a graph from outside is validated: vertex range,
+    self-loops, duplicate edges and connectivity, each with its own error
+    type (all are ``ValueError``).  ``first_line``, when given, is the text line of edge 0
     and makes each edge error name its line (see :func:`parse_graph`).
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     first_line: InitVar[int | None] = None
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph that is valid by construction, skipping validation."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def __post_init__(self, first_line: int | None) -> None:
         n = self.vertex_count
@@ -180,7 +188,12 @@ class Point:
     offset: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", as_rational(self.offset))
+        if not isinstance(self.offset, Fraction):
+            object.__setattr__(self, "offset", as_rational(self.offset))
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def vertex_point(g: Graph, v: int) -> Point:
@@ -190,10 +203,10 @@ def vertex_point(g: Graph, v: int) -> Point:
     incident = g.incident_edges[v]
     if not incident:
         # only possible for the single-vertex graph
-        return Point(-1, Fraction(0))
+        return Point(-1, _ZERO)
     e = incident[0]
     u, _ = g.edges[e]
-    return Point(e, Fraction(0) if u == v else Fraction(1))
+    return Point(e, _ZERO if u == v else _ONE)
 
 
 def midpoint(g: Graph, e: int) -> Point:
@@ -203,42 +216,47 @@ def midpoint(g: Graph, e: int) -> Point:
     return Point(e, Fraction(1, 2))
 
 
+def _point_key(g: Graph, p: Point) -> int | tuple[int, int, int]:
+    """Validate p and name it in integers: its vertex id if it sits at a
+    vertex, else ``(edge, numerator, denominator)`` of its offset."""
+    e = p.edge_index
+    num, den = p.offset.numerator, p.offset.denominator
+    if e == -1:
+        if g.edges or num:
+            raise ValueError("edgeless point form is only valid for a single-vertex graph")
+        return 0
+    if not 0 <= e < len(g.edges):
+        raise ValueError(f"invalid edge index {e}")
+    if 0 < num < den:
+        return e, num, den
+    if num == 0:
+        return g.edges[e][0]
+    if num == den:
+        return g.edges[e][1]
+    raise ValueError(f"offset {p.offset} outside [0, 1]")
+
+
 def normalize_point(g: Graph, p: Point) -> Point:
     """Canonical form of p: endpoint offsets become vertex points."""
-    if p.edge_index == -1:
-        if g.edge_count or p.offset != 0:
-            raise ValueError("edgeless point form is only valid for a single-vertex graph")
-        return Point(-1, Fraction(0))
-    if not 0 <= p.edge_index < g.edge_count:
-        raise ValueError(f"invalid edge index {p.edge_index}")
-    off = p.offset
-    if off < 0 or off > 1:
-        raise ValueError(f"offset {off} outside [0, 1]")
-    if off == 0:
-        return vertex_point(g, g.edges[p.edge_index][0])
-    if off == 1:
-        return vertex_point(g, g.edges[p.edge_index][1])
-    return p
+    key = _point_key(g, p)
+    return p if isinstance(key, tuple) else vertex_point(g, key)
 
 
 def point_as_vertex(g: Graph, p: Point) -> int | None:
-    """Vertex id of a normalized point, or None for an interior point."""
-    if p.edge_index == -1:
-        return 0
-    if p.offset == 0:
-        return g.edges[p.edge_index][0]
-    if p.offset == 1:
-        return g.edges[p.edge_index][1]
-    return None
+    """Vertex id of a point, or None for an interior point."""
+    key = _point_key(g, p)
+    return None if isinstance(key, tuple) else key
 
 
 def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
     """True iff all pairs of distinct normalized points are >= delta apart.
 
-    Exact and local, in integers: offsets and delta are scaled by the lcm
-    L of their denominators, so an edge is L long.  Two points on one edge
-    are exactly their offset difference apart (a route around the edge is
-    at least L long), so only neighbours in offset order are compared.
+    Exact and local, in integers: each point is read once as a vertex id
+    or an ``(edge, numerator, denominator)`` triple, and offsets and delta
+    are scaled by the lcm L of their denominators, so an edge is L long.
+    Two points on one edge are exactly their offset difference apart (a
+    route around the edge is at least L long), so only neighbours in
+    offset order are compared.
     Every other route leaves one point's edge at an end x and enters the
     other's at an end y, and costs at least L hops(x, y); a pair closer
     than delta therefore has ends fewer than delta hops apart.  Along such
@@ -251,22 +269,23 @@ def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
     radius below delta per occupied vertex: linear in the witness times
     the ball size, with no all-pairs table.
     """
-    norm = {normalize_point(g, p) for p in points}
+    vertices: set[int] = set()
+    interior: set[tuple[int, int, int]] = set()
+    for p in points:
+        key = _point_key(g, p)
+        if isinstance(key, tuple):
+            interior.add(key)
+        else:
+            vertices.add(key)
     delta = as_rational(delta)
-    if len(norm) < 2:
+    if len(vertices) + len(interior) < 2:
         return True
-    scale = lcm(delta.denominator, *(p.offset.denominator for p in norm))
+    scale = lcm(delta.denominator, *{den for _, _, den in interior})
     limit = delta.numerator * (scale // delta.denominator)
 
-    vertices: set[int] = set()
     on_edge: dict[int, list[int]] = {}
-    for p in norm:
-        v = point_as_vertex(g, p)
-        if v is None:
-            offset = p.offset.numerator * (scale // p.offset.denominator)
-            on_edge.setdefault(p.edge_index, []).append(offset)
-        else:
-            vertices.add(v)
+    for e, num, den in interior:
+        on_edge.setdefault(e, []).append(num * (scale // den))
 
     # per vertex, its (distance, point) pairs for the two nearest points;
     # a vertex point is (0, v), an interior point (edge, scaled offset)
@@ -342,10 +361,11 @@ class WitnessSet:
     def build(cls, g: Graph, points: Iterable[Point], delta: Fraction) -> "WitnessSet":
         """Normalize, sort and deduplicate-check the given points."""
         norm = [normalize_point(g, p) for p in points]
-        uniq = sorted(set(norm))
-        if len(uniq) != len(norm):
+        keys = {(p.edge_index, p.offset.numerator, p.offset.denominator) for p in norm}
+        if len(keys) != len(norm):
             raise ValueError("witness points are not pairwise distinct")
-        return cls(tuple(uniq), as_rational(delta))
+        norm.sort(key=lambda p: (p.edge_index, p.offset))
+        return cls(tuple(norm), as_rational(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +391,14 @@ class SubdivisionMap:
         return n + edge * (self.factor - 1) + (step - 1)
 
     def forward(self, p: Point) -> Point:
-        p = normalize_point(self.source, p)
-        if p.edge_index == -1:
-            return p
-        c = self.factor
-        position = c * p.offset
-        if position.denominator == 1:
-            step = int(position)
-            u, v = self.source.edges[p.edge_index]
-            if step == 0:
-                return vertex_point(self.target, u)
-            if step == c:
-                return vertex_point(self.target, v)
-            return vertex_point(self.target, self._chain_vertex(p.edge_index, step))
-        segment = position.numerator // position.denominator
-        return Point(p.edge_index * c + segment, position - segment)
+        key = _point_key(self.source, p)
+        if not isinstance(key, tuple):
+            return vertex_point(self.target, key)  # vertices keep their ids
+        e, num, den = key
+        step, rem = divmod(self.factor * num, den)
+        if rem == 0:
+            return vertex_point(self.target, self._chain_vertex(e, step))
+        return Point(e * self.factor + step, Fraction(rem, den))
 
     def source_point(self, v: int) -> Point:
         """The point of the source graph at target vertex v."""
@@ -396,15 +409,12 @@ class SubdivisionMap:
         return Point(edge, Fraction(rem + 1, self.factor))
 
     def inverse(self, p: Point) -> Point:
-        p = normalize_point(self.target, p)
-        if p.edge_index == -1:
-            return p
-        v = point_as_vertex(self.target, p)
-        if v is not None:
-            return self.source_point(v)
-        c = self.factor
-        edge, segment = divmod(p.edge_index, c)
-        return normalize_point(self.source, Point(edge, (segment + p.offset) / c))
+        key = _point_key(self.target, p)
+        if not isinstance(key, tuple):
+            return self.source_point(key)
+        e, num, den = key  # strictly inside a chain, so strictly inside its edge
+        edge, segment = divmod(e, self.factor)
+        return Point(edge, Fraction(segment * den + num, self.factor * den))
 
 
 def subdivide(g: Graph, c: int) -> tuple[Graph, SubdivisionMap]:
@@ -420,7 +430,8 @@ def subdivide(g: Graph, c: int) -> tuple[Graph, SubdivisionMap]:
     for j, (u, v) in enumerate(g.edges):
         chain = [u] + [n + j * (c - 1) + t for t in range(c - 1)] + [v]
         edges.extend((chain[s], chain[s + 1]) for s in range(c))
-    target = Graph(n + (c - 1) * g.edge_count, tuple(edges))
+    # chains of fresh vertices keep it simple and connected: no need to re-validate
+    target = Graph._unchecked(n + (c - 1) * g.edge_count, tuple(edges))
     return target, SubdivisionMap(g, target, c)
 
 

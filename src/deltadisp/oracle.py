@@ -267,26 +267,36 @@ def brute_disp(
     """Exact dispersion number by exhaustive search over the half-step grid.
 
     Deterministic: ties in the search are broken by candidate index, so the
-    returned witness is reproducible.  Raises SizeGuardExceededError when
+    returned witness is reproducible; its cardinality and spacing are
+    checked once before it is returned.  Raises SizeGuardExceededError when
     the grid is larger than `cap` and OracleTimeoutError when `timeout`
     seconds elapse, counted from the call: the budget covers the conflict
     build as well as the search.  The timeout error carries the best
     dispersed set found so far as ``best`` and ``witness``: the search's
     incumbent, or a single vertex if the conflict build did not finish.
     """
+    delta = as_rational(delta)
+    value, points = _brute_disp(g, delta, cap, timeout)
+    witness = WitnessSet.build(g, points, delta)
+    if len(witness) != value or not is_dispersed(g, witness.points, delta):
+        raise InternalConsistencyError("the search's witness fails verification")
+    return value, witness
+
+
+def _brute_disp(
+    g: Graph, delta: Fraction, cap: int, timeout: float | None
+) -> tuple[int, list[Point]]:
+    """:func:`brute_disp`'s value and unchecked points, for callers that check."""
     deadline = None if timeout is None else monotonic() + timeout
     try:
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
-        raise _with_incumbent(exc, g, [vertex_point(g, 0)], as_rational(delta)) from None
+        raise _with_incumbent(exc, g, [vertex_point(g, 0)], delta) from None
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline)
     except _SearchTimeout as exc:
-        raise _with_incumbent(exc, g, _points(cg, exc.mask), cg.delta) from None
-    witness = WitnessSet.build(g, _points(cg, mask), cg.delta)
-    if len(witness) != value:
-        raise AssertionError("witness size disagrees with the search value")
-    return value, witness
+        raise _with_incumbent(exc, g, _points(cg, exc.mask), delta) from None
+    return value, _points(cg, mask)
 
 
 def _points(cg: ConflictGraph, mask: int) -> list[Point]:

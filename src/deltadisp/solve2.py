@@ -94,7 +94,17 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
 
 
 def disp2(g: Graph) -> tuple[int, CanonicalWitness]:
-    """The 2-dispersion number together with an optimal canonical witness."""
+    """The 2-dispersion number together with an optimal canonical witness,
+    whose cardinality and spacing are checked once before it is returned."""
+    value, witness = _disp2(g)
+    ws = witness.to_witness_set(g)
+    if len(ws) != value or not is_dispersed(g, ws.points, Fraction(2)):
+        raise InternalConsistencyError("assembled witness does not match the value")
+    return value, witness
+
+
+def _disp2(g: Graph) -> tuple[int, CanonicalWitness]:
+    """:func:`disp2` without the check, for callers that check their own witness."""
     if g.vertex_count == 1:
         return 1, CanonicalWitness(frozenset({0}), frozenset())
 
@@ -126,8 +136,4 @@ def disp2(g: Graph) -> tuple[int, CanonicalWitness]:
         e for e in dec.base_matching.edges if hit.isdisjoint(g.edges[e])
     )
 
-    witness = CanonicalWitness(chosen, midpoints)
-    ws = witness.to_witness_set(g)
-    if len(ws) != value or not is_dispersed(g, ws.points, Fraction(2)):
-        raise InternalConsistencyError("assembled witness does not match the value")
-    return value, witness
+    return value, CanonicalWitness(chosen, midpoints)

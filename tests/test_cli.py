@@ -124,6 +124,19 @@ class TestOracle:
                 oracle_out = capsys.readouterr().out.splitlines()[0]
                 assert solve_out == oracle_out, (name, delta)
 
+    def test_witness_is_checked(self, k2, capsys, monkeypatch):
+        # a search result of two conflicting candidates (both ends of K2)
+        from deltadisp import brute_disp, oracle
+
+        monkeypatch.setattr(oracle, "_max_independent_set", lambda conflicts, deadline: (2, 0b11))
+        with pytest.raises(InternalConsistencyError):
+            brute_disp(parse_graph(K2_TEXT), Fraction(3))
+        assert run(["oracle", str(k2), "--delta", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ")
+
 
 class TestVerify:
     def test_accept(self, star, tmp_path, capsys):
@@ -205,3 +218,17 @@ class TestUsage:
     def test_missing_delta(self, k2, capsys):
         assert run(["solve", str(k2)]) == 2
         capsys.readouterr()
+
+    def test_commands_after_a_usage_error(self, star, tmp_path, capsys):
+        # the process keeps one parser; a failed parse must not change it
+        cert = tmp_path / "c.txt"
+        cert.write_text("3\nW: 1 2 3\n")
+        assert run([]) == 2
+        capsys.readouterr()
+        for _ in range(2):
+            assert run(["solve", str(star), "--delta", "2"]) == 0
+            assert capsys.readouterr().out == "3\n"
+            assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 0
+            assert capsys.readouterr().out == "accept\n"
+            assert run(["verify", str(star), "--delta", "2"]) == 2
+            assert "--certificate" in capsys.readouterr().err

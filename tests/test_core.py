@@ -261,6 +261,22 @@ class TestSubdivide:
                         assert normalize_point(g2, fwd) == fwd
                         assert pmap.inverse(fwd) == p
 
+    def test_matches_validated_graph(self):
+        # subdivide skips validation; the fully validated graph is the same
+        rng = random.Random(17)
+        for r in range(30):
+            n = rng.randint(1, 12)
+            if r % 3 == 0:
+                g = random_tree(rng, n)
+            elif r % 3 == 1:
+                chords = rng.randint(0, min(4, n * (n - 1) // 2 - n + 1))
+                g = random_connected_graph(rng, n, chords)
+            else:
+                g = random_cactus(rng, n)
+            for c in range(1, 5):
+                g2, _ = subdivide(g, c)
+                assert g2 == Graph(g2.vertex_count, g2.edges)
+
     def test_distances_scale(self):
         g2, pmap = subdivide(C5, 3)
         p = Point(0, Fraction(1, 2))
@@ -390,6 +406,13 @@ class TestIsDispersed:
             outcomes[want] += 1
             if is_dispersed(g, pts, delta) != want:
                 mismatches.append((g, pts, delta))
+            uniq = tuple(sorted(set(normalize_point(g, p) for p in pts)))
+            try:
+                built = WitnessSet.build(g, pts, delta).points
+            except ValueError:
+                built = None
+            if built != (uniq if len(uniq) == len(pts) else None):
+                mismatches.append((g, pts, delta, built))
         assert mismatches == []
         assert min(outcomes.values()) >= 300, outcomes
 

@@ -4,11 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import connected_graphs_max_edges, random_connected_graph, random_tree
+from helpers import (
+    connected_graphs_max_edges,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+)
 
 from deltadisp import (
     Graph,
     NPHardRegimeError,
+    WitnessSet,
     brute_disp,
     disp,
     disp2,
@@ -156,3 +162,51 @@ class TestEdgeCases:
             disp(K2, Fraction(0))
         with pytest.raises(ValueError):
             disp(K2, Fraction(-1))
+
+
+class TestOneBuildOneCheck:
+    """Every public solve builds its witness once and checks it once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from deltadisp import core, dispatch, oracle, solve2
+
+        counts = {"build": 0, "check": 0}
+
+        def checking(*args, **kwargs):
+            counts["check"] += 1
+            return core.is_dispersed(*args, **kwargs)
+
+        for module in (dispatch, solve2, oracle):
+            monkeypatch.setattr(module, "is_dispersed", checking)
+        build = WitnessSet.build.__func__
+
+        def building(cls, *args, **kwargs):
+            counts["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(WitnessSet, "build", classmethod(building))
+        return counts
+
+    def _once(self, counts, solve):
+        counts.update(build=0, check=0)
+        solve()
+        assert counts == {"build": 1, "check": 1}
+
+    def test_disp(self, counts):
+        rng = random.Random(71)
+        tree = random_tree(rng, 12)
+        sparse = random_connected_graph(rng, 12, 4)
+        cactus = random_cactus(rng, 12)
+        self._once(counts, lambda: disp(tree, Fraction(1, 3)))
+        self._once(counts, lambda: disp(sparse, Fraction(1, 3)))
+        for delta in (Fraction(2), Fraction(2, 3), Fraction(2, 5)):
+            self._once(counts, lambda: disp(cactus, delta))
+        small = random_connected_graph(rng, 5, 1)
+        self._once(counts, lambda: disp(small, Fraction(5, 2), allow_bruteforce=True))
+        self._once(counts, lambda: disp(Graph(1, ()), Fraction(2)))
+
+    def test_disp2_and_brute_disp(self, counts):
+        g = random_connected_graph(random.Random(72), 6, 2)
+        self._once(counts, lambda: disp2(g))
+        self._once(counts, lambda: brute_disp(g, Fraction(5, 2)))
