@@ -52,7 +52,6 @@ from .gadget import (
 )
 from .matching import (
     EGDecomposition,
-    Matching,
     edmonds_gallai,
 )
 from .oracle import (

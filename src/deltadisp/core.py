@@ -128,7 +128,9 @@ class Graph:
             seen.add(key)
             edges.append((u, v))
         object.__setattr__(self, "edges", tuple(edges))
-        if not _connected(n, edges):
+        # fewer than n - 1 edges cannot connect n vertices: say so before
+        # allocating anything sized by n
+        if n > len(edges) + 1 or not _connected(n, edges):
             raise DisconnectedGraphError("graph is not connected")
 
     @property

@@ -1,11 +1,13 @@
 """Maximum matching in general graphs and the structure of maximum matchings.
 
-One engine, Edmonds' blossom-contracting alternating search (O(V^3)),
-augments to a maximum matching; one final search from all its exposed
-vertices then marks the vertices some maximum matching misses.  The
-decomposition built on them exposes the guarantees every maximum matching
-satisfies (odd factor-critical components, perfectly matched even
-components, and the separator matched into distinct odd components).
+One engine, Edmonds' blossom-contracting alternating forest grown from
+every exposed vertex (O(V^3)), augments along every edge it finds between
+two of its trees; the first forest that finds none proves the matching
+maximum, and its outer vertices are the vertices some maximum matching
+misses.  The decomposition built on them exposes the guarantees every
+maximum matching satisfies (odd factor-critical components, perfectly
+matched even components, and the separator matched into distinct odd
+components).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core import Graph
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "Matching",
     "component_split",
     "EGDecomposition",
     "matching_and_inessential",
@@ -26,49 +27,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges, held as edge indices."""
-
-    edges: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def cover_map(self, g: Graph) -> dict[int, int]:
-        """Vertex -> matched partner, for covered vertices only."""
-        cover: dict[int, int] = {}
-        for e in self.edges:
-            u, v = g.edges[e]
-            if u in cover or v in cover:
-                raise ValueError("edges share a vertex; not a matching")
-            cover[u] = v
-            cover[v] = u
-        return cover
-
-
 def _search(
-    adj: Sequence[Sequence[int]], match: Sequence[int], roots: Sequence[int]
-) -> tuple[int, list[int], list[bool]]:
-    """One alternating search grown from the exposed vertices `roots`.
+    adj: Sequence[Sequence[int]], match: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int], list[bool]]:
+    """One phase of Edmonds' alternating forest, grown from every exposed vertex.
 
-    Returns ``(end, parent, outer)``: ``end`` is an exposed non-root vertex
-    that closes an augmenting path (-1 if the search finds none),
-    ``parent`` holds the tree links to flip along that path, and ``outer``
-    marks the even-labelled vertices, contracted blossoms included.  An
-    edge between the outer vertices of two different trees also closes an
-    augmenting path; the search cannot follow it, so it raises instead
-    (with a single root it cannot occur).
+    Returns ``(bridges, parent, outer)``.  A bridge is an edge between outer
+    vertices of two open trees, so root-to-bridge-to-root is an augmenting
+    path; both trees close for the rest of the phase, which keeps the paths
+    of different bridges vertex-disjoint.  ``parent`` holds the tree links
+    to flip along those paths, and ``outer`` marks the even-labelled
+    vertices, contracted blossoms included.
     """
     n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     outer = [False] * n
     tree = [-1] * n
+    closed = [False] * n
+    roots = [v for v in range(n) if match[v] == -1]
     for r in roots:
         outer[r] = True
         tree[r] = r
     queue = deque(roots)
+    bridges: list[tuple[int, int]] = []
 
     def lowest_common_base(a: int, b: int) -> int:
         seen = [False] * n
@@ -96,14 +78,18 @@ def _search(
 
     while queue:
         v = queue.popleft()
+        if closed[tree[v]]:
+            continue
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             if outer[to]:
                 if tree[to] != tree[v]:
-                    raise InternalConsistencyError(
-                        f"outer vertices {v} and {to} lie in different alternating trees"
-                    )
+                    if not closed[tree[to]]:
+                        bridges.append((v, to))
+                        closed[tree[v]] = closed[tree[to]] = True
+                        break
+                    continue
                 # odd cycle: contract the blossom down to its base
                 stem = lowest_common_base(v, to)
                 in_blossom = [False] * n
@@ -116,86 +102,68 @@ def _search(
                             outer[i] = True
                             queue.append(i)
             elif parent[to] == -1:
+                # every exposed vertex is a root, so `to` is matched
                 parent[to] = v
-                if match[to] == -1:
-                    return to, parent, outer
                 tree[to] = tree[match[to]] = tree[v]
                 outer[match[to]] = True
                 queue.append(match[to])
-    return -1, parent, outer
+    return bridges, parent, outer
 
 
-def _blossom(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Maximum cardinality matching; returns partner per vertex (-1 free)."""
-    n = len(adj)
+def matching_and_inessential(
+    adjacency: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """A maximum matching (partner per vertex, -1 free) and the set D of
+    vertices some maximum matching misses.
+
+    Each phase grows one alternating forest from every exposed vertex and
+    augments along every bridge it records.  The first phase that records
+    none proves the matching maximum, and its outer vertices are D
+    (Gallai-Edmonds structure theorem).
+    """
+    n = len(adjacency)
     match = [-1] * n
-    # greedy seed halves the number of augmenting searches
+    # greedy seed: most vertices start matched
     for v in range(n):
         if match[v] == -1:
-            for u in adj[v]:
+            for u in adjacency[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
 
-    for v in range(n):
-        if match[v] == -1:
-            exposed, parent, _ = _search(adj, match, [v])
-            while exposed != -1:
-                prev = parent[exposed]
-                nxt = match[prev]
-                match[exposed] = prev
-                match[prev] = exposed
-                exposed = nxt
-    return match
-
-
-def matching_and_inessential(
-    adjacency: Sequence[Sequence[int]],
-) -> tuple[list[int], frozenset[int]]:
-    """A maximum matching (partner per vertex, -1 free) and the set D of
-    vertices some maximum matching misses.
-
-    D is the outer vertex set of one final search grown from every exposed
-    vertex (Gallai-Edmonds structure theorem).  If that search can still
-    augment, the matching was not maximum: InternalConsistencyError.
-    """
-    match = _blossom(adjacency)
-    exposed = [v for v, partner in enumerate(match) if partner == -1]
-    end, _, outer = _search(adjacency, match, exposed)
-    if end != -1:
-        raise InternalConsistencyError(
-            f"augmenting path to {end} remains after the matching search"
-        )
-    return match, frozenset(v for v, is_outer in enumerate(outer) if is_outer)
-
-
-def _pairs_to_matching(g: Graph, match: Sequence[int]) -> Matching:
-    edges = set()
-    for v, u in enumerate(match):
-        if u > v:
-            e = g.edge_index(v, u)
-            if e is None:
-                raise InternalConsistencyError(f"matched pair ({v}, {u}) is not an edge")
-            edges.add(e)
-    return Matching(frozenset(edges))
+    while True:
+        bridges, parent, outer = _search(adjacency, match)
+        if not bridges:
+            return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
+        for a, b in bridges:
+            ends = (match[a], match[b])
+            match[a], match[b] = b, a
+            for v in ends:
+                while v != -1:
+                    prev = parent[v]
+                    nxt = match[prev]
+                    match[v], match[prev] = prev, v
+                    v = nxt
 
 
 def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by `inside`."""
-    remaining = set(inside)
+    seen: set[int] = set()
     comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        queue = deque([start])
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        queue = deque(comp)
         while queue:
             w = queue.popleft()
             for x in adjacency[w]:
-                if x in remaining and x not in comp:
-                    comp.add(x)
+                if x in inside and x not in seen:
+                    seen.add(x)
+                    comp.append(x)
                     queue.append(x)
-        remaining -= comp
         comps.append(frozenset(comp))
     return comps
 
@@ -208,7 +176,8 @@ class EGDecomposition:
     ``separator`` is its outside neighbourhood; the ``remainder`` is
     everything else.  The inessential components are split into singletons
     and odd components of size >= 3, and ``partner`` maps each separator
-    vertex to its matched inessential vertex in ``base_matching``.
+    vertex to its matched inessential vertex in ``mate``, the maximum
+    matching the structure is read off: partner per vertex, -1 if exposed.
     """
 
     inessential: frozenset[int]
@@ -217,7 +186,7 @@ class EGDecomposition:
     singletons: frozenset[int]
     odd_components: tuple[frozenset[int], ...]
     partner: Mapping[int, int]
-    base_matching: Matching
+    mate: tuple[int, ...]
 
 
 def edmonds_gallai(g: Graph) -> EGDecomposition:
@@ -229,8 +198,7 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    match, inessential = matching_and_inessential(adjacency)
-    base = _pairs_to_matching(g, match)
+    mate, inessential = matching_and_inessential(adjacency)
     separator = frozenset(
         u for v in inessential for u in adjacency[v]
     ) - inessential
@@ -247,11 +215,10 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
         sorted((c for c in comps if len(c) >= 3), key=min)
     )
 
-    cover = base.cover_map(g)
     partner: dict[int, int] = {}
     for y in sorted(separator):
-        x = cover.get(y)
-        if x is None or x not in inessential:
+        x = mate[y]
+        if x not in inessential:
             raise InternalConsistencyError(
                 f"separator vertex {y} is not matched into the inessential set"
             )
@@ -267,18 +234,18 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
         if len(comp) % 2:
             raise InternalConsistencyError(f"odd remainder component {sorted(comp)}")
         for v in comp:
-            if cover.get(v) not in comp:
+            if mate[v] not in comp:
                 raise InternalConsistencyError(
                     f"remainder component {sorted(comp)} is not perfectly matched"
                 )
     for comp in comps:
-        missed = [v for v in comp if cover.get(v) not in comp]
+        missed = [v for v in comp if mate[v] not in comp]
         if len(missed) != 1:
             raise InternalConsistencyError(
                 f"inessential component {sorted(comp)} not near-perfectly matched"
             )
-        outside = cover.get(missed[0])
-        if outside is not None and outside not in separator:
+        outside = mate[missed[0]]
+        if outside != -1 and outside not in separator:
             raise InternalConsistencyError(
                 f"vertex {missed[0]} matched outside separator"
             )
@@ -290,6 +257,6 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
         singletons=singletons,
         odd_components=odd_components,
         partner=partner,
-        base_matching=base,
+        mate=mate,
     )
 

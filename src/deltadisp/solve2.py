@@ -127,13 +127,15 @@ def _disp2(g: Graph) -> tuple[int, CanonicalWitness]:
         - best_surplus
     )
 
-    # The base matching is perfect on the remainder, near-perfect inside each
-    # odd component and matches every separator vertex into the inessential
-    # set; all of its edges become midpoints except at separator vertices
-    # next to a chosen singleton.
+    # The matching ``mate`` is perfect on the remainder, near-perfect inside
+    # each odd component and matches every separator vertex into the
+    # inessential set; all of its edges become midpoints except at separator
+    # vertices next to a chosen singleton.
     hit = {y for x, y in arcs if x in chosen}
     midpoints = frozenset(
-        e for e in dec.base_matching.edges if hit.isdisjoint(g.edges[e])
+        g.edge_index(v, u)
+        for v, u in enumerate(dec.mate)
+        if v < u and v not in hit and u not in hit
     )
 
     return value, CanonicalWitness(chosen, midpoints)

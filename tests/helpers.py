@@ -9,7 +9,8 @@ grid conflicts from every pair of candidates over the all-pairs hop table,
 and maximum independent sets from a plain branch-and-bound.  The all-pairs
 hop table, the point metric over it, vertex vicinities, the matching
 shorthands and the conflict-pair listing live here too, since only tests
-use them.
+use them, and so does the earlier matching engine (one blossom search per
+exposed vertex), the differential reference for the alternating forest.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from deltadisp import Graph, Matching, Point, as_rational, midpoint, normalize_point, vertex_point
+from deltadisp import Graph, Point, as_rational, midpoint, normalize_point, vertex_point
+from deltadisp.errors import InternalConsistencyError
 from deltadisp.matching import EGDecomposition, component_split, matching_and_inessential
 from deltadisp.solve2 import CanonicalWitness, CutInstance
 
@@ -85,6 +88,29 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
     ]
     rng.shuffle(pool)
     return Graph(n, tuple(tree + pool[:extra_edges]))
+
+
+def random_sparse_graph(rng: random.Random, n: int, chords: int) -> Graph:
+    """A random spanning tree plus `chords` distinct random chords, sampled
+    one pair at a time, so large sparse graphs cost time linear in n."""
+    present = {(rng.randrange(i), i) for i in range(1, n)}
+    chords = min(chords, n * (n - 1) // 2 - (n - 1))
+    target = len(present) + chords
+    while len(present) < target:
+        u, v = sorted(rng.sample(range(n), 2))
+        present.add((u, v))
+    return Graph(n, tuple(sorted(present)))
+
+
+def triangle_chain(n: int) -> Graph:
+    """Triangles (2i, 2i+1, 2i+2) chained at shared vertices, with one
+    pendant edge at the end when n is even."""
+    edges = []
+    for a in range(0, n - 2, 2):
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    if n % 2 == 0:
+        edges.append((n - 2, n - 1))
+    return Graph(n, tuple(edges))
 
 
 def random_cactus(rng: random.Random, n: int) -> Graph:
@@ -160,10 +186,119 @@ def vicinity(g: Graph, v: int) -> frozenset[Point]:
     return frozenset([vertex_point(g, v)] + [midpoint(g, e) for e in g.incident_edges[v]])
 
 
-def maximum_matching(g: Graph) -> Matching:
+def maximum_matching(g: Graph) -> frozenset[int]:
     """A maximum matching of g from the blossom engine, as edge indices."""
-    match, _ = matching_and_inessential(g.adjacency)
-    return Matching(frozenset(g.edge_index(v, u) for v, u in enumerate(match) if u > v))
+    mate, _ = matching_and_inessential(g.adjacency)
+    return frozenset(g.edge_index(v, u) for v, u in enumerate(mate) if u > v)
+
+
+def _reference_search(
+    adj: Sequence[Sequence[int]], match: Sequence[int], roots: Sequence[int]
+) -> tuple[int, list[int], list[bool]]:
+    """One alternating search grown from the exposed vertices `roots`.
+
+    Returns ``(end, parent, outer)``: ``end`` is an exposed non-root vertex
+    that closes an augmenting path (-1 if the search finds none),
+    ``parent`` holds the tree links to flip along that path, and ``outer``
+    marks the even-labelled vertices, contracted blossoms included.  An
+    edge between the outer vertices of two different trees also closes an
+    augmenting path; the search cannot follow it, so it raises instead
+    (with a single root it cannot occur).
+    """
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    tree = [-1] * n
+    for r in roots:
+        outer[r] = True
+        tree[r] = r
+    queue = deque(roots)
+
+    def lowest_common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        u = a
+        while True:
+            u = base[u]
+            seen[u] = True
+            if match[u] == -1:
+                break
+            u = parent[match[u]]
+        v = b
+        while True:
+            v = base[v]
+            if seen[v]:
+                return v
+            v = parent[match[v]]
+
+    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != stem:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer[to]:
+                if tree[to] != tree[v]:
+                    raise InternalConsistencyError(
+                        f"outer vertices {v} and {to} lie in different alternating trees"
+                    )
+                # odd cycle: contract the blossom down to its base
+                stem = lowest_common_base(v, to)
+                in_blossom = [False] * n
+                mark_path(v, stem, to, in_blossom)
+                mark_path(to, stem, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = stem
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return to, parent, outer
+                tree[to] = tree[match[to]] = tree[v]
+                outer[match[to]] = True
+                queue.append(match[to])
+    return -1, parent, outer
+
+
+def reference_matching_and_inessential(adjacency) -> tuple[list[int], frozenset[int]]:
+    """The earlier matching engine: one single-root blossom search per
+    vertex the greedy seed leaves exposed, then one final search from all
+    exposed vertices for D, which raises if it can still augment."""
+    n = len(adjacency)
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for u in adjacency[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    for v in range(n):
+        if match[v] == -1:
+            exposed, parent, _ = _reference_search(adjacency, match, [v])
+            while exposed != -1:
+                prev = parent[exposed]
+                nxt = match[prev]
+                match[exposed] = prev
+                match[prev] = exposed
+                exposed = nxt
+    exposed = [v for v, partner in enumerate(match) if partner == -1]
+    end, _, outer = _reference_search(adjacency, match, exposed)
+    if end != -1:
+        raise InternalConsistencyError(
+            f"augmenting path to {end} remains after the matching search"
+        )
+    return match, frozenset(v for v, is_outer in enumerate(outer) if is_outer)
 
 
 def matching_number(g: Graph) -> int:

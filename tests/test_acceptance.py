@@ -310,9 +310,8 @@ def test_criterion_9_decomposition_structure():
                     failures.append((g, "even odd-component"))
                 if not brute_factor_critical(g, comp):
                     failures.append((g, "odd component not factor-critical"))
-            cover = dec.base_matching.cover_map(g)
             for v in dec.remainder:
-                if cover.get(v) not in dec.remainder:
+                if dec.mate[v] not in dec.remainder:
                     failures.append((g, "remainder not perfectly matched"))
                     break
     _report(

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -541,6 +542,17 @@ class TestGraphValidation:
             assert err.value.line is None
         with pytest.raises(DisconnectedGraphError):
             Graph(4, ((0, 1), (2, 3)))
+
+    def test_impossible_vertex_count_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            for build in (lambda: parse_graph("1000000 0\n"), lambda: Graph(10**6, ())):
+                tracemalloc.reset_peak()
+                with pytest.raises(DisconnectedGraphError):
+                    build()
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_parse_reports_the_first_faulty_line(self):
         with pytest.raises(DuplicateEdgeError) as err:

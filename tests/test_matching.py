@@ -10,10 +10,16 @@ from helpers import (
     brute_matching_number,
     matching_number,
     maximum_matching,
+    random_cactus,
     random_connected_graph,
+    random_sparse_graph,
+    random_tree,
+    reference_matching_and_inessential,
+    triangle_chain,
 )
 
-from deltadisp import Graph, edmonds_gallai
+from deltadisp import Graph, edmonds_gallai, matching
+from deltadisp.matching import matching_and_inessential
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -38,7 +44,7 @@ class TestMaximumMatching:
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8))
             covered = set()
-            for e in maximum_matching(g).edges:
+            for e in maximum_matching(g):
                 u, v = g.edges[e]
                 assert u not in covered and v not in covered
                 covered.update((u, v))
@@ -59,6 +65,45 @@ class TestMaximumMatching:
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(10, 15), rng.randint(0, 30))
             assert matching_number(g) == brute_matching_number(g)
+
+
+class TestForest:
+    def test_matches_reference_engine(self):
+        rng = random.Random(8)
+        families = (
+            lambda n: random_tree(rng, n),
+            lambda n: random_sparse_graph(rng, n, n // 3),
+            lambda n: random_cactus(rng, n),
+            triangle_chain,
+        )
+        mismatches = []
+        for case in range(1600):
+            g = families[case % 4](rng.randint(2, 120))
+            mate, inessential = matching_and_inessential(g.adjacency)
+            ref_mate, ref_inessential = reference_matching_and_inessential(g.adjacency)
+            for v, u in enumerate(mate):
+                assert u == -1 or (mate[u] == v and g.edge_index(v, u) is not None)
+            size = sum(1 for v, u in enumerate(mate) if v < u)
+            ref_size = sum(1 for v, u in enumerate(ref_mate) if v < u)
+            if size != ref_size or inessential != ref_inessential:
+                mismatches.append(g)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kind", ["tree", "sparse"])
+    def test_phases_stay_few(self, monkeypatch, kind):
+        rng = random.Random(9)
+        n = 10_000
+        g = random_tree(rng, n) if kind == "tree" else random_sparse_graph(rng, n, n // 3)
+        calls = []
+        search = matching._search
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(matching, "_search", counted)
+        matching_and_inessential(g.adjacency)
+        assert len(calls) <= 20
 
 
 class TestEdmondsGallai:
@@ -112,11 +157,10 @@ class TestEdmondsGallai:
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6))
             dec = edmonds_gallai(g)
-            cover = dec.base_matching.cover_map(g)
             for v in dec.remainder:
-                assert cover.get(v) in dec.remainder
+                assert dec.mate[v] in dec.remainder
             for comp in dec.odd_components:
-                inside = sum(1 for v in comp if cover.get(v) in comp)
+                inside = sum(1 for v in comp if dec.mate[v] in comp)
                 assert inside == len(comp) - 1
 
 
