@@ -18,7 +18,6 @@ from .core import (
     format_graph,
     format_witness,
     is_dispersed,
-    midpoint,
     normalize_point,
     parse_graph,
     parse_witness,
@@ -61,9 +60,7 @@ from .oracle import (
     build_conflict_graph,
 )
 from .solve2 import (
-    CanonicalWitness,
     CutInstance,
-    disp2,
     min_surplus,
     surplus,
 )

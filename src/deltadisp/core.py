@@ -3,12 +3,12 @@
 A graph here is a finite connected simple undirected graph whose edges all
 have unit length.  Facilities may sit anywhere on an edge, so alongside the
 usual vertex/edge structure this module models the continuum of edge points
-with exact rational offsets, the bounded hop search the local checks
-share, and the dispersion predicate that every solver in the suite is
-measured against.  Edge subdivision maps points exactly: the points of
-offset denominator c are the vertices of the c-subdivision, and their
-distance is their hop count there divided by c, so the oracle's half-step
-grid for spacing a/b is the vertex set of the 2b-subdivision.
+with exact rational offsets, the bounded hop search the local checks share,
+and the dispersion predicate behind :meth:`WitnessSet.verified`, the one
+check every solver's witness passes.  Edge subdivision maps points exactly:
+the points of offset denominator c are the vertices of the c-subdivision,
+and their distance is their hop count there divided by c, so the oracle's
+half-step grid for spacing a/b is the vertex set of the 2b-subdivision.
 
 All values are immutable and all arithmetic is exact (`fractions.Fraction`);
 no floats appear anywhere on the solver path.
@@ -16,7 +16,6 @@ no floats appear anywhere on the solver path.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
+    InternalConsistencyError,
     MalformedLineError,
     SelfLoopError,
     VertexRangeError,
@@ -60,29 +60,9 @@ __all__ = [
     "vertex_point",
     "normalize_point",
     "point_as_vertex",
-    "midpoint",
     "format_witness",
     "parse_witness",
 ]
-
-
-def _connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        w = queue.popleft()
-        for x in nbrs[w]:
-            if not seen[x]:
-                seen[x] = True
-                count += 1
-                queue.append(x)
-    return count == n
 
 
 @dataclass(frozen=True)
@@ -130,7 +110,7 @@ class Graph:
         object.__setattr__(self, "edges", tuple(edges))
         # fewer than n - 1 edges cannot connect n vertices: say so before
         # allocating anything sized by n
-        if n > len(edges) + 1 or not _connected(n, edges):
+        if n > len(edges) + 1 or sum(1 for _ in hop_ball(self, 0, n)) != n:
             raise DisconnectedGraphError("graph is not connected")
 
     @property
@@ -209,13 +189,6 @@ def vertex_point(g: Graph, v: int) -> Point:
     e = incident[0]
     u, _ = g.edges[e]
     return Point(e, _ZERO if u == v else _ONE)
-
-
-def midpoint(g: Graph, e: int) -> Point:
-    """The midpoint of edge e (already canonical)."""
-    if not 0 <= e < g.edge_count:
-        raise ValueError(f"invalid edge index {e}")
-    return Point(e, Fraction(1, 2))
 
 
 def _point_key(g: Graph, p: Point) -> int | tuple[int, int, int]:
@@ -327,8 +300,9 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
     ``source``, nearest first, starting with ``(source, 0)``.
 
     A breadth-first search that stops at the radius, so its cost is the
-    size of the ball, not of the graph; this is the one bounded search the
-    local checks (:func:`is_dispersed`, certificate verification) share.
+    size of the ball, not of the graph; this is the one search the graph's
+    connectivity check and the local checks (:func:`is_dispersed`,
+    certificate verification) share.
     """
     yield source, 0
     seen = {source}
@@ -368,6 +342,21 @@ class WitnessSet:
             raise ValueError("witness points are not pairwise distinct")
         norm.sort(key=lambda p: (p.edge_index, p.offset))
         return cls(tuple(norm), as_rational(delta))
+
+    @classmethod
+    def verified(
+        cls, g: Graph, points: Iterable[Point], delta: Fraction, size: int
+    ) -> "WitnessSet":
+        """:meth:`build`, then the one check every solver's witness passes:
+        `size` points, pairwise at least delta apart.  Raises
+        InternalConsistencyError otherwise, so a construction bug cannot
+        surface as a wrong answer."""
+        witness = cls.build(g, points, delta)
+        if len(witness) != size or not is_dispersed(g, witness.points, witness.delta):
+            raise InternalConsistencyError(
+                f"witness of {len(witness)} points fails verification for value {size}"
+            )
+        return witness
 
 
 # ---------------------------------------------------------------------------

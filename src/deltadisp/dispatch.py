@@ -3,17 +3,18 @@
 Spacings with numerator 1 have closed-form answers; numerator 2 reduces to
 the polynomial delta=2 algorithm plus a per-edge surcharge; numerator >= 3
 is NP-hard and only solvable here by the explicit brute-force oracle, which
-the caller must opt into.
+the caller must opt into.  Every route's witness passes one check,
+``WitnessSet.verified``: here for the polynomial routes, in the oracle for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Graph, Point, WitnessSet, as_rational, is_dispersed, vertex_point
+from .core import Graph, Point, WitnessSet, as_rational, vertex_point
 from .errors import InternalConsistencyError, NPHardRegimeError
-from .oracle import DEFAULT_CANDIDATE_CAP, _brute_disp
-from .solve2 import _disp2
+from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
+from .solve2 import disp2
 
 __all__ = ["disp"]
 
@@ -27,11 +28,12 @@ def disp(
 ) -> tuple[int, WitnessSet]:
     """Maximum size of a delta-dispersed point set, with a witness.
 
-    Each route returns its value and its witness points unchecked; the
-    witness is then built and verified (cardinality and pairwise spacing)
-    once, here, before it is returned, so an internal construction bug
-    cannot surface as a wrong answer.  A single point is always placeable,
-    so the value is >= 1.
+    The polynomial routes return their value and witness points unchecked,
+    and the witness is built and verified (cardinality and pairwise
+    spacing) once, here; numerators >= 3 return :func:`brute_disp`'s
+    answer, verified the same way at its exit.  So an internal construction
+    bug cannot surface as a wrong answer.  A single point is always
+    placeable, so the value is >= 1.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -41,18 +43,15 @@ def disp(
         value, points = _unit_numerator(g, b)
     elif a == 2:
         value, points = _numerator_two(g, b)
+    elif not allow_bruteforce:
+        raise NPHardRegimeError(
+            f"computing the {a}/{b}-dispersion number is NP-hard for "
+            f"numerators >= 3; pass allow_bruteforce=True to run the "
+            f"exponential oracle"
+        )
     else:
-        if not allow_bruteforce:
-            raise NPHardRegimeError(
-                f"computing the {a}/{b}-dispersion number is NP-hard for "
-                f"numerators >= 3; pass allow_bruteforce=True to run the "
-                f"exponential oracle"
-            )
-        value, points = _brute_disp(g, delta, cap, timeout)
-    witness = WitnessSet.build(g, points, delta)
-    if len(witness) != value or not is_dispersed(g, witness.points, delta):
-        raise InternalConsistencyError("constructed witness fails verification")
-    return value, witness
+        return brute_disp(g, delta, cap, timeout)
+    return value, WitnessSet.verified(g, points, delta, value)
 
 
 def _unit_numerator(g: Graph, b: int) -> tuple[int, list[Point]]:
@@ -82,10 +81,7 @@ def _numerator_two(g: Graph, b: int) -> tuple[int, list[Point]]:
     if b % 2 == 0:
         raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
     z = (b - 1) // 2
-    base_value, canonical = _disp2(g)
-
-    vertices = canonical.vertex_points
-    mids = canonical.edge_midpoints
+    base_value, vertices, mids = disp2(g)
     points = [vertex_point(g, v) for v in vertices]
     for e, (u, v) in enumerate(g.edges):
         if u in vertices or v in vertices:

@@ -20,7 +20,6 @@ from .core import (
     Point,
     WitnessSet,
     as_rational,
-    is_dispersed,
     normalize_point,
     vertex_point,
 )
@@ -193,9 +192,10 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
 
     Selected source vertices keep their image point and push their path
     points a full spacing out; unselected ones start at half spacing.  Each
-    cycle gets its fixed quota of points.  Only odd numerators carry this
-    construction; the even variant is validated through the brute-force
-    oracle instead.
+    cycle gets its fixed quota of points, so the set has
+    :func:`predicted_bound` points; it is verified before it is returned.
+    Only odd numerators carry this construction; the even variant is
+    validated through the brute-force oracle instead.
     """
     chosen = frozenset(independent)
     if not all(0 <= v < inst.h.vertex_count for v in chosen):
@@ -220,13 +220,7 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
         verts = inst.cycles[e]
         points.extend(_point_along(g, verts, first + j * delta) for j in range(c.y2))
 
-    witness = WitnessSet.build(g, points, delta)
-    expected = len(chosen) + (2 * c.y1 + c.y2) * inst.h_edge_count
-    if len(witness) != expected:
-        raise InternalConsistencyError("witness cardinality off")
-    if not is_dispersed(g, witness.points, delta):
-        raise InternalConsistencyError("constructed witness is not dispersed")
-    return witness
+    return WitnessSet.verified(g, points, delta, predicted_bound(inst, len(chosen)))
 
 
 def format_gadget_map(inst: GadgetInstance) -> str:

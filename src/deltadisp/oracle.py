@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isnan
 from time import monotonic
 from typing import Callable
 
@@ -34,11 +35,10 @@ from .core import (
     SubdivisionMap,
     WitnessSet,
     as_rational,
-    is_dispersed,
     subdivide,
     vertex_point,
 )
-from .errors import InternalConsistencyError, OracleTimeoutError, SizeGuardExceededError
+from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
 
@@ -267,36 +267,30 @@ def brute_disp(
     """Exact dispersion number by exhaustive search over the half-step grid.
 
     Deterministic: ties in the search are broken by candidate index, so the
-    returned witness is reproducible; its cardinality and spacing are
-    checked once before it is returned.  Raises SizeGuardExceededError when
-    the grid is larger than `cap` and OracleTimeoutError when `timeout`
-    seconds elapse, counted from the call: the budget covers the conflict
-    build as well as the search.  The timeout error carries the best
-    dispersed set found so far as ``best`` and ``witness``: the search's
-    incumbent, or a single vertex if the conflict build did not finish.
+    returned witness is reproducible; it passes
+    :meth:`~deltadisp.core.WitnessSet.verified` before it is returned.
+    Raises SizeGuardExceededError when the grid is larger than `cap`,
+    ValueError when `timeout` is NaN (no deadline could ever pass), and
+    OracleTimeoutError when `timeout` seconds elapse, counted from the
+    call: the budget covers the conflict build as well as the search.  The
+    timeout error carries the best dispersed set found so far, verified
+    the same way, as ``best`` and ``witness``: the search's incumbent, or a
+    single vertex if the conflict build did not finish.
     """
     delta = as_rational(delta)
-    value, points = _brute_disp(g, delta, cap, timeout)
-    witness = WitnessSet.build(g, points, delta)
-    if len(witness) != value or not is_dispersed(g, witness.points, delta):
-        raise InternalConsistencyError("the search's witness fails verification")
-    return value, witness
-
-
-def _brute_disp(
-    g: Graph, delta: Fraction, cap: int, timeout: float | None
-) -> tuple[int, list[Point]]:
-    """:func:`brute_disp`'s value and unchecked points, for callers that check."""
+    if timeout is not None and isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, not NaN")
     deadline = None if timeout is None else monotonic() + timeout
     try:
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
-        raise _with_incumbent(exc, g, [vertex_point(g, 0)], delta) from None
+        raise _with_incumbent(exc, g, [vertex_point(g, 0)], 1, delta) from None
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline)
     except _SearchTimeout as exc:
-        raise _with_incumbent(exc, g, _points(cg, exc.mask), delta) from None
-    return value, _points(cg, mask)
+        size = exc.mask.bit_count()
+        raise _with_incumbent(exc, g, _points(cg, exc.mask), size, delta) from None
+    return value, WitnessSet.verified(g, _points(cg, mask), delta, value)
 
 
 def _points(cg: ConflictGraph, mask: int) -> list[Point]:
@@ -304,10 +298,8 @@ def _points(cg: ConflictGraph, mask: int) -> list[Point]:
 
 
 def _with_incumbent(
-    exc: OracleTimeoutError, g: Graph, points: list[Point], delta: Fraction
+    exc: OracleTimeoutError, g: Graph, points: list[Point], size: int, delta: Fraction
 ) -> OracleTimeoutError:
-    """`exc`'s message with `points` attached as a checked witness."""
-    witness = WitnessSet.build(g, points, delta)
-    if not is_dispersed(g, witness.points, delta):
-        raise InternalConsistencyError("the search's incumbent is not dispersed")
-    return OracleTimeoutError(str(exc), best=len(witness), witness=witness)
+    """`exc`'s message with the `size` `points` attached as a verified witness."""
+    witness = WitnessSet.verified(g, points, delta, size)
+    return OracleTimeoutError(str(exc), best=size, witness=witness)

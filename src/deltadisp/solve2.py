@@ -8,41 +8,27 @@ inessential vertices to keep as vertex points.  That decision minimizes
 ``|neighbourhood(T)| - |T|``, whose minimum is the matching deficiency of
 the bipartite singleton/separator graph; the same matching engine that
 builds the decomposition solves it.
+
+:func:`disp2` returns the value and the canonical witness as vertex ids and
+midpoint edge indices, unchecked: its caller, ``dispatch.disp``, places
+points from them and verifies the witness it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .core import Graph, WitnessSet, is_dispersed, midpoint, vertex_point
+from .core import Graph
 from .errors import InternalConsistencyError
 from .matching import edmonds_gallai, matching_and_inessential
 
 __all__ = [
-    "CanonicalWitness",
     "CutInstance",
     "surplus",
     "min_surplus",
     "disp2",
 ]
-
-
-@dataclass(frozen=True)
-class CanonicalWitness:
-    """A 2-dispersed set in canonical form: vertex points plus edge midpoints."""
-
-    vertex_points: frozenset[int]
-    edge_midpoints: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.vertex_points) + len(self.edge_midpoints)
-
-    def to_witness_set(self, g: Graph) -> WitnessSet:
-        points = [vertex_point(g, v) for v in self.vertex_points]
-        points.extend(midpoint(g, e) for e in self.edge_midpoints)
-        return WitnessSet.build(g, points, Fraction(2))
 
 
 @dataclass(frozen=True)
@@ -93,20 +79,12 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
     return value, chosen
 
 
-def disp2(g: Graph) -> tuple[int, CanonicalWitness]:
-    """The 2-dispersion number together with an optimal canonical witness,
-    whose cardinality and spacing are checked once before it is returned."""
-    value, witness = _disp2(g)
-    ws = witness.to_witness_set(g)
-    if len(ws) != value or not is_dispersed(g, ws.points, Fraction(2)):
-        raise InternalConsistencyError("assembled witness does not match the value")
-    return value, witness
-
-
-def _disp2(g: Graph) -> tuple[int, CanonicalWitness]:
-    """:func:`disp2` without the check, for callers that check their own witness."""
+def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The 2-dispersion number and an optimal canonical witness: the chosen
+    vertices and the edges whose midpoints it holds.  Unchecked; the caller
+    verifies the points it places from them."""
     if g.vertex_count == 1:
-        return 1, CanonicalWitness(frozenset({0}), frozenset())
+        return 1, frozenset({0}), frozenset()
 
     dec = edmonds_gallai(g)
     arcs = set()
@@ -138,4 +116,4 @@ def _disp2(g: Graph) -> tuple[int, CanonicalWitness]:
         if v < u and v not in hit and u not in hit
     )
 
-    return value, CanonicalWitness(chosen, midpoints)
+    return value, chosen, midpoints

@@ -7,7 +7,7 @@ Fourier-Motzkin elimination over the dense all-pairs certificate system,
 dispersion from comparing every pair of points with the point metric,
 grid conflicts from every pair of candidates over the all-pairs hop table,
 and maximum independent sets from a plain branch-and-bound.  The all-pairs
-hop table, the point metric over it, vertex vicinities, the matching
+hop table, the point metric over it, edge midpoints, vertex vicinities, the matching
 shorthands and the conflict-pair listing live here too, since only tests
 use them, and so does the earlier matching engine (one blossom search per
 exposed vertex), the differential reference for the alternating forest.
@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from deltadisp import Graph, Point, as_rational, midpoint, normalize_point, vertex_point
+from deltadisp import Graph, Point, as_rational, normalize_point, vertex_point
 from deltadisp.errors import InternalConsistencyError
 from deltadisp.matching import EGDecomposition, component_split, matching_and_inessential
-from deltadisp.solve2 import CanonicalWitness, CutInstance
+from deltadisp.solve2 import CutInstance
 
 
 def _connected_mask(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -177,6 +177,13 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction:
     if p.edge_index == q.edge_index:
         best = min(best, abs(p.offset - q.offset))
     return best
+
+
+def midpoint(g: Graph, e: int) -> Point:
+    """The midpoint of edge e (already canonical)."""
+    if not 0 <= e < g.edge_count:
+        raise ValueError(f"invalid edge index {e}")
+    return Point(e, Fraction(1, 2))
 
 
 def vicinity(g: Graph, v: int) -> frozenset[Point]:
@@ -529,8 +536,13 @@ def fourier_motzkin_feasible(
     return True, None
 
 
-def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> bool:
+def validate_canonical(
+    g: Graph, vertices: frozenset[int], midpoint_edges: frozenset[int], dec: EGDecomposition
+) -> bool:
     """Check the structural properties an optimal canonical witness satisfies.
+
+    The witness is the points at `vertices` plus the midpoints of
+    `midpoint_edges`, as ``solve2.disp2`` returns them.
 
     P1: the midpoint edges induce a near-perfect matching in every odd
     inessential component of size >= 3.  P2: each separator vertex sees the
@@ -538,11 +550,13 @@ def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> b
     set, if at all.  P3: the midpoint edges induce a perfect matching in
     every remainder component.
     """
-    points = frozenset(w.to_witness_set(g).points)
+    points = frozenset(
+        [vertex_point(g, v) for v in vertices] + [midpoint(g, e) for e in midpoint_edges]
+    )
     remainder_components = tuple(component_split(g.adjacency, dec.remainder))
 
     for comp in dec.odd_components:
-        if not _induces_matching(g, w.edge_midpoints, comp, len(comp) - 1):
+        if not _induces_matching(g, midpoint_edges, comp, len(comp) - 1):
             return False
 
     for y in dec.separator:
@@ -562,7 +576,7 @@ def validate_canonical(g: Graph, w: CanonicalWitness, dec: EGDecomposition) -> b
             return False
 
     for comp in remainder_components:
-        if not _induces_matching(g, w.edge_midpoints, comp, len(comp)):
+        if not _induces_matching(g, midpoint_edges, comp, len(comp)):
             return False
     return True
 

@@ -25,7 +25,6 @@ from deltadisp import (
     build_gadget,
     cubic_catalogue,
     disp,
-    disp2,
     edmonds_gallai,
     extract_certificate,
     is_dispersed,
@@ -56,14 +55,14 @@ def family_delta2():
     entries = []
     for n in range(1, 6):
         for g in all_connected_graphs(n):
-            value, canonical = disp2(g)
-            entries.append((g, TWO, value, canonical.to_witness_set(g), brute_disp(g, TWO)[0]))
+            value, witness = disp(g, TWO)
+            entries.append((g, TWO, value, witness, brute_disp(g, TWO)[0]))
     rng = random.Random(101)
     for _ in range(200):
         n = rng.randint(6, 9)
         g = random_connected_graph(rng, n, rng.randint(0, n))
-        value, canonical = disp2(g)
-        entries.append((g, TWO, value, canonical.to_witness_set(g), brute_disp(g, TWO)[0]))
+        value, witness = disp(g, TWO)
+        entries.append((g, TWO, value, witness, brute_disp(g, TWO)[0]))
     return entries
 
 
@@ -139,7 +138,7 @@ def test_criterion_1_oracle_equivalence_delta2(family_delta2):
             failures.append((g, "bad witness"))
     _report(
         1,
-        f"disp2 == brute_disp on {len(family_delta2)} graphs "
+        f"disp(g, 2) == brute_disp on {len(family_delta2)} graphs "
         f"(all connected <=5 vertices + 200 random 6-9)",
         failures,
     )
@@ -149,14 +148,14 @@ def test_criterion_2_numerator2_identity(family_numerator2):
     failures = []
     for g, delta, value, witness, brute_value in family_numerator2:
         z = (delta.denominator - 1) // 2
-        expected = disp2(g)[0] + z * g.edge_count
+        expected = disp(g, TWO)[0] + z * g.edge_count
         if value != expected or value != brute_value:
             failures.append((g, delta, value, expected, brute_value))
         if len(witness) != value or not is_dispersed(g, witness.points, delta):
             failures.append((g, delta, "bad witness"))
     _report(
         2,
-        f"dispatch == disp2 + z|E| == brute_disp for delta in {{2/3, 2/5}} "
+        f"dispatch == disp(g, 2) + z|E| == brute_disp for delta in {{2/3, 2/5}} "
         f"on {len(family_numerator2) // 2} graphs (<=5 edges)",
         failures,
     )
@@ -203,11 +202,11 @@ def test_criterion_5_matching_lower_bound():
     for _ in range(1000):
         n = rng.randint(1, 12)
         g = random_connected_graph(rng, n, rng.randint(0, n)) if n > 1 else random_tree(rng, 1)
-        value, _ = disp2(g)
+        value, _ = disp(g, TWO)
         nu = matching_number(g)
         if value < nu:
             failures.append((g, value, nu))
-    _report(5, "disp2(g) >= matching number on 1000 random graphs (<=12 vertices)", failures)
+    _report(5, "disp(g, 2) >= matching number on 1000 random graphs (<=12 vertices)", failures)
 
 
 def test_criterion_6_gadget_end_to_end():

@@ -8,6 +8,7 @@ from helpers import (
     dense_certificate_system,
     fourier_motzkin_feasible,
     grid_feasible,
+    midpoint,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -21,10 +22,8 @@ from deltadisp import (
     WitnessSet,
     brute_disp,
     disp,
-    disp2,
     extract_certificate,
     format_certificate,
-    midpoint,
     parse_certificate,
     verify_certificate,
     vertex_point,
@@ -36,14 +35,14 @@ STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
 
 class TestExtract:
     def test_k2_midpoint(self):
-        _, witness = disp2(K2)
-        cert = extract_certificate(K2, witness.to_witness_set(K2))
+        _, witness = disp(K2, Fraction(2))
+        cert = extract_certificate(K2, witness)
         assert cert.vertices == frozenset()
         assert cert.interior_counts == {0: 1}
 
     def test_star_leaves(self):
-        _, witness = disp2(STAR)
-        cert = extract_certificate(STAR, witness.to_witness_set(STAR))
+        _, witness = disp(STAR, Fraction(2))
+        cert = extract_certificate(STAR, witness)
         assert cert.vertices == {1, 2, 3}
         assert cert.interior_counts == {}
 

@@ -82,6 +82,23 @@ class TestSolve:
         assert err == "internal error: odd remainder component [0]\n"
         assert "Traceback" not in err
 
+    def test_corrupted_route_exits_4(self, star, capsys, monkeypatch):
+        # a closed-form value one too high fails the witness check in disp
+        from deltadisp import dispatch
+
+        route = dispatch._unit_numerator
+
+        def corrupted(g, b):
+            value, points = route(g, b)
+            return value + 1, points
+
+        monkeypatch.setattr(dispatch, "_unit_numerator", corrupted)
+        assert run(["solve", str(star), "--delta", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ")
+
 
 class TestOracle:
     def test_value_and_witness_on_stdout(self, star, capsys):
@@ -96,6 +113,17 @@ class TestOracle:
 
     def test_timeout_exits_3(self, k4):
         assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["oracle"], ["solve", "--brute-force"]], ids=["oracle", "solve"]
+    )
+    def test_nan_timeout_exits_2(self, k4, capsys, command):
+        argv = [command[0], str(k4), *command[1:], "--delta", "3/2", "--timeout", "nan"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_timeout_names_verified_lower_bound(self, k4, capsys):
         assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3

@@ -11,6 +11,7 @@ from helpers import (
     brute_is_dispersed,
     connected_graphs_max_edges,
     hop_table,
+    midpoint,
     point_distance,
     random_cactus,
     random_connected_graph,
@@ -33,7 +34,6 @@ from deltadisp import (
     format_graph,
     format_witness,
     is_dispersed,
-    midpoint,
     normalize_point,
     parse_graph,
     parse_witness,

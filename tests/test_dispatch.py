@@ -13,19 +13,25 @@ from helpers import (
 
 from deltadisp import (
     Graph,
+    InternalConsistencyError,
     NPHardRegimeError,
+    OracleTimeoutError,
     WitnessSet,
     brute_disp,
+    build_gadget,
+    cubic_catalogue,
     disp,
-    disp2,
     is_dispersed,
     subdivide,
     vertex_point,
+    witness_from_independent_set,
 )
+from deltadisp.solve2 import disp2
 
 K2 = Graph(2, ((0, 1),))
 C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
+P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
 
 class TestClosedForms:
@@ -169,16 +175,16 @@ class TestOneBuildOneCheck:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        from deltadisp import core, dispatch, oracle, solve2
+        from deltadisp import core
 
         counts = {"build": 0, "check": 0}
+        check = core.is_dispersed
 
         def checking(*args, **kwargs):
             counts["check"] += 1
-            return core.is_dispersed(*args, **kwargs)
+            return check(*args, **kwargs)
 
-        for module in (dispatch, solve2, oracle):
-            monkeypatch.setattr(module, "is_dispersed", checking)
+        monkeypatch.setattr(core, "is_dispersed", checking)
         build = WitnessSet.build.__func__
 
         def building(cls, *args, **kwargs):
@@ -206,7 +212,70 @@ class TestOneBuildOneCheck:
         self._once(counts, lambda: disp(small, Fraction(5, 2), allow_bruteforce=True))
         self._once(counts, lambda: disp(Graph(1, ()), Fraction(2)))
 
-    def test_disp2_and_brute_disp(self, counts):
+    def test_gadget_witness_and_brute_disp(self, counts):
+        inst = build_gadget(cubic_catalogue()["k4"], Fraction(3))
+        self._once(counts, lambda: witness_from_independent_set(inst, {0}))
         g = random_connected_graph(random.Random(72), 6, 2)
-        self._once(counts, lambda: disp2(g))
         self._once(counts, lambda: brute_disp(g, Fraction(5, 2)))
+
+        def timed_out():
+            with pytest.raises(OracleTimeoutError):
+                brute_disp(g, Fraction(5, 2), timeout=0.0)
+
+        self._once(counts, timed_out)
+
+    def test_solve2_builds_and_checks_nothing(self, counts):
+        counts.update(build=0, check=0)
+        disp2(random_cactus(random.Random(73), 12))
+        assert counts == {"build": 0, "check": 0}
+
+
+class TestCheckedExit:
+    """A corrupted answer from any solver raises at the one checked exit."""
+
+    def test_route_value_one_too_high(self, monkeypatch):
+        from deltadisp import dispatch
+
+        route = dispatch._unit_numerator
+
+        def corrupted(g, b):
+            value, points = route(g, b)
+            return value + 1, points
+
+        monkeypatch.setattr(dispatch, "_unit_numerator", corrupted)
+        for g in (STAR, C3):
+            with pytest.raises(InternalConsistencyError, match="fails verification"):
+                disp(g, Fraction(1, 2))
+
+    @pytest.mark.parametrize("delta", [Fraction(2), Fraction(2, 3)], ids=["2", "2/3"])
+    def test_corrupted_delta_two_witness(self, monkeypatch, delta):
+        # both ends of K2; vertex 0 of P4 and the midpoint of edge (1, 2),
+        # 3/2 apart, which only the witness check sees
+        from deltadisp import dispatch
+
+        cases = ((K2, {0, 1}, (), "adjacent vertices"), (P4, {0}, {1}, "fails verification"))
+        for g, chosen, mids, message in cases:
+            answer = (2, frozenset(chosen), frozenset(mids))
+            monkeypatch.setattr(dispatch, "disp2", lambda g, answer=answer: answer)
+            with pytest.raises(InternalConsistencyError, match=message):
+                disp(g, delta)
+
+    def test_predicted_bound_off_by_one(self, monkeypatch):
+        from deltadisp import gadget
+
+        inst = build_gadget(cubic_catalogue()["k4"], Fraction(3))
+        bound = gadget.predicted_bound
+        monkeypatch.setattr(gadget, "predicted_bound", lambda inst, k: bound(inst, k) + 1)
+        with pytest.raises(InternalConsistencyError, match="fails verification"):
+            witness_from_independent_set(inst, {0})
+
+    def test_timed_out_search_with_conflicting_incumbent(self, monkeypatch):
+        # both ends of K2 are candidates 0 and 1, fewer than 3 apart
+        from deltadisp import oracle
+
+        def timed_out(conflicts, deadline):
+            raise oracle._SearchTimeout(0b11)
+
+        monkeypatch.setattr(oracle, "_max_independent_set", timed_out)
+        with pytest.raises(InternalConsistencyError, match="fails verification"):
+            brute_disp(K2, Fraction(3))

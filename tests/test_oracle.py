@@ -238,6 +238,11 @@ class TestBruteDisp:
         with pytest.raises(OracleTimeoutError):
             brute_disp(g, Fraction(3, 2), timeout=0.0)
 
+    def test_nan_timeout_is_refused(self):
+        # a NaN deadline would never pass: the guard would be off
+        with pytest.raises(ValueError, match="NaN"):
+            brute_disp(K2, Fraction(3, 2), timeout=float("nan"))
+
     def test_timeout_carries_verified_incumbent(self):
         g = random_connected_graph(random.Random(35), 8, 10)
         with pytest.raises(OracleTimeoutError) as err:

@@ -11,20 +11,23 @@ from helpers import (
     all_connected_graphs,
     brute_min_surplus,
     matching_number,
+    midpoint,
     random_connected_graph,
     validate_canonical,
 )
 
 from deltadisp import (
     Graph,
+    WitnessSet,
     brute_disp,
-    disp2,
+    disp,
     edmonds_gallai,
     is_dispersed,
-    midpoint,
     vertex_point,
 )
-from deltadisp.solve2 import CanonicalWitness, CutInstance, min_surplus, surplus
+from deltadisp.solve2 import CutInstance, disp2, min_surplus, surplus
+
+TWO = Fraction(2)
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -104,29 +107,29 @@ class TestDisp2:
         [(K2, 1), (STAR, 3), (C5, 2), (P3, 2)],
     )
     def test_known_values(self, g, value):
-        assert disp2(g)[0] == value
+        assert disp(g, TWO)[0] == value
 
     def test_single_vertex(self):
         g = Graph(1, ())
-        value, witness = disp2(g)
-        assert value == 1 and witness.vertex_points == {0}
+        value, vertices, _ = disp2(g)
+        assert value == 1 and vertices == {0}
 
     def test_matches_oracle_small_exhaustive(self):
         for n in range(1, 5):
             for g in all_connected_graphs(n):
-                assert disp2(g)[0] == brute_disp(g, Fraction(2))[0]
+                assert disp(g, TWO)[0] == brute_disp(g, Fraction(2))[0]
 
     def test_matches_oracle_random(self):
         rng = random.Random(7)
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 8))
-            assert disp2(g)[0] == brute_disp(g, Fraction(2))[0]
+            assert disp(g, TWO)[0] == brute_disp(g, Fraction(2))[0]
 
     def test_lower_bound_matching_number(self):
         rng = random.Random(8)
         for _ in range(100):
             g = random_connected_graph(rng, rng.randint(2, 11), rng.randint(0, 10))
-            assert disp2(g)[0] >= matching_number(g)
+            assert disp(g, TWO)[0] >= matching_number(g)
 
     def test_perfect_matching_graphs_hit_matching_number(self):
         rng = random.Random(9)
@@ -135,7 +138,7 @@ class TestDisp2:
             g = random_connected_graph(rng, rng.choice([2, 4, 6, 8]), rng.randint(0, 8))
             dec = edmonds_gallai(g)
             if dec.remainder == frozenset(range(g.vertex_count)):
-                assert disp2(g)[0] == matching_number(g)
+                assert disp(g, TWO)[0] == matching_number(g)
                 seen += 1
         assert seen > 10
 
@@ -150,7 +153,7 @@ class TestDisp2:
                 and len(dec.odd_components) == 1
                 and g.vertex_count >= 3
             ):
-                assert disp2(g)[0] == matching_number(g)
+                assert disp(g, TWO)[0] == matching_number(g)
                 seen += 1
         assert seen > 10
 
@@ -158,25 +161,32 @@ class TestDisp2:
         rng = random.Random(11)
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8))
-            value, witness = disp2(g)
-            ws = witness.to_witness_set(g)
+            value, ws = disp(g, TWO)
             assert len(ws) == value
             assert is_dispersed(g, ws.points, Fraction(2))
-            assert validate_canonical(g, witness, edmonds_gallai(g))
+            _, vertices, mids = disp2(g)
+            assert validate_canonical(g, vertices, mids, edmonds_gallai(g))
+
+    def test_disp_witness_is_the_canonical_witness(self):
+        # disp(g, 2) places exactly disp2's vertex points and midpoints
+        rng = random.Random(12)
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randint(1, 10), rng.randint(0, 8))
+            value, vertices, mids = disp2(g)
+            canonical = {vertex_point(g, v) for v in vertices} | {midpoint(g, e) for e in mids}
+            assert disp(g, TWO) == (value, WitnessSet.build(g, canonical, TWO))
+            assert len(canonical) == value
 
 
 class TestValidateCanonical:
     def test_star_witness_valid(self):
-        _, witness = disp2(STAR)
-        assert validate_canonical(STAR, witness, edmonds_gallai(STAR))
+        _, vertices, mids = disp2(STAR)
+        assert validate_canonical(STAR, vertices, mids, edmonds_gallai(STAR))
 
     def test_extra_separator_vertex_point_rejected(self):
-        _, witness = disp2(STAR)
-        tampered = CanonicalWitness(
-            witness.vertex_points | {0}, witness.edge_midpoints
-        )
-        assert not validate_canonical(STAR, tampered, edmonds_gallai(STAR))
+        _, vertices, mids = disp2(STAR)
+        assert not validate_canonical(STAR, vertices | {0}, mids, edmonds_gallai(STAR))
 
     def test_k2_witness_valid(self):
-        _, witness = disp2(K2)
-        assert validate_canonical(K2, witness, edmonds_gallai(K2))
+        _, vertices, mids = disp2(K2)
+        assert validate_canonical(K2, vertices, mids, edmonds_gallai(K2))
