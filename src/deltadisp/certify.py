@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Graph, WitnessSet, as_rational, hop_ball, point_as_vertex
+from .core import Graph, WitnessSet, as_rational, hop_ball
 from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
@@ -56,16 +56,12 @@ class Verdict:
 
 
 def extract_certificate(g: Graph, ws: WitnessSet) -> Certificate:
-    """Forget exact offsets: keep vertex hits and per-edge interior counts."""
-    vertices: set[int] = set()
+    """Forget exact offsets: keep vertex hits and per-edge interior counts,
+    read from the witness's integer form."""
     counts: dict[int, int] = {}
-    for p in ws.points:
-        v = point_as_vertex(g, p)
-        if v is not None:
-            vertices.add(v)
-        else:
-            counts[p.edge_index] = counts.get(p.edge_index, 0) + 1
-    return Certificate(frozenset(vertices), counts)
+    for e, _ in ws.interior:
+        counts[e] = counts.get(e, 0) + 1
+    return Certificate(frozenset(ws.vertices), counts)
 
 
 def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> Verdict:

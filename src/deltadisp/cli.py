@@ -87,6 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file; a failure is a ValueError naming the path, so
+    it is reported as one ``error:`` line with exit code 2."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+
+
 #: one parser per process: building it costs more than most commands
 _shared_parser = cache(build_parser)
 
@@ -115,18 +124,19 @@ def run(argv: list[str]) -> int:
                 cap=args.cap,
                 timeout=args.timeout,
             )
-            print(value)
             if args.witness:
-                args.witness.write_text(format_witness(graph, witness))
+                _write(args.witness, format_witness(graph, witness))
+            print(value)
             return 0
 
         if args.command == "oracle":
             value, witness = brute_disp(graph, args.delta, cap=args.cap, timeout=args.timeout)
-            print(value)
             text = format_witness(graph, witness)
             if args.witness:
-                args.witness.write_text(text)
+                _write(args.witness, text)
+                print(value)
             else:
+                print(value)
                 sys.stdout.write(text)
             return 0
 
@@ -145,8 +155,8 @@ def run(argv: list[str]) -> int:
 
         if args.command == "gadget":
             inst = build_gadget(graph, args.delta)
-            Path(f"{args.out}.graph").write_text(format_graph(inst.g))
-            Path(f"{args.out}.map").write_text(format_gadget_map(inst))
+            _write(Path(f"{args.out}.graph"), format_graph(inst.g))
+            _write(Path(f"{args.out}.map"), format_gadget_map(inst))
             c = inst.coeffs
             per_edge = 2 * c.y1 + c.y2
             print(

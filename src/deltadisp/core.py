@@ -4,23 +4,32 @@ A graph here is a finite connected simple undirected graph whose edges all
 have unit length.  Facilities may sit anywhere on an edge, so alongside the
 usual vertex/edge structure this module models the continuum of edge points
 with exact rational offsets, the bounded hop search the local checks share,
-and the dispersion predicate behind :meth:`WitnessSet.verified`, the one
-check every solver's witness passes.  Edge subdivision maps points exactly:
-the points of offset denominator c are the vertices of the c-subdivision,
-and their distance is their hop count there divided by c, so the oracle's
+and the dispersion check behind :meth:`WitnessSet.verified`, the one check
+every solver's witness passes.  Edge subdivision maps points exactly: the
+points of offset denominator c are the vertices of the c-subdivision, and
+their distance is their hop count there divided by c, so the oracle's
 half-step grid for spacing a/b is the vertex set of the 2b-subdivision.
 
-All values are immutable and all arithmetic is exact (`fractions.Fraction`);
-no floats appear anywhere on the solver path.
+A witness is held in integers: a scale, the vertex ids it occupies, and an
+``(edge, k)`` pair per point at offset k/scale inside an edge.  Solvers
+emit that form, and the check and the witness printer read it; the
+:class:`Point` values of a witness are built only when asked for, and the
+point-level functions (:func:`is_dispersed`, :meth:`WitnessSet.build`,
+:func:`parse_witness`) read points into the same form.
+
+All values are immutable and all arithmetic is exact (integers, and
+`fractions.Fraction` for point offsets); no floats appear anywhere on the
+solver path.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Iterator
+from math import gcd, lcm
+from operator import eq, sub
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -223,73 +232,119 @@ def point_as_vertex(g: Graph, p: Point) -> int | None:
     return None if isinstance(key, tuple) else key
 
 
+def _point_form(g: Graph, points: Iterable[Point]) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Validate points and read them as ``(scale, vertex ids, (edge, k)
+    pairs)``: an interior point sits at offset k/scale, over the lcm of
+    the offsets' denominators.  Repeats are kept."""
+    vertices: list[int] = []
+    fractions: list[tuple[int, int, int]] = []
+    for p in points:
+        key = _point_key(g, p)
+        if isinstance(key, tuple):
+            fractions.append(key)
+        else:
+            vertices.append(key)
+    scale = lcm(*(den for _, _, den in fractions))
+    return scale, vertices, [(e, num * (scale // den)) for e, num, den in fractions]
+
+
 def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
     """True iff all pairs of distinct normalized points are >= delta apart.
 
-    Exact and local, in integers: each point is read once as a vertex id
-    or an ``(edge, numerator, denominator)`` triple, and offsets and delta
-    are scaled by the lcm L of their denominators, so an edge is L long.
-    Two points on one edge are exactly their offset difference apart (a
-    route around the edge is at least L long), so only neighbours in
-    offset order are compared.
+    An adapter: the points are read into the integer form of
+    :class:`WitnessSet` and decided by :func:`_dispersed`, the one
+    dispersion check.
+    """
+    delta = as_rational(delta)
+    scale, vertices, interior = _point_form(g, points)
+    return _dispersed(g, scale, set(vertices), sorted(set(interior)), delta)
+
+
+def _dispersed(
+    g: Graph,
+    scale: int,
+    vertices: Collection[int],
+    interior: Sequence[tuple[int, int]],
+    delta: Fraction,
+) -> bool:
+    """The dispersion check, on the integer form: distinct vertex ids and
+    distinct ``(edge, k)`` pairs in ascending order, the pair at offset
+    k/scale of its edge, 0 < k < scale.
+
+    Offsets and delta are scaled by L = lcm(scale, delta's denominator),
+    so an edge is L long.  Two points on one edge are exactly their offset
+    difference apart (a route around the edge is at least L long), so only
+    neighbours in offset order are compared.
     Every other route leaves one point's edge at an end x and enters the
     other's at an end y, and costs at least L hops(x, y); a pair closer
     than delta therefore has ends fewer than delta hops apart.  Along such
     a route a nearer point on the same edge, or the vertex itself, is
-    closer still, so each vertex keeps only its two nearest points, and a
-    :func:`hop_ball` around each occupied vertex pairs them up (hop 0, the
-    vertex itself, compares its own two points).
+    closer still, so each vertex keeps only its two nearest points (an
+    occupied vertex only its own: the offset check has put every other
+    point at least delta away from it), and a :func:`hop_ball` around each
+    vertex that keeps a point pairs them up.
 
-    The cost is the sort of each edge's points plus one search ball of
-    radius below delta per occupied vertex: linear in the witness times
-    the ball size, with no all-pairs table.
+    The cost is a pass over the sorted points, a sort of the edge ends and
+    one search ball of radius below delta per vertex that keeps a point:
+    near-linear in the witness times the ball size, with no all-pairs
+    table.
     """
-    vertices: set[int] = set()
-    interior: set[tuple[int, int, int]] = set()
-    for p in points:
-        key = _point_key(g, p)
-        if isinstance(key, tuple):
-            interior.add(key)
-        else:
-            vertices.add(key)
-    delta = as_rational(delta)
     if len(vertices) + len(interior) < 2:
         return True
-    scale = lcm(delta.denominator, *{den for _, _, den in interior})
-    limit = delta.numerator * (scale // delta.denominator)
+    length = lcm(scale, delta.denominator)
+    step = length // scale
+    limit = delta.numerator * (length // delta.denominator)
 
-    on_edge: dict[int, list[int]] = {}
-    for e, num, den in interior:
-        on_edge.setdefault(e, []).append(num * (scale // den))
+    # Offsets on one edge closer than delta differ by less than `gap`
+    # units of 1/scale.  Laying edge e's offsets out from e * (scale + gap)
+    # puts points of different edges at least `gap` apart, so one scan of
+    # the sorted pairs compares every edge's neighbours in offset order.
+    gap = -(-limit // step)
+    stride = scale + gap
+    laid = [e * stride + k for e, k in interior]
+    if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
+        return False
 
-    # per vertex, its (distance, point) pairs for the two nearest points;
-    # a vertex point is (0, v), an interior point (edge, scaled offset)
-    near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in vertices}
-
-    def attach(v: int, distance: int, point: object) -> None:
-        kept = near.setdefault(v, [])
-        kept.append((distance, point))
-        if len(kept) > 2:
-            kept.sort(key=lambda item: item[0])
-            kept.pop()
-
-    for e, offsets in on_edge.items():
-        u, v = g.edges[e]
-        offsets.sort()
-        line = ([0] if u in vertices else []) + offsets + ([scale] if v in vertices else [])
-        if any(b - a < limit for a, b in zip(line, line[1:])):
+    # Each edge's end points, named (edge, k): at an occupied end they
+    # must be delta away from it, at a vacant one they are kept as
+    # (vertex, distance, point) ends.
+    occupied = set(vertices)
+    edges = g.edges
+    ends: list[tuple[int, int, tuple[int, int]]] = []
+    for e, k in dict(reversed(interior)).items():  # each edge's first offset
+        u = edges[e][0]
+        if u not in occupied:
+            ends.append((u, k * step, (e, k)))
+        elif k < gap:
             return False
-        attach(u, offsets[0], (e, offsets[0]))
-        attach(v, scale - offsets[-1], (e, offsets[-1]))
+    for e, k in dict(interior).items():  # and its last
+        v = edges[e][1]
+        if v not in occupied:
+            ends.append((v, (scale - k) * step, (e, k)))
+        elif scale - k < gap:
+            return False
+
+    # per vertex, its (distance, point) pairs for the nearest points, nearest
+    # first: an occupied vertex's own point, named by its id, or the two
+    # nearest ends at a vacant one
+    near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in occupied}
+    ends.sort()
+    for x, distance, point in ends:
+        kept = near.setdefault(x, [])
+        if len(kept) < 2:
+            kept.append((distance, point))
 
     for x, here in near.items():
-        nearest = min(d for d, _ in here)
-        radius = (limit - nearest - 1) // scale  # hops a closer pair can span
+        if len(here) == 2 and here[0][0] + here[1][0] < limit:
+            return False  # hop 0: the two points nearest x
+        radius = (limit - here[0][0] - 1) // length
+        if radius < 1:
+            continue
         for y, hops in hop_ball(g, x, radius):
             there = near.get(y)
-            if there is None:
+            if there is None or hops == 0:
                 continue
-            reach = limit - hops * scale
+            reach = limit - hops * length
             if any(a + b < reach and p != q for a, p in here for b, q in there):
                 return False
     return True
@@ -322,37 +377,108 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class WitnessSet:
-    """A finite set of points claimed to be delta-dispersed."""
+    """A finite set of points claimed to be delta-dispersed, in integers.
 
-    points: tuple[Point, ...]
+    ``vertices`` are the vertex ids holding a point, ascending, and
+    ``interior`` the ``(edge, k)`` pairs, ascending, of the points strictly
+    inside an edge, at offset k/scale from its first endpoint (0 < k <
+    scale).  ``scale`` is the smallest common denominator of those offsets
+    (1 when there are none), so equal sets compare equal.  ``points``, the
+    same set as normalized :class:`Point` values sorted by edge and offset,
+    is built on first use; solvers never build it.
+    """
+
+    graph: Graph = field(compare=False, repr=False)
+    scale: int
+    vertices: tuple[int, ...]
+    interior: tuple[tuple[int, int], ...]
     delta: Fraction
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.vertices) + len(self.interior)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The points, normalized and sorted by edge and offset."""
+        s = self.scale
+        return tuple(Point(e, Fraction(x, s)) for e, x in self._sorted_keys())
+
+    def _sorted_keys(self) -> list[tuple[int, int]]:
+        """``(edge, x)`` per point, the point at offset x/scale of the edge,
+        in the order of :attr:`points`: a vertex on its lowest-indexed edge,
+        the lone vertex of an edgeless graph as ``(-1, 0)``."""
+        incident, edges, s = self.graph.incident_edges, self.graph.edges, self.scale
+        keys = list(self.interior)
+        for v in self.vertices:
+            if incident[v]:
+                e = incident[v][0]
+                keys.append((e, 0 if edges[e][0] == v else s))
+            else:
+                keys.append((-1, 0))
+        keys.sort()
+        return keys
+
+    @classmethod
+    def _from_form(
+        cls,
+        g: Graph,
+        scale: int,
+        vertices: Iterable[int],
+        interior: Iterable[tuple[int, int]],
+        delta: Fraction,
+    ) -> "WitnessSet":
+        """Sort the integer form, check it names distinct points of g, and
+        reduce it to the smallest scale.  Raises ValueError otherwise."""
+        vertices = sorted(vertices)
+        interior = sorted(interior)
+        if any(map(eq, vertices, vertices[1:])) or any(map(eq, interior, interior[1:])):
+            raise ValueError("witness points are not pairwise distinct")
+        if vertices and not (vertices[0] >= 0 and vertices[-1] < g.vertex_count):
+            raise ValueError("witness vertex outside the graph")
+        if interior:
+            ks = [k for _, k in interior]
+            if not (interior[0][0] >= 0 and interior[-1][0] < g.edge_count):
+                raise ValueError("witness edge outside the graph")
+            if min(ks) < 1 or max(ks) >= scale:
+                raise ValueError("witness offset outside its edge")
+            common = gcd(scale, *ks)
+            if common > 1:
+                scale //= common
+                interior = [(e, k // common) for e, k in interior]
+        else:
+            scale = 1
+        return cls(g, scale, tuple(vertices), tuple(interior), as_rational(delta))
+
     @classmethod
     def build(cls, g: Graph, points: Iterable[Point], delta: Fraction) -> "WitnessSet":
-        """Normalize, sort and deduplicate-check the given points."""
-        norm = [normalize_point(g, p) for p in points]
-        keys = {(p.edge_index, p.offset.numerator, p.offset.denominator) for p in norm}
-        if len(keys) != len(norm):
-            raise ValueError("witness points are not pairwise distinct")
-        norm.sort(key=lambda p: (p.edge_index, p.offset))
-        return cls(tuple(norm), as_rational(delta))
+        """Read points into the integer form; ValueError if two coincide."""
+        return cls._from_form(g, *_point_form(g, points), delta)
 
     @classmethod
     def verified(
-        cls, g: Graph, points: Iterable[Point], delta: Fraction, size: int
+        cls,
+        g: Graph,
+        scale: int,
+        vertices: Iterable[int],
+        interior: Iterable[tuple[int, int]],
+        delta: Fraction,
+        size: int,
     ) -> "WitnessSet":
-        """:meth:`build`, then the one check every solver's witness passes:
-        `size` points, pairwise at least delta apart.  Raises
-        InternalConsistencyError otherwise, so a construction bug cannot
-        surface as a wrong answer."""
-        witness = cls.build(g, points, delta)
-        if len(witness) != size or not is_dispersed(g, witness.points, witness.delta):
+        """The one exit every solver's witness passes, given in the integer
+        form (in any order, at any scale): it must name `size` distinct
+        points of g, pairwise at least delta apart, checked by
+        :func:`_dispersed`.  Raises InternalConsistencyError otherwise, so a
+        construction bug cannot surface as a wrong answer."""
+        try:
+            witness = cls._from_form(g, scale, vertices, interior, delta)
+        except ValueError as exc:
+            raise InternalConsistencyError(f"solver witness rejected: {exc}") from None
+        if len(witness) != size or not _dispersed(
+            g, witness.scale, witness.vertices, witness.interior, witness.delta
+        ):
             raise InternalConsistencyError(
                 f"witness of {len(witness)} points fails verification for value {size}"
             )
@@ -483,11 +609,22 @@ def format_graph(g: Graph) -> str:
 
 
 def format_witness(g: Graph, ws: WitnessSet) -> str:
-    """One line per point: ``e u v num/den`` with the offset taken from u."""
+    """One line per point, in the order of ``ws.points``: ``e u v num/den``
+    with the offset taken from u, in lowest terms."""
+    s = ws.scale
     out = []
-    for p in ws.points:
-        u, v = (0, 0) if p.edge_index == -1 else g.edges[p.edge_index]
-        out.append(f"{p.edge_index} {u} {v} {p.offset.numerator}/{p.offset.denominator}")
+    offsets: dict[int, str] = {}
+    edge = None
+    for e, x in ws._sorted_keys():
+        if e != edge:  # the keys come edge by edge
+            edge = e
+            u, v = (0, 0) if e == -1 else g.edges[e]
+            prefix = f"{e} {u} {v} "
+        text = offsets.get(x)
+        if text is None:
+            d = gcd(x, s)
+            text = offsets[x] = f"{x // d}/{s // d}"
+        out.append(prefix + text)
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Graph, Point, WitnessSet, as_rational, vertex_point
+from .core import Graph, WitnessSet, as_rational
 from .errors import InternalConsistencyError, NPHardRegimeError
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 from .solve2 import disp2
@@ -28,10 +28,11 @@ def disp(
 ) -> tuple[int, WitnessSet]:
     """Maximum size of a delta-dispersed point set, with a witness.
 
-    The polynomial routes return their value and witness points unchecked,
-    and the witness is built and verified (cardinality and pairwise
-    spacing) once, here; numerators >= 3 return :func:`brute_disp`'s
-    answer, verified the same way at its exit.  So an internal construction
+    The polynomial routes return their value and witness unchecked, in
+    the integer form of :meth:`WitnessSet.verified`, and the witness is
+    verified (cardinality and pairwise spacing) once, here; numerators
+    >= 3 return :func:`brute_disp`'s answer, verified the same way at its
+    exit.  So an internal construction
     bug cannot surface as a wrong answer.  A single point is always
     placeable, so the value is >= 1.
     """
@@ -40,9 +41,9 @@ def disp(
         raise ValueError("delta must be positive")
     a, b = delta.numerator, delta.denominator
     if a == 1:
-        value, points = _unit_numerator(g, b)
+        value, form = _unit_numerator(g, b)
     elif a == 2:
-        value, points = _numerator_two(g, b)
+        value, form = _numerator_two(g, b)
     elif not allow_bruteforce:
         raise NPHardRegimeError(
             f"computing the {a}/{b}-dispersion number is NP-hard for "
@@ -51,25 +52,24 @@ def disp(
         )
     else:
         return brute_disp(g, delta, cap, timeout)
-    return value, WitnessSet.verified(g, points, delta, value)
+    return value, WitnessSet.verified(g, *form, delta, value)
 
 
-def _unit_numerator(g: Graph, b: int) -> tuple[int, list[Point]]:
-    """delta = 1/b: trees fit b points per edge plus one, others b per edge."""
-    points: list[Point] = []
+def _unit_numerator(g: Graph, b: int) -> tuple[int, tuple]:
+    """delta = 1/b: trees fit b points per edge plus one, others b per edge.
+
+    Returns the value and the witness in the integer form ``(scale,
+    vertex ids, (edge, k) pairs)`` that :meth:`WitnessSet.verified` takes.
+    """
+    m = g.edge_count
     if g.is_tree:
-        points.extend(vertex_point(g, v) for v in range(g.vertex_count))
-        for e in range(g.edge_count):
-            points.extend(Point(e, Fraction(i, b)) for i in range(1, b))
-        value = b * g.edge_count + 1
-    else:
-        for e in range(g.edge_count):
-            points.extend(Point(e, Fraction(2 * i - 1, 2 * b)) for i in range(1, b + 1))
-        value = b * g.edge_count
-    return value, points
+        interior = [(e, i) for e in range(m) for i in range(1, b)]
+        return b * m + 1, (b, range(g.vertex_count), interior)
+    interior = [(e, 2 * i - 1) for e in range(m) for i in range(1, b + 1)]
+    return b * m, (2 * b, (), interior)
 
 
-def _numerator_two(g: Graph, b: int) -> tuple[int, list[Point]]:
+def _numerator_two(g: Graph, b: int) -> tuple[int, tuple]:
     """delta = 2/b, b = 2z+1 odd: an optimal delta=2 set plus z points per edge.
 
     The canonical delta=2 witness partitions the edges into those touching
@@ -77,12 +77,14 @@ def _numerator_two(g: Graph, b: int) -> tuple[int, list[Point]]:
     each class gets its own evenly spaced refill pattern: i*delta from the
     chosen vertex, (i - 3/4)*delta and (i - 1/4)*delta from the first end.
     At delta = 2 (z = 0) the pattern is the canonical witness itself.
+    Offsets are in units of 1/(2b), returned as :func:`_unit_numerator`'s.
     """
     if b % 2 == 0:
         raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
     z = (b - 1) // 2
     base_value, vertices, mids = disp2(g)
-    points = [vertex_point(g, v) for v in vertices]
+    q = 2 * b
+    interior: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(g.edges):
         if u in vertices or v in vertices:
             if u in vertices and v in vertices:
@@ -90,11 +92,11 @@ def _numerator_two(g: Graph, b: int) -> tuple[int, list[Point]]:
             if e in mids:
                 raise InternalConsistencyError("midpoint edge touches a chosen vertex")
             if u in vertices:
-                points.extend(Point(e, Fraction(2 * i, b)) for i in range(1, z + 1))
+                interior.extend((e, 4 * i) for i in range(1, z + 1))
             else:
-                points.extend(Point(e, Fraction(b - 2 * i, b)) for i in range(1, z + 1))
+                interior.extend((e, q - 4 * i) for i in range(z, 0, -1))
         elif e in mids:
-            points.extend(Point(e, Fraction(4 * i - 3, 2 * b)) for i in range(1, z + 2))
+            interior.extend((e, 4 * i - 3) for i in range(1, z + 2))
         else:
-            points.extend(Point(e, Fraction(4 * i - 1, 2 * b)) for i in range(1, z + 1))
-    return base_value + z * g.edge_count, points
+            interior.extend((e, 4 * i - 1) for i in range(1, z + 1))
+    return base_value + z * g.edge_count, (q, vertices, interior)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    Graph,
-    Point,
-    WitnessSet,
-    as_rational,
-    normalize_point,
-    vertex_point,
-)
+from .core import Graph, WitnessSet, as_rational
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -172,19 +165,26 @@ def predicted_bound(inst: GadgetInstance, k: int) -> int:
     return k + (2 * c.y1 + c.y2) * inst.h_edge_count
 
 
-def _point_along(g: Graph, verts: Sequence[int], t: Fraction) -> Point:
-    """The point at distance t from the start of a chain of unit edges."""
-    if t < 0 or t > len(verts) - 1:
+def _place(
+    g: Graph,
+    verts: Sequence[int],
+    t: int,
+    q: int,
+    vertices: list[int],
+    interior: list[tuple[int, int]],
+) -> None:
+    """Add the point t/q along a chain of unit edges to `vertices`, or as
+    an ``(edge, k)`` pair at scale q to `interior`."""
+    if t < 0 or t > (len(verts) - 1) * q:
         raise ValueError("distance outside the chain")
-    step = t.numerator // t.denominator
-    off = t - step
-    if off == 0:
-        return vertex_point(g, verts[step])
+    step, rem = divmod(t, q)
+    if rem == 0:
+        vertices.append(verts[step])
+        return
     e = g.edge_index(verts[step], verts[step + 1])
     if e is None:
         raise ValueError("chain vertices are not adjacent")
-    u, _ = g.edges[e]
-    return normalize_point(g, Point(e, off if u == verts[step] else 1 - off))
+    interior.append((e, rem if g.edges[e][0] == verts[step] else q - rem))
 
 
 def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int]) -> WitnessSet:
@@ -195,7 +195,8 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
     cycle gets its fixed quota of points, so the set has
     :func:`predicted_bound` points; it is verified before it is returned.
     Only odd numerators carry this construction; the even variant is
-    validated through the brute-force oracle instead.
+    validated through the brute-force oracle instead.  Distances along the
+    chains are counted in units of 1/(2b), so the spacing a/b is 2a units.
     """
     chosen = frozenset(independent)
     if not all(0 <= v < inst.h.vertex_count for v in chosen):
@@ -207,20 +208,21 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
         raise ValueError("witness construction is only defined for odd numerators")
 
     g = inst.g
-    delta = inst.delta
-    a, b = delta.numerator, delta.denominator
+    a, q = inst.delta.numerator, 2 * inst.delta.denominator
     c = inst.coeffs
-    points: list[Point] = [vertex_point(g, inst.vmap[u]) for u in sorted(chosen)]
+    vertices = [inst.vmap[u] for u in sorted(chosen)]
+    interior: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(inst.h.edges):
         for side, endpoint in ((0, u), (1, v)):
-            start = delta if endpoint in chosen else delta / 2
-            verts = inst.paths[e][side]
-            points.extend(_point_along(g, verts, start + j * delta) for j in range(c.y1))
-        first = Fraction(a + 1, 2 * b)
-        verts = inst.cycles[e]
-        points.extend(_point_along(g, verts, first + j * delta) for j in range(c.y2))
+            start = 2 * a if endpoint in chosen else a
+            for j in range(c.y1):
+                _place(g, inst.paths[e][side], start + 2 * a * j, q, vertices, interior)
+        for j in range(c.y2):
+            _place(g, inst.cycles[e], a + 1 + 2 * a * j, q, vertices, interior)
 
-    return WitnessSet.verified(g, points, delta, predicted_bound(inst, len(chosen)))
+    return WitnessSet.verified(
+        g, q, vertices, interior, inst.delta, predicted_bound(inst, len(chosen))
+    )
 
 
 def format_gadget_map(inst: GadgetInstance) -> str:

@@ -29,15 +29,7 @@ from math import isnan
 from time import monotonic
 from typing import Callable
 
-from .core import (
-    Graph,
-    Point,
-    SubdivisionMap,
-    WitnessSet,
-    as_rational,
-    subdivide,
-    vertex_point,
-)
+from .core import Graph, Point, SubdivisionMap, WitnessSet, as_rational, subdivide
 from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -284,22 +276,29 @@ def brute_disp(
     try:
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
-        raise _with_incumbent(exc, g, [vertex_point(g, 0)], 1, delta) from None
+        raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline)
     except _SearchTimeout as exc:
         size = exc.mask.bit_count()
-        raise _with_incumbent(exc, g, _points(cg, exc.mask), size, delta) from None
-    return value, WitnessSet.verified(g, _points(cg, mask), delta, value)
+        raise _with_incumbent(exc, g, _form(cg, exc.mask), size, delta) from None
+    return value, WitnessSet.verified(g, *_form(cg, mask), delta, value)
 
 
-def _points(cg: ConflictGraph, mask: int) -> list[Point]:
-    return [cg.grid.source_point(i) for i in range(mask.bit_length()) if mask >> i & 1]
+def _form(cg: ConflictGraph, mask: int) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """The candidates in `mask` as ``(scale, vertex ids, (edge, k) pairs)``:
+    candidate i < n is vertex i, and candidate n + e(q-1) + r the point
+    (r+1)/q along edge e."""
+    n, q = cg.grid.source.vertex_count, cg.grid.factor
+    chosen = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    interior = [divmod(i - n, q - 1) for i in chosen if i >= n]
+    return q, [i for i in chosen if i < n], [(e, r + 1) for e, r in interior]
 
 
 def _with_incumbent(
-    exc: OracleTimeoutError, g: Graph, points: list[Point], size: int, delta: Fraction
+    exc: OracleTimeoutError, g: Graph, form: tuple, size: int, delta: Fraction
 ) -> OracleTimeoutError:
-    """`exc`'s message with the `size` `points` attached as a verified witness."""
-    witness = WitnessSet.verified(g, points, delta, size)
+    """`exc`'s message with the `size` points of `form`, in :func:`_form`'s
+    shape, attached as a verified witness."""
+    witness = WitnessSet.verified(g, *form, delta, size)
     return OracleTimeoutError(str(exc), best=size, witness=witness)

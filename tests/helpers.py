@@ -6,11 +6,14 @@ from iterating all subsets, linear feasibility from grid search or
 Fourier-Motzkin elimination over the dense all-pairs certificate system,
 dispersion from comparing every pair of points with the point metric,
 grid conflicts from every pair of candidates over the all-pairs hop table,
-and maximum independent sets from a plain branch-and-bound.  The all-pairs
-hop table, the point metric over it, edge midpoints, vertex vicinities, the matching
-shorthands and the conflict-pair listing live here too, since only tests
-use them, and so does the earlier matching engine (one blossom search per
-exposed vertex), the differential reference for the alternating forest.
+and maximum independent sets from a plain branch-and-bound.  The point
+pipeline the integer witness form replaced (Fraction points per route, their
+normalization, sort, local check and printing) is kept as the differential
+reference for that form.  The all-pairs hop table, the point metric over
+it, edge midpoints, vertex vicinities, the matching shorthands and the
+conflict-pair listing live here too, since only tests use them, and so
+does the earlier matching engine (one blossom search per exposed vertex),
+the differential reference for the alternating forest.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from deltadisp import Graph, Point, as_rational, normalize_point, vertex_point
+from deltadisp.core import _point_key, hop_ball
 from deltadisp.errors import InternalConsistencyError
 from deltadisp.matching import EGDecomposition, component_split, matching_and_inessential
-from deltadisp.solve2 import CutInstance
+from deltadisp.solve2 import CutInstance, disp2
 
 
 def _connected_mask(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -693,3 +698,146 @@ def reference_max_independent_set(conflicts) -> tuple[int, int]:
         stack.append((count, chosen, rem & ~bit))
         stack.append((count + 1, chosen | bit, rem & ~(conflicts[pick] | bit)))
     return best, best_mask
+
+
+# ---------------------------------------------------------------------------
+# The point pipeline the integer witness form replaced: each route built a
+# Fraction point per witness point, the witness normalized and sorted them,
+# the dispersion check read each back into integers through `_point_key`,
+# and the witness printer walked the points.
+# ---------------------------------------------------------------------------
+
+
+def reference_build(g: Graph, points) -> tuple[Point, ...]:
+    """Normalized points sorted by edge and offset; ValueError on a repeat."""
+    norm = [normalize_point(g, p) for p in points]
+    keys = {(p.edge_index, p.offset.numerator, p.offset.denominator) for p in norm}
+    if len(keys) != len(norm):
+        raise ValueError("witness points are not pairwise distinct")
+    norm.sort(key=lambda p: (p.edge_index, p.offset))
+    return tuple(norm)
+
+
+def reference_is_dispersed(g: Graph, points, delta) -> bool:
+    """The local dispersion check over points: offsets and delta scaled by
+    the lcm of their denominators, neighbours in offset order compared per
+    edge, and the two nearest points of each vertex paired up in a hop ball
+    of radius below delta."""
+    vertices: set[int] = set()
+    interior: set[tuple[int, int, int]] = set()
+    for p in points:
+        key = _point_key(g, p)
+        if isinstance(key, tuple):
+            interior.add(key)
+        else:
+            vertices.add(key)
+    delta = as_rational(delta)
+    if len(vertices) + len(interior) < 2:
+        return True
+    scale = lcm(delta.denominator, *{den for _, _, den in interior})
+    limit = delta.numerator * (scale // delta.denominator)
+
+    on_edge: dict[int, list[int]] = {}
+    for e, num, den in interior:
+        on_edge.setdefault(e, []).append(num * (scale // den))
+
+    near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in vertices}
+
+    def attach(v: int, distance: int, point: object) -> None:
+        kept = near.setdefault(v, [])
+        kept.append((distance, point))
+        if len(kept) > 2:
+            kept.sort(key=lambda item: item[0])
+            kept.pop()
+
+    for e, offsets in on_edge.items():
+        u, v = g.edges[e]
+        offsets.sort()
+        line = ([0] if u in vertices else []) + offsets + ([scale] if v in vertices else [])
+        if any(b - a < limit for a, b in zip(line, line[1:])):
+            return False
+        attach(u, offsets[0], (e, offsets[0]))
+        attach(v, scale - offsets[-1], (e, offsets[-1]))
+
+    for x, here in near.items():
+        nearest = min(d for d, _ in here)
+        radius = (limit - nearest - 1) // scale
+        for y, hops in hop_ball(g, x, radius):
+            there = near.get(y)
+            if there is None:
+                continue
+            reach = limit - hops * scale
+            if any(a + b < reach and p != q for a, p in here for b, q in there):
+                return False
+    return True
+
+
+def reference_format_witness(g: Graph, points) -> str:
+    """One ``e u v num/den`` line per point, in the given order."""
+    out = []
+    for p in points:
+        u, v = (0, 0) if p.edge_index == -1 else g.edges[p.edge_index]
+        out.append(f"{p.edge_index} {u} {v} {p.offset.numerator}/{p.offset.denominator}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def reference_unit_numerator_points(g: Graph, b: int) -> list[Point]:
+    """The closed-form witness at delta = 1/b as points."""
+    if g.is_tree:
+        points = [vertex_point(g, v) for v in range(g.vertex_count)]
+        for e in range(g.edge_count):
+            points.extend(Point(e, Fraction(i, b)) for i in range(1, b))
+        return points
+    return [
+        Point(e, Fraction(2 * i - 1, 2 * b))
+        for e in range(g.edge_count)
+        for i in range(1, b + 1)
+    ]
+
+
+def reference_numerator_two_points(g: Graph, b: int) -> list[Point]:
+    """The witness at delta = 2/b (b odd) as points: disp2's vertices, and
+    each edge's refill pattern by its class."""
+    z = (b - 1) // 2
+    _, vertices, mids = disp2(g)
+    points = [vertex_point(g, v) for v in vertices]
+    for e, (u, v) in enumerate(g.edges):
+        if u in vertices:
+            points.extend(Point(e, Fraction(2 * i, b)) for i in range(1, z + 1))
+        elif v in vertices:
+            points.extend(Point(e, Fraction(b - 2 * i, b)) for i in range(1, z + 1))
+        elif e in mids:
+            points.extend(Point(e, Fraction(4 * i - 3, 2 * b)) for i in range(1, z + 2))
+        else:
+            points.extend(Point(e, Fraction(4 * i - 1, 2 * b)) for i in range(1, z + 1))
+    return points
+
+
+def reference_oracle_points(cg, mask: int) -> list[Point]:
+    """The grid candidates chosen by `mask`, as points of the source graph."""
+    return [cg.grid.source_point(i) for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def reference_gadget_points(inst, independent) -> list[Point]:
+    """The gadget witness of an independent set (odd numerators) as points,
+    each placed at its Fraction distance along its chain."""
+
+    def along(verts, t: Fraction) -> Point:
+        step = t.numerator // t.denominator
+        off = t - step
+        if off == 0:
+            return vertex_point(g, verts[step])
+        e = g.edge_index(verts[step], verts[step + 1])
+        u, _ = g.edges[e]
+        return normalize_point(g, Point(e, off if u == verts[step] else 1 - off))
+
+    g, delta, c = inst.g, inst.delta, inst.coeffs
+    chosen = frozenset(independent)
+    points = [vertex_point(g, inst.vmap[u]) for u in sorted(chosen)]
+    for e, (u, v) in enumerate(inst.h.edges):
+        for side, endpoint in ((0, u), (1, v)):
+            start = delta if endpoint in chosen else delta / 2
+            points.extend(along(inst.paths[e][side], start + j * delta) for j in range(c.y1))
+        first = Fraction(delta.numerator + 1, 2 * delta.denominator)
+        points.extend(along(inst.cycles[e], first + j * delta) for j in range(c.y2))
+    return points

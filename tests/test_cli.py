@@ -89,8 +89,8 @@ class TestSolve:
         route = dispatch._unit_numerator
 
         def corrupted(g, b):
-            value, points = route(g, b)
-            return value + 1, points
+            value, form = route(g, b)
+            return value + 1, form
 
         monkeypatch.setattr(dispatch, "_unit_numerator", corrupted)
         assert run(["solve", str(star), "--delta", "1"]) == 4
@@ -98,6 +98,30 @@ class TestSolve:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("internal error: ")
+
+    def test_repeated_point_exits_4(self, star, capsys, monkeypatch):
+        # a route that emits one vertex twice is an internal error, not bad input
+        from deltadisp import dispatch
+
+        route = dispatch._unit_numerator
+
+        def repeating(g, b):
+            value, (scale, vertices, interior) = route(g, b)
+            return value, (scale, [*vertices, vertices[0]], interior)
+
+        monkeypatch.setattr(dispatch, "_unit_numerator", repeating)
+        assert run(["solve", str(star), "--delta", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ")
+        assert "not pairwise distinct" in lines[0]
+
+    def test_unwritable_witness_exits_2(self, star, tmp_path, capsys):
+        assert run(["solve", str(star), "--delta", "1/2", "--witness", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {tmp_path}: Is a directory"]
 
 
 class TestOracle:
@@ -152,6 +176,13 @@ class TestOracle:
                 oracle_out = capsys.readouterr().out.splitlines()[0]
                 assert solve_out == oracle_out, (name, delta)
 
+    def test_unwritable_witness_exits_2(self, k2, tmp_path, capsys):
+        target = tmp_path / "missing" / "w"
+        assert run(["oracle", str(k2), "--delta", "3", "--witness", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {target}: No such file or directory"]
+
     def test_witness_is_checked(self, k2, capsys, monkeypatch):
         # a search result of two conflicting candidates (both ends of K2)
         from deltadisp import brute_disp, oracle
@@ -205,6 +236,15 @@ class TestGadget:
         assert emitted.vertex_count == 64 and emitted.edge_count == 72
         map_lines = (tmp_path / "gg.map").read_text().splitlines()
         assert len(map_lines) == 10
+
+    def test_unwritable_output_exits_2(self, k4, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "gg"
+        assert run(["gadget", str(k4), "--delta", "3", "--out", str(prefix)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {prefix}.graph: No such file or directory"
+        ]
 
     def test_non_cubic_rejected(self, star, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

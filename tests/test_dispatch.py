@@ -1,5 +1,6 @@
 """Routing of spacings to the closed forms, the delta=2 reduction, or the oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,13 @@ from helpers import (
     random_cactus,
     random_connected_graph,
     random_tree,
+    reference_build,
+    reference_format_witness,
+    reference_gadget_points,
+    reference_is_dispersed,
+    reference_numerator_two_points,
+    reference_oracle_points,
+    reference_unit_numerator_points,
 )
 
 from deltadisp import (
@@ -16,11 +24,15 @@ from deltadisp import (
     InternalConsistencyError,
     NPHardRegimeError,
     OracleTimeoutError,
+    Point,
     WitnessSet,
     brute_disp,
+    build_conflict_graph,
     build_gadget,
     cubic_catalogue,
     disp,
+    extract_certificate,
+    format_witness,
     is_dispersed,
     subdivide,
     vertex_point,
@@ -178,20 +190,20 @@ class TestOneBuildOneCheck:
         from deltadisp import core
 
         counts = {"build": 0, "check": 0}
-        check = core.is_dispersed
+        check = core._dispersed
 
         def checking(*args, **kwargs):
             counts["check"] += 1
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(core, "is_dispersed", checking)
-        build = WitnessSet.build.__func__
+        monkeypatch.setattr(core, "_dispersed", checking)
+        build = WitnessSet._from_form.__func__
 
         def building(cls, *args, **kwargs):
             counts["build"] += 1
             return build(cls, *args, **kwargs)
 
-        monkeypatch.setattr(WitnessSet, "build", classmethod(building))
+        monkeypatch.setattr(WitnessSet, "_from_form", classmethod(building))
         return counts
 
     def _once(self, counts, solve):
@@ -239,8 +251,8 @@ class TestCheckedExit:
         route = dispatch._unit_numerator
 
         def corrupted(g, b):
-            value, points = route(g, b)
-            return value + 1, points
+            value, form = route(g, b)
+            return value + 1, form
 
         monkeypatch.setattr(dispatch, "_unit_numerator", corrupted)
         for g in (STAR, C3):
@@ -279,3 +291,116 @@ class TestCheckedExit:
         monkeypatch.setattr(oracle, "_max_independent_set", timed_out)
         with pytest.raises(InternalConsistencyError, match="fails verification"):
             brute_disp(K2, Fraction(3))
+
+
+class TestIntegerWitness:
+    """Every route's integer witness against the point pipeline it replaced."""
+
+    def _cases(self, monkeypatch):
+        """``(graph, delta, witness, reference points)`` over every route."""
+        from deltadisp import oracle
+
+        rng = random.Random(81)
+        trees = [random_tree(rng, n) for n in (1, 2, 3, 6, 9, 11, 14, 17, 20, 25)]
+        sparse = [random_connected_graph(rng, n, n // 3) for n in (4, 6, 8, 10, 13, 16, 20, 25)]
+        cacti = [random_cactus(rng, n) for n in (5, 7, 9, 12, 15, 18, 22, 26)]
+        small = [
+            random_connected_graph(rng, n, extra)
+            for n, extra in ((3, 1), (4, 1), (5, 0), (5, 2), (6, 1))
+        ]
+        cases = []
+        for g in trees + sparse + cacti + small:
+            for b in (1, 2, 3, 4):
+                delta = Fraction(1, b)
+                cases.append((g, delta, disp(g, delta)[1], reference_unit_numerator_points(g, b)))
+            for b in (1, 3, 5):
+                delta = Fraction(2, b)
+                cases.append((g, delta, disp(g, delta)[1], reference_numerator_two_points(g, b)))
+        search = oracle._max_independent_set
+        for g in small:
+            for delta in (Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(4, 3)):
+                cg = build_conflict_graph(g, delta)
+                reference = reference_oracle_points(cg, search(cg.conflicts, None)[1])
+                cases.append((g, delta, brute_disp(g, delta)[1], reference))
+
+        # a timed-out search's incumbent: the optimum less its first candidate
+        def timed_out(conflicts, deadline):
+            mask = search(conflicts, None)[1]
+            raise oracle._SearchTimeout(mask & (mask - 1))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_max_independent_set", timed_out)
+            for g in small:
+                delta = Fraction(5, 2)
+                cg = build_conflict_graph(g, delta)
+                mask = search(cg.conflicts, None)[1]
+                with pytest.raises(OracleTimeoutError) as err:
+                    brute_disp(g, delta)
+                incumbent = reference_oracle_points(cg, mask & (mask - 1))
+                cases.append((g, delta, err.value.witness, incumbent))
+
+        for delta in (Fraction(3), Fraction(5, 2)):
+            inst = build_gadget(cubic_catalogue()["k4"], delta)
+            for chosen in ((), (0,), (2,)):
+                cases.append((
+                    inst.g, delta, witness_from_independent_set(inst, chosen),
+                    reference_gadget_points(inst, chosen),
+                ))
+        return cases
+
+    def test_matches_point_pipeline(self, monkeypatch):
+        from deltadisp import core
+
+        cases = self._cases(monkeypatch)
+        mismatches = []
+        verdicts = {True: 0, False: 0}
+        for g, delta, witness, reference in cases:
+            points = reference_build(g, reference)
+            if witness.points != points or witness != WitnessSet.build(g, reference, delta):
+                mismatches.append(("points", g, delta))
+            if format_witness(g, witness) != reference_format_witness(g, points):
+                mismatches.append(("text", g, delta))
+            form = (witness.scale, witness.vertices, witness.interior)
+            for spacing in (delta, delta * Fraction(9, 8), delta * Fraction(3, 2)):
+                want = reference_is_dispersed(g, reference, spacing)
+                verdicts[want] += 1
+                got = (core._dispersed(g, *form, spacing), is_dispersed(g, points, spacing))
+                if got != (want, want):
+                    mismatches.append(("verdict", g, spacing))
+        # two witnesses on one graph are equal exactly when their reference
+        # points and spacings are
+        keyed = [(g, delta, w, reference_build(g, r)) for g, delta, w, r in cases]
+        for (g1, d1, w1, p1), (g2, d2, w2, p2) in itertools.combinations(keyed, 2):
+            if g1 is g2 and (w1 == w2) != (d1 == d2 and p1 == p2):
+                mismatches.append(("equality", g1, d1, d2))
+        assert mismatches == []
+        assert len(cases) > 200 and min(verdicts.values()) > 200, (len(cases), verdicts)
+
+    def test_solvers_build_no_point_until_read(self, monkeypatch):
+        built = []
+        init = Point.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(Point, "__post_init__", counting)
+        rng = random.Random(82)
+        graphs = [random_tree(rng, 12), random_connected_graph(rng, 12, 4), random_cactus(rng, 12)]
+        inst = build_gadget(cubic_catalogue()["k4"], Fraction(3))
+        solves = [
+            (g, lambda g=g, delta=delta: disp(g, delta))
+            for g in graphs
+            for delta in (Fraction(1), Fraction(1, 3), Fraction(2), Fraction(2, 3), Fraction(2, 5))
+        ]
+        solves.append((graphs[0], lambda: brute_disp(graphs[0], Fraction(5, 2))))
+        solves.append((inst.g, lambda: (None, witness_from_independent_set(inst, {0}))))
+        for g, solve in solves:
+            _, witness = solve()
+            format_witness(g, witness)
+            extract_certificate(g, witness)
+            assert built == []
+            assert len(witness.points) == len(witness) == len(built)
+            witness.points
+            assert len(built) == len(witness)
+            built.clear()
