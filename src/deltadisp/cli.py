@@ -1,14 +1,16 @@
 """Command-line front end for the dispersion solver suite.
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
-error, 3 resource guard tripped (candidate cap or timeout; a timeout names
-the verified lower bound the oracle had found), 4 internal error (a
-structural guarantee failed; a bug, not bad input).
+error, 3 resource guard tripped (candidate cap, tree grid limit or timeout;
+a timeout names the verified lower bound the oracle had found), 4 internal
+error (a structural guarantee failed; a bug, not bad input).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from fractions import Fraction
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--brute-force",
         action="store_true",
-        help="allow the exponential oracle for numerators >= 3",
+        help="allow the exponential oracle for numerators >= 3 on non-trees",
     )
     solve.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
     solve.add_argument("--timeout", type=float, default=None)
@@ -87,13 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: Path, text: str) -> None:
-    """Write an output file; a failure is a ValueError naming the path, so
-    it is reported as one ``error:`` line with exit code 2."""
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+def _write(*outputs: tuple[Path, str]) -> None:
+    """Write ``(path, text)`` output files.
+
+    The paths after the first are checked before the first is written (the
+    first one's own write fails before anything is written), so a path
+    that names a directory leaves no other output behind.  A failure is a
+    ValueError naming the path, so it is reported as one ``error:`` line
+    with exit code 2.
+    """
+    for path, _ in outputs[1:]:
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: {os.strerror(errno.EISDIR)}")
+    for path, text in outputs:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
 #: one parser per process: building it costs more than most commands
@@ -125,7 +137,7 @@ def run(argv: list[str]) -> int:
                 timeout=args.timeout,
             )
             if args.witness:
-                _write(args.witness, format_witness(graph, witness))
+                _write((args.witness, format_witness(graph, witness)))
             print(value)
             return 0
 
@@ -133,7 +145,7 @@ def run(argv: list[str]) -> int:
             value, witness = brute_disp(graph, args.delta, cap=args.cap, timeout=args.timeout)
             text = format_witness(graph, witness)
             if args.witness:
-                _write(args.witness, text)
+                _write((args.witness, text))
                 print(value)
             else:
                 print(value)
@@ -155,8 +167,10 @@ def run(argv: list[str]) -> int:
 
         if args.command == "gadget":
             inst = build_gadget(graph, args.delta)
-            _write(Path(f"{args.out}.graph"), format_graph(inst.g))
-            _write(Path(f"{args.out}.map"), format_gadget_map(inst))
+            _write(
+                (Path(f"{args.out}.graph"), format_graph(inst.g)),
+                (Path(f"{args.out}.map"), format_gadget_map(inst)),
+            )
             c = inst.coeffs
             per_edge = 2 * c.y1 + c.y2
             print(

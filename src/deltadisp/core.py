@@ -552,6 +552,24 @@ def subdivide(g: Graph, c: int) -> tuple[Graph, SubdivisionMap]:
     return target, SubdivisionMap(g, target, c)
 
 
+def grid_form(
+    n: int, c: int, chosen: Iterable[int]
+) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Vertices `chosen` of ``subdivide(g, c)``, g having n vertices, in the
+    integer form of :meth:`WitnessSet.verified`: ``(c, vertex ids, (edge,
+    k) pairs)``.  Vertex i < n is vertex i of g, and vertex n + e(c-1) +
+    k-1 the point k/c along edge e."""
+    vertices: list[int] = []
+    interior: list[tuple[int, int]] = []
+    for i in chosen:
+        if i < n:
+            vertices.append(i)
+        else:
+            e, r = divmod(i - n, c - 1)
+            interior.append((e, r + 1))
+    return c, vertices, interior
+
+
 # ---------------------------------------------------------------------------
 # Text formats
 # ---------------------------------------------------------------------------

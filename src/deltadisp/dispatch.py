@@ -1,10 +1,12 @@
 """Front-end solver: route each spacing to the right exact algorithm.
 
 Spacings with numerator 1 have closed-form answers; numerator 2 reduces to
-the polynomial delta=2 algorithm plus a per-edge surcharge; numerator >= 3
-is NP-hard and only solvable here by the explicit brute-force oracle, which
-the caller must opt into.  Every route's witness passes one check,
-``WitnessSet.verified``: here for the polynomial routes, in the oracle for it.
+the polynomial delta=2 algorithm plus a per-edge surcharge.  Numerator >= 3
+is NP-hard in general: on a tree it takes the linear tree route at every
+spacing, and on any other graph it is only solvable here by the explicit
+brute-force oracle, which the caller must opt into.  Every route's witness
+passes one check, ``WitnessSet.verified``: here for the polynomial routes,
+in the oracle for it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .core import Graph, WitnessSet, as_rational
 from .errors import InternalConsistencyError, NPHardRegimeError
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 from .solve2 import disp2
+from .trees import tree_disp
 
 __all__ = ["disp"]
 
@@ -28,11 +31,18 @@ def disp(
 ) -> tuple[int, WitnessSet]:
     """Maximum size of a delta-dispersed point set, with a witness.
 
+    Numerator 1 takes the closed forms and numerator 2 the delta = 2
+    reduction.  At numerators >= 3 a tree takes
+    :func:`~deltadisp.trees.tree_disp`, with no opt-in, and its answer is
+    proven optimal by an edge-ball cover; any other graph raises
+    NPHardRegimeError unless `allow_bruteforce` is set, and then returns
+    :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
+    oracle only.
+
     The polynomial routes return their value and witness unchecked, in
     the integer form of :meth:`WitnessSet.verified`, and the witness is
-    verified (cardinality and pairwise spacing) once, here; numerators
-    >= 3 return :func:`brute_disp`'s answer, verified the same way at its
-    exit.  So an internal construction
+    verified (cardinality and pairwise spacing) once, here; the oracle's
+    is verified the same way at its exit.  So an internal construction
     bug cannot surface as a wrong answer.  A single point is always
     placeable, so the value is >= 1.
     """
@@ -44,11 +54,13 @@ def disp(
         value, form = _unit_numerator(g, b)
     elif a == 2:
         value, form = _numerator_two(g, b)
+    elif g.is_tree:
+        value, form = tree_disp(g, a, b)
     elif not allow_bruteforce:
         raise NPHardRegimeError(
             f"computing the {a}/{b}-dispersion number is NP-hard for "
-            f"numerators >= 3; pass allow_bruteforce=True to run the "
-            f"exponential oracle"
+            f"numerators >= 3 on graphs that are not trees; pass "
+            f"allow_bruteforce=True to run the exponential oracle"
         )
     else:
         return brute_disp(g, delta, cap, timeout)

@@ -41,15 +41,19 @@ class DisconnectedGraphError(GraphFormatError):
 
 
 class NPHardRegimeError(DispersionError):
-    """Exact solve requested for a spacing with numerator >= 3.
+    """Exact solve requested for a spacing with numerator >= 3 on a graph
+    that is not a tree.
 
     That regime has no known polynomial algorithm (the problem is NP-hard
     there); callers must opt into the exponential search explicitly.
+    Trees never raise it: they take the linear tree route at every spacing.
     """
 
 
 class SizeGuardExceededError(DispersionError):
-    """The brute-force candidate set is larger than the configured cap."""
+    """A grid is larger than its guard allows: the brute-force candidate
+    set over the configured cap, or a tree's grid over the tree route's
+    fixed limit.  Raised before anything of the grid's size is allocated."""
 
 
 class OracleTimeoutError(DispersionError):

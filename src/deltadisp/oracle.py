@@ -15,9 +15,10 @@ until neither applies, then a greedy clique-cover bound prunes, then the
 search branches.  Domination alone solves the conflict graphs of trees.
 
 This solver is the ground truth the polynomial algorithms are tested
-against, and the only exact route in the NP-hard regime (numerator >= 3).
-It is meant for desk-scale instances; a candidate cap and an optional time
-budget guard it, and a timeout still reports the best dispersed set found.
+against, and the only exact route in the NP-hard regime (numerator >= 3)
+on graphs that are not trees.  It is meant for desk-scale instances; a
+candidate cap and an optional time budget guard it, and a timeout still
+reports the best dispersed set found.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import isnan
 from time import monotonic
 from typing import Callable
 
-from .core import Graph, Point, SubdivisionMap, WitnessSet, as_rational, subdivide
+from .core import Graph, Point, SubdivisionMap, WitnessSet, as_rational, grid_form, subdivide
 from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -277,28 +278,26 @@ def brute_disp(
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
         raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
+    n, q = g.vertex_count, cg.grid.factor
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline)
     except _SearchTimeout as exc:
         size = exc.mask.bit_count()
-        raise _with_incumbent(exc, g, _form(cg, exc.mask), size, delta) from None
-    return value, WitnessSet.verified(g, *_form(cg, mask), delta, value)
+        form = grid_form(n, q, _members(exc.mask))
+        raise _with_incumbent(exc, g, form, size, delta) from None
+    return value, WitnessSet.verified(g, *grid_form(n, q, _members(mask)), delta, value)
 
 
-def _form(cg: ConflictGraph, mask: int) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """The candidates in `mask` as ``(scale, vertex ids, (edge, k) pairs)``:
-    candidate i < n is vertex i, and candidate n + e(q-1) + r the point
-    (r+1)/q along edge e."""
-    n, q = cg.grid.source.vertex_count, cg.grid.factor
-    chosen = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    interior = [divmod(i - n, q - 1) for i in chosen if i >= n]
-    return q, [i for i in chosen if i < n], [(e, r + 1) for e, r in interior]
+def _members(mask: int) -> list[int]:
+    """The candidate indices set in `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _with_incumbent(
     exc: OracleTimeoutError, g: Graph, form: tuple, size: int, delta: Fraction
 ) -> OracleTimeoutError:
-    """`exc`'s message with the `size` points of `form`, in :func:`_form`'s
-    shape, attached as a verified witness."""
+    """`exc`'s message with the `size` points of `form`, in
+    :func:`~deltadisp.core.grid_form`'s shape, attached as a verified
+    witness."""
     witness = WitnessSet.verified(g, *form, delta, size)
     return OracleTimeoutError(str(exc), best=size, witness=witness)

@@ -11,6 +11,7 @@ from deltadisp.cli import run
 K2_TEXT = "2 1\n0 1\n"
 STAR_TEXT = "4 3\n0 1\n0 2\n0 3\n"
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+C3_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 
 
 @pytest.fixture
@@ -24,6 +25,13 @@ def k2(tmp_path):
 def star(tmp_path):
     p = tmp_path / "star.graph"
     p.write_text(STAR_TEXT)
+    return p
+
+
+@pytest.fixture
+def c3(tmp_path):
+    p = tmp_path / "c3.graph"
+    p.write_text(C3_TEXT)
     return p
 
 
@@ -52,9 +60,25 @@ class TestSolve:
         assert len(ws) == value
         assert is_dispersed(g, ws.points, Fraction(2, 3))
 
-    def test_hard_regime_needs_flag(self, k2, capsys):
-        assert run(["solve", str(k2), "--delta", "3"]) == 2
+    def test_hard_regime_needs_flag(self, c3, capsys):
+        assert run(["solve", str(c3), "--delta", "3"]) == 2
         assert "--brute-force" in capsys.readouterr().err
+
+    def test_tree_needs_no_flag(self, k2, capsys):
+        assert run(["solve", str(k2), "--delta", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_tree_grid_over_limit_exits_3(self, k2, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the grid was built before its size was checked")
+
+        monkeypatch.setattr("deltadisp.trees._grid_adjacency", forbidden)
+        assert run(["solve", str(k2), "--delta", "3/1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "2000000001 points" in lines[0]
 
     def test_hard_regime_with_flag(self, k2, capsys):
         assert run(["solve", str(k2), "--delta", "3", "--brute-force"]) == 0
@@ -245,6 +269,17 @@ class TestGadget:
         assert captured.err.splitlines() == [
             f"error: {prefix}.graph: No such file or directory"
         ]
+
+    def test_second_output_unwritable_leaves_nothing(self, k4, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gg.map").mkdir()
+        before = set(tmp_path.iterdir())
+        assert run(["gadget", str(k4), "--delta", "3", "--out", "gg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: gg.map: Is a directory"]
+        assert not (tmp_path / "gg.graph").exists()
+        assert set(tmp_path.iterdir()) == before
 
     def test_non_cubic_rejected(self, star, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

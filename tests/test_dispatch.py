@@ -103,9 +103,13 @@ class TestNumeratorTwo:
 class TestBruteforceGate:
     def test_hard_regime_raises_without_optin(self):
         with pytest.raises(NPHardRegimeError):
-            disp(K2, Fraction(3))
+            disp(C3, Fraction(3))
         with pytest.raises(NPHardRegimeError):
-            disp(K2, Fraction(5, 2))
+            disp(C3, Fraction(5, 2))
+
+    def test_trees_need_no_optin(self):
+        assert disp(K2, Fraction(3))[0] == 1
+        assert disp(K2, Fraction(5, 2))[0] == 1
 
     def test_hard_regime_with_optin(self):
         value, _ = disp(C3, Fraction(3), allow_bruteforce=True)
@@ -217,6 +221,7 @@ class TestOneBuildOneCheck:
         sparse = random_connected_graph(rng, 12, 4)
         cactus = random_cactus(rng, 12)
         self._once(counts, lambda: disp(tree, Fraction(1, 3)))
+        self._once(counts, lambda: disp(tree, Fraction(5, 2)))
         self._once(counts, lambda: disp(sparse, Fraction(1, 3)))
         for delta in (Fraction(2), Fraction(2, 3), Fraction(2, 5)):
             self._once(counts, lambda: disp(cactus, delta))
