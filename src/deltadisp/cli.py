@@ -9,8 +9,6 @@ error (a structural guarantee failed; a bug, not bad input).
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import re
 import sys
 from fractions import Fraction
@@ -62,8 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow the exponential oracle for numerators >= 3 on non-trees",
     )
-    solve.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
-    solve.add_argument("--timeout", type=float, default=None)
+    solve.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_CANDIDATE_CAP,
+        help="candidate cap of the --brute-force oracle only; trees ignore it",
+    )
+    solve.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="time budget in seconds of the --brute-force oracle only; trees ignore it",
+    )
 
     oracle = sub.add_parser("oracle", help="brute-force value and witness")
     oracle.add_argument("graph", type=Path)
@@ -90,22 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(*outputs: tuple[Path, str]) -> None:
-    """Write ``(path, text)`` output files.
+    """Write ``(path, text)`` output files, all or none.
 
-    The paths after the first are checked before the first is written (the
-    first one's own write fails before anything is written), so a path
-    that names a directory leaves no other output behind.  A failure is a
-    ValueError naming the path, so it is reported as one ``error:`` line
-    with exit code 2.
+    When a write fails, the files this call has already written are
+    removed, so a failure leaves no partial output set behind.  A failure
+    is a ValueError naming the path, so it is reported as one ``error:``
+    line with exit code 2.
     """
-    for path, _ in outputs[1:]:
-        if os.path.isdir(path):
-            raise ValueError(f"{path}: {os.strerror(errno.EISDIR)}")
+    written: list[Path] = []
     for path, text in outputs:
         try:
             path.write_text(text)
         except OSError as exc:
+            for done in written:
+                done.unlink(missing_ok=True)
             raise ValueError(f"{path}: {exc.strerror or exc}") from None
+        written.append(path)
 
 
 #: one parser per process: building it costs more than most commands

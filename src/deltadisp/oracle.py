@@ -30,7 +30,16 @@ from math import isnan
 from time import monotonic
 from typing import Callable
 
-from .core import Graph, Point, SubdivisionMap, WitnessSet, as_rational, grid_form, subdivide
+from .core import (
+    Graph,
+    Point,
+    SubdivisionMap,
+    WitnessSet,
+    as_rational,
+    grid_adjacency,
+    grid_form,
+    subdivide,
+)
 from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -42,17 +51,22 @@ DEFAULT_CANDIDATE_CAP = 2000
 class ConflictGraph:
     """Grid candidates plus their pairwise conflict relation.
 
-    Candidate i is vertex i of ``grid.target``, the subdivision whose
-    vertices are the grid, and the point ``grid.source_point(i)`` of the
-    original graph; ``candidates`` lists those points on first use.
-    ``conflicts[i]`` is a bitmask over candidate indices whose distance to
-    candidate i is strictly below delta.  The relation is symmetric and
-    irreflexive by construction.
+    Candidate i is vertex i of ``subdivide(source, factor)``, the
+    subdivision whose vertices are the grid, and the point
+    ``grid.source_point(i)`` of the original graph; ``grid`` and
+    ``candidates`` are built on first use.  ``conflicts[i]`` is a bitmask
+    over candidate indices whose distance to candidate i is strictly below
+    delta.  The relation is symmetric and irreflexive by construction.
     """
 
     delta: Fraction
     conflicts: tuple[int, ...]
-    grid: SubdivisionMap
+    source: Graph
+    factor: int
+
+    @cached_property
+    def grid(self) -> SubdivisionMap:
+        return subdivide(self.source, self.factor)[1]
 
     @cached_property
     def candidates(self) -> tuple[Point, ...]:
@@ -74,9 +88,10 @@ def build_conflict_graph(
     is chain vertex n + e(q-1) + t-1.  Points of the grid are exactly their
     hop count in the subdivision times 1/q apart, so the candidates closer
     than delta to a candidate are its ball of radius delta*q - 1 there.
-    The balls grow as bitsets, one round per hop: each round ORs every
-    vertex's neighbours' balls into its own, and the rounds stop early
-    once none grows, so the work is bounded by the graph, not by delta.
+    The balls grow as bitsets over :func:`~deltadisp.core.grid_adjacency`,
+    one round per hop: each round ORs every vertex's neighbours' balls into
+    its own, and the rounds stop early once none grows, so the work is
+    bounded by the graph, not by delta.
     The candidate cap is checked before anything is allocated.  Raises
     OracleTimeoutError once `monotonic()` passes `deadline`, checked
     before each round.
@@ -93,20 +108,20 @@ def build_conflict_graph(
             f"{count} candidates exceed the cap of {cap}"
         )
 
-    target, grid = subdivide(g, q)
+    adjacency = grid_adjacency(g, q)
     reach = [1 << v for v in range(count)]
     for _ in range(int(delta * q) - 1):
         if deadline is not None and monotonic() > deadline:
             raise OracleTimeoutError("conflict-graph build exceeded its time budget")
         grown = []
-        for ball, nbrs in zip(reach, target.adjacency):
+        for ball, nbrs in zip(reach, adjacency):
             for u in nbrs:
                 ball |= reach[u]
             grown.append(ball)
         if grown == reach:
             break
         reach = grown
-    return ConflictGraph(delta, tuple(ball ^ (1 << v) for v, ball in enumerate(reach)), grid)
+    return ConflictGraph(delta, tuple(ball ^ (1 << v) for v, ball in enumerate(reach)), g, q)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
@@ -278,7 +293,7 @@ def brute_disp(
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
         raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
-    n, q = g.vertex_count, cg.grid.factor
+    n, q = g.vertex_count, cg.factor
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline)
     except _SearchTimeout as exc:

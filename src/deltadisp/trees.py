@@ -13,7 +13,7 @@ time linear in the grid times a, with no conflict graph and no search.
 
 from __future__ import annotations
 
-from .core import Graph, grid_form
+from .core import Graph, grid_adjacency, grid_form
 from .errors import InternalConsistencyError, SizeGuardExceededError
 
 __all__ = ["MAX_TREE_GRID", "tree_disp"]
@@ -73,34 +73,12 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
             f"the {a}/{b} grid of this tree has {size} points, over the tree "
             f"route's limit of {MAX_TREE_GRID}"
         )
-    adjacency = _grid_adjacency(g, q)
+    adjacency = grid_adjacency(g, q)
     order, parent = _breadth_first(adjacency)
     taken = _greedy(adjacency, order, 2 * a)
     centres = _ball_centres(parent, taken, a)
     _check_cover(adjacency, parent, centres, len(taken), a)
     return len(taken), grid_form(n, q, taken)
-
-
-def _grid_adjacency(g: Graph, q: int) -> list:
-    """Neighbours of every vertex of ``subdivide(g, q)``, in its numbering,
-    built straight from g's edges: unlike that graph's ``adjacency``, with
-    no edge list and no sort, in a quarter of the time and half the
-    memory."""
-    n = g.vertex_count
-    s = q - 1
-    adjacency: list = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(g.edges):
-        first = n + e * s
-        last = first + s - 1
-        adjacency[u].append(first)
-        adjacency[v].append(last)
-        if s == 1:
-            adjacency.append((u, v))
-            continue
-        adjacency.append((u, first + 1))
-        adjacency.extend((x - 1, x + 1) for x in range(first + 1, last))
-        adjacency.append((last - 1, v))
-    return adjacency
 
 
 def _breadth_first(adjacency: list) -> tuple[list[int], list[int]]:
@@ -167,7 +145,9 @@ def _check_cover(
 ) -> None:
     """Require `value` distinct balls that cover the whole grid: one
     breadth-first search from both ends of every edge ball and the centre
-    of a root ball, bounded at a-1 hops, must reach every vertex."""
+    of a root ball, bounded at a-1 hops, must reach every vertex.  Like
+    the greedy's, the search stops once a round reaches nothing new, so its
+    rounds are bounded by the grid, not by a."""
     balls = set(centres)
     if len(balls) != value:
         raise InternalConsistencyError(
@@ -185,6 +165,8 @@ def _check_cover(
                 if not seen[y]:
                     seen[y] = 1
                     grown.append(y)
+        if not grown:
+            break
         reached += len(grown)
         ring = grown
     if reached != len(adjacency):

@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour, exit codes, and file round-trips."""
 
+import errno
+import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,13 +75,25 @@ class TestSolve:
         def forbidden(*args):
             raise AssertionError("the grid was built before its size was checked")
 
-        monkeypatch.setattr("deltadisp.trees._grid_adjacency", forbidden)
+        monkeypatch.setattr("deltadisp.trees.grid_adjacency", forbidden)
         assert run(["solve", str(k2), "--delta", "3/1000000000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "2000000001 points" in lines[0]
+
+    def test_brute_force_flag_reaches_oracle(self, c3, capsys, monkeypatch):
+        from deltadisp import dispatch
+
+        calls = []
+        brute = dispatch.brute_disp
+        monkeypatch.setattr(
+            dispatch, "brute_disp", lambda *args: calls.append(args) or brute(*args)
+        )
+        assert run(["solve", str(c3), "--delta", "3/2", "--brute-force"]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+        assert len(calls) == 1
 
     def test_hard_regime_with_flag(self, k2, capsys):
         assert run(["solve", str(k2), "--delta", "3", "--brute-force"]) == 0
@@ -279,6 +294,24 @@ class TestGadget:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: gg.map: Is a directory"]
         assert not (tmp_path / "gg.graph").exists()
+        assert set(tmp_path.iterdir()) == before
+
+    def test_failed_second_write_removes_first(self, k4, tmp_path, capsys, monkeypatch):
+        # any error on the second file, here a full disk, undoes the first
+        write_text = Path.write_text
+
+        def disk_full_on_map(path, text):
+            if path.suffix == ".map":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, text)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Path, "write_text", disk_full_on_map)
+        before = set(tmp_path.iterdir())
+        assert run(["gadget", str(k4), "--delta", "3", "--out", "gg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: gg.map: {os.strerror(errno.ENOSPC)}"]
         assert set(tmp_path.iterdir()) == before
 
     def test_non_cubic_rejected(self, star, tmp_path, monkeypatch):

@@ -41,6 +41,7 @@ from deltadisp import (
     subdivide,
     vertex_point,
 )
+from deltadisp.core import grid_adjacency
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -242,6 +243,14 @@ class TestSubdivide:
         p = Point(1, Fraction(2, 5))
         assert pmap.forward(p) == p
         assert pmap.inverse(p) == p
+
+    def test_grid_adjacency_matches_subdivision(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(1, 6), rng.randint(0, 4))
+            for c in (1, 2, 3, 5):
+                built = [tuple(sorted(x)) for x in grid_adjacency(g, c)]
+                assert built == list(subdivide(g, c)[0].adjacency)
 
     def test_counts(self):
         for c in (2, 3, 4):

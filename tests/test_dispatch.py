@@ -172,6 +172,11 @@ class TestEdgeCases:
         assert disp(K2, Fraction(2))[0] >= 1
         assert brute_disp(K2, Fraction(99))[0] == 1
 
+    def test_tree_route_ends_at_huge_delta(self):
+        # a 3-point grid, but a search radius of 10^12 hops
+        assert disp(K2, Fraction(10**12))[0] == 1
+        assert disp(K2, Fraction(10**12 + 1, 3))[0] == 1
+
     def test_polynomial_routes_on_2000_vertex_trees(self):
         rng = random.Random(38)
         for delta in (Fraction(1, 3), Fraction(2), Fraction(2, 5)):

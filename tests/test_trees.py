@@ -106,7 +106,7 @@ def test_grid_guard_allocates_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the grid was built before its size was checked")
 
-    monkeypatch.setattr(trees, "_grid_adjacency", forbidden)
+    monkeypatch.setattr(trees, "grid_adjacency", forbidden)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardExceededError, match="2000000001 points"):
