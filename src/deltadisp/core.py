@@ -84,6 +84,8 @@ class Graph:
     self-loops, duplicate edges and connectivity, each with its own error
     type (all are ``ValueError``).  ``first_line``, when given, is the text line of edge 0
     and makes each edge error name its line (see :func:`parse_graph`).
+    Validation builds the sorted neighbour lists once, for one
+    breadth-first connectivity pass, and keeps them as :attr:`adjacency`.
     """
 
     vertex_count: int
@@ -103,23 +105,36 @@ class Graph:
         if n < 1:
             raise ValueError("graph must have at least one vertex")
         edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for k, (u, v) in enumerate(self.edges):
+        seen: set[int] = set()
+        for u, v in self.edges:
             u, v = int(u), int(v)
-            line = None if first_line is None else first_line + k
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=line)
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}", line=line)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            key = u * n + v if u < v else v * n + u
+            if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+                # the edge's position is how many came before it
+                line = None if first_line is None else first_line + len(edges)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=line)
+                if u == v:
+                    raise SelfLoopError(f"self-loop at vertex {u}", line=line)
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=line)
             seen.add(key)
             edges.append((u, v))
         object.__setattr__(self, "edges", tuple(edges))
         # fewer than n - 1 edges cannot connect n vertices: say so before
         # allocating anything sized by n
-        if n > len(edges) + 1 or sum(1 for _ in hop_ball(self, 0, n)) != n:
+        if n > len(edges) + 1:
+            raise DisconnectedGraphError("graph is not connected")
+        adjacency = _neighbour_lists(n, edges)
+        object.__setattr__(self, "adjacency", adjacency)  # the cached property's value
+        reached = bytearray(n)
+        reached[0] = 1
+        order = [0]
+        for x in order:  # breadth-first: `order` grows as vertices are reached
+            for y in adjacency[x]:
+                if not reached[y]:
+                    reached[y] = 1
+                    order.append(y)
+        if len(order) != n:
             raise DisconnectedGraphError("graph is not connected")
 
     @property
@@ -133,11 +148,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour lists, indexed by vertex."""
-        nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        return _neighbour_lists(self.vertex_count, self.edges)
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -162,6 +173,15 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+
+def _neighbour_lists(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour lists of vertices 0..n-1, indexed by vertex."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(map(tuple, map(sorted, nbrs)))
 
 
 @dataclass(frozen=True, order=True)
@@ -355,9 +375,10 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
     ``source``, nearest first, starting with ``(source, 0)``.
 
     A breadth-first search that stops at the radius, so its cost is the
-    size of the ball, not of the graph; this is the one search the graph's
-    connectivity check and the local checks (:func:`is_dispersed`,
-    certificate verification) share.
+    size of the ball, not of the graph; this is the one search the local
+    checks (:func:`is_dispersed`, certificate verification) share.  The
+    graph's connectivity check does not use it: :class:`Graph` runs one
+    plain breadth-first pass over the neighbour lists it builds anyway.
     """
     yield source, 0
     seen = {source}
@@ -630,10 +651,9 @@ def parse_graph(text: str) -> Graph:
 def _edge_lines(lines: list[str], m: int) -> Iterator[tuple[int, int]]:
     """The m edge lines after the header as ``(u, v)``, then a check that
     nothing but blank lines follows them."""
-    for lineno in range(2, m + 2):
-        if lineno - 1 >= len(lines):
-            raise MalformedLineError("missing edge line", line=lineno)
-        parts = lines[lineno - 1].split()
+    body = lines[1 : m + 1]
+    for lineno, text in enumerate(body, start=2):
+        parts = text.split()
         if len(parts) != 2:
             raise MalformedLineError("expected 'u v'", line=lineno)
         try:
@@ -641,6 +661,8 @@ def _edge_lines(lines: list[str], m: int) -> Iterator[tuple[int, int]]:
         except ValueError:
             raise MalformedLineError("expected two integers 'u v'", line=lineno) from None
         yield u, v
+    if len(body) < m:
+        raise MalformedLineError("missing edge line", line=len(body) + 2)
     for extra, content in enumerate(lines[m + 1 :], start=m + 2):
         if content.split():
             raise MalformedLineError("unexpected extra line", line=extra)

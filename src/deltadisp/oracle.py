@@ -12,7 +12,10 @@ built.  An optimal dispersed set is a maximum independent set in it, found
 by a deterministic branch-and-reduce search (Akiba & Iwata, TCS 2016): at
 every node, isolated candidates are taken and dominating ones dropped
 until neither applies, then a greedy clique-cover bound prunes, then the
-search branches.  Domination alone solves the conflict graphs of trees.
+search branches.  Every neighbour a candidate dominates is found by one
+running intersection of closed neighbourhoods and dropped at once (see
+:func:`_reduce` for why that is sound).  Domination alone solves the
+conflict graphs of trees.
 
 This solver is the ground truth the polynomial algorithms are tested
 against, and the only exact route in the NP-hard regime (numerator >= 3)
@@ -163,10 +166,25 @@ def _reduce(
     restricted to `rem`), some maximum independent set avoids u, so u is
     dropped.  This covers pendant and simplicial candidates, so it solves
     the chordal conflict graphs of trees outright; it never folds, so
-    every candidate keeps its meaning.  Only the `dirty` candidates, whose
-    neighbourhoods shrank since they were last examined, can have become
-    dominated or isolated; they are examined in ascending index order.
-    `check` runs once per pass and raises when the deadline has passed.
+    every candidate keeps its meaning.
+
+    For a candidate v, one running intersection finds every neighbour it
+    dominates: starting from its remaining neighbours, it keeps those in
+    the closed neighbourhood ``conflicts[w] | w`` of each remaining
+    neighbour w, stopping once nothing is left.  A neighbour u survives
+    exactly when it lies in the closed neighbourhood of every vertex of
+    N[v] within `rem` (of v because it is v's neighbour), that is, when
+    N[v] lies within N[u]; all of them are dropped at once.  That is
+    sound: v stays in `rem`, and each inclusion N[v] within N[u] still
+    holds after other candidates leave `rem`, so each drop is one the
+    rule allows on its own.  A neighbour that becomes dominated only
+    after the drop is found on the next pass, since the dropped
+    candidates' neighbours, v among them, are re-examined.
+
+    Only the `dirty` candidates, whose neighbourhoods shrank since they
+    were last examined, can have become dominated or isolated; they are
+    examined in ascending index order.  `check` runs once per pass and
+    raises when the deadline has passed.
     """
     taken = 0
     while dirty:
@@ -179,15 +197,20 @@ def _reduce(
             if not rem & low:
                 continue
             nv = conflicts[low.bit_length() - 1] & rem
-            r = nv
+            dominated = r = nv
             while r:
-                ub = r & -r
-                r ^= ub
-                u = conflicts[ub.bit_length() - 1]
-                if nv & ~u == ub:  # N[v] within N[u]: drop u
-                    rem ^= ub
-                    nv ^= ub
-                    shrunk |= u
+                w = r & -r
+                r ^= w
+                dominated &= conflicts[w.bit_length() - 1] | w
+                if not dominated:
+                    break
+            if dominated:  # N[v] within N[u] for each u here: drop them all
+                rem ^= dominated
+                nv ^= dominated
+                while dominated:
+                    u = dominated & -dominated
+                    dominated ^= u
+                    shrunk |= conflicts[u.bit_length() - 1]
             if not nv:
                 taken |= low
                 rem ^= low

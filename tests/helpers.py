@@ -6,7 +6,8 @@ from iterating all subsets, linear feasibility from grid search or
 Fourier-Motzkin elimination over the dense all-pairs certificate system,
 dispersion from comparing every pair of points with the point metric,
 grid conflicts from every pair of candidates over the all-pairs hop table,
-and maximum independent sets from a plain branch-and-bound.  The point
+and maximum independent sets from a plain branch-and-bound.  The oracle's
+reductions keep their per-neighbour domination test as a reference.  The point
 pipeline the integer witness form replaced (Fraction points per route, their
 normalization, sort, local check and printing) is kept as the differential
 reference for that form.  The all-pairs hop table, the point metric over
@@ -698,6 +699,53 @@ def reference_max_independent_set(conflicts) -> tuple[int, int]:
         stack.append((count, chosen, rem & ~bit))
         stack.append((count + 1, chosen | bit, rem & ~(conflicts[pick] | bit)))
     return best, best_mask
+
+
+def reference_reduce(conflicts, rem: int, dirty: int, check) -> tuple[int, int]:
+    """Isolation and domination to a fixpoint, one neighbour at a time.
+
+    The per-neighbour form of ``oracle._reduce``: for each examined
+    candidate v it tests every remaining neighbour u on its own for
+    N[v] within N[u] and drops each dominated one as it is found.  Same
+    signature and result ``(taken, rem)``.
+    """
+    taken = 0
+    while dirty:
+        check()
+        dirty &= rem
+        shrunk = 0
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            if not rem & low:
+                continue
+            nv = conflicts[low.bit_length() - 1] & rem
+            r = nv
+            while r:
+                ub = r & -r
+                r ^= ub
+                u = conflicts[ub.bit_length() - 1]
+                if nv & ~u == ub:  # N[v] within N[u]: drop u
+                    rem ^= ub
+                    nv ^= ub
+                    shrunk |= u
+            if not nv:
+                taken |= low
+                rem ^= low
+        dirty = shrunk
+    return taken, rem
+
+
+def induced_conflicts(conflicts, mask: int) -> tuple[int, ...]:
+    """The conflict relation restricted to the candidates in `mask`,
+    renumbered 0, 1, ... in ascending order of their old index."""
+    members = [i for i in range(len(conflicts)) if mask >> i & 1]
+    index = {old: new for new, old in enumerate(members)}
+    out = []
+    for i in members:
+        c = conflicts[i] & mask
+        out.append(sum(1 << index[j] for j in members if c >> j & 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,17 @@ class TestSolve:
         assert run(["solve", str(p), "--delta", "2"]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_disconnected_graph_file(self, tmp_path, capsys):
+        # a triangle plus an isolated vertex: past the edge-count guard
+        p = tmp_path / "split.graph"
+        p.write_text("4 3\n0 1\n1 2\n0 2\n")
+        assert run(["solve", str(p), "--delta", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "not connected" in lines[0]
+
     def test_internal_error_exits_4(self, k2, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalConsistencyError("odd remainder component [0]")
@@ -340,6 +351,13 @@ class TestSingleVertexGraph:
         g = parse_graph("1 0\n")
         ws = parse_witness(g, out.read_text(), Fraction(5))
         assert len(ws) == 1
+
+
+    def test_oracle_on_the_lone_vertex(self, tmp_path, capsys):
+        p = tmp_path / "k1.graph"
+        p.write_text("1 0\n")
+        assert run(["oracle", str(p), "--delta", "7/3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1", "-1 0 0 0/1"]
 
 
 class TestUsage:

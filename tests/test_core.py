@@ -573,3 +573,32 @@ class TestGraphValidation:
         with pytest.raises(MalformedLineError) as err:
             parse_graph("4 2\n0 1\n2 3\n9 9")
         assert err.value.line == 4
+
+    def test_disconnected_past_the_edge_count_guard(self):
+        # enough edges for n vertices, so only the breadth-first pass can
+        # find the second component
+        with pytest.raises(DisconnectedGraphError):
+            parse_graph("4 3\n0 1\n1 2\n0 2")
+        c4 = ((0, 1), (1, 2), (2, 3), (3, 0))
+        c3 = ((4, 5), (5, 6), (6, 4))
+        with pytest.raises(DisconnectedGraphError):
+            Graph(7, c4 + c3)
+
+    def test_missing_edge_line_named_after_earlier_faults(self):
+        with pytest.raises(MalformedLineError, match="missing edge line") as err:
+            parse_graph("3 3\n0 1\n1 2\n")
+        assert err.value.line == 4
+        with pytest.raises(SelfLoopError) as err:
+            parse_graph("3 3\n0 1\n1 1\n")
+        assert err.value.line == 3
+
+    def test_adjacency_matches_the_edges(self):
+        rng = random.Random(40)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(1, 12), rng.randint(0, 6))
+            expected = tuple(
+                tuple(sorted([v for u, v in g.edges if u == x] + [u for u, v in g.edges if v == x]))
+                for x in range(g.vertex_count)
+            )
+            assert g.adjacency == expected
+            assert Graph._unchecked(g.vertex_count, g.edges).adjacency == expected

@@ -9,11 +9,14 @@ from helpers import (
     conflict_pairs,
     connected_graphs_max_edges,
     hop_table,
+    induced_conflicts,
     point_distance,
     random_cactus,
     random_connected_graph,
+    random_sparse_graph,
     random_tree,
     reference_max_independent_set,
+    reference_reduce,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,9 @@ from deltadisp import (
     SizeGuardExceededError,
     brute_disp,
     build_conflict_graph,
+    build_gadget,
+    cubic_catalogue,
+    format_witness,
     is_dispersed,
     subdivide,
 )
@@ -173,6 +179,89 @@ class TestSearch:
             _max_independent_set(conflicts, 1.0)
 
 
+def _grid_graph(width, height):
+    edges = []
+    for v in range(width * height):
+        if v % width + 1 < width:
+            edges.append((v, v + 1))
+        if v + width < width * height:
+            edges.append((v, v + width))
+    return Graph(width * height, tuple(edges))
+
+
+def _reduction_cases():
+    """(graph, delta) on seeded trees, sparse graphs and cacti, a 4x4 grid,
+    and the K4 and K3,3 gadgets at spacings whose plain reference search
+    ends in under a second."""
+    rng = random.Random(65)
+    makers = (
+        lambda n: random_tree(rng, n),
+        lambda n: random_sparse_graph(rng, n, rng.randint(1, n // 2 + 1)),
+        lambda n: random_cactus(rng, n),
+    )
+    cases = []
+    while len(cases) < 150:
+        g = makers[len(cases) % 3](rng.randint(2, 12))
+        delta = Fraction(rng.randint(2, 9), rng.randint(1, 3))
+        if g.vertex_count + g.edge_count * (2 * delta.denominator - 1) <= 160:
+            cases.append((g, delta))
+    grid = _grid_graph(4, 4)
+    cases += [(grid, Fraction(d)) for d in ("1", "3/2", "2", "5/2", "3", "7/3")]
+    catalogue = cubic_catalogue()
+    k4, k33 = (build_gadget(catalogue[name], Fraction(3)).g for name in ("k4", "k33"))
+    cases += [(k4, Fraction(d)) for d in (3, 4, 5, 6)]
+    cases += [(k33, Fraction(d)) for d in (4, 6)]
+    return cases
+
+
+def _fixpoint_faults(conflicts, rem):
+    """Candidates v of `rem` that are isolated, or whose closed
+    neighbourhood lies within a remaining neighbour u's (N[v] within N[u],
+    so u could still be dropped), both within `rem`."""
+    faults = []
+    for v in range(len(conflicts)):
+        if not rem >> v & 1:
+            continue
+        nv = conflicts[v] & rem
+        closed = nv | 1 << v
+        if not nv or any(
+            nv >> u & 1 and closed & ~(conflicts[u] | 1 << u) == 0 for u in range(len(conflicts))
+        ):
+            faults.append(v)
+    return faults
+
+
+def _check_reduction(conflicts):
+    full = (1 << len(conflicts)) - 1
+    taken, rem = _reduce(conflicts, full, full, lambda: None)
+    assert _fixpoint_faults(conflicts, rem) == []
+    assert taken & rem == 0 and _is_independent(conflicts, taken)
+    assert not any(conflicts[i] & rem for i in range(len(conflicts)) if taken >> i & 1)
+    rest = reference_max_independent_set(induced_conflicts(conflicts, rem))[0]
+    assert taken.bit_count() + rest == reference_max_independent_set(conflicts)[0]
+    assert (taken, rem) == reference_reduce(conflicts, full, full, lambda: None)
+
+
+class TestReduceAgainstReference:
+    """The running-intersection domination against the per-neighbour test
+    it replaced (``helpers.reference_reduce``)."""
+
+    def test_fixpoint_and_optimum(self):
+        for g, delta in _reduction_cases():
+            _check_reduction(build_conflict_graph(g, delta).conflicts)
+
+    def test_brute_disp_matches_reference(self, monkeypatch):
+        from deltadisp import oracle
+
+        cases = _reduction_cases()
+        ours = [brute_disp(g, delta) for g, delta in cases]
+        monkeypatch.setattr(oracle, "_reduce", reference_reduce)
+        theirs = [brute_disp(g, delta) for g, delta in cases]
+        assert [v for v, _ in ours] == [v for v, _ in theirs]
+        for (g, _), (_, a), (_, b) in zip(cases, ours, theirs):
+            assert format_witness(g, a) == format_witness(g, b)
+
+
 @st.composite
 def conflict_masks(draw):
     """A symmetric, irreflexive conflict relation on up to 16 candidates."""
@@ -195,6 +284,12 @@ def test_search_matches_reference_property(conflicts):
     assert _is_independent(conflicts, mask)
 
 
+@settings(max_examples=300, derandomize=True)
+@given(conflicts=conflict_masks())
+def test_reduce_matches_reference_property(conflicts):
+    _check_reduction(conflicts)
+
+
 class TestBruteDisp:
     @pytest.mark.parametrize(
         "g,delta,value",
@@ -212,6 +307,14 @@ class TestBruteDisp:
 
     def test_single_vertex(self):
         assert brute_disp(Graph(1, ()), Fraction(5))[0] == 1
+
+    @pytest.mark.parametrize("delta", ["1", "2", "7/3", "3"])
+    def test_single_vertex_witness(self, delta):
+        g = Graph(1, ())
+        value, witness = brute_disp(g, Fraction(delta))
+        assert value == 1
+        assert (witness.vertices, witness.interior) == ((0,), ())
+        assert format_witness(g, witness) == "-1 0 0 0/1\n"
 
     def test_value_at_least_one(self):
         rng = random.Random(32)
