@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Graph, WitnessSet, as_rational, hop_ball
+from .core import Graph, WitnessSet, as_rational, hop_ball, integer_tokens
 from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
@@ -90,9 +90,10 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     p, q = delta.numerator, delta.denominator
     radius = (p - 1) // q  # the largest hop count below delta
     for u in sorted(cert.vertices):
-        for w, hops in hop_ball(g, u, radius):
-            if w > u and w in cert.vertices:
-                return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
+        for hops, ring in hop_ball(g, u, radius):
+            for w in ring:
+                if w > u and w in cert.vertices:
+                    return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
 
     occupied = sorted(cert.interior_counts)
     cap = int(1 / delta) + 1
@@ -119,12 +120,13 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
         count = cert.interior_counts[variables[i][1]]
         rows.append((i, i + 1, "<=", q - (count - 1) * p))
     for u, here in ends.items():
-        for w, hops in hop_ball(g, u, radius):
+        for hops, ring in hop_ball(g, u, radius):
             need = p - hops * q
-            for e, i in here:
-                if w in cert.vertices:
-                    lower[i] = max(lower[i], need)
-                rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
+            for w in ring:
+                for e, i in here:
+                    if w in cert.vertices:
+                        lower[i] = max(lower[i], need)
+                    rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
     rows.extend((i, None, ">=", b) for i, b in enumerate(lower))
 
     arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * len(variables))]
@@ -202,30 +204,19 @@ def format_certificate(k: int, cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> tuple[int, Certificate]:
-    lines = [line for line in text.splitlines()]
-    if not lines:
-        raise MalformedLineError("expected a bound line 'k'", line=1)
-    try:
-        k = int(lines[0].strip())
-    except ValueError:
-        raise MalformedLineError("expected an integer bound 'k'", line=1) from None
+    """Read the certificate format: a bound line ``k``, a line ``W:`` with
+    the vertex ids, then one ``e n_e`` line per occupied edge.  Every
+    number is a plain decimal integer (see :func:`integer_tokens`)."""
+    lines = text.splitlines()
+    (k,) = integer_tokens(lines[0] if lines else "", 1, "an integer bound 'k'", 1)
     if len(lines) < 2 or not lines[1].strip().startswith("W:"):
         raise MalformedLineError("expected a 'W: ...' line", line=2)
-    try:
-        vertices = frozenset(int(tok) for tok in lines[1].strip()[2:].split())
-    except ValueError:
-        raise MalformedLineError("vertex ids must be integers", line=2) from None
+    vertices = frozenset(integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids"))
     counts: dict[int, int] = {}
     for lineno, raw in enumerate(lines[2:], start=3):
-        parts = raw.split()
-        if not parts:
+        if not raw.split():
             continue
-        if len(parts) != 2:
-            raise MalformedLineError("expected 'e n_e'", line=lineno)
-        try:
-            e, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLineError("expected integers 'e n_e'", line=lineno) from None
+        e, c = integer_tokens(raw, lineno, "integers 'e n_e'", 2)
         if e in counts:
             raise MalformedLineError(f"edge {e} listed twice", line=lineno)
         if c < 0:

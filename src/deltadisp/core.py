@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import eq, sub
+from operator import eq, index, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -107,7 +107,7 @@ class Graph:
         edges: list[tuple[int, int]] = []
         seen: set[int] = set()
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u, v = index(u), index(v)  # refuses floats and Fractions
             key = u * n + v if u < v else v * n + u
             if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
                 # the edge's position is how many came before it
@@ -304,10 +304,10 @@ def _dispersed(
     point at least delta away from it), and a :func:`hop_ball` around each
     vertex that keeps a point pairs them up.
 
-    The cost is a pass over the sorted points, a sort of the edge ends and
-    one search ball of radius below delta per vertex that keeps a point:
-    near-linear in the witness times the ball size, with no all-pairs
-    table.
+    The cost is a pass over the sorted points, one over the edge ends
+    and one search ball of radius below delta per vertex that keeps a
+    point, walked ring by ring: near-linear in the witness times the ball
+    size, with no all-pairs table.
     """
     if len(vertices) + len(interior) < 2:
         return True
@@ -325,34 +325,30 @@ def _dispersed(
     if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
         return False
 
-    # Each edge's end points, named (edge, k): at an occupied end they
-    # must be delta away from it, at a vacant one they are kept as
-    # (vertex, distance, point) ends.
+    # Per vertex, its (distance, point) pairs for the nearest points,
+    # nearest first: an occupied vertex's own point, named by its id, or
+    # the two nearest ends of edges at a vacant one, named (edge, k).  An
+    # end at an occupied vertex must be delta away from it instead.
     occupied = set(vertices)
-    edges = g.edges
-    ends: list[tuple[int, int, tuple[int, int]]] = []
-    for e, k in dict(reversed(interior)).items():  # each edge's first offset
-        u = edges[e][0]
-        if u not in occupied:
-            ends.append((u, k * step, (e, k)))
-        elif k < gap:
-            return False
-    for e, k in dict(interior).items():  # and its last
-        v = edges[e][1]
-        if v not in occupied:
-            ends.append((v, (scale - k) * step, (e, k)))
-        elif scale - k < gap:
-            return False
-
-    # per vertex, its (distance, point) pairs for the nearest points, nearest
-    # first: an occupied vertex's own point, named by its id, or the two
-    # nearest ends at a vacant one
     near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in occupied}
-    ends.sort()
+    edges = g.edges
+    ends = [(edges[e][0], k * step, (e, k)) for e, k in dict(reversed(interior)).items()]
+    ends += [(edges[e][1], (scale - k) * step, (e, k)) for e, k in dict(interior).items()]
     for x, distance, point in ends:
-        kept = near.setdefault(x, [])
-        if len(kept) < 2:
+        kept = near.get(x)
+        if kept is None:
+            near[x] = [(distance, point)]
+        elif x in occupied:
+            if distance < limit:
+                return False
+        elif len(kept) == 1:
             kept.append((distance, point))
+            if distance < kept[0][0]:
+                kept.reverse()
+        elif distance < kept[1][0]:
+            kept[1] = (distance, point)
+            if distance < kept[0][0]:
+                kept.reverse()
 
     for x, here in near.items():
         if len(here) == 2 and here[0][0] + here[1][0] < limit:
@@ -360,19 +356,27 @@ def _dispersed(
         radius = (limit - here[0][0] - 1) // length
         if radius < 1:
             continue
-        for y, hops in hop_ball(g, x, radius):
-            there = near.get(y)
-            if there is None or hops == 0:
-                continue
+        rings = hop_ball(g, x, radius)
+        next(rings)  # ring 0 is x itself
+        for hops, ring in rings:
             reach = limit - hops * length
-            if any(a + b < reach and p != q for a, p in here for b, q in there):
-                return False
+            for y in ring:
+                there = near.get(y)
+                # the nearest pair first: it is the closest unless it is
+                # one point seen from both ends of its edge
+                if there is not None and here[0][0] + there[0][0] < reach:
+                    for a, p in here:
+                        for b, q in there:
+                            if a + b < reach and p != q:
+                                return False
     return True
 
 
-def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
-    """``(vertex, hops)`` for the vertices at most ``radius`` hops from
-    ``source``, nearest first, starting with ``(source, 0)``.
+def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """``(hops, ring)`` for hops = 0, 1, ... up to ``radius``: ``ring`` holds
+    the vertices exactly that many hops from ``source``, ring 0 being
+    ``[source]`` and ring 1 its neighbour list.  The rings stop early once
+    one comes up empty.
 
     A breadth-first search that stops at the radius, so its cost is the
     size of the ball, not of the graph; this is the one search the local
@@ -380,20 +384,24 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, int]]:
     graph's connectivity check does not use it: :class:`Graph` runs one
     plain breadth-first pass over the neighbour lists it builds anyway.
     """
-    yield source, 0
-    seen = {source}
-    ring = [source]
-    for hops in range(1, radius + 1):
+    yield 0, [source]
+    adjacency = g.adjacency
+    ring: Sequence[int] = adjacency[source]
+    if radius < 1 or not ring:
+        return
+    yield 1, ring
+    seen = {source, *ring}
+    for hops in range(2, radius + 1):
         next_ring = []
         for w in ring:
-            for y in g.adjacency[w]:
+            for y in adjacency[w]:
                 if y not in seen:
                     seen.add(y)
                     next_ring.append(y)
-                    yield y, hops
         if not next_ring:
             return
         ring = next_ring
+        yield hops, ring
 
 
 @dataclass(frozen=True)
@@ -622,25 +630,42 @@ def grid_form(
 # ---------------------------------------------------------------------------
 
 
+def integer_tokens(text: str, line: int, expected: str, count: int | None = None) -> list[int]:
+    """The whitespace-separated integers of one line of a text format,
+    `count` of them unless None.  Each token must be ``-?[0-9]+``; any
+    other token, or another count, raises MalformedLineError naming the
+    line and what was `expected`.
+    """
+    tokens = text.split()
+    if (count is None or len(tokens) == count) and _plain("".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    raise MalformedLineError(f"expected {expected}", line=line)
+
+
+def _plain(text: str) -> bool:
+    """Whether `text` is free of what ``int`` takes beyond ``-?[0-9]+``
+    (underscores, a ``+`` sign and non-ASCII digits): then it reads
+    exactly those tokens of `text`.  Non-ASCII whitespace makes text not
+    plain, though it only separates tokens."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: first line ``n m``, then m lines ``u v``.
 
-    Vertex ids are 0-based.  Raises a distinct error naming the offending
-    line for each failure mode: malformed line, vertex id out of range,
-    self-loop, duplicate edge, disconnected graph.  Errors come in line
-    order: the edge lines are parsed lazily while :class:`Graph` validates
-    them, and the trailing lines are checked before connectivity.
+    Vertex ids are 0-based and every number is a plain decimal integer
+    (see :func:`integer_tokens`).  Raises a distinct error naming the
+    offending line for each failure mode: malformed line, vertex id out of
+    range, self-loop, duplicate edge, disconnected graph.  Errors come in
+    line order: the edge lines are parsed lazily while :class:`Graph`
+    validates them, and the trailing lines are checked before
+    connectivity.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].split():
-        raise MalformedLineError("expected header 'n m'", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedLineError("expected header 'n m'", line=1)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise MalformedLineError("expected two integers 'n m'", line=1) from None
+    n, m = integer_tokens(lines[0] if lines else "", 1, "header 'n m'", 2)
     if n < 1:
         raise MalformedLineError("vertex count must be positive", line=1)
     if m < 0:
@@ -652,15 +677,19 @@ def _edge_lines(lines: list[str], m: int) -> Iterator[tuple[int, int]]:
     """The m edge lines after the header as ``(u, v)``, then a check that
     nothing but blank lines follows them."""
     body = lines[1 : m + 1]
+    # one check of the whole body lets int() read its lines; a line it
+    # refuses, or any line of a body that is not plain, goes through the
+    # strict reader, which names the faulty line
+    plain = _plain("".join(body))
     for lineno, text in enumerate(body, start=2):
         parts = text.split()
-        if len(parts) != 2:
-            raise MalformedLineError("expected 'u v'", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLineError("expected two integers 'u v'", line=lineno) from None
-        yield u, v
+        if plain and len(parts) == 2:
+            try:
+                yield int(parts[0]), int(parts[1])
+                continue
+            except ValueError:
+                pass
+        yield tuple(integer_tokens(text, lineno, "'u v'", 2))
     if len(body) < m:
         raise MalformedLineError("missing edge line", line=len(body) + 2)
     for extra, content in enumerate(lines[m + 1 :], start=m + 2):
@@ -700,14 +729,12 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
         parts = raw.split()
         if not parts:
             continue
-        if len(parts) != 4:
+        if len(parts) != 4 or parts[3].count("/") != 1:
             raise MalformedLineError("expected 'e u v num/den'", line=lineno)
-        try:
-            e, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-            num, _, den = parts[3].partition("/")
-            off = Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            raise MalformedLineError("expected 'e u v num/den'", line=lineno) from None
+        e, u, v, num, den = integer_tokens(raw.replace("/", " "), lineno, "'e u v num/den'", 5)
+        if den == 0:
+            raise MalformedLineError("expected 'e u v num/den'", line=lineno)
+        off = Fraction(num, den)
         if e == -1:
             if g.edge_count != 0:
                 raise MalformedLineError("edgeless point in a graph with edges", line=lineno)

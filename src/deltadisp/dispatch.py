@@ -96,19 +96,25 @@ def _numerator_two(g: Graph, b: int) -> tuple[int, tuple]:
     z = (b - 1) // 2
     base_value, vertices, mids = disp2(g)
     q = 2 * b
-    interior: list[tuple[int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        if u in vertices or v in vertices:
-            if u in vertices and v in vertices:
-                raise InternalConsistencyError("adjacent vertices in a 2-dispersed set")
-            if e in mids:
-                raise InternalConsistencyError("midpoint edge touches a chosen vertex")
-            if u in vertices:
-                interior.extend((e, 4 * i) for i in range(1, z + 1))
-            else:
-                interior.extend((e, q - 4 * i) for i in range(z, 0, -1))
-        elif e in mids:
-            interior.extend((e, 4 * i - 3) for i in range(1, z + 2))
-        else:
-            interior.extend((e, 4 * i - 1) for i in range(1, z + 1))
+    held = bytearray(g.vertex_count)
+    for v in vertices:
+        held[v] = 1
+    mid = bytearray(g.edge_count)
+    for e in mids:
+        mid[e] = 4
+    # offsets per edge code held[u] + 2 held[v] + mid[e]; codes 3, 5, 6
+    # and 7 are witness faults
+    patterns = (
+        range(3, 4 * z, 4),  # neither end chosen: 4i - 1
+        range(4, 4 * z + 1, 4),  # first end chosen: 4i
+        range(q - 4 * z, q, 4),  # second end chosen: q - 4i
+        (),
+        range(1, 4 * z + 2, 4),  # midpoint edge: 4i - 3
+    )
+    codes = [held[u] + 2 * held[v] + mid[e] for e, (u, v) in enumerate(g.edges)]
+    if 3 in codes or 7 in codes:
+        raise InternalConsistencyError("adjacent vertices in a 2-dispersed set")
+    if 5 in codes or 6 in codes:
+        raise InternalConsistencyError("midpoint edge touches a chosen vertex")
+    interior = [(e, k) for e, code in enumerate(codes) for k in patterns[code]]
     return base_value + z * g.edge_count, (q, vertices, interior)

@@ -1,26 +1,29 @@
 """Maximum matching in general graphs and the structure of maximum matchings.
 
 One engine, Edmonds' blossom-contracting alternating forest grown from
-every exposed vertex (O(V^3)), augments along every edge it finds between
-two of its trees; the first forest that finds none proves the matching
-maximum, and its outer vertices are the vertices some maximum matching
-misses.  The decomposition built on them exposes the guarantees every
-maximum matching satisfies (odd factor-critical components, perfectly
-matched even components, and the separator matched into distinct odd
-components).
+every exposed vertex, augments along every edge it finds between two of
+its trees; the first forest that finds none proves the matching maximum,
+and its outer vertices are the vertices some maximum matching misses.  A
+blossom contraction costs the size of the blossom, not of the graph, so
+a forest on sparse graphs with many blossoms (chains of triangles,
+cacti) is near-linear, and a handful of forests suffice in practice.
+The decomposition built on the missed vertices exposes the guarantees
+every maximum matching satisfies (odd factor-critical components,
+perfectly matched even components, and the separator matched into
+distinct odd components).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Mapping, Sequence
 
 from .core import Graph
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "component_split",
     "EGDecomposition",
     "matching_and_inessential",
     "edmonds_gallai",
@@ -38,13 +41,22 @@ def _search(
     of different bridges vertex-disjoint.  ``parent`` holds the tree links
     to flip along those paths, and ``outer`` marks the even-labelled
     vertices, contracted blossoms included.
+
+    A vertex names its blossom by an id, and each id its base vertex; see
+    :func:`_contract` for what a contraction costs.  A phase costs
+    O(E + V log V) plus the cycle paths its contractions walk, with no
+    pass over all V vertices per blossom.
     """
     n = len(adj)
     parent = [-1] * n
-    base = list(range(n))
+    blossom = list(range(n))  # blossom id per vertex
+    base = list(range(n))  # base vertex per blossom id
+    members: dict[int, list[int]] = {}  # vertices of each merged blossom id
     outer = [False] * n
     tree = [-1] * n
     closed = [False] * n
+    mark = [0] * n  # lowest-common-base stamps, two per contraction
+    stamp = 0
     roots = [v for v in range(n) if match[v] == -1]
     for r in roots:
         outer[r] = True
@@ -52,36 +64,13 @@ def _search(
     queue = deque(roots)
     bridges: list[tuple[int, int]] = []
 
-    def lowest_common_base(a: int, b: int) -> int:
-        seen = [False] * n
-        u = a
-        while True:
-            u = base[u]
-            seen[u] = True
-            if match[u] == -1:
-                break
-            u = parent[match[u]]
-        v = b
-        while True:
-            v = base[v]
-            if seen[v]:
-                return v
-            v = parent[match[v]]
-
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[child]
-
     while queue:
         v = queue.popleft()
         if closed[tree[v]]:
             continue
+        mate = match[v]
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if to == mate or blossom[v] == blossom[to]:
                 continue
             if outer[to]:
                 if tree[to] != tree[v]:
@@ -90,17 +79,10 @@ def _search(
                         closed[tree[v]] = closed[tree[to]] = True
                         break
                     continue
-                # odd cycle: contract the blossom down to its base
-                stem = lowest_common_base(v, to)
-                in_blossom = [False] * n
-                mark_path(v, stem, to, in_blossom)
-                mark_path(to, stem, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = stem
-                        if not outer[i]:
-                            outer[i] = True
-                            queue.append(i)
+                # odd cycle: contract the blossom down to its base; its
+                # inner vertices turn outer, queued in vertex order
+                stamp += 2
+                queue.extend(_contract(v, to, stamp, match, parent, outer, blossom, base, members, mark))
             elif parent[to] == -1:
                 # every exposed vertex is a root, so `to` is matched
                 parent[to] = v
@@ -110,11 +92,74 @@ def _search(
     return bridges, parent, outer
 
 
-def matching_and_inessential(
-    adjacency: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """A maximum matching (partner per vertex, -1 free) and the set D of
-    vertices some maximum matching misses.
+def _contract(
+    a: int,
+    b: int,
+    stamp: int,
+    match: Sequence[int],
+    parent: list[int],
+    outer: list[bool],
+    blossom: list[int],
+    base: list[int],
+    members: dict[int, list[int]],
+    mark: list[int],
+) -> list[int]:
+    """Contract the blossom that the edge between outer vertices a and b
+    of one tree closes, and return its inner vertices, now outer, sorted.
+
+    The lowest common base is found by climbing from both ends by turns,
+    marking bases with `stamp` and `stamp + 1`.  The paths from a and b
+    down to it are marked as in Edmonds' algorithm, and every merged
+    blossom but the largest is relabelled to the largest's id (Gabow's base
+    merging, JACM 1976), so each vertex is relabelled O(log V) times in a
+    phase.  The cost is the length of the cycle paths, at most the size of
+    the blossom, plus the relabelled vertices.
+    """
+    x, y = base[blossom[a]], base[blossom[b]]
+    mine, theirs = stamp, stamp + 1
+    while True:
+        if x != -1:
+            if mark[x] == theirs:
+                break
+            mark[x] = mine
+            x = -1 if match[x] == -1 else base[blossom[parent[match[x]]]]
+        x, y, mine, theirs = y, x, theirs, mine
+    stem = x
+
+    keep = blossom[stem]
+    merged = [keep]
+    inner = []
+    for v, child in ((a, b), (b, a)):
+        while blossom[v] != keep:
+            m = match[v]
+            merged.append(blossom[v])
+            merged.append(blossom[m])
+            if not outer[m]:
+                outer[m] = True
+                inner.append(m)
+            parent[v] = child
+            child = m
+            v = parent[m]
+
+    merged = dict.fromkeys(merged)
+    grown = [i for i in merged if i in members]  # the others are single vertices
+    if grown:
+        keep = max(grown, key=lambda i: len(members[i]))
+    kept = members.setdefault(keep, [keep])
+    for i in merged:
+        if i != keep:
+            moved = members.pop(i, [i])
+            for w in moved:
+                blossom[w] = keep
+            kept += moved
+    base[keep] = stem
+    inner.sort()
+    return inner
+
+
+def _maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[bool]]:
+    """A maximum matching (partner per vertex, -1 free) and, per vertex,
+    whether some maximum matching misses it.
 
     Each phase grows one alternating forest from every exposed vertex and
     augments along every bridge it records.  The first phase that records
@@ -135,7 +180,7 @@ def matching_and_inessential(
     while True:
         bridges, parent, outer = _search(adjacency, match)
         if not bridges:
-            return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
+            return match, outer
         for a, b in bridges:
             ends = (match[a], match[b])
             match[a], match[b] = b, a
@@ -147,25 +192,13 @@ def matching_and_inessential(
                     v = nxt
 
 
-def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by `inside`."""
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(inside):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = deque(comp)
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x in inside and x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-                    queue.append(x)
-        comps.append(frozenset(comp))
-    return comps
+def matching_and_inessential(
+    adjacency: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """A maximum matching (partner per vertex, -1 free) and the set D of
+    vertices some maximum matching misses."""
+    match, outer = _maximum_matching(adjacency)
+    return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
 
 
 @dataclass(frozen=True)
@@ -193,70 +226,83 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
     """Compute the decomposition and verify its structural guarantees.
 
     The inessential set and the maximum matching the rest of the structure
-    is read off come from one call of the matching engine.  Any violated
-    guarantee raises InternalConsistencyError rather than passing silently.
+    is read off come from one call of the matching engine.  One pass over
+    a vertex-kind array labels the components of the inessential set and
+    of the remainder.  Any violated guarantee raises
+    InternalConsistencyError rather than passing silently.
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    mate, inessential = matching_and_inessential(adjacency)
-    separator = frozenset(
-        u for v in inessential for u in adjacency[v]
-    ) - inessential
-    remainder = frozenset(range(n)) - inessential - separator
+    mate, outer = _maximum_matching(adjacency)
+    # kind per vertex: 0 inessential, 1 separator, 2 remainder; both arrays
+    # end in a slot for the partner -1 of an exposed vertex
+    kind = [0 if is_outer else 2 for is_outer in outer] + [3]
+    for v in compress(range(n), outer):
+        for u in adjacency[v]:
+            if not outer[u]:
+                kind[u] = 1
+    comp = [-1] * (n + 1)
+    inessential_comps: list[list[int]] = []
+    remainder_comps: list[list[int]] = []
+    for start in range(n):
+        k = kind[start]
+        if comp[start] != -1 or k == 1:
+            continue
+        c = start  # a component is named by its least vertex
+        comp[start] = c
+        group = [start]
+        for w in group:  # breadth-first: `group` grows as vertices are reached
+            for x in adjacency[w]:
+                if comp[x] == -1 and kind[x] == k:
+                    comp[x] = c
+                    group.append(x)
+        (inessential_comps if k == 0 else remainder_comps).append(group)
 
-    comps = component_split(adjacency, inessential)
-    for comp in comps:
-        if len(comp) % 2 == 0:
-            raise InternalConsistencyError(
-                f"even-sized inessential component {sorted(comp)}"
-            )
-    singletons = frozenset(next(iter(c)) for c in comps if len(c) == 1)
-    odd_components = tuple(
-        sorted((c for c in comps if len(c) >= 3), key=min)
-    )
+    for group in inessential_comps:
+        if len(group) % 2 == 0:
+            raise InternalConsistencyError(f"even-sized inessential component {sorted(group)}")
 
     partner: dict[int, int] = {}
-    for y in sorted(separator):
-        x = mate[y]
-        if x not in inessential:
-            raise InternalConsistencyError(
-                f"separator vertex {y} is not matched into the inessential set"
-            )
-        partner[y] = x
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    hit_components = [comp_of[x] for x in partner.values()]
-    if len(set(hit_components)) != len(hit_components):
+    for y in range(n):
+        if kind[y] == 1:
+            x = mate[y]
+            if kind[x] != 0:
+                raise InternalConsistencyError(
+                    f"separator vertex {y} is not matched into the inessential set"
+                )
+            partner[y] = x
+    if len({comp[x] for x in partner.values()}) != len(partner):
         raise InternalConsistencyError(
             "separator vertices matched into a shared inessential component"
         )
 
-    for comp in component_split(adjacency, remainder):
-        if len(comp) % 2:
-            raise InternalConsistencyError(f"odd remainder component {sorted(comp)}")
-        for v in comp:
-            if mate[v] not in comp:
+    for group in remainder_comps:
+        if len(group) % 2:
+            raise InternalConsistencyError(f"odd remainder component {sorted(group)}")
+        c = group[0]
+        for v in group:
+            if comp[mate[v]] != c:
                 raise InternalConsistencyError(
-                    f"remainder component {sorted(comp)} is not perfectly matched"
+                    f"remainder component {sorted(group)} is not perfectly matched"
                 )
-    for comp in comps:
-        missed = [v for v in comp if mate[v] not in comp]
+    for group in inessential_comps:
+        c = group[0]
+        missed = [v for v in group if comp[mate[v]] != c]
         if len(missed) != 1:
             raise InternalConsistencyError(
-                f"inessential component {sorted(comp)} not near-perfectly matched"
+                f"inessential component {sorted(group)} not near-perfectly matched"
             )
-        outside = mate[missed[0]]
-        if outside != -1 and outside not in separator:
+        if kind[mate[missed[0]]] not in (1, 3):
             raise InternalConsistencyError(
                 f"vertex {missed[0]} matched outside separator"
             )
 
     return EGDecomposition(
-        inessential=inessential,
-        separator=separator,
-        remainder=remainder,
-        singletons=singletons,
-        odd_components=odd_components,
+        inessential=frozenset(compress(range(n), outer)),
+        separator=frozenset(partner),
+        remainder=frozenset(chain.from_iterable(remainder_comps)),
+        singletons=frozenset(group[0] for group in inessential_comps if len(group) == 1),
+        odd_components=tuple(frozenset(group) for group in inessential_comps if len(group) > 1),
         partner=partner,
-        mate=mate,
+        mate=tuple(mate),
     )
-

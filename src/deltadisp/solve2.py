@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .core import Graph
 from .errors import InternalConsistencyError
-from .matching import edmonds_gallai, matching_and_inessential
+from .matching import _maximum_matching, edmonds_gallai
 
 __all__ = [
     "CutInstance",
@@ -65,15 +65,18 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
     set gives 0, so the result is never positive.
     """
     left = sorted(inst.left)
-    index = {("L", x): i for i, x in enumerate(left)}
-    index.update({("R", y): len(left) + j for j, y in enumerate(sorted(inst.right))})
-    adjacency: list[list[int]] = [[] for _ in index]
-    for x, y in sorted(inst.arcs):
-        adjacency[index[("L", x)]].append(index[("R", y)])
-        adjacency[index[("R", y)]].append(index[("L", x)])
-    match, inessential = matching_and_inessential(adjacency)
+    right = sorted(inst.right)
+    # left vertex i is node i of B, right vertex j node len(left) + j
+    at_left = dict(zip(left, range(len(left))))
+    at_right = dict(zip(right, range(len(left), len(left) + len(right))))
+    adjacency: list[list[int]] = [[] for _ in range(len(left) + len(right))]
+    for x, y in inst.arcs:  # nu(B) and the missed set do not depend on the order
+        i, j = at_left[x], at_right[y]
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    match, outer = _maximum_matching(adjacency)
     value = (len(match) - match.count(-1)) // 2 - len(left)
-    chosen = frozenset(x for x in left if index[("L", x)] in inessential)
+    chosen = frozenset(x for x, is_outer in zip(left, outer) if is_outer)
     if value != surplus(inst, chosen):
         raise InternalConsistencyError("matching deficiency does not match its minimizer")
     return value, chosen
@@ -109,11 +112,11 @@ def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     # each odd component and matches every separator vertex into the
     # inessential set; all of its edges become midpoints except at separator
     # vertices next to a chosen singleton.
-    hit = {y for x, y in arcs if x in chosen}
-    midpoints = frozenset(
-        g.edge_index(v, u)
-        for v, u in enumerate(dec.mate)
-        if v < u and v not in hit and u not in hit
-    )
+    mate = list(dec.mate)
+    for x in chosen:
+        for y in g.adjacency[x]:
+            mate[y] = -1
+            mate[dec.partner[y]] = -1
+    midpoints = frozenset(e for e, (u, v) in enumerate(g.edges) if mate[u] == v)
 
     return value, chosen, midpoints

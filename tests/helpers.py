@@ -11,10 +11,11 @@ reductions keep their per-neighbour domination test as a reference.  The point
 pipeline the integer witness form replaced (Fraction points per route, their
 normalization, sort, local check and printing) is kept as the differential
 reference for that form.  The all-pairs hop table, the point metric over
-it, edge midpoints, vertex vicinities, the matching shorthands and the
-conflict-pair listing live here too, since only tests use them, and so
-does the earlier matching engine (one blossom search per exposed vertex),
-the differential reference for the alternating forest.
+it, edge midpoints, vertex vicinities, the matching shorthands, the split
+of a vertex set into components and the conflict-pair listing live here
+too, since only tests use them, and so does the earlier matching engine
+(one blossom search per exposed vertex), the differential reference for
+the alternating forest.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 from deltadisp import Graph, Point, as_rational, normalize_point, vertex_point
 from deltadisp.core import _point_key, hop_ball
 from deltadisp.errors import InternalConsistencyError
-from deltadisp.matching import EGDecomposition, component_split, matching_and_inessential
+from deltadisp.matching import EGDecomposition, matching_and_inessential
 from deltadisp.solve2 import CutInstance, disp2
 
 
@@ -542,6 +543,27 @@ def fourier_motzkin_feasible(
     return True, None
 
 
+def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by `inside`."""
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        queue = deque(comp)
+        while queue:
+            w = queue.popleft()
+            for x in adjacency[w]:
+                if x in inside and x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+                    queue.append(x)
+        comps.append(frozenset(comp))
+    return comps
+
+
 def validate_canonical(
     g: Graph, vertices: frozenset[int], midpoint_edges: frozenset[int], dec: EGDecomposition
 ) -> bool:
@@ -810,13 +832,14 @@ def reference_is_dispersed(g: Graph, points, delta) -> bool:
     for x, here in near.items():
         nearest = min(d for d, _ in here)
         radius = (limit - nearest - 1) // scale
-        for y, hops in hop_ball(g, x, radius):
-            there = near.get(y)
-            if there is None:
-                continue
+        for hops, ring in hop_ball(g, x, radius):
             reach = limit - hops * scale
-            if any(a + b < reach and p != q for a, p in here for b, q in there):
-                return False
+            for y in ring:
+                there = near.get(y)
+                if there is not None and any(
+                    a + b < reach and p != q for a, p in here for b, q in there
+                ):
+                    return False
     return True
 
 

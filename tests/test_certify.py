@@ -293,6 +293,27 @@ class TestFormat:
         with pytest.raises(MalformedLineError):
             parse_certificate("3\nW: 1\n0 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1_0\nW: 0 1_1\n", 1),  # int() alone reads k = 10 and vertex 11
+            ("1\nW: 0 1_1\n", 2),
+            ("1\nW: \u0661\n", 2),
+            ("1\nW: 0\n0 +1\n", 3),
+            ("1\nW: 0\n1_0 1\n", 3),
+        ],
+    )
+    def test_only_plain_integer_tokens(self, text, line):
+        from deltadisp import MalformedLineError
+
+        with pytest.raises(MalformedLineError) as err:
+            parse_certificate(text)
+        assert err.value.line == line
+
+    def test_negative_tokens_reach_the_checks(self):
+        k, cert = parse_certificate("-1\nW: -2\n")
+        assert k == -1 and cert.vertices == {-2}
+
 
 class TestWitnessSetInterface:
     def test_extract_counts_interior_points(self):

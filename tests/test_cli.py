@@ -111,6 +111,17 @@ class TestSolve:
         assert run(["solve", str(p), "--delta", "2"]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_plain_integer_in_graph_file(self, tmp_path, capsys):
+        # int() alone would read the last line as the edge (0, 10)
+        p = tmp_path / "star.graph"
+        p.write_text("11 10\n" + "".join(f"0 {v}\n" for v in range(1, 10)) + "0 1_0\n")
+        assert run(["solve", str(p), "--delta", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "line 11" in lines[0]
+
     def test_disconnected_graph_file(self, tmp_path, capsys):
         # a triangle plus an isolated vertex: past the edge-count guard
         p = tmp_path / "split.graph"

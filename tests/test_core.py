@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from deltadisp import (
     subdivide,
     vertex_point,
 )
-from deltadisp.core import grid_adjacency
+from deltadisp.core import grid_adjacency, integer_tokens
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -103,6 +104,51 @@ class TestParseGraph:
     def test_roundtrip(self):
         text = format_graph(C5)
         assert parse_graph(text) == C5
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "+1", "1.0", "0x1", "--1", "-"])
+    def test_only_plain_integer_tokens(self, token):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1
+        star = "11 10\n" + "".join(f"0 {v}\n" for v in range(1, 10))
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph(star + f"0 {token}\n")
+        assert err.value.line == 11
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph(f"{token} 0\n")
+        assert err.value.line == 1
+        # a faulty line in a body that is otherwise plain, and the other way round
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph(f"3 2\n0 1\n1 {token}\n")
+        assert err.value.line == 3
+
+    def test_plain_tokens_read_as_before(self):
+        assert parse_graph("3 2\n 0\t1 \n1   002\n").edges == ((0, 1), (1, 2))
+        # non-ASCII whitespace still separates tokens
+        assert parse_graph("3 2\n0\u00a01\n1 2\n").edges == ((0, 1), (1, 2))
+        # an edge line after a faulty trailing line still parses in order
+        with pytest.raises(MalformedLineError) as err:
+            parse_graph("3 2\n0 1\n1 2\n1_0\n")
+        assert err.value.line == 4
+
+    def test_negative_ids_reach_the_range_check(self):
+        with pytest.raises(VertexRangeError) as err:
+            parse_graph("2 1\n0 -1")
+        assert err.value.line == 2
+        with pytest.raises(VertexRangeError) as err:
+            parse_graph("3 2\n0 1\n-2 1\n")
+        assert err.value.line == 3
+
+
+_TOKEN = re.compile("-?[0-9]+")
+
+
+@given(st.text(alphabet="0123456789-+_ \t.e\u0661\u00b2\u00a0", max_size=12))
+def test_integer_tokens_take_exactly_plain_integers(text):
+    tokens = text.split()
+    if all(_TOKEN.fullmatch(t) for t in tokens):
+        assert integer_tokens(text, 1, "integers") == [int(t) for t in tokens]
+    else:
+        with pytest.raises(MalformedLineError):
+            integer_tokens(text, 1, "integers")
 
 
 @st.composite
@@ -376,6 +422,19 @@ class TestIsDispersed:
     def test_single_point_any_delta(self):
         assert is_dispersed(C3, [midpoint(C3, 0)], Fraction(100))
 
+    def test_nearest_two_ends_kept_whatever_their_order(self):
+        # at the centre the far end (1/2 away) is seen before the two near
+        # ones (1/4 away), which are 1/2 apart
+        star = Graph(4, ((1, 0), (2, 0), (3, 0)))
+        points = [Point(0, Fraction(1, 2)), Point(1, Fraction(3, 4)), Point(2, Fraction(3, 4))]
+        assert not is_dispersed(star, points, Fraction(3, 4))
+        assert is_dispersed(star, points, Fraction(1, 2))
+        # the same at vertex 1, whose far end is a first offset
+        tree = Graph(4, ((1, 0), (2, 1), (3, 1)))
+        points = [Point(e, Fraction(2, 3)) for e in range(3)]
+        assert not is_dispersed(tree, points, Fraction(1))
+        assert is_dispersed(tree, points, Fraction(2, 3))
+
     def test_same_edge_pairs_compare_directly(self):
         pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
         assert is_dispersed(C3, pts, Fraction(3, 5))
@@ -503,6 +562,15 @@ class TestWitnessIO:
         with pytest.raises(MalformedLineError):
             parse_witness(K2, "0 1 0 1/2\n", Fraction(1))
 
+    @pytest.mark.parametrize(
+        "line", ["0 0 1 1_0/20", "0 0 1 1/+2", "0 0 \u0661 1/2", "0 0 1 1/0", "0 0 1 1//2", "0 0 1 1"]
+    )
+    def test_only_plain_integer_tokens(self, line):
+        assert parse_witness(K2, "0 0 1 1/2\n", Fraction(1)).interior == ((0, 1),)
+        with pytest.raises(MalformedLineError) as err:
+            parse_witness(K2, "0 0 1 1/2\n" + line + "\n", Fraction(1))
+        assert err.value.line == 2
+
     def test_bad_offset_rejected(self):
         with pytest.raises(MalformedLineError):
             parse_witness(K2, "0 0 1 3/2\n", Fraction(1))
@@ -524,6 +592,14 @@ class TestExactnessBoundary:
 
 
 class TestGraphValidation:
+    @pytest.mark.parametrize("bad", [1.9, 1.0, Fraction(1), "1"])
+    def test_refuses_non_integral_ids(self, bad):
+        # int() would truncate 1.9 to 1 and read the edge (0, 1)
+        with pytest.raises(TypeError):
+            Graph(2, ((0, bad),))
+        with pytest.raises(TypeError):
+            Graph(3, ((bad, 2), (0, 1)))
+
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             Graph(4, ((0, 1), (2, 3)))

@@ -1,6 +1,7 @@
 """Blossom matching and the maximum-matching decomposition."""
 
 import random
+from time import perf_counter
 
 import pytest
 from helpers import (
@@ -18,7 +19,7 @@ from helpers import (
     triangle_chain,
 )
 
-from deltadisp import Graph, edmonds_gallai, matching
+from deltadisp import Graph, disp, edmonds_gallai, matching
 from deltadisp.matching import matching_and_inessential
 
 K2 = Graph(2, ((0, 1),))
@@ -76,9 +77,12 @@ class TestForest:
             lambda n: random_cactus(rng, n),
             triangle_chain,
         )
+        graphs = [families[case % 4](rng.randint(2, 120)) for case in range(1600)]
+        # a few large blossom-heavy graphs, where contractions nest deeply
+        graphs += [random_cactus(rng, n) for n in (1_000, 2_000, 3_000)]
+        graphs += [triangle_chain(n) for n in (1_001, 2_000, 3_001)]
         mismatches = []
-        for case in range(1600):
-            g = families[case % 4](rng.randint(2, 120))
+        for g in graphs:
             mate, inessential = matching_and_inessential(g.adjacency)
             ref_mate, ref_inessential = reference_matching_and_inessential(g.adjacency)
             for v, u in enumerate(mate):
@@ -89,11 +93,36 @@ class TestForest:
                 mismatches.append(g)
         assert mismatches == []
 
-    @pytest.mark.parametrize("kind", ["tree", "sparse"])
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 11), (0, 12), (1, 4), (1, 5), (1, 6), (2, 6), (2, 8), (3, 10), (3, 11), (4, 9),
+             (4, 11), (5, 10), (6, 7), (6, 8), (7, 11), (8, 9)),
+            ((0, 3), (0, 7), (1, 2), (1, 3), (1, 11), (2, 4), (3, 11), (3, 12), (5, 7), (5, 9),
+             (6, 8), (6, 9), (7, 10), (8, 10), (10, 12)),
+            ((0, 5), (0, 10), (1, 2), (1, 11), (2, 10), (3, 4), (3, 12), (4, 6), (4, 10), (5, 12),
+             (6, 8), (7, 8), (7, 9), (8, 9), (8, 11)),
+        ],
+    )
+    def test_blossom_merged_into_a_larger_one_takes_its_base(self, edges):
+        # a blossom hangs below a single-vertex base and is larger than it,
+        # so the merged blossom keeps the larger one's id with a new base
+        # vertex; a later climb through it must leave by that base
+        g = Graph(13, edges)
+        mate, inessential = matching_and_inessential(g.adjacency)
+        assert inessential == reference_matching_and_inessential(g.adjacency)[1]
+        assert sum(u > v for v, u in enumerate(mate)) == brute_matching_number(g)
+
+    @pytest.mark.parametrize("kind", ["tree", "sparse", "cactus"])
     def test_phases_stay_few(self, monkeypatch, kind):
         rng = random.Random(9)
         n = 10_000
-        g = random_tree(rng, n) if kind == "tree" else random_sparse_graph(rng, n, n // 3)
+        if kind == "tree":
+            g = random_tree(rng, n)
+        elif kind == "sparse":
+            g = random_sparse_graph(rng, n, n // 3)
+        else:
+            g = random_cactus(rng, n)
         calls = []
         search = matching._search
 
@@ -104,6 +133,15 @@ class TestForest:
         monkeypatch.setattr(matching, "_search", counted)
         matching_and_inessential(g.adjacency)
         assert len(calls) <= 20
+
+    def test_blossom_chain_scales(self):
+        # 20,000 triangles in a row: every contraction used to relabel and
+        # scan all n vertices, which took half a minute here
+        g = triangle_chain(40_001)
+        start = perf_counter()
+        value, _ = disp(g, 2)
+        assert value == 20_000
+        assert perf_counter() - start < 10
 
 
 class TestEdmondsGallai:
