@@ -637,20 +637,17 @@ def integer_tokens(text: str, line: int, expected: str, count: int | None = None
     line and what was `expected`.
     """
     tokens = text.split()
-    if (count is None or len(tokens) == count) and _plain("".join(tokens)):
+    # free of what int() takes beyond -?[0-9]+ (underscores, a + sign,
+    # non-ASCII digits), int() reads exactly those tokens; non-ASCII
+    # whitespace only separates them
+    joined = "".join(tokens)
+    plain = joined.isascii() and "_" not in joined and "+" not in joined
+    if plain and (count is None or len(tokens) == count):
         try:
             return list(map(int, tokens))
         except ValueError:
             pass
     raise MalformedLineError(f"expected {expected}", line=line)
-
-
-def _plain(text: str) -> bool:
-    """Whether `text` is free of what ``int`` takes beyond ``-?[0-9]+``
-    (underscores, a ``+`` sign and non-ASCII digits): then it reads
-    exactly those tokens of `text`.  Non-ASCII whitespace makes text not
-    plain, though it only separates tokens."""
-    return text.isascii() and "_" not in text and "+" not in text
 
 
 def parse_graph(text: str) -> Graph:
@@ -673,23 +670,12 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, _edge_lines(lines, m), first_line=2)
 
 
-def _edge_lines(lines: list[str], m: int) -> Iterator[tuple[int, int]]:
-    """The m edge lines after the header as ``(u, v)``, then a check that
+def _edge_lines(lines: list[str], m: int) -> Iterator[list[int]]:
+    """The m edge lines after the header as ``[u, v]``, then a check that
     nothing but blank lines follows them."""
     body = lines[1 : m + 1]
-    # one check of the whole body lets int() read its lines; a line it
-    # refuses, or any line of a body that is not plain, goes through the
-    # strict reader, which names the faulty line
-    plain = _plain("".join(body))
     for lineno, text in enumerate(body, start=2):
-        parts = text.split()
-        if plain and len(parts) == 2:
-            try:
-                yield int(parts[0]), int(parts[1])
-                continue
-            except ValueError:
-                pass
-        yield tuple(integer_tokens(text, lineno, "'u v'", 2))
+        yield integer_tokens(text, lineno, "'u v'", 2)
     if len(body) < m:
         raise MalformedLineError("missing edge line", line=len(body) + 2)
     for extra, content in enumerate(lines[m + 1 :], start=m + 2):

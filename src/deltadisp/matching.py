@@ -4,10 +4,11 @@ One engine, Edmonds' blossom-contracting alternating forest grown from
 every exposed vertex, augments along every edge it finds between two of
 its trees; the first forest that finds none proves the matching maximum,
 and its outer vertices are the vertices some maximum matching misses.  A
-blossom contraction costs the size of the blossom, not of the graph, so
-a forest on sparse graphs with many blossoms (chains of triangles,
-cacti) is near-linear, and a handful of forests suffice in practice.
-The decomposition built on the missed vertices exposes the guarantees
+blossom contraction costs its cycle paths plus the vertices it
+relabels, not the size of the graph; forests on sparse graphs with many
+blossoms (chains of triangles, cacti) take near-linear time, measured
+but not proven, and a handful of forests suffice in practice.  The
+decomposition built on the missed vertices exposes the guarantees
 every maximum matching satisfies (odd factor-critical components,
 perfectly matched even components, and the separator matched into
 distinct odd components).
@@ -25,7 +26,7 @@ from .errors import InternalConsistencyError
 
 __all__ = [
     "EGDecomposition",
-    "matching_and_inessential",
+    "maximum_matching",
     "edmonds_gallai",
 ]
 
@@ -157,7 +158,7 @@ def _contract(
     return inner
 
 
-def _maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[bool]]:
+def maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[bool]]:
     """A maximum matching (partner per vertex, -1 free) and, per vertex,
     whether some maximum matching misses it.
 
@@ -192,15 +193,6 @@ def _maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], li
                     v = nxt
 
 
-def matching_and_inessential(
-    adjacency: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """A maximum matching (partner per vertex, -1 free) and the set D of
-    vertices some maximum matching misses."""
-    match, outer = _maximum_matching(adjacency)
-    return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
-
-
 @dataclass(frozen=True)
 class EGDecomposition:
     """Partition of the vertices by maximum-matching structure.
@@ -233,7 +225,7 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    mate, outer = _maximum_matching(adjacency)
+    mate, outer = maximum_matching(adjacency)
     # kind per vertex: 0 inessential, 1 separator, 2 remainder; both arrays
     # end in a slot for the partner -1 of an exposed vertex
     kind = [0 if is_outer else 2 for is_outer in outer] + [3]

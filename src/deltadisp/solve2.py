@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .core import Graph
 from .errors import InternalConsistencyError
-from .matching import _maximum_matching, edmonds_gallai
+from .matching import edmonds_gallai, maximum_matching
 
 __all__ = [
     "CutInstance",
@@ -74,7 +74,7 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
         i, j = at_left[x], at_right[y]
         adjacency[i].append(j)
         adjacency[j].append(i)
-    match, outer = _maximum_matching(adjacency)
+    match, outer = maximum_matching(adjacency)
     value = (len(match) - match.count(-1)) // 2 - len(left)
     chosen = frozenset(x for x, is_outer in zip(left, outer) if is_outer)
     if value != surplus(inst, chosen):

@@ -28,10 +28,10 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from deltadisp import Graph, Point, as_rational, normalize_point, vertex_point
+from deltadisp import Graph, Point, as_rational, matching, normalize_point, vertex_point
 from deltadisp.core import _point_key, hop_ball
 from deltadisp.errors import InternalConsistencyError
-from deltadisp.matching import EGDecomposition, matching_and_inessential
+from deltadisp.matching import EGDecomposition
 from deltadisp.solve2 import CutInstance, disp2
 
 
@@ -198,6 +198,13 @@ def vicinity(g: Graph, v: int) -> frozenset[Point]:
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range")
     return frozenset([vertex_point(g, v)] + [midpoint(g, e) for e in g.incident_edges[v]])
+
+
+def matching_and_inessential(adjacency) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The engine's maximum matching (partner per vertex, -1 free) and the
+    set D of vertices some maximum matching misses."""
+    match, outer = matching.maximum_matching(adjacency)
+    return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
 
 
 def maximum_matching(g: Graph) -> frozenset[int]:

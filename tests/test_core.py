@@ -115,7 +115,7 @@ class TestParseGraph:
         with pytest.raises(MalformedLineError) as err:
             parse_graph(f"{token} 0\n")
         assert err.value.line == 1
-        # a faulty line in a body that is otherwise plain, and the other way round
+        # a faulty line after plain ones
         with pytest.raises(MalformedLineError) as err:
             parse_graph(f"3 2\n0 1\n1 {token}\n")
         assert err.value.line == 3

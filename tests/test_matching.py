@@ -9,6 +9,7 @@ from helpers import (
     brute_factor_critical,
     brute_inessential,
     brute_matching_number,
+    matching_and_inessential,
     matching_number,
     maximum_matching,
     random_cactus,
@@ -20,7 +21,6 @@ from helpers import (
 )
 
 from deltadisp import Graph, disp, edmonds_gallai, matching
-from deltadisp.matching import matching_and_inessential
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
