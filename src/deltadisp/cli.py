@@ -44,7 +44,12 @@ def _parse_delta(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name.
+
+    Each command's parser sets ``command`` to its name, so it parses a
+    command's arguments on its own.
+    """
     parser = argparse.ArgumentParser(
         prog="deltadisp",
         description="Exact dispersion numbers for unit-edge graphs.",
@@ -94,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     subdiv.add_argument("graph", type=Path)
     subdiv.add_argument("--factor", type=int, required=True)
 
-    return parser
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
+    return parser, sub.choices
 
 
 def _write(*outputs: tuple[Path, str]) -> None:
@@ -116,13 +123,27 @@ def _write(*outputs: tuple[Path, str]) -> None:
         written.append(path)
 
 
-#: one parser per process: building it costs more than most commands
-_shared_parser = cache(build_parser)
+#: one set of parsers per process: building them costs more than most commands
+_shared_parsers = cache(build_parser)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed once, by the named command's own parser.
+
+    Only an empty `argv`, a leading option such as ``--help`` or an
+    unknown command goes through the top-level parser, whose subcommand
+    action would otherwise parse every argument a second time.
+    """
+    parser, commands = _shared_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -390,6 +390,8 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
     if radius < 1 or not ring:
         return
     yield 1, ring
+    if radius < 2:  # the seen set is read only from ring 2 on
+        return
     seen = {source, *ring}
     for hops in range(2, radius + 1):
         next_ring = []

@@ -17,6 +17,16 @@ running intersection of closed neighbourhoods and dropped at once (see
 :func:`_reduce` for why that is sound).  Domination alone solves the
 conflict graphs of trees.
 
+The two inner loops do work in proportion to what they find.  The
+running intersection takes a candidate's outer ring first (its conflicts
+at the largest hop count, ``ConflictGraph.far``), whose neighbourhoods
+overlap the rest least, so it empties sooner; an intersection is the same
+set in any order, so what is dropped does not change.  The clique cover
+grows one clique at a time from the lowest candidate left, one AND per
+member, which is the same partition first-fit in index order builds.
+The bound at every node, the search tree and the witness are therefore
+those of the plain loops.
+
 This solver is the ground truth the polynomial algorithms are tested
 against, and the only exact route in the NP-hard regime (numerator >= 3)
 on graphs that are not trees.  It is meant for desk-scale instances; a
@@ -60,10 +70,15 @@ class ConflictGraph:
     ``candidates`` are built on first use.  ``conflicts[i]`` is a bitmask
     over candidate indices whose distance to candidate i is strictly below
     delta.  The relation is symmetric and irreflexive by construction.
+    ``far[i]``, the outer ring of candidate i, is the part of
+    ``conflicts[i]`` that the last growing round of the build added: the
+    conflicts at the largest hop count, a hint for the search's
+    domination test that never changes its result.
     """
 
     delta: Fraction
     conflicts: tuple[int, ...]
+    far: tuple[int, ...]
     source: Graph
     factor: int
 
@@ -94,7 +109,8 @@ def build_conflict_graph(
     The balls grow as bitsets over :func:`~deltadisp.core.grid_adjacency`,
     one round per hop: each round ORs every vertex's neighbours' balls into
     its own, and the rounds stop early once none grows, so the work is
-    bounded by the graph, not by delta.
+    bounded by the graph, not by delta.  ``far`` keeps what the last round
+    that grew added to each ball.
     The candidate cap is checked before anything is allocated.  Raises
     OracleTimeoutError once `monotonic()` passes `deadline`, checked
     before each round.
@@ -112,7 +128,7 @@ def build_conflict_graph(
         )
 
     adjacency = grid_adjacency(g, q)
-    reach = [1 << v for v in range(count)]
+    reach = previous = [1 << v for v in range(count)]
     for _ in range(int(delta * q) - 1):
         if deadline is not None and monotonic() > deadline:
             raise OracleTimeoutError("conflict-graph build exceeded its time budget")
@@ -123,29 +139,39 @@ def build_conflict_graph(
             grown.append(ball)
         if grown == reach:
             break
-        reach = grown
-    return ConflictGraph(delta, tuple(ball ^ (1 << v) for v, ball in enumerate(reach)), g, q)
+        previous, reach = reach, grown
+    conflicts = tuple(ball ^ (1 << v) for v, ball in enumerate(reach))
+    # balls only grow, so the last growing round's additions are an XOR
+    far = tuple(ball ^ inner for ball, inner in zip(reach, previous))
+    return ConflictGraph(delta, conflicts, far, g, q)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
     """Greedy partition of `remaining` into mutually conflicting groups.
 
     Any dispersed set picks at most one candidate per group, so the group
-    count bounds the independent set size from above.
+    count bounds the independent set size from above.  Each group grows
+    from the lowest candidate left by repeatedly adding the lowest one
+    that conflicts with every member so far, kept as one running AND of
+    the members' conflicts: one AND per member.  That is first-fit in
+    index order (each candidate joins the first group all of whose
+    members it conflicts with) applied one group at a time: whether a
+    candidate joins the first group depends only on the members below it,
+    and the candidates it leaves form the later groups the same way, so
+    the partition, and hence the bound, is first-fit's.
     """
-    cliques: list[int] = []
+    count = 0
     r = remaining
     while r:
         low = r & -r
         r ^= low
-        cv = conflicts[low.bit_length() - 1]
-        for idx, members in enumerate(cliques):
-            if members & ~cv == 0:
-                cliques[idx] = members | low
-                break
-        else:
-            cliques.append(low)
-    return len(cliques)
+        count += 1
+        cand = conflicts[low.bit_length() - 1] & r
+        while cand:
+            u = cand & -cand
+            r ^= u
+            cand &= conflicts[u.bit_length() - 1]
+    return count
 
 
 class _SearchTimeout(OracleTimeoutError):
@@ -157,7 +183,11 @@ class _SearchTimeout(OracleTimeoutError):
 
 
 def _reduce(
-    conflicts: tuple[int, ...], rem: int, dirty: int, check: Callable[[], None]
+    conflicts: tuple[int, ...],
+    rem: int,
+    dirty: int,
+    check: Callable[[], None],
+    far: tuple[int, ...] | None = None,
 ) -> tuple[int, int]:
     """Apply isolation and domination to `rem` until neither fires.
 
@@ -181,11 +211,21 @@ def _reduce(
     after the drop is found on the next pass, since the dropped
     candidates' neighbours, v among them, are re-examined.
 
+    The intersection takes v's remaining neighbours in `far[v]` first,
+    then the rest (each part in ascending order); no `far` is the empty
+    hint, which runs the same loop.  An intersection is the same set in
+    any order, so the order changes only how soon it empties, never what
+    is dropped.  The outer ring (``ConflictGraph.far``) lies farthest from
+    v's other neighbours, so its neighbourhoods tend to cut the set down
+    soonest.
+
     Only the `dirty` candidates, whose neighbourhoods shrank since they
     were last examined, can have become dominated or isolated; they are
     examined in ascending index order.  `check` runs once per pass and
     raises when the deadline has passed.
     """
+    if far is None:
+        far = (0,) * len(conflicts)
     taken = 0
     while dirty:
         check()
@@ -196,14 +236,19 @@ def _reduce(
             dirty ^= low
             if not rem & low:
                 continue
-            nv = conflicts[low.bit_length() - 1] & rem
-            dominated = r = nv
-            while r:
+            v = low.bit_length() - 1
+            nv = conflicts[v] & rem
+            dominated = nv
+            r = far[v] & nv
+            rest = nv ^ r
+            while dominated:
+                if not r:
+                    if not rest:
+                        break
+                    r, rest = rest, 0
                 w = r & -r
                 r ^= w
                 dominated &= conflicts[w.bit_length() - 1] | w
-                if not dominated:
-                    break
             if dominated:  # N[v] within N[u] for each u here: drop them all
                 rem ^= dominated
                 nv ^= dominated
@@ -219,11 +264,12 @@ def _reduce(
 
 
 def _max_independent_set(
-    conflicts: tuple[int, ...], deadline: float | None
+    conflicts: tuple[int, ...], deadline: float | None, far: tuple[int, ...] | None = None
 ) -> tuple[int, int]:
     """Deterministic branch-and-reduce MIS; returns (size, chosen bitmask).
 
-    Every node first runs :func:`_reduce` to a fixpoint, then prunes by a
+    Every node first runs :func:`_reduce` to a fixpoint, with `far` as its
+    order hint (no effect on the result), then prunes by a
     greedy clique-cover bound, then branches on the candidate with the most
     remaining conflicts (ties by lowest index), taking it before dropping
     it.  A greedy pass in index order seeds the incumbent.  Raises
@@ -253,7 +299,7 @@ def _max_independent_set(
     while stack:
         check()
         count, chosen, rem, dirty = stack.pop()
-        taken, rem = _reduce(conflicts, rem, dirty, check)
+        taken, rem = _reduce(conflicts, rem, dirty, check, far)
         chosen |= taken
         count += taken.bit_count()
         if rem == 0:
@@ -318,7 +364,7 @@ def brute_disp(
         raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
     n, q = g.vertex_count, cg.factor
     try:
-        value, mask = _max_independent_set(cg.conflicts, deadline)
+        value, mask = _max_independent_set(cg.conflicts, deadline, cg.far)
     except _SearchTimeout as exc:
         size = exc.mask.bit_count()
         form = grid_form(n, q, _members(exc.mask))

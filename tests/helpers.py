@@ -730,13 +730,14 @@ def reference_max_independent_set(conflicts) -> tuple[int, int]:
     return best, best_mask
 
 
-def reference_reduce(conflicts, rem: int, dirty: int, check) -> tuple[int, int]:
+def reference_reduce(conflicts, rem: int, dirty: int, check, far=None) -> tuple[int, int]:
     """Isolation and domination to a fixpoint, one neighbour at a time.
 
     The per-neighbour form of ``oracle._reduce``: for each examined
     candidate v it tests every remaining neighbour u on its own for
     N[v] within N[u] and drops each dominated one as it is found.  Same
-    signature and result ``(taken, rem)``.
+    signature and result ``(taken, rem)``; it takes the order hint `far`
+    and ignores it, as the result does not depend on it.
     """
     taken = 0
     while dirty:

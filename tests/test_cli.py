@@ -248,7 +248,7 @@ class TestOracle:
         # a search result of two conflicting candidates (both ends of K2)
         from deltadisp import brute_disp, oracle
 
-        monkeypatch.setattr(oracle, "_max_independent_set", lambda conflicts, deadline: (2, 0b11))
+        monkeypatch.setattr(oracle, "_max_independent_set", lambda conflicts, deadline, far: (2, 0b11))
         with pytest.raises(InternalConsistencyError):
             brute_disp(parse_graph(K2_TEXT), Fraction(3))
         assert run(["oracle", str(k2), "--delta", "3"]) == 4
@@ -397,3 +397,16 @@ class TestUsage:
             assert capsys.readouterr().out == "accept\n"
             assert run(["verify", str(star), "--delta", "2"]) == 2
             assert "--certificate" in capsys.readouterr().err
+
+    def test_command_parser_errors_and_help(self, k2, capsys):
+        # a command's arguments are parsed by its own parser alone, which
+        # keeps the exit codes of the top-level parse before and after a
+        # successful command
+        for _ in range(2):
+            assert run(["solve", str(k2), "--delta", "2", "--bogus"]) == 2
+            err = capsys.readouterr().err
+            assert "usage: deltadisp solve" in err and "--bogus" in err
+            assert run(["solve", "--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: deltadisp solve")
+            assert run(["solve", str(k2), "--delta", "2"]) == 0
+            assert capsys.readouterr().out == "1\n"

@@ -42,7 +42,7 @@ from deltadisp import (
     subdivide,
     vertex_point,
 )
-from deltadisp.core import grid_adjacency, integer_tokens
+from deltadisp.core import grid_adjacency, hop_ball, integer_tokens
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -197,6 +197,27 @@ class TestHopDistances:
             assert table[u][u] == 0
             for v in range(5):
                 assert table[u][v] == table[v][u]
+
+    def test_hop_ball_rings_in_search_order(self):
+        # ring k holds the vertices k hops out, in the order a
+        # breadth-first search finds them; rings stop at the radius or at
+        # the first empty one
+        rng = random.Random(19)
+        for g in [Graph(1, ()), K2, P3, C5] + [random_cactus(rng, n) for n in (6, 9, 14)]:
+            table = hop_table(g)
+            for source in range(g.vertex_count):
+                for radius in range(5):
+                    rings = [(0, [source])]
+                    while rings[-1][0] < radius:
+                        hops = rings[-1][0] + 1
+                        ring = [y for w in rings[-1][1] for y in g.adjacency[w]
+                                if table[source][y] == hops]
+                        ring = list(dict.fromkeys(ring))
+                        if not ring:
+                            break
+                        rings.append((hops, ring))
+                    got = [(hops, list(ring)) for hops, ring in hop_ball(g, source, radius)]
+                    assert got == rings, (g, source, radius)
 
 
 class TestPointDistance:

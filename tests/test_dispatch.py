@@ -295,7 +295,7 @@ class TestCheckedExit:
         # both ends of K2 are candidates 0 and 1, fewer than 3 apart
         from deltadisp import oracle
 
-        def timed_out(conflicts, deadline):
+        def timed_out(conflicts, deadline, far):
             raise oracle._SearchTimeout(0b11)
 
         monkeypatch.setattr(oracle, "_max_independent_set", timed_out)
@@ -334,7 +334,7 @@ class TestIntegerWitness:
                 cases.append((g, delta, brute_disp(g, delta)[1], reference))
 
         # a timed-out search's incumbent: the optimum less its first candidate
-        def timed_out(conflicts, deadline):
+        def timed_out(conflicts, deadline, far):
             mask = search(conflicts, None)[1]
             raise oracle._SearchTimeout(mask & (mask - 1))
 

@@ -18,6 +18,7 @@ from helpers import (
     reference_max_independent_set,
     reference_reduce,
 )
+from helpers import _clique_cover_size as first_fit_cover_size
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from deltadisp import (
     is_dispersed,
     subdivide,
 )
-from deltadisp.oracle import _max_independent_set, _reduce
+from deltadisp.oracle import _clique_cover_size, _max_independent_set, _reduce
 
 K2 = Graph(2, ((0, 1),))
 C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -111,6 +112,31 @@ class TestConflictGraph:
                 if cg.conflicts != all_pairs_conflicts(g, delta, q):
                     mismatches.append((g, delta, q))
         assert mismatches == []
+
+    def test_far_is_the_last_growing_ring(self):
+        # far[i] is what the last round that grew added to candidate i's
+        # ball: the reference conflicts at spacing s less those at s - 1/q,
+        # for the largest s <= delta where the two differ (s = delta unless
+        # the rounds stopped early)
+        rng = random.Random(66)
+        early = 0
+        for case in range(60):
+            n = rng.randint(1, 8)
+            g = (random_tree, random_cactus)[case % 2](rng, n)
+            delta = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            cg = build_conflict_graph(g, delta)
+            q = cg.factor
+            assert all(f & ~c == 0 for f, c in zip(cg.far, cg.conflicts))
+            spacing = delta
+            outer = all_pairs_conflicts(g, spacing, q)
+            while spacing > 0:
+                inner = all_pairs_conflicts(g, spacing - Fraction(1, q), q)
+                if inner != outer:
+                    break
+                spacing -= Fraction(1, q)
+            early += spacing < delta
+            assert cg.far == tuple(a ^ b for a, b in zip(outer, inner)), (g, delta)
+        assert 0 < early < 60
 
     def test_brute_disp_on_200_vertex_tree(self):
         g = random_tree(random.Random(61), 200)
@@ -290,7 +316,69 @@ def test_reduce_matches_reference_property(conflicts):
     _check_reduction(conflicts)
 
 
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data())
+def test_reduce_with_any_hint_matches_reference_property(data):
+    # the order hint never changes the result: any subset of each
+    # candidate's conflicts, the empty one included
+    conflicts = data.draw(conflict_masks())
+    far = tuple(data.draw(st.integers(0, c)) & c for c in conflicts)
+    rem = data.draw(st.integers(0, (1 << len(conflicts)) - 1))
+    check = lambda: None  # noqa: E731
+    assert _reduce(conflicts, rem, rem, check, far) == reference_reduce(conflicts, rem, rem, check)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data())
+def test_cover_matches_first_fit_property(data):
+    conflicts = data.draw(conflict_masks())
+    remaining = data.draw(st.integers(0, (1 << len(conflicts)) - 1))
+    assert _clique_cover_size(conflicts, remaining) == first_fit_cover_size(conflicts, remaining)
+
+
+class TestCliqueCover:
+    """The one-pass clique cover against first-fit (``helpers._clique_cover_size``)."""
+
+    def test_matches_first_fit_on_conflict_graphs(self):
+        rng = random.Random(67)
+        for g, delta in _reduction_cases():
+            conflicts = build_conflict_graph(g, delta).conflicts
+            full = (1 << len(conflicts)) - 1
+            for remaining in (full, *(rng.getrandbits(len(conflicts)) for _ in range(5))):
+                assert _clique_cover_size(conflicts, remaining) == first_fit_cover_size(
+                    conflicts, remaining
+                ), (g, delta)
+
+    def test_search_calls_the_bound_alike(self, monkeypatch):
+        from deltadisp import oracle
+
+        def searched(cover):
+            calls = []
+
+            def counted(conflicts, remaining):
+                calls.append(remaining)
+                return cover(conflicts, remaining)
+
+            monkeypatch.setattr(oracle, "_clique_cover_size", counted)
+            results = []
+            for g, delta in _reduction_cases():
+                cg = build_conflict_graph(g, delta)
+                results.append(_max_independent_set(cg.conflicts, None, cg.far))
+            return calls, results
+
+        # the same bound calls, on the same remaining sets, and results
+        ours = searched(_clique_cover_size)
+        assert len(ours[0]) > 100
+        assert ours == searched(first_fit_cover_size)
+
+
 class TestBruteDisp:
+    def test_5x5_grid_at_5_3(self):
+        g = _grid_graph(5, 5)
+        value, witness = brute_disp(g, Fraction(5, 3))
+        assert value == 15
+        assert is_dispersed(g, witness.points, Fraction(5, 3))
+
     @pytest.mark.parametrize(
         "g,delta,value",
         [
