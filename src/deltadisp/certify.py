@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Mapping
 
 from .core import Graph, WitnessSet, as_rational, hop_ball, integer_tokens
@@ -39,7 +40,9 @@ class Certificate:
     interior_counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        counts = {int(e): int(c) for e, c in self.interior_counts.items() if int(c) != 0}
+        # operator.index refuses floats and Fractions, which int() truncates
+        object.__setattr__(self, "vertices", frozenset(map(index, self.vertices)))
+        counts = {index(e): index(c) for e, c in self.interior_counts.items() if index(c) != 0}
         if any(c < 0 for c in counts.values()):
             raise ValueError("interior counts must be non-negative")
         object.__setattr__(self, "interior_counts", counts)

@@ -28,7 +28,7 @@ from .errors import (
 from .gadget import build_gadget, format_gadget_map
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 
-_DELTA_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_DELTA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 
 def _parse_delta(text: str) -> Fraction:

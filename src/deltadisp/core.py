@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import eq, index, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -299,15 +300,19 @@ def _dispersed(
     other's at an end y, and costs at least L hops(x, y); a pair closer
     than delta therefore has ends fewer than delta hops apart.  Along such
     a route a nearer point on the same edge, or the vertex itself, is
-    closer still, so each vertex keeps only its two nearest points (an
-    occupied vertex only its own: the offset check has put every other
-    point at least delta away from it), and a :func:`hop_ball` around each
-    vertex that keeps a point pairs them up.
+    closer still, so each vertex keeps only its nearest point and the
+    distance to the next (an occupied vertex only its own point: the
+    offset check has put every other point at least delta away from it).
+    Hop 0 compares those two.  Ends x and y at least one hop apart
+    compare their nearest points only, unless that is one point of edge
+    xy seen from both ends: then every pair is farther apart than one that
+    hop 0 at x or y compares.
 
-    The cost is a pass over the sorted points, one over the edge ends
-    and one search ball of radius below delta per vertex that keeps a
-    point, walked ring by ring: near-linear in the witness times the ball
-    size, with no all-pairs table.
+    The cost is a pass over the sorted points, one over the edge ends, and
+    per vertex that keeps a point its neighbour list when delta allows one
+    hop, or a search ball of radius below delta walked ring by ring when
+    it allows more: near-linear in the witness times the ball size, with
+    no all-pairs table and nothing sized by the graph.
     """
     if len(vertices) + len(interior) < 2:
         return True
@@ -325,50 +330,43 @@ def _dispersed(
     if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
         return False
 
-    # Per vertex, its (distance, point) pairs for the nearest points,
-    # nearest first: an occupied vertex's own point, named by its id, or
-    # the two nearest ends of edges at a vacant one, named (edge, k).  An
-    # end at an occupied vertex must be delta away from it instead.
+    # Per vertex, ``(d0, p0, d1)``: the distance and name of its nearest
+    # point and the distance of the next (`limit` if none): an occupied
+    # vertex's own point, named by its id, or the two nearest ends of
+    # edges (one per edge) at a vacant one, named (edge, k).  An end at an
+    # occupied vertex must be delta away from it instead.
     occupied = set(vertices)
-    near: dict[int, list[tuple[int, object]]] = {v: [(0, v)] for v in occupied}
+    near = {v: (0, v, limit) for v in occupied}
     edges = g.edges
     ends = [(edges[e][0], k * step, (e, k)) for e, k in dict(reversed(interior)).items()]
     ends += [(edges[e][1], (scale - k) * step, (e, k)) for e, k in dict(interior).items()]
     for x, distance, point in ends:
         kept = near.get(x)
         if kept is None:
-            near[x] = [(distance, point)]
+            near[x] = (distance, point, limit)
         elif x in occupied:
             if distance < limit:
                 return False
-        elif len(kept) == 1:
-            kept.append((distance, point))
-            if distance < kept[0][0]:
-                kept.reverse()
-        elif distance < kept[1][0]:
-            kept[1] = (distance, point)
-            if distance < kept[0][0]:
-                kept.reverse()
+        elif distance < kept[0]:
+            near[x] = (distance, point, kept[0])
+        elif distance < kept[2]:
+            near[x] = (kept[0], kept[1], distance)
 
-    for x, here in near.items():
-        if len(here) == 2 and here[0][0] + here[1][0] < limit:
+    adjacency = g.adjacency
+    for x, (d0, p0, d1) in near.items():
+        if d0 + d1 < limit:
             return False  # hop 0: the two points nearest x
-        radius = (limit - here[0][0] - 1) // length
+        radius = (limit - d0 - 1) // length
         if radius < 1:
             continue
-        rings = hop_ball(g, x, radius)
-        next(rings)  # ring 0 is x itself
+        # one hop reads x's neighbour list; more walk a ball from ring 1 on
+        rings = [(1, adjacency[x])] if radius == 1 else islice(hop_ball(g, x, radius), 1, None)
         for hops, ring in rings:
             reach = limit - hops * length
             for y in ring:
                 there = near.get(y)
-                # the nearest pair first: it is the closest unless it is
-                # one point seen from both ends of its edge
-                if there is not None and here[0][0] + there[0][0] < reach:
-                    for a, p in here:
-                        for b, q in there:
-                            if a + b < reach and p != q:
-                                return False
+                if there is not None and d0 + there[0] < reach and p0 != there[1]:
+                    return False
     return True
 
 
@@ -380,7 +378,7 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 
     A breadth-first search that stops at the radius, so its cost is the
     size of the ball, not of the graph; this is the one search the local
-    checks (:func:`is_dispersed`, certificate verification) share.  The
+    checks (:func:`is_dispersed` past one hop, certificates) share.  The
     graph's connectivity check does not use it: :class:`Graph` runs one
     plain breadth-first pass over the neighbour lists it builds anyway.
     """
@@ -720,7 +718,7 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
         if len(parts) != 4 or parts[3].count("/") != 1:
             raise MalformedLineError("expected 'e u v num/den'", line=lineno)
         e, u, v, num, den = integer_tokens(raw.replace("/", " "), lineno, "'e u v num/den'", 5)
-        if den == 0:
+        if den < 1:
             raise MalformedLineError("expected 'e u v num/den'", line=lineno)
         off = Fraction(num, den)
         if e == -1:

@@ -17,9 +17,10 @@ distinct odd components).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from typing import Sequence
 
 from .core import Graph
 from .errors import InternalConsistencyError
@@ -195,23 +196,37 @@ def maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], lis
 
 @dataclass(frozen=True)
 class EGDecomposition:
-    """Partition of the vertices by maximum-matching structure.
+    """Partition of the vertices by maximum-matching structure, held as the
+    arrays it is labelled in: ``kind`` per vertex (0 inessential, 1
+    separator, 2 remainder, and a last slot 3 for the partner -1 of an
+    exposed vertex), the ``components`` of the inessential set as vertex
+    lists, each led by its least vertex and ordered by it, and ``mate``,
+    the maximum matching they are read off.
 
-    ``inessential`` holds the vertices missed by some maximum matching; the
-    ``separator`` is its outside neighbourhood; the ``remainder`` is
-    everything else.  The inessential components are split into singletons
-    and odd components of size >= 3, and ``partner`` maps each separator
-    vertex to its matched inessential vertex in ``mate``, the maximum
-    matching the structure is read off: partner per vertex, -1 if exposed.
+    The sets are views built on first read: ``inessential`` holds the
+    vertices some maximum matching misses, the ``separator`` its outside
+    neighbourhood, the ``remainder`` the rest; the inessential components
+    split into ``singletons`` and ``odd_components`` (size >= 3), and
+    ``partner`` maps each separator vertex to its mate.
     """
 
-    inessential: frozenset[int]
-    separator: frozenset[int]
-    remainder: frozenset[int]
-    singletons: frozenset[int]
-    odd_components: tuple[frozenset[int], ...]
-    partner: Mapping[int, int]
+    kind: Sequence[int] = field(repr=False)
+    components: Sequence[Sequence[int]] = field(repr=False)
     mate: tuple[int, ...]
+
+    def _of_kind(self, k: int) -> frozenset[int]:
+        return frozenset(compress(range(len(self.mate)), map(k.__eq__, self.kind)))
+
+    inessential = cached_property(lambda self: self._of_kind(0))
+    separator = cached_property(lambda self: self._of_kind(1))
+    remainder = cached_property(lambda self: self._of_kind(2))
+    singletons = cached_property(
+        lambda self: frozenset(c[0] for c in self.components if len(c) == 1)
+    )
+    odd_components = cached_property(
+        lambda self: tuple(frozenset(c) for c in self.components if len(c) > 1)
+    )
+    partner = cached_property(lambda self: {y: self.mate[y] for y in sorted(self.separator)})
 
 
 def edmonds_gallai(g: Graph) -> EGDecomposition:
@@ -220,14 +235,13 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
     The inessential set and the maximum matching the rest of the structure
     is read off come from one call of the matching engine.  One pass over
     a vertex-kind array labels the components of the inessential set and
-    of the remainder.  Any violated guarantee raises
-    InternalConsistencyError rather than passing silently.
+    of the remainder, and the decomposition keeps the kinds and the
+    inessential components that pass finds.  Any violated guarantee
+    raises InternalConsistencyError rather than passing silently.
     """
     n = g.vertex_count
     adjacency = g.adjacency
     mate, outer = maximum_matching(adjacency)
-    # kind per vertex: 0 inessential, 1 separator, 2 remainder; both arrays
-    # end in a slot for the partner -1 of an exposed vertex
     kind = [0 if is_outer else 2 for is_outer in outer] + [3]
     for v in compress(range(n), outer):
         for u in adjacency[v]:
@@ -248,22 +262,22 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
                 if comp[x] == -1 and kind[x] == k:
                     comp[x] = c
                     group.append(x)
-        (inessential_comps if k == 0 else remainder_comps).append(group)
-
-    for group in inessential_comps:
-        if len(group) % 2 == 0:
+        if k == 2:
+            remainder_comps.append(group)
+        elif len(group) % 2:
+            inessential_comps.append(group)
+        else:
             raise InternalConsistencyError(f"even-sized inessential component {sorted(group)}")
 
-    partner: dict[int, int] = {}
-    for y in range(n):
-        if kind[y] == 1:
-            x = mate[y]
-            if kind[x] != 0:
-                raise InternalConsistencyError(
-                    f"separator vertex {y} is not matched into the inessential set"
-                )
-            partner[y] = x
-    if len({comp[x] for x in partner.values()}) != len(partner):
+    owners = []  # the inessential component each separator vertex is matched into
+    for y in compress(range(n), map((1).__eq__, kind)):
+        x = mate[y]
+        if kind[x] != 0:
+            raise InternalConsistencyError(
+                f"separator vertex {y} is not matched into the inessential set"
+            )
+        owners.append(comp[x])
+    if len(set(owners)) != len(owners):
         raise InternalConsistencyError(
             "separator vertices matched into a shared inessential component"
         )
@@ -279,7 +293,8 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
                 )
     for group in inessential_comps:
         c = group[0]
-        missed = [v for v in group if comp[mate[v]] != c]
+        # a singleton's mate, if any, lies outside it
+        missed = group if len(group) == 1 else [v for v in group if comp[mate[v]] != c]
         if len(missed) != 1:
             raise InternalConsistencyError(
                 f"inessential component {sorted(group)} not near-perfectly matched"
@@ -289,12 +304,4 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
                 f"vertex {missed[0]} matched outside separator"
             )
 
-    return EGDecomposition(
-        inessential=frozenset(compress(range(n), outer)),
-        separator=frozenset(partner),
-        remainder=frozenset(chain.from_iterable(remainder_comps)),
-        singletons=frozenset(group[0] for group in inessential_comps if len(group) == 1),
-        odd_components=tuple(frozenset(group) for group in inessential_comps if len(group) > 1),
-        partner=partner,
-        mate=tuple(mate),
-    )
+    return EGDecomposition(kind, inessential_comps, tuple(mate))

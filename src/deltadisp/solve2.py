@@ -17,6 +17,7 @@ points from them and verifies the witness it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .core import Graph
@@ -62,7 +63,8 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
     arcs.  The minimizing T is the set of left vertices some maximum
     matching of B misses: those reachable by alternating paths from the
     exposed left vertices, whose neighbourhood is matched into T.  The empty
-    set gives 0, so the result is never positive.
+    set gives 0, so the result is never positive.  The arcs are read into
+    B's node adjacency for :func:`_min_surplus`, which solves it.
     """
     left = sorted(inst.left)
     right = sorted(inst.right)
@@ -74,10 +76,18 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
         i, j = at_left[x], at_right[y]
         adjacency[i].append(j)
         adjacency[j].append(i)
+    value, chosen = _min_surplus(adjacency, len(left))
+    return value, frozenset(left[i] for i in chosen)
+
+
+def _min_surplus(adjacency: list[list[int]], left: int) -> tuple[int, list[int]]:
+    """The value and minimizing nodes of :func:`min_surplus` for B given by
+    its node adjacency, nodes below `left` forming its left side; the value
+    is rechecked as the surplus of those nodes."""
     match, outer = maximum_matching(adjacency)
-    value = (len(match) - match.count(-1)) // 2 - len(left)
-    chosen = frozenset(x for x, is_outer in zip(left, outer) if is_outer)
-    if value != surplus(inst, chosen):
+    value = (len(match) - match.count(-1)) // 2 - left
+    chosen = list(compress(range(left), outer))
+    if value != len({y for i in chosen for y in adjacency[i]}) - len(chosen):
         raise InternalConsistencyError("matching deficiency does not match its minimizer")
     return value, chosen
 
@@ -85,28 +95,33 @@ def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
 def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     """The 2-dispersion number and an optimal canonical witness: the chosen
     vertices and the edges whose midpoints it holds.  Unchecked; the caller
-    verifies the points it places from them."""
-    if g.vertex_count == 1:
+    verifies the points it places from them.  The value is the matching
+    number (the remainder's, odd components' and separator's matched
+    edges) minus the minimum surplus of B, whose node adjacency is built
+    from the decomposition's arrays."""
+    n = g.vertex_count
+    if n == 1:
         return 1, frozenset({0}), frozenset()
 
     dec = edmonds_gallai(g)
-    arcs = set()
-    for x in dec.singletons:
-        for y in g.adjacency[x]:
-            if y not in dec.separator:
+    kind, adjacency = dec.kind, g.adjacency
+    singletons = [c[0] for c in dec.components if len(c) == 1]
+    # singleton i is node i of B, and a separator vertex the next node when first met
+    node = dict(zip(singletons, range(len(singletons))))
+    nodes: list[list[int]] = [[] for _ in singletons]
+    for i, x in enumerate(singletons):
+        for y in adjacency[x]:
+            if kind[y] != 1:
                 raise InternalConsistencyError(
                     f"neighbour {y} of singleton {x} is outside the separator"
                 )
-            arcs.add((x, y))
-    inst = CutInstance(dec.singletons, dec.separator, frozenset(arcs))
-    best_surplus, chosen = min_surplus(inst)
-
-    value = (
-        len(dec.remainder) // 2
-        + sum((len(c) - 1) // 2 for c in dec.odd_components)
-        + len(dec.separator)
-        - best_surplus
-    )
+            j = node.setdefault(y, len(nodes))
+            if j == len(nodes):
+                nodes.append([])
+            nodes[i].append(j)
+            nodes[j].append(i)
+    best_surplus, chosen = _min_surplus(nodes, len(singletons))
+    chosen = [singletons[i] for i in chosen]
 
     # The matching ``mate`` is perfect on the remainder, near-perfect inside
     # each odd component and matches every separator vertex into the
@@ -114,9 +129,8 @@ def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     # vertices next to a chosen singleton.
     mate = list(dec.mate)
     for x in chosen:
-        for y in g.adjacency[x]:
-            mate[y] = -1
-            mate[dec.partner[y]] = -1
-    midpoints = frozenset(e for e, (u, v) in enumerate(g.edges) if mate[u] == v)
-
-    return value, chosen, midpoints
+        for y in adjacency[x]:
+            mate[y] = mate[dec.mate[y]] = -1
+    midpoints = frozenset([e for e, (u, v) in enumerate(g.edges) if mate[u] == v])
+    value = (n - dec.mate.count(-1)) // 2 - best_surplus
+    return value, frozenset(chosen), midpoints

@@ -15,7 +15,8 @@ it, edge midpoints, vertex vicinities, the matching shorthands, the split
 of a vertex set into components and the conflict-pair listing live here
 too, since only tests use them, and so does the earlier matching engine
 (one blossom search per exposed vertex), the differential reference for
-the alternating forest.
+the alternating forest, and the earlier eager decomposition build, the
+reference for the decomposition's views.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -320,6 +322,75 @@ def reference_matching_and_inessential(adjacency) -> tuple[list[int], frozenset[
             f"augmenting path to {end} remains after the matching search"
         )
     return match, frozenset(v for v, is_outer in enumerate(outer) if is_outer)
+
+
+@dataclass(frozen=True)
+class ReferenceDecomposition:
+    """The decomposition's sets, built eagerly."""
+
+    inessential: frozenset[int]
+    separator: frozenset[int]
+    remainder: frozenset[int]
+    singletons: frozenset[int]
+    odd_components: tuple[frozenset[int], ...]
+    partner: dict[int, int]
+    mate: tuple[int, ...]
+
+
+def reference_edmonds_gallai(g: Graph) -> ReferenceDecomposition:
+    """The earlier decomposition build: the engine's matching and missed
+    set, both component kinds labelled by breadth-first search, every set
+    and the partner map built at once, and every structural guarantee
+    checked."""
+    n = g.vertex_count
+    adjacency = g.adjacency
+    mate, outer = matching.maximum_matching(adjacency)
+    kind = [0 if is_outer else 2 for is_outer in outer] + [3]
+    for v in itertools.compress(range(n), outer):
+        for u in adjacency[v]:
+            if not outer[u]:
+                kind[u] = 1
+    comp = [-1] * (n + 1)
+    inessential_comps: list[list[int]] = []
+    remainder_comps: list[list[int]] = []
+    for start in range(n):
+        k = kind[start]
+        if comp[start] != -1 or k == 1:
+            continue
+        comp[start] = start
+        group = [start]
+        for w in group:
+            for x in adjacency[w]:
+                if comp[x] == -1 and kind[x] == k:
+                    comp[x] = start
+                    group.append(x)
+        (inessential_comps if k == 0 else remainder_comps).append(group)
+    if any(len(group) % 2 == 0 for group in inessential_comps):
+        raise InternalConsistencyError("even-sized inessential component")
+    partner = {}
+    for y in range(n):
+        if kind[y] == 1:
+            if kind[mate[y]] != 0:
+                raise InternalConsistencyError(f"separator vertex {y} matched outside")
+            partner[y] = mate[y]
+    if len({comp[x] for x in partner.values()}) != len(partner):
+        raise InternalConsistencyError("separator vertices share a component")
+    for group in remainder_comps:
+        if len(group) % 2 or any(comp[mate[v]] != group[0] for v in group):
+            raise InternalConsistencyError("remainder component not perfectly matched")
+    for group in inessential_comps:
+        missed = [v for v in group if comp[mate[v]] != group[0]]
+        if len(missed) != 1 or kind[mate[missed[0]]] not in (1, 3):
+            raise InternalConsistencyError("inessential component not near-perfectly matched")
+    return ReferenceDecomposition(
+        inessential=frozenset(itertools.compress(range(n), outer)),
+        separator=frozenset(partner),
+        remainder=frozenset(itertools.chain.from_iterable(remainder_comps)),
+        singletons=frozenset(group[0] for group in inessential_comps if len(group) == 1),
+        odd_components=tuple(frozenset(group) for group in inessential_comps if len(group) > 1),
+        partner=partner,
+        mate=tuple(mate),
+    )
 
 
 def matching_number(g: Graph) -> int:

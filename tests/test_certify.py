@@ -57,6 +57,18 @@ class TestExtract:
         assert cert.total == 5
 
 
+class TestCertificateValidation:
+    @pytest.mark.parametrize("bad", [1.9, 1.0, Fraction(1), "1"])
+    def test_refuses_non_integral_ids(self, bad):
+        # int() would truncate 1.9 to 1: edge 1 on P3, accepted at 1/2
+        with pytest.raises(TypeError):
+            Certificate(frozenset(), {bad: 1})
+        with pytest.raises(TypeError):
+            Certificate(frozenset(), {0: bad})
+        with pytest.raises(TypeError):
+            Certificate(frozenset({bad}), {})
+
+
 class TestVerify:
     def test_star_accept(self):
         cert = Certificate(frozenset({1, 2, 3}), {})

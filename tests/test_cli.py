@@ -102,6 +102,15 @@ class TestSolve:
     def test_rejects_float_delta(self, k2):
         assert run(["solve", str(k2), "--delta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("delta", ["\u0661/\u0663", "\uff12", "2/\u0663"])
+    def test_rejects_non_ascii_digits_in_delta(self, tmp_path, capsys, delta):
+        # \d matches these digits and int() reads them: Arabic-Indic 1/3
+        # was solved as 1/3 on P3 and printed 7
+        p = tmp_path / "p3.graph"
+        p.write_text("3 2\n0 1\n1 2\n")
+        assert run(["solve", str(p), "--delta", delta]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_graph(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.graph"), "--delta", "2"]) == 2
 

@@ -17,6 +17,7 @@ from helpers import (
     random_cactus,
     random_connected_graph,
     random_tree,
+    reference_is_dispersed,
     vicinity,
 )
 from hypothesis import given, settings
@@ -456,6 +457,40 @@ class TestIsDispersed:
         assert not is_dispersed(tree, points, Fraction(1))
         assert is_dispersed(tree, points, Fraction(2, 3))
 
+    def test_matches_local_reference_at_every_scale(self):
+        # greedy sets on the 1/scale grid and one random point more, so
+        # both verdicts come up at every scale; one-hop spacings (1 < delta
+        # <= 2) read neighbour lists, longer ones walk search balls
+        rng = random.Random(42)
+        verdicts = {True: 0, False: 0}
+        mismatches = []
+        for case in range(1500):
+            n = rng.randint(2, 16)
+            kind = case % 4
+            if kind == 0:
+                g = random_tree(rng, n)
+            elif kind == 1:
+                g = random_connected_graph(rng, n, rng.randint(1, 5))
+            elif kind == 2:
+                g = random_cactus(rng, n)
+            else:
+                g = Graph(n + 1, tuple((i, (i + 1) % (n + 1)) for i in range(n + 1)))
+            scale = rng.choice((1, 2, 3, 4, 6))
+            delta = Fraction(rng.randint(1, 7), rng.choice((1, 2, 3, 4, 6)))
+            grid = [vertex_point(g, v) for v in range(g.vertex_count)]
+            grid += [Point(e, Fraction(k, scale)) for e in range(g.edge_count) for k in range(1, scale)]
+            kept = []
+            for p in rng.sample(grid, min(len(grid), 8)):
+                if reference_is_dispersed(g, kept + [p], delta):
+                    kept.append(p)
+            for pts in (kept, kept + [rng.choice(grid)]):
+                want = reference_is_dispersed(g, pts, delta)
+                verdicts[want] += 1
+                if is_dispersed(g, pts, delta) != want:
+                    mismatches.append((g, pts, delta))
+        assert mismatches == []
+        assert min(verdicts.values()) >= 800, verdicts
+
     def test_same_edge_pairs_compare_directly(self):
         pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
         assert is_dispersed(C3, pts, Fraction(3, 5))
@@ -584,7 +619,9 @@ class TestWitnessIO:
             parse_witness(K2, "0 1 0 1/2\n", Fraction(1))
 
     @pytest.mark.parametrize(
-        "line", ["0 0 1 1_0/20", "0 0 1 1/+2", "0 0 \u0661 1/2", "0 0 1 1/0", "0 0 1 1//2", "0 0 1 1"]
+        "line",
+        ["0 0 1 1_0/20", "0 0 1 1/+2", "0 0 \u0661 1/2", "0 0 1 1/0", "0 0 1 1//2", "0 0 1 1",
+         "0 0 1 -1/-2"],
     )
     def test_only_plain_integer_tokens(self, line):
         assert parse_witness(K2, "0 0 1 1/2\n", Fraction(1)).interior == ((0, 1),)

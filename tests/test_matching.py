@@ -16,6 +16,7 @@ from helpers import (
     random_connected_graph,
     random_sparse_graph,
     random_tree,
+    reference_edmonds_gallai,
     reference_matching_and_inessential,
     triangle_chain,
 )
@@ -200,6 +201,30 @@ class TestEdmondsGallai:
             for comp in dec.odd_components:
                 inside = sum(1 for v in comp if dec.mate[v] in comp)
                 assert inside == len(comp) - 1
+
+
+    def test_views_match_eager_reference(self):
+        rng = random.Random(13)
+        families = (
+            lambda n: random_tree(rng, n),
+            lambda n: random_sparse_graph(rng, n, n // 3),
+            lambda n: random_cactus(rng, n),
+            triangle_chain,
+        )
+        fields = ("inessential", "separator", "remainder", "singletons", "odd_components",
+                  "partner", "mate")
+        seen = dict.fromkeys(fields, 0)
+        mismatches = []
+        for case in range(320):
+            g = families[case % 4](rng.randint(1, 90))
+            dec, ref = edmonds_gallai(g), reference_edmonds_gallai(g)
+            for name in fields:
+                seen[name] += bool(getattr(ref, name))
+                if getattr(dec, name) != getattr(ref, name):
+                    mismatches.append((g, name))
+        assert mismatches == []
+        # every field is non-empty on some graph, odd components included
+        assert min(seen.values()) > 0, seen
 
 
 class TestNearPerfectMatching:
