@@ -10,20 +10,13 @@ from .certify import (
 )
 from .core import (
     Graph,
-    Point,
-    Rational,
-    SubdivisionMap,
     WitnessSet,
     as_rational,
     format_graph,
     format_witness,
-    is_dispersed,
-    normalize_point,
     parse_graph,
     parse_witness,
-    point_as_vertex,
     subdivide,
-    vertex_point,
 )
 from .dispatch import disp
 from .errors import (

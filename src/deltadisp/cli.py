@@ -152,7 +152,7 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         print(f"error: {args.graph}: {exc}", file=sys.stderr)
         return 2
 
@@ -184,7 +184,7 @@ def run(argv: list[str]) -> int:
         if args.command == "verify":
             try:
                 k, cert = parse_certificate(args.certificate.read_text())
-            except (OSError, GraphFormatError) as exc:
+            except (OSError, GraphFormatError, UnicodeDecodeError) as exc:
                 print(f"error: {args.certificate}: {exc}", file=sys.stderr)
                 return 2
             verdict = verify_certificate(graph, args.delta, cert, k)
@@ -217,8 +217,7 @@ def run(argv: list[str]) -> int:
             if args.factor < 1:
                 print("error: --factor must be >= 1", file=sys.stderr)
                 return 2
-            bigger, _ = subdivide(graph, args.factor)
-            sys.stdout.write(format_graph(bigger))
+            sys.stdout.write(format_graph(subdivide(graph, args.factor)))
             return 0
 
     except NPHardRegimeError as exc:

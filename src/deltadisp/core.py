@@ -1,24 +1,22 @@
-"""Graph and point-space model for exact dispersion computations.
+"""Graph and witness model for exact dispersion computations.
 
 A graph here is a finite connected simple undirected graph whose edges all
 have unit length.  Facilities may sit anywhere on an edge, so alongside the
-usual vertex/edge structure this module models the continuum of edge points
-with exact rational offsets, the bounded hop search the local checks share,
-and the dispersion check behind :meth:`WitnessSet.verified`, the one check
-every solver's witness passes.  Edge subdivision maps points exactly: the
-points of offset denominator c are the vertices of the c-subdivision, and
-their distance is their hop count there divided by c, so the oracle's
-half-step grid for spacing a/b is the vertex set of the 2b-subdivision.
+usual vertex/edge structure this module models sets of edge points at
+exact rational offsets, the bounded hop search the local checks share, and
+the dispersion check :meth:`WitnessSet.is_dispersed`, the one check every
+solver's witness passes.  Edge subdivision maps points exactly: the points
+of offset denominator c are the vertices of the c-subdivision, and their
+distance is their hop count there divided by c, so the oracle's half-step
+grid for spacing a/b is the vertex set of the 2b-subdivision.
 
 A witness is held in integers: a scale, the vertex ids it occupies, and an
 ``(edge, k)`` pair per point at offset k/scale inside an edge.  Solvers
-emit that form, and the check and the witness printer read it; the
-:class:`Point` values of a witness are built only when asked for, and the
-point-level functions (:func:`is_dispersed`, :meth:`WitnessSet.build`,
-:func:`parse_witness`) read points into the same form.
+emit that form, the check and the witness printer read it, and
+:func:`parse_witness` reads a witness file straight into it.
 
 All values are immutable and all arithmetic is exact (integers, and
-`fractions.Fraction` for point offsets); no floats appear anywhere on the
+`fractions.Fraction` for spacings); no floats appear anywhere on the
 solver path.
 """
 
@@ -41,9 +39,6 @@ from .errors import (
     VertexRangeError,
 )
 
-#: Exact rational scalar used for offsets, spacings and distances.
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce to an exact rational, refusing floats (they round silently)."""
@@ -56,20 +51,13 @@ def as_rational(value) -> Fraction:
 
 
 __all__ = [
-    "Rational",
     "as_rational",
     "Graph",
-    "Point",
     "WitnessSet",
-    "SubdivisionMap",
     "parse_graph",
     "format_graph",
     "subdivide",
-    "is_dispersed",
     "hop_ball",
-    "vertex_point",
-    "normalize_point",
-    "point_as_vertex",
     "format_witness",
     "parse_witness",
 ]
@@ -185,102 +173,6 @@ def _neighbour_lists(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[in
     return tuple(map(tuple, map(sorted, nbrs)))
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A location on a graph: an edge plus an offset from its first endpoint.
-
-    Offset 0 is the stored first endpoint, offset 1 the second.  The
-    canonical form of a vertex is anchored to the lowest-indexed incident
-    edge (see :func:`normalize_point`), so normalized points compare by
-    value.  The lone vertex of an edgeless single-vertex graph is encoded
-    as ``Point(-1, 0)``.
-    """
-
-    edge_index: int
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.offset, Fraction):
-            object.__setattr__(self, "offset", as_rational(self.offset))
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def vertex_point(g: Graph, v: int) -> Point:
-    """The canonical point sitting at vertex v."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    incident = g.incident_edges[v]
-    if not incident:
-        # only possible for the single-vertex graph
-        return Point(-1, _ZERO)
-    e = incident[0]
-    u, _ = g.edges[e]
-    return Point(e, _ZERO if u == v else _ONE)
-
-
-def _point_key(g: Graph, p: Point) -> int | tuple[int, int, int]:
-    """Validate p and name it in integers: its vertex id if it sits at a
-    vertex, else ``(edge, numerator, denominator)`` of its offset."""
-    e = p.edge_index
-    num, den = p.offset.numerator, p.offset.denominator
-    if e == -1:
-        if g.edges or num:
-            raise ValueError("edgeless point form is only valid for a single-vertex graph")
-        return 0
-    if not 0 <= e < len(g.edges):
-        raise ValueError(f"invalid edge index {e}")
-    if 0 < num < den:
-        return e, num, den
-    if num == 0:
-        return g.edges[e][0]
-    if num == den:
-        return g.edges[e][1]
-    raise ValueError(f"offset {p.offset} outside [0, 1]")
-
-
-def normalize_point(g: Graph, p: Point) -> Point:
-    """Canonical form of p: endpoint offsets become vertex points."""
-    key = _point_key(g, p)
-    return p if isinstance(key, tuple) else vertex_point(g, key)
-
-
-def point_as_vertex(g: Graph, p: Point) -> int | None:
-    """Vertex id of a point, or None for an interior point."""
-    key = _point_key(g, p)
-    return None if isinstance(key, tuple) else key
-
-
-def _point_form(g: Graph, points: Iterable[Point]) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """Validate points and read them as ``(scale, vertex ids, (edge, k)
-    pairs)``: an interior point sits at offset k/scale, over the lcm of
-    the offsets' denominators.  Repeats are kept."""
-    vertices: list[int] = []
-    fractions: list[tuple[int, int, int]] = []
-    for p in points:
-        key = _point_key(g, p)
-        if isinstance(key, tuple):
-            fractions.append(key)
-        else:
-            vertices.append(key)
-    scale = lcm(*(den for _, _, den in fractions))
-    return scale, vertices, [(e, num * (scale // den)) for e, num, den in fractions]
-
-
-def is_dispersed(g: Graph, points: Iterable[Point], delta: Fraction) -> bool:
-    """True iff all pairs of distinct normalized points are >= delta apart.
-
-    An adapter: the points are read into the integer form of
-    :class:`WitnessSet` and decided by :func:`_dispersed`, the one
-    dispersion check.
-    """
-    delta = as_rational(delta)
-    scale, vertices, interior = _point_form(g, points)
-    return _dispersed(g, scale, set(vertices), sorted(set(interior)), delta)
-
-
 def _dispersed(
     g: Graph,
     scale: int,
@@ -378,9 +270,10 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 
     A breadth-first search that stops at the radius, so its cost is the
     size of the ball, not of the graph; this is the one search the local
-    checks (:func:`is_dispersed` past one hop, certificates) share.  The
-    graph's connectivity check does not use it: :class:`Graph` runs one
-    plain breadth-first pass over the neighbour lists it builds anyway.
+    checks (:meth:`WitnessSet.is_dispersed` past one hop, certificates)
+    share.  The graph's connectivity check does not use it: :class:`Graph`
+    runs one plain breadth-first pass over the neighbour lists it builds
+    anyway.
     """
     yield 0, [source]
     adjacency = g.adjacency
@@ -412,9 +305,7 @@ class WitnessSet:
     ``interior`` the ``(edge, k)`` pairs, ascending, of the points strictly
     inside an edge, at offset k/scale from its first endpoint (0 < k <
     scale).  ``scale`` is the smallest common denominator of those offsets
-    (1 when there are none), so equal sets compare equal.  ``points``, the
-    same set as normalized :class:`Point` values sorted by edge and offset,
-    is built on first use; solvers never build it.
+    (1 when there are none), so equal sets compare equal.
     """
 
     graph: Graph = field(compare=False, repr=False)
@@ -426,29 +317,10 @@ class WitnessSet:
     def __len__(self) -> int:
         return len(self.vertices) + len(self.interior)
 
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
-
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """The points, normalized and sorted by edge and offset."""
-        s = self.scale
-        return tuple(Point(e, Fraction(x, s)) for e, x in self._sorted_keys())
-
-    def _sorted_keys(self) -> list[tuple[int, int]]:
-        """``(edge, x)`` per point, the point at offset x/scale of the edge,
-        in the order of :attr:`points`: a vertex on its lowest-indexed edge,
-        the lone vertex of an edgeless graph as ``(-1, 0)``."""
-        incident, edges, s = self.graph.incident_edges, self.graph.edges, self.scale
-        keys = list(self.interior)
-        for v in self.vertices:
-            if incident[v]:
-                e = incident[v][0]
-                keys.append((e, 0 if edges[e][0] == v else s))
-            else:
-                keys.append((-1, 0))
-        keys.sort()
-        return keys
+    def is_dispersed(self) -> bool:
+        """True iff every two of the points are at least delta apart: the
+        one dispersion check, :func:`_dispersed` on this set's fields."""
+        return _dispersed(self.graph, self.scale, self.vertices, self.interior, self.delta)
 
     @classmethod
     def _from_form(
@@ -482,11 +354,6 @@ class WitnessSet:
         return cls(g, scale, tuple(vertices), tuple(interior), as_rational(delta))
 
     @classmethod
-    def build(cls, g: Graph, points: Iterable[Point], delta: Fraction) -> "WitnessSet":
-        """Read points into the integer form; ValueError if two coincide."""
-        return cls._from_form(g, *_point_form(g, points), delta)
-
-    @classmethod
     def verified(
         cls,
         g: Graph,
@@ -499,15 +366,13 @@ class WitnessSet:
         """The one exit every solver's witness passes, given in the integer
         form (in any order, at any scale): it must name `size` distinct
         points of g, pairwise at least delta apart, checked by
-        :func:`_dispersed`.  Raises InternalConsistencyError otherwise, so a
-        construction bug cannot surface as a wrong answer."""
+        :meth:`is_dispersed`.  Raises InternalConsistencyError otherwise, so
+        a construction bug cannot surface as a wrong answer."""
         try:
             witness = cls._from_form(g, scale, vertices, interior, delta)
         except ValueError as exc:
             raise InternalConsistencyError(f"solver witness rejected: {exc}") from None
-        if len(witness) != size or not _dispersed(
-            g, witness.scale, witness.vertices, witness.interior, witness.delta
-        ):
+        if len(witness) != size or not witness.is_dispersed():
             raise InternalConsistencyError(
                 f"witness of {len(witness)} points fails verification for value {size}"
             )
@@ -519,55 +384,12 @@ class WitnessSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Invertible correspondence between points of a graph and its subdivision.
+def subdivide(g: Graph, c: int) -> Graph:
+    """The c-subdivision of g: every edge replaced by a chain of c unit edges.
 
-    A point at offset t from u on an original edge maps to the point at
-    distance ``factor * t`` from u along the subdivided chain of that edge.
-    """
-
-    source: Graph
-    target: Graph
-    factor: int
-
-    def _chain_vertex(self, edge: int, step: int) -> int:
-        # step in 1..factor-1 names the step-th internal chain vertex
-        n = self.source.vertex_count
-        return n + edge * (self.factor - 1) + (step - 1)
-
-    def forward(self, p: Point) -> Point:
-        key = _point_key(self.source, p)
-        if not isinstance(key, tuple):
-            return vertex_point(self.target, key)  # vertices keep their ids
-        e, num, den = key
-        step, rem = divmod(self.factor * num, den)
-        if rem == 0:
-            return vertex_point(self.target, self._chain_vertex(e, step))
-        return Point(e * self.factor + step, Fraction(rem, den))
-
-    def source_point(self, v: int) -> Point:
-        """The point of the source graph at target vertex v."""
-        n = self.source.vertex_count
-        if v < n:
-            return vertex_point(self.source, v)
-        edge, rem = divmod(v - n, self.factor - 1)
-        return Point(edge, Fraction(rem + 1, self.factor))
-
-    def inverse(self, p: Point) -> Point:
-        key = _point_key(self.target, p)
-        if not isinstance(key, tuple):
-            return self.source_point(key)
-        e, num, den = key  # strictly inside a chain, so strictly inside its edge
-        edge, segment = divmod(e, self.factor)
-        return Point(edge, Fraction(segment * den + num, self.factor * den))
-
-
-def subdivide(g: Graph, c: int) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge by a chain of c unit edges.
-
-    Returns the subdivided graph plus the invertible point correspondence.
-    ``c == 1`` yields an identical graph and the identity map.
+    Vertex v of g keeps its id, and the point k/c along edge e (0 < k < c)
+    is vertex n + e(c-1) + k-1, n being g's vertex count (see
+    :func:`grid_form`).  ``c == 1`` yields a graph equal to g.
     """
     if c < 1:
         raise ValueError("subdivision factor must be >= 1")
@@ -577,8 +399,7 @@ def subdivide(g: Graph, c: int) -> tuple[Graph, SubdivisionMap]:
         chain = [u] + [n + j * (c - 1) + t for t in range(c - 1)] + [v]
         edges.extend((chain[s], chain[s + 1]) for s in range(c))
     # chains of fresh vertices keep it simple and connected: no need to re-validate
-    target = Graph._unchecked(n + (c - 1) * g.edge_count, tuple(edges))
-    return target, SubdivisionMap(g, target, c)
+    return Graph._unchecked(n + (c - 1) * g.edge_count, tuple(edges))
 
 
 def grid_adjacency(g: Graph, c: int) -> list:
@@ -690,16 +511,26 @@ def format_graph(g: Graph) -> str:
 
 
 def format_witness(g: Graph, ws: WitnessSet) -> str:
-    """One line per point, in the order of ``ws.points``: ``e u v num/den``
-    with the offset taken from u, in lowest terms."""
-    s = ws.scale
+    """One line per point, ``e u v num/den`` with the offset taken from u,
+    in lowest terms, sorted by edge and offset: a vertex is written on its
+    lowest-indexed edge, the lone vertex of an edgeless graph as
+    ``-1 0 0 0/1``."""
+    incident, edges, s = g.incident_edges, g.edges, ws.scale
+    keys = list(ws.interior)  # (edge, x): the point x/s along the edge
+    for v in ws.vertices:
+        if incident[v]:
+            e = incident[v][0]
+            keys.append((e, 0 if edges[e][0] == v else s))
+        else:
+            keys.append((-1, 0))
+    keys.sort()
     out = []
     offsets: dict[int, str] = {}
     edge = None
-    for e, x in ws._sorted_keys():
+    for e, x in keys:
         if e != edge:  # the keys come edge by edge
             edge = e
-            u, v = (0, 0) if e == -1 else g.edges[e]
+            u, v = (0, 0) if e == -1 else edges[e]
             prefix = f"{e} {u} {v} "
         text = offsets.get(x)
         if text is None:
@@ -710,7 +541,15 @@ def format_witness(g: Graph, ws: WitnessSet) -> str:
 
 
 def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
-    points = []
+    """Read the text :func:`format_witness` writes, blank lines skipped.
+
+    Each ``e u v num/den`` line names the point num/den along stored edge
+    e = (u, v), 0 <= num/den <= 1; an end is that vertex, however written,
+    and ``-1 0 0 0/1`` is the lone vertex of an edgeless graph.  A line
+    that is malformed, names an edge not in g, or repeats a point raises
+    MalformedLineError naming the line.
+    """
+    seen: dict[int | tuple[int, int, int], int] = {}  # point -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -720,17 +559,29 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
         e, u, v, num, den = integer_tokens(raw.replace("/", " "), lineno, "'e u v num/den'", 5)
         if den < 1:
             raise MalformedLineError("expected 'e u v num/den'", line=lineno)
-        off = Fraction(num, den)
         if e == -1:
-            if g.edge_count != 0:
-                raise MalformedLineError("edgeless point in a graph with edges", line=lineno)
+            if g.edges or (u, v, num) != (0, 0, 0):
+                raise MalformedLineError(
+                    "'-1 0 0 0/1' is the lone vertex of an edgeless graph only", line=lineno
+                )
         elif not 0 <= e < g.edge_count:
             raise MalformedLineError(f"invalid edge index {e}", line=lineno)
         elif g.edges[e] != (u, v):
             raise MalformedLineError(
                 f"edge {e} is stored as {g.edges[e]}, not ({u}, {v})", line=lineno
             )
-        if not 0 <= off <= 1:
-            raise MalformedLineError(f"offset {off} outside [0, 1]", line=lineno)
-        points.append(Point(e, off))
-    return WitnessSet.build(g, points, delta)
+        if not 0 <= num <= den:
+            raise MalformedLineError(f"offset {num}/{den} outside [0, 1]", line=lineno)
+        d = gcd(num, den)
+        point = u if num == 0 else v if num == den else (e, num // d, den // d)
+        if seen.setdefault(point, lineno) != lineno:
+            raise MalformedLineError(f"repeats the point of line {seen[point]}", line=lineno)
+    interior = [p for p in seen if isinstance(p, tuple)]
+    scale = lcm(*(den for _, _, den in interior))
+    return WitnessSet._from_form(
+        g,
+        scale,
+        [p for p in seen if not isinstance(p, tuple)],
+        [(e, num * (scale // den)) for e, num, den in interior],
+        delta,
+    )

@@ -38,21 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isnan
 from time import monotonic
 from typing import Callable
 
-from .core import (
-    Graph,
-    Point,
-    SubdivisionMap,
-    WitnessSet,
-    as_rational,
-    grid_adjacency,
-    grid_form,
-    subdivide,
-)
+from .core import Graph, WitnessSet, as_rational, grid_adjacency, grid_form
 from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -64,11 +54,10 @@ DEFAULT_CANDIDATE_CAP = 2000
 class ConflictGraph:
     """Grid candidates plus their pairwise conflict relation.
 
-    Candidate i is vertex i of ``subdivide(source, factor)``, the
-    subdivision whose vertices are the grid, and the point
-    ``grid.source_point(i)`` of the original graph; ``grid`` and
-    ``candidates`` are built on first use.  ``conflicts[i]`` is a bitmask
-    over candidate indices whose distance to candidate i is strictly below
+    Candidate i is vertex i of ``subdivide(g, factor)``, the subdivision
+    whose vertices are the grid (:func:`~deltadisp.core.grid_form` reads
+    candidates as points of g).  ``conflicts[i]`` is a bitmask over
+    candidate indices whose distance to candidate i is strictly below
     delta.  The relation is symmetric and irreflexive by construction.
     ``far[i]``, the outer ring of candidate i, is the part of
     ``conflicts[i]`` that the last growing round of the build added: the
@@ -79,16 +68,7 @@ class ConflictGraph:
     delta: Fraction
     conflicts: tuple[int, ...]
     far: tuple[int, ...]
-    source: Graph
     factor: int
-
-    @cached_property
-    def grid(self) -> SubdivisionMap:
-        return subdivide(self.source, self.factor)[1]
-
-    @cached_property
-    def candidates(self) -> tuple[Point, ...]:
-        return tuple(map(self.grid.source_point, range(len(self.conflicts))))
 
 
 def build_conflict_graph(
@@ -143,7 +123,7 @@ def build_conflict_graph(
     conflicts = tuple(ball ^ (1 << v) for v, ball in enumerate(reach))
     # balls only grow, so the last growing round's additions are an XOR
     far = tuple(ball ^ inner for ball, inner in zip(reach, previous))
-    return ConflictGraph(delta, conflicts, far, g, q)
+    return ConflictGraph(delta, conflicts, far, q)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:

@@ -16,7 +16,9 @@ of a vertex set into components and the conflict-pair listing live here
 too, since only tests use them, and so does the earlier matching engine
 (one blossom search per exposed vertex), the differential reference for
 the alternating forest, and the earlier eager decomposition build, the
-reference for the decomposition's views.
+reference for the decomposition's views.  So does the point form of a
+witness: a :class:`Point` per point, with an exact `Fraction` offset, and
+the readers between points and the integer form of ``WitnessSet``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,98 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from deltadisp import Graph, Point, as_rational, matching, normalize_point, vertex_point
-from deltadisp.core import _point_key, hop_ball
+from deltadisp import Graph, WitnessSet, as_rational, matching
+from deltadisp.core import hop_ball
 from deltadisp.errors import InternalConsistencyError
 from deltadisp.matching import EGDecomposition
 from deltadisp.solve2 import CutInstance, disp2
+
+
+@dataclass(frozen=True, order=True)
+class Point:
+    """A location on a graph: an edge plus an offset from its first endpoint.
+
+    Offset 0 is the stored first endpoint, offset 1 the second.  The
+    canonical form of a vertex is anchored to the lowest-indexed incident
+    edge (see :func:`normalize_point`), so normalized points compare by
+    value.  The lone vertex of an edgeless single-vertex graph is encoded
+    as ``Point(-1, 0)``.
+    """
+
+    edge_index: int
+    offset: Fraction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.offset, Fraction):
+            object.__setattr__(self, "offset", as_rational(self.offset))
+
+
+def vertex_point(g: Graph, v: int) -> Point:
+    """The canonical point sitting at vertex v."""
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} out of range")
+    incident = g.incident_edges[v]
+    if not incident:
+        return Point(-1, Fraction(0))  # only the single-vertex graph
+    e = incident[0]
+    return Point(e, Fraction(0 if g.edges[e][0] == v else 1))
+
+
+def _point_key(g: Graph, p: Point) -> int | tuple[int, int, int]:
+    """Validate p and name it in integers: its vertex id if it sits at a
+    vertex, else ``(edge, numerator, denominator)`` of its offset."""
+    e = p.edge_index
+    num, den = p.offset.numerator, p.offset.denominator
+    if e == -1:
+        if g.edges or num:
+            raise ValueError("edgeless point form is only valid for a single-vertex graph")
+        return 0
+    if not 0 <= e < len(g.edges):
+        raise ValueError(f"invalid edge index {e}")
+    if 0 < num < den:
+        return e, num, den
+    if num == 0:
+        return g.edges[e][0]
+    if num == den:
+        return g.edges[e][1]
+    raise ValueError(f"offset {p.offset} outside [0, 1]")
+
+
+def normalize_point(g: Graph, p: Point) -> Point:
+    """Canonical form of p: endpoint offsets become vertex points."""
+    key = _point_key(g, p)
+    return p if isinstance(key, tuple) else vertex_point(g, key)
+
+
+def witness_of(g: Graph, points, delta) -> WitnessSet:
+    """`points`, validated and repeats dropped, as a WitnessSet at spacing
+    `delta`: ``witness_of(g, points, delta).is_dispersed()`` decides them."""
+    keys = {_point_key(g, p) for p in points}
+    interior = [key for key in keys if isinstance(key, tuple)]
+    scale = lcm(*(den for _, _, den in interior))
+    return WitnessSet._from_form(
+        g,
+        scale,
+        [key for key in keys if not isinstance(key, tuple)],
+        [(e, num * (scale // den)) for e, num, den in interior],
+        delta,
+    )
+
+
+def witness_points(ws: WitnessSet) -> tuple[Point, ...]:
+    """The points of a witness, normalized and sorted by edge and offset."""
+    g, s = ws.graph, ws.scale
+    points = [vertex_point(g, v) for v in ws.vertices]
+    return tuple(sorted(points + [Point(e, Fraction(k, s)) for e, k in ws.interior]))
+
+
+def source_point(g: Graph, c: int, v: int) -> Point:
+    """The point of g at vertex v of ``subdivide(g, c)``."""
+    n = g.vertex_count
+    if v < n:
+        return vertex_point(g, v)
+    e, r = divmod(v - n, c - 1)
+    return Point(e, Fraction(r + 1, c))
 
 
 def _connected_mask(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -963,9 +1052,9 @@ def reference_numerator_two_points(g: Graph, b: int) -> list[Point]:
     return points
 
 
-def reference_oracle_points(cg, mask: int) -> list[Point]:
-    """The grid candidates chosen by `mask`, as points of the source graph."""
-    return [cg.grid.source_point(i) for i in range(mask.bit_length()) if mask >> i & 1]
+def reference_oracle_points(g: Graph, cg, mask: int) -> list[Point]:
+    """The grid candidates chosen by `mask`, as points of g."""
+    return [source_point(g, cg.factor, i) for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def reference_gadget_points(inst, independent) -> list[Point]:

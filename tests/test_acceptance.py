@@ -18,6 +18,8 @@ from helpers import (
     matching_number,
     random_connected_graph,
     random_tree,
+    reference_is_dispersed,
+    witness_points,
 )
 
 from deltadisp import (
@@ -27,7 +29,6 @@ from deltadisp import (
     disp,
     edmonds_gallai,
     extract_certificate,
-    is_dispersed,
     predicted_bound,
     subdivide,
     verify_certificate,
@@ -111,7 +112,7 @@ def family_scaling():
         max_extra = min(5, n * (n - 1) // 2) - (n - 1)
         g = random_connected_graph(rng, n, rng.randint(0, max(0, max_extra)))
         for c in (2, 3):
-            bigger, _ = subdivide(g, c)
+            bigger = subdivide(g, c)
             for delta in (Fraction(1), Fraction(2), Fraction(2, 3)):
                 v1, w1 = disp(g, delta, allow_bruteforce=True)
                 v2, w2 = disp(bigger, c * delta, allow_bruteforce=True)
@@ -134,7 +135,7 @@ def test_criterion_1_oracle_equivalence_delta2(family_delta2):
     for g, _, value, witness, brute_value in family_delta2:
         if value != brute_value:
             failures.append((g, value, brute_value))
-        if len(witness) != value or not is_dispersed(g, witness.points, TWO):
+        if len(witness) != value or not reference_is_dispersed(g, witness_points(witness), TWO):
             failures.append((g, "bad witness"))
     _report(
         1,
@@ -151,7 +152,7 @@ def test_criterion_2_numerator2_identity(family_numerator2):
         expected = disp(g, TWO)[0] + z * g.edge_count
         if value != expected or value != brute_value:
             failures.append((g, delta, value, expected, brute_value))
-        if len(witness) != value or not is_dispersed(g, witness.points, delta):
+        if len(witness) != value or not reference_is_dispersed(g, witness_points(witness), delta):
             failures.append((g, delta, "bad witness"))
     _report(
         2,
@@ -173,7 +174,7 @@ def test_criterion_3_unit_numerator_closed_forms(family_unit_numerator):
             confirmed += 1
             if value != brute_value:
                 failures.append((g, delta, value, brute_value, "brute mismatch"))
-        if len(witness) != value or not is_dispersed(g, witness.points, delta):
+        if len(witness) != value or not reference_is_dispersed(g, witness_points(witness), delta):
             failures.append((g, delta, "bad witness"))
     _report(
         3,
@@ -221,7 +222,7 @@ def test_criterion_6_gadget_end_to_end():
         witness = witness_from_independent_set(inst, largest)
         if len(witness) != bound:
             failures.append((name, "witness size", len(witness)))
-        if not is_dispersed(inst.g, witness.points, Fraction(3)):
+        if not reference_is_dispersed(inst.g, witness_points(witness), Fraction(3)):
             failures.append((name, "witness not dispersed"))
         if predicted_bound(inst, alpha) != bound:
             failures.append((name, "predicted bound", predicted_bound(inst, alpha)))

@@ -12,6 +12,8 @@ from helpers import (
     random_cactus,
     random_connected_graph,
     random_tree,
+    vertex_point,
+    witness_of,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +21,12 @@ from hypothesis import strategies as st
 from deltadisp import (
     Certificate,
     Graph,
-    WitnessSet,
     brute_disp,
     disp,
     extract_certificate,
     format_certificate,
     parse_certificate,
     verify_certificate,
-    vertex_point,
 )
 
 K2 = Graph(2, ((0, 1),))
@@ -329,7 +329,7 @@ class TestFormat:
 
 class TestWitnessSetInterface:
     def test_extract_counts_interior_points(self):
-        ws = WitnessSet.build(
+        ws = witness_of(
             STAR,
             [vertex_point(STAR, 1), midpoint(STAR, 1), midpoint(STAR, 2)],
             Fraction(1, 2),

@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import brute_is_dispersed, witness_points
 
-from deltadisp import InternalConsistencyError, is_dispersed, parse_graph, parse_witness
+from deltadisp import InternalConsistencyError, parse_graph, parse_witness
 from deltadisp.cli import run
 
 K2_TEXT = "2 1\n0 1\n"
@@ -61,7 +62,7 @@ class TestSolve:
         g = parse_graph(STAR_TEXT)
         ws = parse_witness(g, out.read_text(), Fraction(2, 3))
         assert len(ws) == value
-        assert is_dispersed(g, ws.points, Fraction(2, 3))
+        assert brute_is_dispersed(g, witness_points(ws), Fraction(2, 3))
 
     def test_hard_regime_needs_flag(self, c3, capsys):
         assert run(["solve", str(c3), "--delta", "3"]) == 2
@@ -130,6 +131,16 @@ class TestSolve:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "line 11" in lines[0]
+
+    def test_undecodable_graph_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.graph"
+        p.write_bytes(b"2 1\n0 \xff1\n")
+        assert run(["solve", str(p), "--delta", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {p}: ")
+        assert "decode" in lines[0]
 
     def test_disconnected_graph_file(self, tmp_path, capsys):
         # a triangle plus an isolated vertex: past the edge-count guard
@@ -293,6 +304,16 @@ class TestVerify:
         cert = tmp_path / "c.txt"
         cert.write_text("zzz\n")
         assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 2
+
+    def test_undecodable_certificate_file(self, star, tmp_path, capsys):
+        cert = tmp_path / "c.txt"
+        cert.write_bytes(b"3\nW: 1 2 \xff3\n")
+        assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cert}: ")
+        assert "decode" in lines[0]
 
 
 class TestGadget:

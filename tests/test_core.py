@@ -9,41 +9,47 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    Point,
+    _point_key,
     brute_is_dispersed,
     connected_graphs_max_edges,
     hop_table,
     midpoint,
+    normalize_point,
     point_distance,
     random_cactus,
     random_connected_graph,
     random_tree,
+    reference_format_witness,
     reference_is_dispersed,
+    source_point,
+    vertex_point,
     vicinity,
+    witness_of,
+    witness_points,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltadisp
 from deltadisp import (
+    ConflictGraph,
     DisconnectedGraphError,
     DuplicateEdgeError,
     Graph,
     MalformedLineError,
-    Point,
     SelfLoopError,
     VertexRangeError,
     WitnessSet,
+    build_conflict_graph,
+    disp,
     format_graph,
     format_witness,
-    is_dispersed,
-    normalize_point,
     parse_graph,
     parse_witness,
-    point_as_vertex,
     subdivide,
-    vertex_point,
 )
-from deltadisp.core import grid_adjacency, hop_ball, integer_tokens
+from deltadisp.core import grid_adjacency, grid_form, hop_ball, integer_tokens
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -170,16 +176,42 @@ def test_graph_format_roundtrip_property(g):
     assert parse_graph(format_graph(g)) == g
 
 
-def test_package_has_no_all_pairs_table():
-    # the O(n^2) hop table and the point metric over it are test references
-    # (tests/helpers.py); no code of the package can build one
-    assert not hasattr(Graph, "hop_table")
+def dispersed(g, points, delta) -> bool:
+    """The package's one check, on points read by the test helper."""
+    return witness_of(g, points, delta).is_dispersed()
+
+
+def _package_modules():
     modules = [deltadisp] + [
         importlib.import_module(f"deltadisp.{info.name}")
         for info in pkgutil.iter_modules(deltadisp.__path__)
     ]
     assert len(modules) > 5
-    assert not [m.__name__ for m in modules if hasattr(m, "point_distance")]
+    return modules
+
+
+def test_package_has_no_all_pairs_table():
+    # the O(n^2) hop table and the point metric over it are test references
+    # (tests/helpers.py); no code of the package can build one
+    assert not hasattr(Graph, "hop_table")
+    assert not [m.__name__ for m in _package_modules() if hasattr(m, "point_distance")]
+
+
+def test_package_has_one_witness_form():
+    # points with Fraction offsets, and the map between them and the grid,
+    # are test references (tests/helpers.py); a witness is a WitnessSet and
+    # WitnessSet.is_dispersed is the one check
+    gone = ("Point", "SubdivisionMap", "normalize_point", "vertex_point", "point_as_vertex",
+            "is_dispersed")
+    assert not [
+        (m.__name__, name)
+        for m in _package_modules()
+        for name in gone
+        if hasattr(m, name) or name in getattr(m, "__all__", ())
+    ]
+    assert not hasattr(ConflictGraph, "candidates")
+    assert not hasattr(build_conflict_graph(K2, Fraction(1)), "candidates")
+    assert not hasattr(WitnessSet, "points") and hasattr(WitnessSet, "is_dispersed")
 
 
 class TestHopDistances:
@@ -291,26 +323,22 @@ def test_metric_axioms_exhaustive_4_edges():
 
 class TestSubdivide:
     def test_triangle_doubles_to_hexagon(self):
-        g2, _ = subdivide(C3, 2)
+        g2 = subdivide(C3, 2)
         assert g2.vertex_count == 6 and g2.edge_count == 6
         assert all(g2.degree(v) == 2 for v in range(6))
 
     def test_k2_triples_to_path(self):
-        g3, _ = subdivide(K2, 3)
+        g3 = subdivide(K2, 3)
         assert g3.vertex_count == 4 and g3.edge_count == 3
         assert g3.is_tree
 
     def test_midpoint_becomes_middle_vertex(self):
-        g2, pmap = subdivide(K2, 2)
-        image = pmap.forward(midpoint(K2, 0))
-        assert point_as_vertex(g2, image) == 2
+        assert subdivide(K2, 2).adjacency[2] == (0, 1)
+        assert source_point(K2, 2, 2) == midpoint(K2, 0)
 
     def test_factor_one_is_identity(self):
-        g1, pmap = subdivide(C3, 1)
-        assert g1 == C3
-        p = Point(1, Fraction(2, 5))
-        assert pmap.forward(p) == p
-        assert pmap.inverse(p) == p
+        assert subdivide(C3, 1) == C3
+        assert [source_point(C3, 1, v) for v in range(3)] == [vertex_point(C3, v) for v in range(3)]
 
     def test_grid_adjacency_matches_subdivision(self):
         rng = random.Random(6)
@@ -318,26 +346,30 @@ class TestSubdivide:
             g = random_connected_graph(rng, rng.randint(1, 6), rng.randint(0, 4))
             for c in (1, 2, 3, 5):
                 built = [tuple(sorted(x)) for x in grid_adjacency(g, c)]
-                assert built == list(subdivide(g, c)[0].adjacency)
+                assert built == list(subdivide(g, c).adjacency)
 
     def test_counts(self):
         for c in (2, 3, 4):
-            g2, _ = subdivide(C5, c)
+            g2 = subdivide(C5, c)
             assert g2.edge_count == c * C5.edge_count
             assert g2.vertex_count == C5.vertex_count + (c - 1) * C5.edge_count
 
     def test_map_roundtrip(self):
+        # grid_form reads vertex i of the c-subdivision as the point of g
+        # that source_point names, and the vertices name each point of
+        # offset denominator c once
         rng = random.Random(5)
         for _ in range(5):
             g = random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 3))
-            for c in (2, 3):
-                g2, pmap = subdivide(g, c)
-                for e in range(g.edge_count):
-                    for num in range(0, 7):
-                        p = normalize_point(g, Point(e, Fraction(num, 6)))
-                        fwd = pmap.forward(p)
-                        assert normalize_point(g2, fwd) == fwd
-                        assert pmap.inverse(fwd) == p
+            for c in (1, 2, 3, 6):
+                grid = [source_point(g, c, i) for i in range(subdivide(g, c).vertex_count)]
+                for i, p in enumerate(grid):
+                    ws = WitnessSet._from_form(g, *grid_form(g.vertex_count, c, [i]), Fraction(1))
+                    assert witness_points(ws) == (p,) == (normalize_point(g, p),)
+                assert sorted(grid) == sorted({
+                    normalize_point(g, Point(e, Fraction(k, c)))
+                    for e in range(g.edge_count) for k in range(c + 1)
+                })
 
     def test_matches_validated_graph(self):
         # subdivide skips validation; the fully validated graph is the same
@@ -352,15 +384,17 @@ class TestSubdivide:
             else:
                 g = random_cactus(rng, n)
             for c in range(1, 5):
-                g2, _ = subdivide(g, c)
+                g2 = subdivide(g, c)
                 assert g2 == Graph(g2.vertex_count, g2.edges)
 
     def test_distances_scale(self):
-        g2, pmap = subdivide(C5, 3)
-        p = Point(0, Fraction(1, 2))
-        q = Point(2, Fraction(1, 4))
-        d = point_distance(C5, p, q)
-        assert point_distance(g2, pmap.forward(p), pmap.forward(q)) == 3 * d
+        # points of offset denominator 4, 1/2 and 1/4 among them, are the
+        # vertices of the 4-subdivision, at 4 times their distance in C5
+        g4 = subdivide(C5, 4)
+        for i in range(g4.vertex_count):
+            for j in range(g4.vertex_count):
+                d = point_distance(C5, source_point(C5, 4, i), source_point(C5, 4, j))
+                assert point_distance(g4, vertex_point(g4, i), vertex_point(g4, j)) == 4 * d
 
 
 def _check_oracle_scaling(max_edges):
@@ -368,7 +402,7 @@ def _check_oracle_scaling(max_edges):
 
     for g in connected_graphs_max_edges(max_edges):
         for c in (2, 3):
-            bigger, _ = subdivide(g, c)
+            bigger = subdivide(g, c)
             for delta in (Fraction(1), Fraction(3, 2), Fraction(2)):
                 assert brute_disp(g, delta)[0] == brute_disp(bigger, c * delta)[0], (
                     g,
@@ -393,8 +427,8 @@ def _random_offset(rng):
 
 def _as_other_edge(g, p, rng):
     """p written on a random edge through it if it is a vertex, else p."""
-    v = point_as_vertex(g, p)
-    if v is None:
+    v = _point_key(g, p)
+    if isinstance(v, tuple):
         return p
     e = rng.choice(g.incident_edges[v])
     return Point(e, Fraction(0) if g.edges[e][0] == v else Fraction(1))
@@ -425,7 +459,7 @@ def _differential_cases(rng, rounds):
         yield g, [_as_other_edge(g, p, rng) for p in kept] + kept[:1], delta
         extra = Point(rng.randrange(g.edge_count), _random_offset(rng))
         yield g, kept + [extra], delta
-        interior = [p for p in kept if point_as_vertex(g, normalize_point(g, p)) is None]
+        interior = [p for p in kept if isinstance(_point_key(g, p), tuple)]
         if interior:
             p = rng.choice(interior)
             yield g, kept + [Point(p.edge_index, _random_offset(rng))], delta
@@ -435,27 +469,27 @@ def _differential_cases(rng, rounds):
 class TestIsDispersed:
     def test_star_leaves(self):
         leaves = [vertex_point(STAR, v) for v in (1, 2, 3)]
-        assert is_dispersed(STAR, leaves, Fraction(2))
+        assert dispersed(STAR, leaves, Fraction(2))
 
     def test_k2_endpoints_too_close(self):
         pts = [vertex_point(K2, 0), vertex_point(K2, 1)]
-        assert not is_dispersed(K2, pts, Fraction(2))
+        assert not dispersed(K2, pts, Fraction(2))
 
     def test_single_point_any_delta(self):
-        assert is_dispersed(C3, [midpoint(C3, 0)], Fraction(100))
+        assert dispersed(C3, [midpoint(C3, 0)], Fraction(100))
 
     def test_nearest_two_ends_kept_whatever_their_order(self):
         # at the centre the far end (1/2 away) is seen before the two near
         # ones (1/4 away), which are 1/2 apart
         star = Graph(4, ((1, 0), (2, 0), (3, 0)))
         points = [Point(0, Fraction(1, 2)), Point(1, Fraction(3, 4)), Point(2, Fraction(3, 4))]
-        assert not is_dispersed(star, points, Fraction(3, 4))
-        assert is_dispersed(star, points, Fraction(1, 2))
+        assert not dispersed(star, points, Fraction(3, 4))
+        assert dispersed(star, points, Fraction(1, 2))
         # the same at vertex 1, whose far end is a first offset
         tree = Graph(4, ((1, 0), (2, 1), (3, 1)))
         points = [Point(e, Fraction(2, 3)) for e in range(3)]
-        assert not is_dispersed(tree, points, Fraction(1))
-        assert is_dispersed(tree, points, Fraction(2, 3))
+        assert not dispersed(tree, points, Fraction(1))
+        assert dispersed(tree, points, Fraction(2, 3))
 
     def test_matches_local_reference_at_every_scale(self):
         # greedy sets on the 1/scale grid and one random point more, so
@@ -486,20 +520,20 @@ class TestIsDispersed:
             for pts in (kept, kept + [rng.choice(grid)]):
                 want = reference_is_dispersed(g, pts, delta)
                 verdicts[want] += 1
-                if is_dispersed(g, pts, delta) != want:
+                if dispersed(g, pts, delta) != want:
                     mismatches.append((g, pts, delta))
         assert mismatches == []
         assert min(verdicts.values()) >= 800, verdicts
 
     def test_same_edge_pairs_compare_directly(self):
         pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
-        assert is_dispersed(C3, pts, Fraction(3, 5))
-        assert not is_dispersed(C3, pts, Fraction(2, 3))
+        assert dispersed(C3, pts, Fraction(3, 5))
+        assert not dispersed(C3, pts, Fraction(2, 3))
 
     def test_vertex_written_on_two_edges_is_one_point(self):
         pts = [Point(0, Fraction(1)), Point(1, Fraction(0)), vertex_point(P3, 0)]
-        assert is_dispersed(P3, pts, Fraction(1))
-        assert not is_dispersed(P3, pts, Fraction(3, 2))
+        assert dispersed(P3, pts, Fraction(1))
+        assert not dispersed(P3, pts, Fraction(3, 2))
 
     def test_ends_beyond_delta_hops_never_conflict(self):
         # on a 7-cycle, 1/4 past vertex 0 and 1/4 past vertex 3: 3/4 to
@@ -507,20 +541,20 @@ class TestIsDispersed:
         c7 = Graph(7, tuple((i, (i + 1) % 7) for i in range(7)))
         pts = [Point(0, Fraction(1, 4)), Point(3, Fraction(1, 4))]
         assert brute_is_dispersed(c7, pts, Fraction(3))
-        assert is_dispersed(c7, pts, Fraction(3))
-        assert not is_dispersed(c7, pts, Fraction(13, 4))
+        assert dispersed(c7, pts, Fraction(3))
+        assert not dispersed(c7, pts, Fraction(13, 4))
 
     def test_single_vertex_graph(self):
         g = Graph(1, ())
-        assert is_dispersed(g, [], Fraction(3))
-        assert is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
+        assert dispersed(g, [], Fraction(3))
+        assert dispersed(g, [vertex_point(g, 0)], Fraction(3))
         assert brute_is_dispersed(g, [vertex_point(g, 0)], Fraction(3))
 
     def test_edge_midpoints_of_sparse_graph(self):
         g = random_connected_graph(random.Random(40), 30, 10)
         pts = [midpoint(g, e) for e in range(g.edge_count)]
-        assert is_dispersed(g, pts, Fraction(1))
-        assert not is_dispersed(g, pts, Fraction(3))
+        assert dispersed(g, pts, Fraction(1))
+        assert not dispersed(g, pts, Fraction(3))
 
     def test_matches_all_pairs_reference(self):
         rng = random.Random(41)
@@ -529,15 +563,18 @@ class TestIsDispersed:
         for g, pts, delta in _differential_cases(rng, 400):
             want = brute_is_dispersed(g, pts, delta)
             outcomes[want] += 1
-            if is_dispersed(g, pts, delta) != want:
+            if dispersed(g, pts, delta) != want:
                 mismatches.append((g, pts, delta))
+            # the helper reads the points, repeats dropped, and the package
+            # reads them back from text, which must not repeat a point
             uniq = tuple(sorted(set(normalize_point(g, p) for p in pts)))
+            ws = witness_of(g, pts, delta)
             try:
-                built = WitnessSet.build(g, pts, delta).points
-            except ValueError:
-                built = None
-            if built != (uniq if len(uniq) == len(pts) else None):
-                mismatches.append((g, pts, delta, built))
+                parsed = parse_witness(g, reference_format_witness(g, pts), delta)
+            except MalformedLineError:
+                parsed = None
+            if witness_points(ws) != uniq or parsed != (ws if len(uniq) == len(pts) else None):
+                mismatches.append((g, pts, delta, parsed))
         assert mismatches == []
         assert min(outcomes.values()) >= 300, outcomes
 
@@ -562,7 +599,7 @@ def point_sets(draw):
 @given(case=point_sets())
 def test_is_dispersed_matches_reference_property(case):
     g, points, delta = case
-    assert is_dispersed(g, points, delta) == brute_is_dispersed(g, points, delta)
+    assert dispersed(g, points, delta) == brute_is_dispersed(g, points, delta)
 
 
 class TestVicinity:
@@ -580,11 +617,11 @@ class TestVicinity:
 class TestNormalization:
     def test_offset_zero_is_first_endpoint(self):
         p = normalize_point(C3, Point(1, Fraction(0)))
-        assert point_as_vertex(C3, p) == 1
+        assert _point_key(C3, p) == 1 and p == vertex_point(C3, 1)
 
     def test_offset_one_is_second_endpoint(self):
         p = normalize_point(C3, Point(1, Fraction(1)))
-        assert point_as_vertex(C3, p) == 2
+        assert _point_key(C3, p) == 2 and p == vertex_point(C3, 2)
 
     def test_same_vertex_same_point(self):
         # vertex 2 seen from edge (1,2) and edge (0,2) of the triangle
@@ -597,12 +634,12 @@ class TestNormalization:
         p = vertex_point(g, 0)
         assert p.edge_index == -1
         assert point_distance(g, p, p) == 0
-        assert is_dispersed(g, [p], Fraction(10))
+        assert dispersed(g, [p], Fraction(10))
 
 
 class TestWitnessIO:
     def test_roundtrip(self):
-        ws = WitnessSet.build(
+        ws = witness_of(
             STAR,
             [vertex_point(STAR, 1), vertex_point(STAR, 2), midpoint(STAR, 2)],
             Fraction(1),
@@ -611,8 +648,38 @@ class TestWitnessIO:
         assert parse_witness(STAR, text, Fraction(1)) == ws
 
     def test_duplicate_points_rejected(self):
+        # vertex 2 of the triangle, written on edge (1,2) and edge (0,2)
         with pytest.raises(ValueError):
-            WitnessSet.build(C3, [Point(1, Fraction(1)), Point(2, Fraction(1))], Fraction(1))
+            WitnessSet._from_form(C3, 1, [2, 2], [], Fraction(1))
+        with pytest.raises(MalformedLineError) as err:
+            parse_witness(C3, "1 1 2 1/1\n2 0 2 1/1\n", Fraction(1))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "g, text",
+        [
+            (Graph(1, ()), "-1 5 7 0/1"),
+            (Graph(1, ()), "-1 0 0 1/2"),
+            (K2, "0 0 1 1/2\n0 0 1 2/4"),
+            (P3, "0 0 1 1/1\n1 1 2 0/1"),
+            (P3, "0 0 1 1/3\n\n1 1 2 0/1\n0 0 1 2/6"),
+        ],
+        ids=["edgeless-anchor", "edgeless-offset", "repeat", "vertex-twice", "repeat-later"],
+    )
+    def test_rejections_name_their_line(self, g, text):
+        with pytest.raises(MalformedLineError) as err:
+            parse_witness(g, "\n" + text + "\n", Fraction(1))
+        assert err.value.line == text.count("\n") + 2
+
+    def test_roundtrip_of_solver_witnesses(self):
+        deltas = (Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(5, 2))
+        graphs = 0
+        for g in connected_graphs_max_edges(4):
+            graphs += 1
+            for delta in deltas:
+                ws = disp(g, delta, allow_bruteforce=True)[1]
+                assert parse_witness(g, format_witness(g, ws), delta) == ws, (g, delta)
+        assert graphs > 100
 
     def test_orientation_mismatch_rejected(self):
         with pytest.raises(MalformedLineError):
@@ -641,7 +708,9 @@ class TestExactnessBoundary:
 
     def test_float_delta_rejected(self):
         with pytest.raises(TypeError):
-            is_dispersed(K2, [midpoint(K2, 0)], 0.5)
+            witness_of(K2, [midpoint(K2, 0)], 0.5)
+        with pytest.raises(TypeError):
+            WitnessSet.verified(K2, 2, [], [(0, 1)], 0.5, 1)
 
     def test_string_fraction_accepted(self):
         from deltadisp import as_rational

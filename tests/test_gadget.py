@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_independent_sets
+from helpers import brute_independent_sets, reference_is_dispersed, witness_points
 
 from deltadisp import (
     bezout_coeffs,
@@ -13,7 +13,6 @@ from deltadisp import (
     build_gadget,
     cubic_catalogue,
     format_gadget_map,
-    is_dispersed,
     parse_graph,
     predicted_bound,
     witness_from_independent_set,
@@ -129,7 +128,7 @@ class TestWitness:
         inst = build_gadget(K4, Fraction(3))
         w = witness_from_independent_set(inst, {0})
         assert len(w) == 19
-        assert is_dispersed(inst.g, w.points, Fraction(3))
+        assert reference_is_dispersed(inst.g, witness_points(w), Fraction(3))
 
     def test_k4_empty(self):
         inst = build_gadget(K4, Fraction(3))
@@ -179,7 +178,7 @@ def test_k4_even_numerator_gadget_optimum():
     inst = build_gadget(K4, Fraction(4))
     value, witness = brute_disp(inst.g, Fraction(4), timeout=900)
     assert value == predicted_bound(inst, 1)
-    assert is_dispersed(inst.g, witness.points, Fraction(4))
+    assert reference_is_dispersed(inst.g, witness_points(witness), Fraction(4))
 
 
 @pytest.mark.parametrize("name,alpha", [("k4", 1), ("k33", 3), ("cube", 4)])
@@ -192,7 +191,7 @@ def test_gadget_optimum_matches_predicted_bound(name, alpha, delta):
     inst = build_gadget(cubic_catalogue()[name], delta)
     value, witness = brute_disp(inst.g, delta, cap=1000)
     assert value == predicted_bound(inst, alpha)
-    assert is_dispersed(inst.g, witness.points, delta)
+    assert reference_is_dispersed(inst.g, witness_points(witness), delta)
 
 
 class TestMapFile:

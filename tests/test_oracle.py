@@ -10,6 +10,7 @@ from helpers import (
     connected_graphs_max_edges,
     hop_table,
     induced_conflicts,
+    brute_is_dispersed,
     point_distance,
     random_cactus,
     random_connected_graph,
@@ -17,6 +18,8 @@ from helpers import (
     random_tree,
     reference_max_independent_set,
     reference_reduce,
+    source_point,
+    witness_points,
 )
 from helpers import _clique_cover_size as first_fit_cover_size
 from hypothesis import given, settings
@@ -31,7 +34,6 @@ from deltadisp import (
     build_gadget,
     cubic_catalogue,
     format_witness,
-    is_dispersed,
     subdivide,
 )
 from deltadisp.oracle import _clique_cover_size, _max_independent_set, _reduce
@@ -41,28 +43,34 @@ C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
 
 
+def candidates(g, cg):
+    """The grid candidates of a conflict graph on g, as points of g."""
+    return [source_point(g, cg.factor, i) for i in range(len(cg.conflicts))]
+
+
 class TestConflictGraph:
     def test_k2_delta_2_all_conflict(self):
         cg = build_conflict_graph(K2, Fraction(2))
-        assert len(cg.candidates) == 3
+        assert len(candidates(K2, cg)) == 3
         assert len(conflict_pairs(cg)) == 3
 
     def test_k2_delta_half_quarter_grid(self):
         # grid 1/(2b) = 1/4: five candidates, adjacent ones conflict
         cg = build_conflict_graph(K2, Fraction(1, 2))
-        assert len(cg.candidates) == 5
+        cand = candidates(K2, cg)
+        assert len(cand) == 5
         pairs = conflict_pairs(cg)
         assert len(pairs) == 4
         for i, j in pairs:
-            d = point_distance(K2, cg.candidates[i], cg.candidates[j])
+            d = point_distance(K2, cand[i], cand[j])
             assert d == Fraction(1, 4)
 
     def test_triangle_delta_1_midpoint_conflicts(self):
         cg = build_conflict_graph(C3, Fraction(1))
-        assert len(cg.candidates) == 6
+        assert len(candidates(C3, cg)) == 6
         pairs = set(conflict_pairs(cg))
         assert len(pairs) == 6  # each midpoint vs its two endpoints
-        mids = [i for i, p in enumerate(cg.candidates) if p.offset == Fraction(1, 2)]
+        mids = [i for i, p in enumerate(candidates(C3, cg)) if p.offset == Fraction(1, 2)]
         for i in mids:
             assert sum(1 for a, b in pairs if i in (a, b)) == 2
 
@@ -73,7 +81,7 @@ class TestConflictGraph:
             for delta in (Fraction(1), Fraction(2, 3), Fraction(3, 4)):
                 q = 2 * delta.denominator
                 cg = build_conflict_graph(g, delta)
-                assert len(cg.candidates) == g.vertex_count + g.edge_count * (q - 1)
+                assert len(candidates(g, cg)) == g.vertex_count + g.edge_count * (q - 1)
 
     def test_conflicts_match_point_distance(self):
         rng = random.Random(31)
@@ -81,7 +89,7 @@ class TestConflictGraph:
             g = random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 4))
             delta = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
             cg = build_conflict_graph(g, delta)
-            cand = cg.candidates
+            cand = candidates(g, cg)
             expected = {
                 (i, j)
                 for i in range(len(cand))
@@ -377,7 +385,7 @@ class TestBruteDisp:
         g = _grid_graph(5, 5)
         value, witness = brute_disp(g, Fraction(5, 3))
         assert value == 15
-        assert is_dispersed(g, witness.points, Fraction(5, 3))
+        assert brute_is_dispersed(g, witness_points(witness), Fraction(5, 3))
 
     @pytest.mark.parametrize(
         "g,delta,value",
@@ -391,7 +399,7 @@ class TestBruteDisp:
         got, witness = brute_disp(g, delta)
         assert got == value
         assert len(witness) == value
-        assert is_dispersed(g, witness.points, delta)
+        assert brute_is_dispersed(g, witness_points(witness), delta)
 
     def test_single_vertex(self):
         assert brute_disp(Graph(1, ()), Fraction(5))[0] == 1
@@ -439,7 +447,7 @@ class TestBruteDisp:
         with pytest.raises(OracleTimeoutError) as err:
             brute_disp(g, Fraction(3, 2), timeout=0.0)
         assert err.value.best == len(err.value.witness) >= 1
-        assert is_dispersed(g, err.value.witness.points, Fraction(3, 2))
+        assert brute_is_dispersed(g, witness_points(err.value.witness), Fraction(3, 2))
 
     def test_search_timeout_keeps_greedy_incumbent(self, monkeypatch):
         # the clock stands still through the deadline and the conflict
@@ -463,7 +471,7 @@ class TestBruteDisp:
             brute_disp(g, delta, timeout=1.0)
         best, witness = err.value.best, err.value.witness
         assert 1 <= best == len(witness) <= optimum
-        assert is_dispersed(g, witness.points, delta)
+        assert brute_is_dispersed(g, witness_points(witness), delta)
 
     def test_deadline_covers_conflict_build(self, monkeypatch):
         # the clock reads 0 when brute_disp takes its deadline and far past
@@ -491,7 +499,7 @@ class TestBruteDisp:
         assert len(reads) == 1
         reads.clear()
         cg = build_conflict_graph(g, Fraction(5, 2), deadline=2.0)
-        assert len(cg.candidates) == 997 and len(reads) == 9
+        assert len(cg.conflicts) == 997 and len(reads) == 9
 
     def test_saturation_bounds_rounds_by_the_graph(self, monkeypatch):
         # an untrusted huge delta must not drive the work: the balls stop
@@ -500,7 +508,7 @@ class TestBruteDisp:
         from deltadisp import oracle
 
         p4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
-        diameter = max(map(max, hop_table(subdivide(p4, 2)[0])))
+        diameter = max(map(max, hop_table(subdivide(p4, 2))))
         reads = []
         monkeypatch.setattr(oracle, "monotonic", lambda: reads.append(1) or 0.0)
         cg = build_conflict_graph(p4, Fraction(10**6), deadline=1.0)

@@ -9,21 +9,22 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_connected_graphs,
+    brute_is_dispersed,
     brute_min_surplus,
     matching_number,
     midpoint,
     random_connected_graph,
     validate_canonical,
+    vertex_point,
+    witness_of,
+    witness_points,
 )
 
 from deltadisp import (
     Graph,
-    WitnessSet,
     brute_disp,
     disp,
     edmonds_gallai,
-    is_dispersed,
-    vertex_point,
 )
 from deltadisp.solve2 import CutInstance, disp2, min_surplus, surplus
 
@@ -163,7 +164,7 @@ class TestDisp2:
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 8))
             value, ws = disp(g, TWO)
             assert len(ws) == value
-            assert is_dispersed(g, ws.points, Fraction(2))
+            assert brute_is_dispersed(g, witness_points(ws), Fraction(2))
             _, vertices, mids = disp2(g)
             assert validate_canonical(g, vertices, mids, edmonds_gallai(g))
 
@@ -174,7 +175,7 @@ class TestDisp2:
             g = random_connected_graph(rng, rng.randint(1, 10), rng.randint(0, 8))
             value, vertices, mids = disp2(g)
             canonical = {vertex_point(g, v) for v in vertices} | {midpoint(g, e) for e in mids}
-            assert disp(g, TWO) == (value, WitnessSet.build(g, canonical, TWO))
+            assert disp(g, TWO) == (value, witness_of(g, canonical, TWO))
             assert len(canonical) == value
 
 
