@@ -37,7 +37,6 @@ from .gadget import (
     GadgetInstance,
     bezout_coeffs,
     build_gadget,
-    cubic_catalogue,
     format_gadget_map,
     predicted_bound,
     witness_from_independent_set,
@@ -51,11 +50,6 @@ from .oracle import (
     ConflictGraph,
     brute_disp,
     build_conflict_graph,
-)
-from .solve2 import (
-    CutInstance,
-    min_surplus,
-    surplus,
 )
 
 __version__ = "0.1.0"

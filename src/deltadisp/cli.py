@@ -1,8 +1,9 @@
 """Command-line front end for the dispersion solver suite.
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
-error, 3 resource guard tripped (candidate cap, tree grid limit or timeout;
-a timeout names the verified lower bound the oracle had found), 4 internal
+error, 3 resource guard tripped (the oracle's candidate cap or timeout, or
+the grid limit of every polynomial route and of ``subdivide``; a timeout
+names the verified lower bound the oracle had found), 4 internal
 error (a structural guarantee failed; a bug, not bad input).
 """
 
@@ -25,7 +26,7 @@ from .errors import (
     OracleTimeoutError,
     SizeGuardExceededError,
 )
-from .gadget import build_gadget, format_gadget_map
+from .gadget import build_gadget, format_gadget_map, predicted_bound
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 
 _DELTA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
@@ -200,15 +201,14 @@ def run(argv: list[str]) -> int:
                 (Path(f"{args.out}.graph"), format_graph(inst.g)),
                 (Path(f"{args.out}.map"), format_gadget_map(inst)),
             )
-            c = inst.coeffs
-            per_edge = 2 * c.y1 + c.y2
+            c, mh = inst.coeffs, inst.h.edge_count
             print(
                 f"x1={c.x1} y1={c.y1} x2={c.x2} y2={c.y2} parity={c.parity} "
-                f"source_edges={inst.h_edge_count}"
+                f"source_edges={mh}"
             )
             print(
-                f"predicted bound: k + (2*{c.y1} + {c.y2}) * {inst.h_edge_count}"
-                f" = k + {per_edge * inst.h_edge_count}"
+                f"predicted bound: k + (2*{c.y1} + {c.y2}) * {mh}"
+                f" = k + {predicted_bound(inst, 0)}"
             )
             print(f"wrote {args.out}.graph and {args.out}.map")
             return 0

@@ -36,6 +36,7 @@ from .errors import (
     InternalConsistencyError,
     MalformedLineError,
     SelfLoopError,
+    SizeGuardExceededError,
     VertexRangeError,
 )
 
@@ -384,15 +385,36 @@ class WitnessSet:
 # ---------------------------------------------------------------------------
 
 
+#: Largest grid, n + m(c-1) points for step 1/c, that a polynomial route
+#: (at c = 2b for spacing a/b) or :func:`subdivide` builds.  Their lists
+#: take up to about 180 bytes a point, so a run at the limit stays under
+#: about 1 GiB, its input included.
+GRID_LIMIT = 4_000_000
+
+
+def check_grid(g: Graph, c: int, name: str) -> None:
+    """Raise SizeGuardExceededError, naming the grid `name`, when the grid
+    of step 1/c on g has more than :data:`GRID_LIMIT` points; called
+    before anything of its size is allocated."""
+    size = g.vertex_count + g.edge_count * (c - 1)
+    if size > GRID_LIMIT:
+        raise SizeGuardExceededError(
+            f"{name} has {size} points, over the limit of {GRID_LIMIT}"
+        )
+
+
 def subdivide(g: Graph, c: int) -> Graph:
     """The c-subdivision of g: every edge replaced by a chain of c unit edges.
 
     Vertex v of g keeps its id, and the point k/c along edge e (0 < k < c)
     is vertex n + e(c-1) + k-1, n being g's vertex count (see
-    :func:`grid_form`).  ``c == 1`` yields a graph equal to g.
+    :func:`grid_form`).  ``c == 1`` yields a graph equal to g.  Raises
+    SizeGuardExceededError when it has more than :data:`GRID_LIMIT`
+    vertices.
     """
     if c < 1:
         raise ValueError("subdivision factor must be >= 1")
+    check_grid(g, c, f"the {c}-subdivision of this graph")
     n = g.vertex_count
     edges: list[tuple[int, int]] = []
     for j, (u, v) in enumerate(g.edges):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Graph, WitnessSet, as_rational
+from .core import Graph, WitnessSet, as_rational, check_grid
 from .errors import InternalConsistencyError, NPHardRegimeError
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 from .solve2 import disp2
@@ -37,7 +37,10 @@ def disp(
     proven optimal by an edge-ball cover; any other graph raises
     NPHardRegimeError unless `allow_bruteforce` is set, and then returns
     :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
-    oracle only.
+    oracle only.  Every other route first checks the instance's 1/(2b)
+    grid, n + m(2b-1) points, against
+    :data:`~deltadisp.core.GRID_LIMIT` and raises SizeGuardExceededError
+    over it, before it allocates anything of the grid's size.
 
     The polynomial routes return their value and witness unchecked, in
     the integer form of :meth:`WitnessSet.verified`, and the witness is
@@ -50,20 +53,21 @@ def disp(
     if delta <= 0:
         raise ValueError("delta must be positive")
     a, b = delta.numerator, delta.denominator
+    if a >= 3 and not g.is_tree:
+        if not allow_bruteforce:
+            raise NPHardRegimeError(
+                f"computing the {a}/{b}-dispersion number is NP-hard for "
+                f"numerators >= 3 on graphs that are not trees; pass "
+                f"allow_bruteforce=True to run the exponential oracle"
+            )
+        return brute_disp(g, delta, cap, timeout)
+    check_grid(g, 2 * b, f"the {a}/{b} grid of this graph")
     if a == 1:
         value, form = _unit_numerator(g, b)
     elif a == 2:
         value, form = _numerator_two(g, b)
-    elif g.is_tree:
-        value, form = tree_disp(g, a, b)
-    elif not allow_bruteforce:
-        raise NPHardRegimeError(
-            f"computing the {a}/{b}-dispersion number is NP-hard for "
-            f"numerators >= 3 on graphs that are not trees; pass "
-            f"allow_bruteforce=True to run the exponential oracle"
-        )
     else:
-        return brute_disp(g, delta, cap, timeout)
+        value, form = tree_disp(g, a, b)
     return value, WitnessSet.verified(g, *form, delta, value)
 
 

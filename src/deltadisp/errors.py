@@ -52,8 +52,10 @@ class NPHardRegimeError(DispersionError):
 
 class SizeGuardExceededError(DispersionError):
     """A grid is larger than its guard allows: the brute-force candidate
-    set over the configured cap, or a tree's grid over the tree route's
-    fixed limit.  Raised before anything of the grid's size is allocated."""
+    set over the configured cap, or a grid over the one fixed limit,
+    ``core.GRID_LIMIT`` points, that every polynomial route (the 1/(2b)
+    grid of spacing a/b) and ``subdivide`` share.  Raised before anything
+    of the grid's size is allocated."""
 
 
 class OracleTimeoutError(DispersionError):

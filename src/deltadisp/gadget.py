@@ -26,7 +26,6 @@ __all__ = [
     "predicted_bound",
     "witness_from_independent_set",
     "format_gadget_map",
-    "cubic_catalogue",
 ]
 
 
@@ -104,7 +103,6 @@ class GadgetInstance:
     vmap: Mapping[int, int]
     emap: Mapping[int, int]
     coeffs: BezoutCoefficients
-    h_edge_count: int
     paths: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     cycles: tuple[tuple[int, ...], ...]
 
@@ -150,7 +148,6 @@ def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
         vmap=vmap,
         emap=emap,
         coeffs=coeffs,
-        h_edge_count=mh,
         paths=tuple(paths),
         cycles=tuple(cycles),
     )
@@ -162,7 +159,7 @@ def predicted_bound(inst: GadgetInstance, k: int) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     c = inst.coeffs
-    return k + (2 * c.y1 + c.y2) * inst.h_edge_count
+    return k + (2 * c.y1 + c.y2) * inst.h.edge_count
 
 
 def _place(
@@ -231,17 +228,3 @@ def format_gadget_map(inst: GadgetInstance) -> str:
     out.extend(f"e {e} {inst.emap[e]}" for e in sorted(inst.emap))
     return "\n".join(out) + "\n"
 
-
-def cubic_catalogue() -> dict[str, Graph]:
-    """Small built-in cubic graphs for tests and demos."""
-    k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
-    k33 = Graph(6, tuple((u, v + 3) for u in range(3) for v in range(3)))
-    cube = Graph(
-        8,
-        (
-            (0, 1), (1, 2), (2, 3), (3, 0),
-            (4, 5), (5, 6), (6, 7), (7, 4),
-            (0, 4), (1, 5), (2, 6), (3, 7),
-        ),
-    )
-    return {"k4": k4, "k33": k33, "cube": cube}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -197,36 +196,18 @@ def maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], lis
 @dataclass(frozen=True)
 class EGDecomposition:
     """Partition of the vertices by maximum-matching structure, held as the
-    arrays it is labelled in: ``kind`` per vertex (0 inessential, 1
-    separator, 2 remainder, and a last slot 3 for the partner -1 of an
-    exposed vertex), the ``components`` of the inessential set as vertex
-    lists, each led by its least vertex and ordered by it, and ``mate``,
-    the maximum matching they are read off.
-
-    The sets are views built on first read: ``inessential`` holds the
-    vertices some maximum matching misses, the ``separator`` its outside
-    neighbourhood, the ``remainder`` the rest; the inessential components
-    split into ``singletons`` and ``odd_components`` (size >= 3), and
-    ``partner`` maps each separator vertex to its mate.
+    arrays it is labelled in: ``kind`` per vertex (0 inessential, the
+    vertices some maximum matching misses; 1 separator, their outside
+    neighbourhood; 2 remainder, the rest; and a last slot 3 for the
+    partner -1 of an exposed vertex), the ``components`` of the inessential
+    set as vertex lists, each led by its least vertex and ordered by it,
+    and ``mate``, the maximum matching they are read off, which matches
+    each separator vertex into its own inessential component.
     """
 
     kind: Sequence[int] = field(repr=False)
     components: Sequence[Sequence[int]] = field(repr=False)
     mate: tuple[int, ...]
-
-    def _of_kind(self, k: int) -> frozenset[int]:
-        return frozenset(compress(range(len(self.mate)), map(k.__eq__, self.kind)))
-
-    inessential = cached_property(lambda self: self._of_kind(0))
-    separator = cached_property(lambda self: self._of_kind(1))
-    remainder = cached_property(lambda self: self._of_kind(2))
-    singletons = cached_property(
-        lambda self: frozenset(c[0] for c in self.components if len(c) == 1)
-    )
-    odd_components = cached_property(
-        lambda self: tuple(frozenset(c) for c in self.components if len(c) > 1)
-    )
-    partner = cached_property(lambda self: {y: self.mate[y] for y in sorted(self.separator)})
 
 
 def edmonds_gallai(g: Graph) -> EGDecomposition:

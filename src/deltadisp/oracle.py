@@ -65,7 +65,6 @@ class ConflictGraph:
     domination test that never changes its result.
     """
 
-    delta: Fraction
     conflicts: tuple[int, ...]
     far: tuple[int, ...]
     factor: int
@@ -75,17 +74,16 @@ def build_conflict_graph(
     g: Graph,
     delta: Fraction,
     cap: int = DEFAULT_CANDIDATE_CAP,
-    grid_denominator: int | None = None,
     deadline: float | None = None,
 ) -> ConflictGraph:
     """The grid candidates of spacing `delta` and their conflicts.
 
-    The grid of step 1/q, q = 2b by default (`grid_denominator` overrides
-    it, for completeness checks against finer grids), is the vertex set of
-    ``subdivide(g, q)``: vertex v stays candidate v, and step t of edge e
-    is chain vertex n + e(q-1) + t-1.  Points of the grid are exactly their
-    hop count in the subdivision times 1/q apart, so the candidates closer
-    than delta to a candidate are its ball of radius delta*q - 1 there.
+    For delta = a/b in lowest terms, the grid of step 1/q, q = 2b, is the
+    vertex set of ``subdivide(g, q)``: vertex v stays candidate v, and step
+    t of edge e is chain vertex n + e(q-1) + t-1.  Points of the grid are
+    exactly their hop count in the subdivision times 1/q apart, so the
+    candidates closer than delta to a candidate are its ball of radius
+    delta*q - 1 = 2a - 1 there.
     The balls grow as bitsets over :func:`~deltadisp.core.grid_adjacency`,
     one round per hop: each round ORs every vertex's neighbours' balls into
     its own, and the rounds stop early once none grows, so the work is
@@ -98,9 +96,7 @@ def build_conflict_graph(
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    q = 2 * delta.denominator if grid_denominator is None else int(grid_denominator)
-    if q < 1 or (delta * q).denominator != 1:
-        raise ValueError(f"grid denominator {q} does not resolve delta {delta}")
+    q = 2 * delta.denominator
     count = g.vertex_count + g.edge_count * (q - 1)
     if count > cap:
         raise SizeGuardExceededError(
@@ -109,7 +105,7 @@ def build_conflict_graph(
 
     adjacency = grid_adjacency(g, q)
     reach = previous = [1 << v for v in range(count)]
-    for _ in range(int(delta * q) - 1):
+    for _ in range(2 * delta.numerator - 1):
         if deadline is not None and monotonic() > deadline:
             raise OracleTimeoutError("conflict-graph build exceeded its time budget")
         grown = []
@@ -123,7 +119,7 @@ def build_conflict_graph(
     conflicts = tuple(ball ^ (1 << v) for v, ball in enumerate(reach))
     # balls only grow, so the last growing round's additions are an XOR
     far = tuple(ball ^ inner for ball, inner in zip(reach, previous))
-    return ConflictGraph(delta, conflicts, far, q)
+    return ConflictGraph(conflicts, far, q)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
@@ -167,7 +163,7 @@ def _reduce(
     rem: int,
     dirty: int,
     check: Callable[[], None],
-    far: tuple[int, ...] | None = None,
+    far: tuple[int, ...],
 ) -> tuple[int, int]:
     """Apply isolation and domination to `rem` until neither fires.
 
@@ -192,10 +188,10 @@ def _reduce(
     candidates' neighbours, v among them, are re-examined.
 
     The intersection takes v's remaining neighbours in `far[v]` first,
-    then the rest (each part in ascending order); no `far` is the empty
-    hint, which runs the same loop.  An intersection is the same set in
-    any order, so the order changes only how soon it empties, never what
-    is dropped.  The outer ring (``ConflictGraph.far``) lies farthest from
+    then the rest (each part in ascending order); ``(0,) * n`` is the
+    empty hint, which runs the same loop.  An intersection is the same set
+    in any order, so the order changes only how soon it empties, never
+    what is dropped.  The outer ring (``ConflictGraph.far``) lies farthest from
     v's other neighbours, so its neighbourhoods tend to cut the set down
     soonest.
 
@@ -204,8 +200,6 @@ def _reduce(
     examined in ascending index order.  `check` runs once per pass and
     raises when the deadline has passed.
     """
-    if far is None:
-        far = (0,) * len(conflicts)
     taken = 0
     while dirty:
         check()
@@ -244,7 +238,7 @@ def _reduce(
 
 
 def _max_independent_set(
-    conflicts: tuple[int, ...], deadline: float | None, far: tuple[int, ...] | None = None
+    conflicts: tuple[int, ...], deadline: float | None, far: tuple[int, ...]
 ) -> tuple[int, int]:
     """Deterministic branch-and-reduce MIS; returns (size, chosen bitmask).
 

@@ -16,74 +16,27 @@ points from them and verifies the witness it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
 
 from .core import Graph
 from .errors import InternalConsistencyError
 from .matching import edmonds_gallai, maximum_matching
 
-__all__ = [
-    "CutInstance",
-    "surplus",
-    "min_surplus",
-    "disp2",
-]
-
-
-@dataclass(frozen=True)
-class CutInstance:
-    """Bipartite adjacency data for the vertex-selection subproblem."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for x, y in self.arcs:
-            if x not in self.left or y not in self.right:
-                raise ValueError(f"arc ({x}, {y}) does not run left to right")
-
-
-def surplus(inst: CutInstance, subset: Iterable[int]) -> int:
-    """``|neighbourhood(subset)| - |subset|`` for a subset of the left side."""
-    chosen = frozenset(subset)
-    if not chosen <= inst.left:
-        raise ValueError("subset must lie within the left side")
-    hit = {y for x, y in inst.arcs if x in chosen}
-    return len(hit) - len(chosen)
-
-
-def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
-    """Minimum of ``|neighbourhood(T)| - |T|`` over subsets T of the left side.
-
-    By the deficiency form of Hall's theorem the minimum is ``nu(B) - |left|``,
-    where nu(B) is the matching number of the bipartite graph B of the
-    arcs.  The minimizing T is the set of left vertices some maximum
-    matching of B misses: those reachable by alternating paths from the
-    exposed left vertices, whose neighbourhood is matched into T.  The empty
-    set gives 0, so the result is never positive.  The arcs are read into
-    B's node adjacency for :func:`_min_surplus`, which solves it.
-    """
-    left = sorted(inst.left)
-    right = sorted(inst.right)
-    # left vertex i is node i of B, right vertex j node len(left) + j
-    at_left = dict(zip(left, range(len(left))))
-    at_right = dict(zip(right, range(len(left), len(left) + len(right))))
-    adjacency: list[list[int]] = [[] for _ in range(len(left) + len(right))]
-    for x, y in inst.arcs:  # nu(B) and the missed set do not depend on the order
-        i, j = at_left[x], at_right[y]
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    value, chosen = _min_surplus(adjacency, len(left))
-    return value, frozenset(left[i] for i in chosen)
+__all__ = ["disp2"]
 
 
 def _min_surplus(adjacency: list[list[int]], left: int) -> tuple[int, list[int]]:
-    """The value and minimizing nodes of :func:`min_surplus` for B given by
-    its node adjacency, nodes below `left` forming its left side; the value
-    is rechecked as the surplus of those nodes."""
+    """Minimum of ``|neighbourhood(T)| - |T|`` over subsets T of the left
+    side of the bipartite graph B given by its node adjacency, nodes below
+    `left` forming its left side, and a minimizing T.
+
+    By the deficiency form of Hall's theorem the minimum is ``nu(B) - left``,
+    where nu(B) is the matching number of B.  The minimizing T is the set of
+    left nodes some maximum matching of B misses: those reachable by
+    alternating paths from the exposed left nodes, whose neighbourhood is
+    matched into T.  The empty set gives 0, so the value is never positive.
+    It is rechecked as the surplus of the nodes returned.
+    """
     match, outer = maximum_matching(adjacency)
     value = (len(match) - match.count(-1)) // 2 - left
     chosen = list(compress(range(left), outer))
@@ -100,9 +53,6 @@ def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     edges) minus the minimum surplus of B, whose node adjacency is built
     from the decomposition's arrays."""
     n = g.vertex_count
-    if n == 1:
-        return 1, frozenset({0}), frozenset()
-
     dec = edmonds_gallai(g)
     kind, adjacency = dec.kind, g.adjacency
     singletons = [c[0] for c in dec.components if len(c) == 1]

@@ -14,14 +14,9 @@ time linear in the grid times a, with no conflict graph and no search.
 from __future__ import annotations
 
 from .core import Graph, grid_adjacency, grid_form
-from .errors import InternalConsistencyError, SizeGuardExceededError
+from .errors import InternalConsistencyError
 
-__all__ = ["MAX_TREE_GRID", "tree_disp"]
-
-#: Largest grid, n + m(2b-1) points, the tree route builds.  Its lists take
-#: up to about 180 bytes a point, so a run at the limit stays under about
-#: 1 GiB, its input included.
-MAX_TREE_GRID = 4_000_000
+__all__ = ["tree_disp"]
 
 
 def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
@@ -61,18 +56,10 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     balls, requires one per taken vertex, and requires one breadth-first
     search, bounded at a-1 hops from every ball's ends, to reach every grid
     vertex; it raises InternalConsistencyError otherwise.  The witness is
-    checked by the caller, through ``WitnessSet.verified``.
-
-    Raises SizeGuardExceededError, before anything of the grid's size is
-    allocated, when the grid has more than :data:`MAX_TREE_GRID` points.
+    checked by the caller, through ``WitnessSet.verified``; the caller
+    also bounds the grid's size, at :data:`~deltadisp.core.GRID_LIMIT`.
     """
-    n, m, q = g.vertex_count, g.edge_count, 2 * b
-    size = n + m * (q - 1)
-    if size > MAX_TREE_GRID:
-        raise SizeGuardExceededError(
-            f"the {a}/{b} grid of this tree has {size} points, over the tree "
-            f"route's limit of {MAX_TREE_GRID}"
-        )
+    n, q = g.vertex_count, 2 * b
     adjacency = grid_adjacency(g, q)
     order, parent = _breadth_first(adjacency)
     taken = _greedy(adjacency, order, 2 * a)

@@ -16,9 +16,12 @@ of a vertex set into components and the conflict-pair listing live here
 too, since only tests use them, and so does the earlier matching engine
 (one blossom search per exposed vertex), the differential reference for
 the alternating forest, and the earlier eager decomposition build, the
-reference for the decomposition's views.  So does the point form of a
+reference for the decomposition's sets, which :func:`decomposition_views`
+reads off the decomposition's arrays.  So does the point form of a
 witness: a :class:`Point` per point, with an exact `Fraction` offset, and
-the readers between points and the integer form of ``WitnessSet``.
+the readers between points and the integer form of ``WitnessSet``, and so
+do the bipartite cut instance with its surplus and its adapter to the
+minimum-surplus solver, and the catalogue of small cubic graphs.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from deltadisp import Graph, WitnessSet, as_rational, matching
 from deltadisp.core import hop_ball
 from deltadisp.errors import InternalConsistencyError
 from deltadisp.matching import EGDecomposition
-from deltadisp.solve2 import CutInstance, disp2
+from deltadisp.solve2 import _min_surplus, disp2
 
 
 @dataclass(frozen=True, order=True)
@@ -229,6 +232,22 @@ def random_cactus(rng: random.Random, n: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def cubic_catalogue() -> dict[str, Graph]:
+    """Small cubic graphs, the sources of gadget instances: K4, K3,3 and
+    the cube."""
+    k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    k33 = Graph(6, tuple((u, v + 3) for u in range(3) for v in range(3)))
+    cube = Graph(
+        8,
+        (
+            (0, 1), (1, 2), (2, 3), (3, 0),
+            (4, 5), (5, 6), (6, 7), (7, 4),
+            (0, 4), (1, 5), (2, 6), (3, 7),
+        ),
+    )
+    return {"k4": k4, "k33": k33, "cube": cube}
+
+
 @lru_cache(maxsize=64)
 def hop_table(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All-pairs vertex distances, one breadth-first search per vertex;
@@ -415,7 +434,9 @@ def reference_matching_and_inessential(adjacency) -> tuple[list[int], frozenset[
 
 @dataclass(frozen=True)
 class ReferenceDecomposition:
-    """The decomposition's sets, built eagerly."""
+    """The decomposition's sets, built eagerly: by
+    :func:`reference_edmonds_gallai`, or by :func:`decomposition_views`
+    from an ``EGDecomposition``'s arrays."""
 
     inessential: frozenset[int]
     separator: frozenset[int]
@@ -479,6 +500,24 @@ def reference_edmonds_gallai(g: Graph) -> ReferenceDecomposition:
         odd_components=tuple(frozenset(group) for group in inessential_comps if len(group) > 1),
         partner=partner,
         mate=tuple(mate),
+    )
+
+
+def decomposition_views(dec: EGDecomposition) -> ReferenceDecomposition:
+    """The sets of `dec`, read off its ``kind``, ``components`` and
+    ``mate``: the inessential set (kind 0), the separator (kind 1) and the
+    remainder (kind 2), the inessential components split into singletons
+    and odd components of size >= 3, and each separator vertex's mate."""
+    n = len(dec.mate)
+    of_kind = [frozenset(v for v in range(n) if dec.kind[v] == k) for k in range(3)]
+    return ReferenceDecomposition(
+        inessential=of_kind[0],
+        separator=of_kind[1],
+        remainder=of_kind[2],
+        singletons=frozenset(c[0] for c in dec.components if len(c) == 1),
+        odd_components=tuple(frozenset(c) for c in dec.components if len(c) > 1),
+        partner={y: dec.mate[y] for y in sorted(of_kind[1])},
+        mate=dec.mate,
     )
 
 
@@ -556,6 +595,47 @@ def brute_factor_critical(g: Graph, component) -> bool:
     return all(
         2 * brute_matching_number(g, comp - {x}) == len(comp) - 1 for x in comp
     )
+
+
+@dataclass(frozen=True)
+class CutInstance:
+    """Bipartite adjacency data for the vertex-selection subproblem."""
+
+    left: frozenset[int]
+    right: frozenset[int]
+    arcs: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        for x, y in self.arcs:
+            if x not in self.left or y not in self.right:
+                raise ValueError(f"arc ({x}, {y}) does not run left to right")
+
+
+def surplus(inst: CutInstance, subset) -> int:
+    """``|neighbourhood(subset)| - |subset|`` for a subset of the left side."""
+    chosen = frozenset(subset)
+    if not chosen <= inst.left:
+        raise ValueError("subset must lie within the left side")
+    hit = {y for x, y in inst.arcs if x in chosen}
+    return len(hit) - len(chosen)
+
+
+def min_surplus(inst: CutInstance) -> tuple[int, frozenset[int]]:
+    """Minimum of ``|neighbourhood(T)| - |T|`` over subsets T of the left
+    side, and a minimizing T: the arcs read into the node adjacency of the
+    bipartite graph they form, for ``solve2._min_surplus`` to solve."""
+    left = sorted(inst.left)
+    right = sorted(inst.right)
+    # left vertex i is node i, right vertex j node len(left) + j
+    at_left = dict(zip(left, range(len(left))))
+    at_right = dict(zip(right, range(len(left), len(left) + len(right))))
+    adjacency: list[list[int]] = [[] for _ in range(len(left) + len(right))]
+    for x, y in inst.arcs:
+        i, j = at_left[x], at_right[y]
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    value, chosen = _min_surplus(adjacency, len(left))
+    return value, frozenset(left[i] for i in chosen)
 
 
 def brute_min_surplus(inst: CutInstance) -> int:
@@ -748,6 +828,7 @@ def validate_canonical(
     points = frozenset(
         [vertex_point(g, v) for v in vertices] + [midpoint(g, e) for e in midpoint_edges]
     )
+    dec = decomposition_views(dec)
     remainder_components = tuple(component_split(g.adjacency, dec.remainder))
 
     for comp in dec.odd_components:

@@ -13,9 +13,13 @@ from helpers import (
     brute_factor_critical,
     brute_independent_sets,
     brute_inessential,
+    CutInstance,
     brute_min_surplus,
     connected_graphs_max_edges,
+    cubic_catalogue,
+    decomposition_views,
     matching_number,
+    min_surplus,
     random_connected_graph,
     random_tree,
     reference_is_dispersed,
@@ -25,7 +29,6 @@ from helpers import (
 from deltadisp import (
     brute_disp,
     build_gadget,
-    cubic_catalogue,
     disp,
     edmonds_gallai,
     extract_certificate,
@@ -34,7 +37,6 @@ from deltadisp import (
     verify_certificate,
     witness_from_independent_set,
 )
-from deltadisp.solve2 import CutInstance, min_surplus
 
 TWO = Fraction(2)
 
@@ -290,7 +292,7 @@ def test_criterion_9_decomposition_structure():
     for n in range(1, 7):
         for g in all_connected_graphs(n):
             count += 1
-            dec = edmonds_gallai(g)  # raises on internal structure violations
+            dec = decomposition_views(edmonds_gallai(g))  # raises on structure violations
             expected = brute_inessential(g)
             if dec.inessential != expected:
                 failures.append((g, dec.inessential, expected))

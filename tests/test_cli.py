@@ -84,6 +84,14 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "2000000001 points" in lines[0]
 
+    def test_unit_numerator_grid_over_limit_exits_3(self, k2, capsys):
+        assert run(["solve", str(k2), "--delta", "1/1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "2000000001 points" in lines[0]
+
     def test_brute_force_flag_reaches_oracle(self, c3, capsys, monkeypatch):
         from deltadisp import dispatch
 
@@ -379,6 +387,14 @@ class TestSubdivide:
 
     def test_bad_factor(self, k2):
         assert run(["subdivide", str(k2), "--factor", "0"]) == 2
+
+    def test_factor_over_grid_limit_exits_3(self, k2, capsys):
+        assert run(["subdivide", str(k2), "--factor", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "1000000001 points" in lines[0]
 
 
 class TestSingleVertexGraph:

@@ -1,6 +1,8 @@
 """Graph parsing, the point metric, subdivision, and dispersion checking."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import random
 import re
@@ -36,19 +38,24 @@ from deltadisp import (
     ConflictGraph,
     DisconnectedGraphError,
     DuplicateEdgeError,
+    EGDecomposition,
+    GadgetInstance,
     Graph,
     MalformedLineError,
     SelfLoopError,
+    SizeGuardExceededError,
     VertexRangeError,
     WitnessSet,
     build_conflict_graph,
     disp,
+    edmonds_gallai,
     format_graph,
     format_witness,
     parse_graph,
     parse_witness,
     subdivide,
 )
+from deltadisp import core
 from deltadisp.core import grid_adjacency, grid_form, hop_ball, integer_tokens
 
 K2 = Graph(2, ((0, 1),))
@@ -212,6 +219,42 @@ def test_package_has_one_witness_form():
     assert not hasattr(ConflictGraph, "candidates")
     assert not hasattr(build_conflict_graph(K2, Fraction(1)), "candidates")
     assert not hasattr(WitnessSet, "points") and hasattr(WitnessSet, "is_dispersed")
+
+
+def test_package_keeps_no_test_only_names():
+    # the cut instance, its surplus and adapter, the cubic catalogue and the
+    # decomposition's sets are test references (tests/helpers.py); one grid
+    # limit, core.GRID_LIMIT, guards every polynomial route
+    gone = ("CutInstance", "surplus", "min_surplus", "cubic_catalogue", "MAX_TREE_GRID")
+    assert not [
+        (m.__name__, name)
+        for m in _package_modules()
+        for name in gone
+        if hasattr(m, name) or name in getattr(m, "__all__", ())
+    ]
+    assert [f.name for f in dataclasses.fields(EGDecomposition)] == ["kind", "components", "mate"]
+    assert not hasattr(EGDecomposition, "inessential")
+    assert not hasattr(edmonds_gallai(P3), "inessential")
+    assert [f.name for f in dataclasses.fields(ConflictGraph)] == ["conflicts", "far", "factor"]
+    assert "h_edge_count" not in [f.name for f in dataclasses.fields(GadgetInstance)]
+    assert "grid_denominator" not in inspect.signature(build_conflict_graph).parameters
+
+
+def test_one_grid_limit_guards_routes_and_subdivide(monkeypatch):
+    # K2's grid of step 1/c has c + 1 points; at a limit of 10, c = 9 is
+    # the largest built, by a route (c = 2b) and by subdivide alike
+    monkeypatch.setattr(core, "GRID_LIMIT", 10)
+    assert subdivide(K2, 9).vertex_count == 10
+    assert disp(K2, Fraction(1, 4))[0] == 5
+    assert disp(K2, Fraction(3, 4))[0] == 2
+    for refused in (
+        lambda: subdivide(K2, 10),
+        lambda: disp(K2, Fraction(1, 5)),
+        lambda: disp(K2, Fraction(2, 5)),
+        lambda: disp(K2, Fraction(3, 5)),
+    ):
+        with pytest.raises(SizeGuardExceededError, match="11 points, over the limit of 10"):
+            refused()
 
 
 class TestHopDistances:

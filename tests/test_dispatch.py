@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from helpers import (
     connected_graphs_max_edges,
+    cubic_catalogue,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -27,11 +29,11 @@ from deltadisp import (
     InternalConsistencyError,
     NPHardRegimeError,
     OracleTimeoutError,
+    SizeGuardExceededError,
     WitnessSet,
     brute_disp,
     build_conflict_graph,
     build_gadget,
-    cubic_catalogue,
     disp,
     format_witness,
     subdivide,
@@ -175,6 +177,19 @@ class TestEdgeCases:
         # a 3-point grid, but a search radius of 10^12 hops
         assert disp(K2, Fraction(10**12))[0] == 1
         assert disp(K2, Fraction(10**12 + 1, 3))[0] == 1
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10**9), Fraction(2, 10**9 + 1)])
+    def test_grid_guard_of_numerators_one_and_two_allocates_nothing(self, delta):
+        # K2's grid of step 1/(2b) has 2b + 1 points, over the limit: refused
+        # before a witness of a billion points is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceededError, match=f"{2 * delta.denominator + 1} points"):
+                disp(K2, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_polynomial_routes_on_2000_vertex_trees(self):
         rng = random.Random(38)
@@ -329,12 +344,12 @@ class TestIntegerWitness:
         for g in small:
             for delta in (Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(4, 3)):
                 cg = build_conflict_graph(g, delta)
-                reference = reference_oracle_points(g, cg, search(cg.conflicts, None)[1])
+                reference = reference_oracle_points(g, cg, search(cg.conflicts, None, cg.far)[1])
                 cases.append((g, delta, brute_disp(g, delta)[1], reference))
 
         # a timed-out search's incumbent: the optimum less its first candidate
         def timed_out(conflicts, deadline, far):
-            mask = search(conflicts, None)[1]
+            mask = search(conflicts, None, far)[1]
             raise oracle._SearchTimeout(mask & (mask - 1))
 
         with monkeypatch.context() as patch:
@@ -342,7 +357,7 @@ class TestIntegerWitness:
             for g in small:
                 delta = Fraction(5, 2)
                 cg = build_conflict_graph(g, delta)
-                mask = search(cg.conflicts, None)[1]
+                mask = search(cg.conflicts, None, cg.far)[1]
                 with pytest.raises(OracleTimeoutError) as err:
                     brute_disp(g, delta)
                 incumbent = reference_oracle_points(g, cg, mask & (mask - 1))

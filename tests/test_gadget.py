@@ -5,13 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_independent_sets, reference_is_dispersed, witness_points
+from helpers import (
+    brute_independent_sets,
+    cubic_catalogue,
+    reference_is_dispersed,
+    witness_points,
+)
 
 from deltadisp import (
     bezout_coeffs,
     brute_disp,
     build_gadget,
-    cubic_catalogue,
     format_gadget_map,
     parse_graph,
     predicted_bound,

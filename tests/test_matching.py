@@ -9,6 +9,7 @@ from helpers import (
     brute_factor_critical,
     brute_inessential,
     brute_matching_number,
+    decomposition_views,
     matching_and_inessential,
     matching_number,
     maximum_matching,
@@ -147,20 +148,20 @@ class TestForest:
 
 class TestEdmondsGallai:
     def test_path(self):
-        dec = edmonds_gallai(P3)
+        dec = decomposition_views(edmonds_gallai(P3))
         assert dec.inessential == {0, 2}
         assert dec.separator == {1}
         assert dec.remainder == frozenset()
         assert dec.singletons == {0, 2}
 
     def test_k2(self):
-        dec = edmonds_gallai(K2)
+        dec = decomposition_views(edmonds_gallai(K2))
         assert dec.inessential == frozenset()
         assert dec.separator == frozenset()
         assert dec.remainder == {0, 1}
 
     def test_triangle(self):
-        dec = edmonds_gallai(C3)
+        dec = decomposition_views(edmonds_gallai(C3))
         assert dec.inessential == {0, 1, 2}
         assert dec.odd_components == (frozenset({0, 1, 2}),)
         assert dec.separator == frozenset() and dec.remainder == frozenset()
@@ -169,7 +170,7 @@ class TestEdmondsGallai:
         rng = random.Random(3)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6))
-            dec = edmonds_gallai(g)
+            dec = decomposition_views(edmonds_gallai(g))
             comps = dec.odd_components + tuple(frozenset({s}) for s in dec.singletons)
             owners = []
             for y, x in dec.partner.items():
@@ -181,7 +182,7 @@ class TestEdmondsGallai:
     def test_exhaustive_inessential_up_to_5(self):
         for n in range(1, 6):
             for g in all_connected_graphs(n):
-                dec = edmonds_gallai(g)
+                dec = decomposition_views(edmonds_gallai(g))
                 assert dec.inessential == brute_inessential(g)
 
     def test_random_inessential_against_brute(self):
@@ -189,13 +190,13 @@ class TestEdmondsGallai:
         for _ in range(300):
             n = rng.randint(7, 12)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
-            assert edmonds_gallai(g).inessential == brute_inessential(g)
+            assert decomposition_views(edmonds_gallai(g)).inessential == brute_inessential(g)
 
     def test_base_matching_structure(self):
         rng = random.Random(4)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6))
-            dec = edmonds_gallai(g)
+            dec = decomposition_views(edmonds_gallai(g))
             for v in dec.remainder:
                 assert dec.mate[v] in dec.remainder
             for comp in dec.odd_components:
@@ -217,7 +218,7 @@ class TestEdmondsGallai:
         mismatches = []
         for case in range(320):
             g = families[case % 4](rng.randint(1, 90))
-            dec, ref = edmonds_gallai(g), reference_edmonds_gallai(g)
+            dec, ref = decomposition_views(edmonds_gallai(g)), reference_edmonds_gallai(g)
             for name in fields:
                 seen[name] += bool(getattr(ref, name))
                 if getattr(dec, name) != getattr(ref, name):
@@ -232,6 +233,6 @@ class TestNearPerfectMatching:
         rng = random.Random(5)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 7))
-            dec = edmonds_gallai(g)
+            dec = decomposition_views(edmonds_gallai(g))
             for comp in dec.odd_components:
                 assert brute_factor_critical(g, comp)

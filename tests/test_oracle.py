@@ -8,6 +8,7 @@ from helpers import (
     all_pairs_conflicts,
     conflict_pairs,
     connected_graphs_max_edges,
+    cubic_catalogue,
     hop_table,
     induced_conflicts,
     brute_is_dispersed,
@@ -32,7 +33,6 @@ from deltadisp import (
     brute_disp,
     build_conflict_graph,
     build_gadget,
-    cubic_catalogue,
     format_witness,
     subdivide,
 )
@@ -114,11 +114,6 @@ class TestConflictGraph:
         for g, delta in _differential_cases(random.Random(60), 300):
             if build_conflict_graph(g, delta).conflicts != all_pairs_conflicts(g, delta):
                 mismatches.append((g, delta))
-            q = 4 * delta.denominator  # a finer grid than the default
-            if g.vertex_count + g.edge_count * (q - 1) <= 200:
-                cg = build_conflict_graph(g, delta, grid_denominator=q)
-                if cg.conflicts != all_pairs_conflicts(g, delta, q):
-                    mismatches.append((g, delta, q))
         assert mismatches == []
 
     def test_far_is_the_last_growing_ring(self):
@@ -180,7 +175,7 @@ class TestSearch:
         mismatches = []
         for g, delta in _differential_cases(random.Random(62), 400):
             conflicts = build_conflict_graph(g, delta).conflicts
-            value, mask = _max_independent_set(conflicts, None)
+            value, mask = _max_independent_set(conflicts, None, (0,) * len(conflicts))
             if value != reference_max_independent_set(conflicts)[0]:
                 mismatches.append((g, delta))
             assert mask.bit_count() == value
@@ -196,7 +191,7 @@ class TestSearch:
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 3))
             conflicts = build_conflict_graph(g, delta).conflicts
             full = (1 << len(conflicts)) - 1
-            taken, rem = _reduce(conflicts, full, full, lambda: None)
+            taken, rem = _reduce(conflicts, full, full, lambda: None, (0,) * len(conflicts))
             assert rem == 0
             assert taken.bit_count() == reference_max_independent_set(conflicts)[0]
 
@@ -210,7 +205,7 @@ class TestSearch:
         readings = iter([0.0])
         monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
         with pytest.raises(OracleTimeoutError, match="independent-set search"):
-            _max_independent_set(conflicts, 1.0)
+            _max_independent_set(conflicts, 1.0, (0,) * len(conflicts))
 
 
 def _grid_graph(width, height):
@@ -267,7 +262,7 @@ def _fixpoint_faults(conflicts, rem):
 
 def _check_reduction(conflicts):
     full = (1 << len(conflicts)) - 1
-    taken, rem = _reduce(conflicts, full, full, lambda: None)
+    taken, rem = _reduce(conflicts, full, full, lambda: None, (0,) * len(conflicts))
     assert _fixpoint_faults(conflicts, rem) == []
     assert taken & rem == 0 and _is_independent(conflicts, taken)
     assert not any(conflicts[i] & rem for i in range(len(conflicts)) if taken >> i & 1)
@@ -312,7 +307,7 @@ def conflict_masks(draw):
 @settings(max_examples=300, derandomize=True)
 @given(conflicts=conflict_masks())
 def test_search_matches_reference_property(conflicts):
-    value, mask = _max_independent_set(conflicts, None)
+    value, mask = _max_independent_set(conflicts, None, (0,) * len(conflicts))
     assert value == reference_max_independent_set(conflicts)[0]
     assert mask.bit_count() == value
     assert _is_independent(conflicts, mask)
@@ -536,5 +531,6 @@ class TestBruteDisp:
 
 
 def _brute_with_grid(g, delta, grid_denominator):
-    cg = build_conflict_graph(g, delta, cap=5000, grid_denominator=grid_denominator)
-    return _max_independent_set(cg.conflicts, None)[0]
+    # the search over the conflicts of the grid of step 1/grid_denominator
+    conflicts = all_pairs_conflicts(g, delta, grid_denominator)
+    return _max_independent_set(conflicts, None, (0,) * len(conflicts))[0]

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from helpers import (
     all_connected_graphs,
     brute_is_dispersed,
+    CutInstance,
     brute_min_surplus,
+    decomposition_views,
     matching_number,
+    min_surplus,
     midpoint,
     random_connected_graph,
+    surplus,
     validate_canonical,
     vertex_point,
     witness_of,
@@ -26,7 +30,7 @@ from deltadisp import (
     disp,
     edmonds_gallai,
 )
-from deltadisp.solve2 import CutInstance, disp2, min_surplus, surplus
+from deltadisp.solve2 import disp2
 
 TWO = Fraction(2)
 
@@ -137,7 +141,7 @@ class TestDisp2:
         seen = 0
         for _ in range(200):
             g = random_connected_graph(rng, rng.choice([2, 4, 6, 8]), rng.randint(0, 8))
-            dec = edmonds_gallai(g)
+            dec = decomposition_views(edmonds_gallai(g))
             if dec.remainder == frozenset(range(g.vertex_count)):
                 assert disp(g, TWO)[0] == matching_number(g)
                 seen += 1
@@ -148,7 +152,7 @@ class TestDisp2:
         seen = 0
         for _ in range(200):
             g = random_connected_graph(rng, rng.choice([3, 5, 7, 9]), rng.randint(1, 9))
-            dec = edmonds_gallai(g)
+            dec = decomposition_views(edmonds_gallai(g))
             if (
                 dec.inessential == frozenset(range(g.vertex_count))
                 and len(dec.odd_components) == 1
