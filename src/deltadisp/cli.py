@@ -214,9 +214,6 @@ def run(argv: list[str]) -> int:
             return 0
 
         if args.command == "subdivide":
-            if args.factor < 1:
-                print("error: --factor must be >= 1", file=sys.stderr)
-                return 2
             sys.stdout.write(format_graph(subdivide(graph, args.factor)))
             return 0
 

@@ -149,18 +149,6 @@ class Graph:
             inc[v].append(i)
         return tuple(tuple(x) for x in inc)
 
-    @cached_property
-    def _edge_ids(self) -> dict[tuple[int, int], int]:
-        ids: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            ids[(u, v)] = i
-            ids[(v, u)] = i
-        return ids
-
-    def edge_index(self, u: int, v: int) -> int | None:
-        """Index of the edge joining u and v, or None if absent."""
-        return self._edge_ids.get((u, v))
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -6,6 +6,10 @@ plus a cycle through that hub, with path and cycle lengths chosen by a
 Bezout-style coefficient computation so that the spacings work out exactly.
 The factory also builds the dispersed witness that realizes a given
 independent set, and the bound it certifies.
+
+The gadget graph's edge list is the one record of its layout (see
+:class:`GadgetInstance`); the chains, the witness's points and the
+sidecar map are computed from it by arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .core import Graph, WitnessSet, as_rational
 from .errors import InternalConsistencyError
@@ -77,34 +81,27 @@ def bezout_coeffs(a: int, b: int) -> BezoutCoefficients:
         r1, r2 = (a - 2) // 2, 2
     x1, y1 = _minimal_solution(b, a, r1, min_x=1)
     x2, y2 = _minimal_solution(b, a, r2, min_x=3)
-    coeffs = BezoutCoefficients(x1, y1, x2, y2, parity)
-    lhs1 = 2 * b * x1 - 2 * a * y1
-    lhs2 = b * x2 - a * y2
-    want1 = a - 1 if parity == "odd" else a - 2
-    want2 = 1 if parity == "odd" else 2
-    if lhs1 != want1 or lhs2 != want2:
-        raise InternalConsistencyError("coefficient equations violated")
-    return coeffs
+    return BezoutCoefficients(x1, y1, x2, y2, parity)
 
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """A dispersion instance produced from a cubic graph.
+    """A dispersion instance produced from a cubic graph ``h``.
 
-    ``vmap`` and ``emap`` locate the images of source vertices and source
-    edges inside the gadget graph; ``paths`` holds, per source edge, the two
-    vertex chains from the endpoint images to the hub, and ``cycles`` the
-    hub-to-hub chain around the attached cycle.
+    The layout of ``g`` is fixed by ``h`` and ``coeffs`` (B = 2*x1 + x2):
+
+    - source vertex v is vertex v;
+    - the hub of source edge e is vertex nh + e, nh being h's vertex count;
+    - source edge e owns the B edges of ``g`` that start at e*B: the chain
+      from its first end to the hub (x1 edges), then the chain from its
+      second end (x1 edges), then the hub's cycle (x2 edges).  Each edge is
+      stored in chain order, its first endpoint the nearer the chain's start.
     """
 
     g: Graph
     h: Graph
     delta: Fraction
-    vmap: Mapping[int, int]
-    emap: Mapping[int, int]
     coeffs: BezoutCoefficients
-    paths: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    cycles: tuple[tuple[int, ...], ...]
 
 
 def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
@@ -117,40 +114,20 @@ def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
     coeffs = bezout_coeffs(a, b)
 
     nh, mh = h.vertex_count, h.edge_count
-    vmap = {v: v for v in range(nh)}
-    emap = {e: nh + e for e in range(mh)}
-    next_id = nh + mh
+    x1, x2 = coeffs.x1, coeffs.x2
+    fresh = nh + mh  # the next unused vertex id
     edges: list[tuple[int, int]] = []
-    paths = []
-    cycles = []
-
-    def chain(first: int, last: int, length: int) -> tuple[int, ...]:
-        nonlocal next_id
-        inner = list(range(next_id, next_id + length - 1))
-        next_id += length - 1
-        verts = [first, *inner, last]
-        edges.extend((verts[s], verts[s + 1]) for s in range(length))
-        return tuple(verts)
-
     for e, (u, v) in enumerate(h.edges):
-        hub = emap[e]
-        paths.append((chain(vmap[u], hub, coeffs.x1), chain(vmap[v], hub, coeffs.x1)))
-        cycles.append(chain(hub, hub, coeffs.x2))
+        hub = nh + e
+        for first, last, length in ((u, hub, x1), (v, hub, x1), (hub, hub, x2)):
+            verts = [first, *range(fresh, fresh + length - 1), last]
+            fresh += length - 1
+            edges.extend(zip(verts, verts[1:]))
 
-    g = Graph(next_id, tuple(edges))
-    expected_edges = (2 * coeffs.x1 + coeffs.x2) * mh
-    if g.edge_count != expected_edges:
+    g = Graph(fresh, tuple(edges))
+    if g.edge_count != (2 * x1 + x2) * mh:
         raise InternalConsistencyError("gadget edge count off")
-    return GadgetInstance(
-        g=g,
-        h=h,
-        delta=delta,
-        vmap=vmap,
-        emap=emap,
-        coeffs=coeffs,
-        paths=tuple(paths),
-        cycles=tuple(cycles),
-    )
+    return GadgetInstance(g=g, h=h, delta=delta, coeffs=coeffs)
 
 
 def predicted_bound(inst: GadgetInstance, k: int) -> int:
@@ -162,28 +139,6 @@ def predicted_bound(inst: GadgetInstance, k: int) -> int:
     return k + (2 * c.y1 + c.y2) * inst.h.edge_count
 
 
-def _place(
-    g: Graph,
-    verts: Sequence[int],
-    t: int,
-    q: int,
-    vertices: list[int],
-    interior: list[tuple[int, int]],
-) -> None:
-    """Add the point t/q along a chain of unit edges to `vertices`, or as
-    an ``(edge, k)`` pair at scale q to `interior`."""
-    if t < 0 or t > (len(verts) - 1) * q:
-        raise ValueError("distance outside the chain")
-    step, rem = divmod(t, q)
-    if rem == 0:
-        vertices.append(verts[step])
-        return
-    e = g.edge_index(verts[step], verts[step + 1])
-    if e is None:
-        raise ValueError("chain vertices are not adjacent")
-    interior.append((e, rem if g.edges[e][0] == verts[step] else q - rem))
-
-
 def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int]) -> WitnessSet:
     """The dispersed set realized by an independent set of the source graph.
 
@@ -193,7 +148,10 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
     :func:`predicted_bound` points; it is verified before it is returned.
     Only odd numerators carry this construction; the even variant is
     validated through the brute-force oracle instead.  Distances along the
-    chains are counted in units of 1/(2b), so the spacing a/b is 2a units.
+    chains are counted in units of 1/q, q = 2b, so the spacing a/b is 2a
+    units, and the point t units along the chain whose first edge is f
+    lies on edge f + t // q at offset t % q, or on that edge's first
+    endpoint when the offset is 0 (see :class:`GadgetInstance`).
     """
     chosen = frozenset(independent)
     if not all(0 <= v < inst.h.vertex_count for v in chosen):
@@ -207,15 +165,22 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
     g = inst.g
     a, q = inst.delta.numerator, 2 * inst.delta.denominator
     c = inst.coeffs
-    vertices = [inst.vmap[u] for u in sorted(chosen)]
+    vertices = sorted(chosen)
     interior: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(inst.h.edges):
-        for side, endpoint in ((0, u), (1, v)):
-            start = 2 * a if endpoint in chosen else a
-            for j in range(c.y1):
-                _place(g, inst.paths[e][side], start + 2 * a * j, q, vertices, interior)
-        for j in range(c.y2):
-            _place(g, inst.cycles[e], a + 1 + 2 * a * j, q, vertices, interior)
+        f = e * (2 * c.x1 + c.x2)
+        # per chain: its first edge, its first point's distance, its point count
+        for first, start, count in (
+            (f, 2 * a if u in chosen else a, c.y1),
+            (f + c.x1, 2 * a if v in chosen else a, c.y1),
+            (f + 2 * c.x1, a + 1, c.y2),
+        ):
+            for t in range(start, start + 2 * a * count, 2 * a):
+                step, k = divmod(t, q)
+                if k:
+                    interior.append((first + step, k))
+                else:
+                    vertices.append(g.edges[first + step][0])
 
     return WitnessSet.verified(
         g, q, vertices, interior, inst.delta, predicted_bound(inst, len(chosen))
@@ -223,8 +188,9 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
 
 
 def format_gadget_map(inst: GadgetInstance) -> str:
-    """Sidecar map: ``v <source-vertex> <gadget-id>`` / ``e <source-edge> <gadget-id>``."""
-    out = [f"v {v} {inst.vmap[v]}" for v in sorted(inst.vmap)]
-    out.extend(f"e {e} {inst.emap[e]}" for e in sorted(inst.emap))
+    """Sidecar map: ``v <source-vertex> <gadget-id>`` / ``e <source-edge> <gadget-id>``,
+    computed from the layout (see :class:`GadgetInstance`)."""
+    nh = inst.h.vertex_count
+    out = [f"v {v} {v}" for v in range(nh)]
+    out.extend(f"e {e} {nh + e}" for e in range(inst.h.edge_count))
     return "\n".join(out) + "\n"
-

@@ -202,7 +202,8 @@ class EGDecomposition:
     partner -1 of an exposed vertex), the ``components`` of the inessential
     set as vertex lists, each led by its least vertex and ordered by it,
     and ``mate``, the maximum matching they are read off, which matches
-    each separator vertex into its own inessential component.
+    each separator vertex into its own inessential component and each
+    remainder vertex to a remainder vertex.
     """
 
     kind: Sequence[int] = field(repr=False)
@@ -215,10 +216,13 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
 
     The inessential set and the maximum matching the rest of the structure
     is read off come from one call of the matching engine.  One pass over
-    a vertex-kind array labels the components of the inessential set and
-    of the remainder, and the decomposition keeps the kinds and the
-    inessential components that pass finds.  Any violated guarantee
-    raises InternalConsistencyError rather than passing silently.
+    a vertex-kind array labels the components of the inessential set, the
+    only components the decomposition keeps.  The remainder is checked
+    through the matching alone: every remainder vertex must be matched to
+    a remainder vertex.  A matched neighbour of the same kind lies in the
+    same component, so each remainder component is then perfectly matched,
+    and hence even.  Any violated guarantee raises InternalConsistencyError
+    rather than passing silently.
     """
     n = g.vertex_count
     adjacency = g.adjacency
@@ -229,26 +233,20 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
             if not outer[u]:
                 kind[u] = 1
     comp = [-1] * (n + 1)
-    inessential_comps: list[list[int]] = []
-    remainder_comps: list[list[int]] = []
-    for start in range(n):
-        k = kind[start]
-        if comp[start] != -1 or k == 1:
+    components: list[list[int]] = []
+    for start in compress(range(n), outer):
+        if comp[start] != -1:
             continue
-        c = start  # a component is named by its least vertex
-        comp[start] = c
+        comp[start] = start  # a component is named by its least vertex
         group = [start]
         for w in group:  # breadth-first: `group` grows as vertices are reached
             for x in adjacency[w]:
-                if comp[x] == -1 and kind[x] == k:
-                    comp[x] = c
+                if comp[x] == -1 and outer[x]:
+                    comp[x] = start
                     group.append(x)
-        if k == 2:
-            remainder_comps.append(group)
-        elif len(group) % 2:
-            inessential_comps.append(group)
-        else:
+        if len(group) % 2 == 0:
             raise InternalConsistencyError(f"even-sized inessential component {sorted(group)}")
+        components.append(group)
 
     owners = []  # the inessential component each separator vertex is matched into
     for y in compress(range(n), map((1).__eq__, kind)):
@@ -263,16 +261,12 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
             "separator vertices matched into a shared inessential component"
         )
 
-    for group in remainder_comps:
-        if len(group) % 2:
-            raise InternalConsistencyError(f"odd remainder component {sorted(group)}")
-        c = group[0]
-        for v in group:
-            if comp[mate[v]] != c:
-                raise InternalConsistencyError(
-                    f"remainder component {sorted(group)} is not perfectly matched"
-                )
-    for group in inessential_comps:
+    for v in compress(range(n), map((2).__eq__, kind)):
+        if kind[mate[v]] != 2:  # kind[-1] == 3 covers an exposed vertex
+            raise InternalConsistencyError(
+                f"remainder vertex {v} is not matched inside the remainder"
+            )
+    for group in components:
         c = group[0]
         # a singleton's mate, if any, lies outside it
         missed = group if len(group) == 1 else [v for v in group if comp[mate[v]] != c]
@@ -285,4 +279,4 @@ def edmonds_gallai(g: Graph) -> EGDecomposition:
                 f"vertex {missed[0]} matched outside separator"
             )
 
-    return EGDecomposition(kind, inessential_comps, tuple(mate))
+    return EGDecomposition(kind, components, tuple(mate))

@@ -54,20 +54,19 @@ DEFAULT_CANDIDATE_CAP = 2000
 class ConflictGraph:
     """Grid candidates plus their pairwise conflict relation.
 
-    Candidate i is vertex i of ``subdivide(g, factor)``, the subdivision
-    whose vertices are the grid (:func:`~deltadisp.core.grid_form` reads
-    candidates as points of g).  ``conflicts[i]`` is a bitmask over
-    candidate indices whose distance to candidate i is strictly below
-    delta.  The relation is symmetric and irreflexive by construction.
-    ``far[i]``, the outer ring of candidate i, is the part of
-    ``conflicts[i]`` that the last growing round of the build added: the
-    conflicts at the largest hop count, a hint for the search's
-    domination test that never changes its result.
+    For delta = a/b in lowest terms, candidate i is vertex i of
+    ``subdivide(g, 2b)``, the subdivision whose vertices are the grid
+    (:func:`~deltadisp.core.grid_form` reads candidates as points of g).
+    ``conflicts[i]`` is a bitmask over candidate indices whose distance to
+    candidate i is strictly below delta.  The relation is symmetric and
+    irreflexive by construction.  ``far[i]``, the outer ring of candidate
+    i, is the part of ``conflicts[i]`` that the last growing round of the
+    build added: the conflicts at the largest hop count, a hint for the
+    search's domination test that never changes its result.
     """
 
     conflicts: tuple[int, ...]
     far: tuple[int, ...]
-    factor: int
 
 
 def build_conflict_graph(
@@ -119,7 +118,7 @@ def build_conflict_graph(
     conflicts = tuple(ball ^ (1 << v) for v, ball in enumerate(reach))
     # balls only grow, so the last growing round's additions are an XOR
     far = tuple(ball ^ inner for ball, inner in zip(reach, previous))
-    return ConflictGraph(conflicts, far, q)
+    return ConflictGraph(conflicts, far)
 
 
 def _clique_cover_size(conflicts: tuple[int, ...], remaining: int) -> int:
@@ -336,7 +335,7 @@ def brute_disp(
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
     except OracleTimeoutError as exc:
         raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
-    n, q = g.vertex_count, cg.factor
+    n, q = g.vertex_count, 2 * delta.denominator
     try:
         value, mask = _max_independent_set(cg.conflicts, deadline, cg.far)
     except _SearchTimeout as exc:

@@ -21,7 +21,9 @@ reads off the decomposition's arrays.  So does the point form of a
 witness: a :class:`Point` per point, with an exact `Fraction` offset, and
 the readers between points and the integer form of ``WitnessSet``, and so
 do the bipartite cut instance with its surplus and its adapter to the
-minimum-surplus solver, and the catalogue of small cubic graphs.
+minimum-surplus solver, the catalogue of small cubic graphs, the lookup
+of an edge by its ends, and the gadget's chains, walked off its graph
+independently of the block layout the gadget computes them from.
 """
 
 from __future__ import annotations
@@ -317,10 +319,15 @@ def matching_and_inessential(adjacency) -> tuple[tuple[int, ...], frozenset[int]
     return tuple(match), frozenset(v for v, is_outer in enumerate(outer) if is_outer)
 
 
+def edge_index(g: Graph, u: int, v: int) -> int | None:
+    """Index of the edge joining u and v, or None if absent."""
+    return next((e for e in g.incident_edges[u] if v in g.edges[e]), None)
+
+
 def maximum_matching(g: Graph) -> frozenset[int]:
     """A maximum matching of g from the blossom engine, as edge indices."""
     mate, _ = matching_and_inessential(g.adjacency)
-    return frozenset(g.edge_index(v, u) for v, u in enumerate(mate) if u > v)
+    return frozenset(edge_index(g, v, u) for v, u in enumerate(mate) if u > v)
 
 
 def _reference_search(
@@ -1133,31 +1140,64 @@ def reference_numerator_two_points(g: Graph, b: int) -> list[Point]:
     return points
 
 
-def reference_oracle_points(g: Graph, cg, mask: int) -> list[Point]:
-    """The grid candidates chosen by `mask`, as points of g."""
-    return [source_point(g, cg.factor, i) for i in range(mask.bit_length()) if mask >> i & 1]
+def reference_oracle_points(g: Graph, delta: Fraction, mask: int) -> list[Point]:
+    """The candidates of the grid of step 1/(2b), delta = a/b, chosen by
+    `mask`, as points of g."""
+    q = 2 * delta.denominator
+    return [source_point(g, q, i) for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def gadget_chains(inst) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Per source edge (u, v), in order, its chains in the gadget graph as
+    vertex tuples: the path from source vertex u to the hub, the path from
+    v to it, and the hub's cycle from the hub back to it, walked toward
+    the hub's lower-numbered cycle neighbour.
+
+    Found by walking the gadget graph from each source vertex through
+    degree-2 vertices; the hub of (u, v) is the one vertex that walks from
+    both u and v reach.  Reads nothing of the gadget's block layout."""
+    g = inst.g
+
+    def walk(first: int, second: int) -> tuple[int, ...]:
+        verts = [first, second]
+        while g.degree(verts[-1]) == 2:
+            x, y = g.adjacency[verts[-1]]
+            verts.append(y if x == verts[-2] else x)
+        return tuple(verts)
+
+    # per source vertex, the path to each hub it reaches
+    paths = [{p[-1]: p for p in (walk(u, x) for x in g.adjacency[u])}
+             for u in range(inst.h.vertex_count)]
+    chains = []
+    for u, v in inst.h.edges:
+        (hub,) = set(paths[u]) & set(paths[v])
+        left, right = paths[u][hub], paths[v][hub]
+        on_cycle = [x for x in g.adjacency[hub] if x not in (left[-2], right[-2])]
+        chains.append((left, right, walk(hub, min(on_cycle))))
+    return chains
 
 
 def reference_gadget_points(inst, independent) -> list[Point]:
     """The gadget witness of an independent set (odd numerators) as points,
-    each placed at its Fraction distance along its chain."""
+    each placed at its Fraction distance along its chain, the chains
+    found by :func:`gadget_chains`."""
 
     def along(verts, t: Fraction) -> Point:
         step = t.numerator // t.denominator
         off = t - step
         if off == 0:
             return vertex_point(g, verts[step])
-        e = g.edge_index(verts[step], verts[step + 1])
+        e = edge_index(g, verts[step], verts[step + 1])
         u, _ = g.edges[e]
         return normalize_point(g, Point(e, off if u == verts[step] else 1 - off))
 
     g, delta, c = inst.g, inst.delta, inst.coeffs
     chosen = frozenset(independent)
-    points = [vertex_point(g, inst.vmap[u]) for u in sorted(chosen)]
-    for e, (u, v) in enumerate(inst.h.edges):
-        for side, endpoint in ((0, u), (1, v)):
+    points = [vertex_point(g, u) for u in sorted(chosen)]
+    for (u, v), (left, right, cycle) in zip(inst.h.edges, gadget_chains(inst)):
+        for path, endpoint in ((left, u), (right, v)):
             start = delta if endpoint in chosen else delta / 2
-            points.extend(along(inst.paths[e][side], start + j * delta) for j in range(c.y1))
+            points.extend(along(path, start + j * delta) for j in range(c.y1))
         first = Fraction(delta.numerator + 1, 2 * delta.denominator)
-        points.extend(along(inst.cycles[e], first + j * delta) for j in range(c.y2))
+        points.extend(along(cycle, first + j * delta) for j in range(c.y2))
     return points

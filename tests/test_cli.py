@@ -385,8 +385,11 @@ class TestSubdivide:
         emitted = parse_graph(capsys.readouterr().out)
         assert emitted.vertex_count == 4 and emitted.edge_count == 3
 
-    def test_bad_factor(self, k2):
+    def test_bad_factor(self, k2, capsys):
         assert run(["subdivide", str(k2), "--factor", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: subdivision factor must be >= 1\n"
 
     def test_factor_over_grid_limit_exits_3(self, k2, capsys):
         assert run(["subdivide", str(k2), "--factor", "1000000000"]) == 3

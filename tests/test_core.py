@@ -235,8 +235,11 @@ def test_package_keeps_no_test_only_names():
     assert [f.name for f in dataclasses.fields(EGDecomposition)] == ["kind", "components", "mate"]
     assert not hasattr(EGDecomposition, "inessential")
     assert not hasattr(edmonds_gallai(P3), "inessential")
-    assert [f.name for f in dataclasses.fields(ConflictGraph)] == ["conflicts", "far", "factor"]
-    assert "h_edge_count" not in [f.name for f in dataclasses.fields(GadgetInstance)]
+    assert [f.name for f in dataclasses.fields(ConflictGraph)] == ["conflicts", "far"]
+    # the gadget's layout lives in its graph's edge list alone, and no
+    # code of the package looks an edge up by its ends
+    assert [f.name for f in dataclasses.fields(GadgetInstance)] == ["g", "h", "delta", "coeffs"]
+    assert not hasattr(Graph, "edge_index") and not hasattr(Graph, "_edge_ids")
     assert "grid_denominator" not in inspect.signature(build_conflict_graph).parameters
 
 

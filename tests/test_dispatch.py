@@ -344,7 +344,7 @@ class TestIntegerWitness:
         for g in small:
             for delta in (Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(4, 3)):
                 cg = build_conflict_graph(g, delta)
-                reference = reference_oracle_points(g, cg, search(cg.conflicts, None, cg.far)[1])
+                reference = reference_oracle_points(g, delta, search(cg.conflicts, None, cg.far)[1])
                 cases.append((g, delta, brute_disp(g, delta)[1], reference))
 
         # a timed-out search's incumbent: the optimum less its first candidate
@@ -360,7 +360,7 @@ class TestIntegerWitness:
                 mask = search(cg.conflicts, None, cg.far)[1]
                 with pytest.raises(OracleTimeoutError) as err:
                     brute_disp(g, delta)
-                incumbent = reference_oracle_points(g, cg, mask & (mask - 1))
+                incumbent = reference_oracle_points(g, delta, mask & (mask - 1))
                 cases.append((g, delta, err.value.witness, incumbent))
 
         for delta in (Fraction(3), Fraction(5, 2)):

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     brute_independent_sets,
     cubic_catalogue,
+    gadget_chains,
     reference_is_dispersed,
     witness_points,
 )
@@ -74,26 +75,31 @@ class TestBuildGadget:
 
     def test_k4_maps_injective_and_disjoint(self):
         inst = build_gadget(K4, Fraction(3))
-        vimg = set(inst.vmap.values())
-        eimg = set(inst.emap.values())
-        assert len(vimg) == 4 and len(eimg) == 6
-        assert not vimg & eimg
+        hubs = {left[-1] for left, _, _ in gadget_chains(inst)}
+        assert len(hubs) == 6
+        assert not hubs & set(range(4))
 
     def test_k33_edge_count(self):
         inst = build_gadget(K33, Fraction(3))
         assert inst.g.edge_count == 108
 
     def test_per_edge_structure(self):
-        inst = build_gadget(K4, Fraction(3))
-        c = inst.coeffs
-        for e, (u, v) in enumerate(K4.edges):
-            left, right = inst.paths[e]
-            assert len(left) == c.x1 + 1 and len(right) == c.x1 + 1
-            assert left[0] == inst.vmap[u] and left[-1] == inst.emap[e]
-            assert right[0] == inst.vmap[v] and right[-1] == inst.emap[e]
-            cyc = inst.cycles[e]
-            assert len(cyc) == c.x2 + 1
-            assert cyc[0] == cyc[-1] == inst.emap[e]
+        # the chains found by walking the graph are the ones the layout
+        # puts in each source edge's block, edge by edge in chain order
+        for h in (K4, K33):
+            for delta in (Fraction(3), Fraction(5, 2), Fraction(4), Fraction(7, 3)):
+                inst = build_gadget(h, delta)
+                c = inst.coeffs
+                block = 2 * c.x1 + c.x2
+                for e, ((u, v), chains) in enumerate(zip(h.edges, gadget_chains(inst))):
+                    left, right, cyc = chains
+                    assert len(left) == c.x1 + 1 and len(right) == c.x1 + 1
+                    assert left[0] == u and right[0] == v
+                    assert left[-1] == right[-1] == h.vertex_count + e
+                    assert len(cyc) == c.x2 + 1
+                    assert cyc[0] == cyc[-1] == h.vertex_count + e
+                    walked = [pair for chain in chains for pair in zip(chain, chain[1:])]
+                    assert walked == list(inst.g.edges[e * block:(e + 1) * block])
 
     def test_rejects_non_cubic(self):
         path = parse_graph("3 2\n0 1\n1 2")
@@ -205,9 +211,10 @@ class TestMapFile:
         assert lines[0] == "v 0 0"
         assert sum(1 for ln in lines if ln.startswith("v ")) == 4
         assert sum(1 for ln in lines if ln.startswith("e ")) == 6
+        hubs = [left[-1] for left, _, _ in gadget_chains(inst)]
         for ln in lines:
             kind, src, img = ln.split()
             if kind == "v":
-                assert inst.vmap[int(src)] == int(img)
+                assert int(src) == int(img) and inst.g.degree(int(img)) == 3
             else:
-                assert inst.emap[int(src)] == int(img)
+                assert hubs[int(src)] == int(img)

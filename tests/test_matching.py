@@ -10,6 +10,7 @@ from helpers import (
     brute_inessential,
     brute_matching_number,
     decomposition_views,
+    edge_index,
     matching_and_inessential,
     matching_number,
     maximum_matching,
@@ -22,7 +23,7 @@ from helpers import (
     triangle_chain,
 )
 
-from deltadisp import Graph, disp, edmonds_gallai, matching
+from deltadisp import Graph, InternalConsistencyError, disp, edmonds_gallai, matching
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -88,7 +89,7 @@ class TestForest:
             mate, inessential = matching_and_inessential(g.adjacency)
             ref_mate, ref_inessential = reference_matching_and_inessential(g.adjacency)
             for v, u in enumerate(mate):
-                assert u == -1 or (mate[u] == v and g.edge_index(v, u) is not None)
+                assert u == -1 or (mate[u] == v and edge_index(g, v, u) is not None)
             size = sum(1 for v, u in enumerate(mate) if v < u)
             ref_size = sum(1 for v, u in enumerate(ref_mate) if v < u)
             if size != ref_size or inessential != ref_inessential:
@@ -226,6 +227,41 @@ class TestEdmondsGallai:
         assert mismatches == []
         # every field is non-empty on some graph, odd components included
         assert min(seen.values()) > 0, seen
+
+
+class TestDecompositionChecks:
+    """Each guarantee edmonds_gallai checks, tripped by a crafted engine
+    answer: the matching engine is replaced by one returning ``(mate,
+    outer)`` as given."""
+
+    @pytest.mark.parametrize(
+        "g,mate,outer,message",
+        [
+            (K2, [1, 0], [True, True], "even-sized inessential component"),
+            (P3, [-1, -1, -1], [True, False, True], "separator vertex 1 is not matched into"),
+            # triangle 0-1-2 with pendants 3 at 0 and 4 at 1
+            (
+                Graph(5, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4))),
+                [3, 4, -1, 0, 1],
+                [True, True, True, False, False],
+                "separator vertices matched into a shared inessential component",
+            ),
+            (P3, [1, 0, -1], [False, False, False], "remainder vertex 2 is not matched inside"),
+            (C3, [-1, -1, -1], [True, True, True], r"component \[0, 1, 2\] not near-perfectly"),
+            # path 0-1-2-3: vertex 0 alone inessential, its mate 2 in the remainder
+            (
+                Graph(4, ((0, 1), (1, 2), (2, 3))),
+                [2, 0, 3, 2],
+                [True, False, False, False],
+                "vertex 0 matched outside separator",
+            ),
+        ],
+    )
+    def test_violated_guarantee_raises(self, monkeypatch, g, mate, outer, message):
+        edmonds_gallai(g)  # the engine's own answer passes
+        monkeypatch.setattr(matching, "maximum_matching", lambda adjacency: (mate, outer))
+        with pytest.raises(InternalConsistencyError, match=message):
+            edmonds_gallai(g)
 
 
 class TestNearPerfectMatching:

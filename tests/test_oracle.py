@@ -43,21 +43,22 @@ C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
 
 
-def candidates(g, cg):
-    """The grid candidates of a conflict graph on g, as points of g."""
-    return [source_point(g, cg.factor, i) for i in range(len(cg.conflicts))]
+def candidates(g, cg, delta):
+    """The grid candidates of a conflict graph on g at spacing delta = a/b,
+    as points of g: the grid step is 1/(2b)."""
+    return [source_point(g, 2 * delta.denominator, i) for i in range(len(cg.conflicts))]
 
 
 class TestConflictGraph:
     def test_k2_delta_2_all_conflict(self):
         cg = build_conflict_graph(K2, Fraction(2))
-        assert len(candidates(K2, cg)) == 3
+        assert len(candidates(K2, cg, Fraction(2))) == 3
         assert len(conflict_pairs(cg)) == 3
 
     def test_k2_delta_half_quarter_grid(self):
         # grid 1/(2b) = 1/4: five candidates, adjacent ones conflict
         cg = build_conflict_graph(K2, Fraction(1, 2))
-        cand = candidates(K2, cg)
+        cand = candidates(K2, cg, Fraction(1, 2))
         assert len(cand) == 5
         pairs = conflict_pairs(cg)
         assert len(pairs) == 4
@@ -67,10 +68,11 @@ class TestConflictGraph:
 
     def test_triangle_delta_1_midpoint_conflicts(self):
         cg = build_conflict_graph(C3, Fraction(1))
-        assert len(candidates(C3, cg)) == 6
+        cand = candidates(C3, cg, Fraction(1))
+        assert len(cand) == 6
         pairs = set(conflict_pairs(cg))
         assert len(pairs) == 6  # each midpoint vs its two endpoints
-        mids = [i for i, p in enumerate(candidates(C3, cg)) if p.offset == Fraction(1, 2)]
+        mids = [i for i, p in enumerate(cand) if p.offset == Fraction(1, 2)]
         for i in mids:
             assert sum(1 for a, b in pairs if i in (a, b)) == 2
 
@@ -81,7 +83,7 @@ class TestConflictGraph:
             for delta in (Fraction(1), Fraction(2, 3), Fraction(3, 4)):
                 q = 2 * delta.denominator
                 cg = build_conflict_graph(g, delta)
-                assert len(candidates(g, cg)) == g.vertex_count + g.edge_count * (q - 1)
+                assert len(candidates(g, cg, delta)) == g.vertex_count + g.edge_count * (q - 1)
 
     def test_conflicts_match_point_distance(self):
         rng = random.Random(31)
@@ -89,7 +91,7 @@ class TestConflictGraph:
             g = random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 4))
             delta = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
             cg = build_conflict_graph(g, delta)
-            cand = candidates(g, cg)
+            cand = candidates(g, cg, delta)
             expected = {
                 (i, j)
                 for i in range(len(cand))
@@ -128,7 +130,7 @@ class TestConflictGraph:
             g = (random_tree, random_cactus)[case % 2](rng, n)
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 3))
             cg = build_conflict_graph(g, delta)
-            q = cg.factor
+            q = 2 * delta.denominator
             assert all(f & ~c == 0 for f, c in zip(cg.far, cg.conflicts))
             spacing = delta
             outer = all_pairs_conflicts(g, spacing, q)

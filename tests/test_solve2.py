@@ -26,10 +26,12 @@ from helpers import (
 
 from deltadisp import (
     Graph,
+    InternalConsistencyError,
     brute_disp,
     disp,
     edmonds_gallai,
 )
+from deltadisp import solve2
 from deltadisp.solve2 import disp2
 
 TWO = Fraction(2)
@@ -79,6 +81,16 @@ class TestMinSurplus:
             assert value <= 0
             assert value == surplus(inst, chosen)
             assert value == brute_min_surplus(inst)
+
+    def test_recheck_catches_a_wrong_matching(self, monkeypatch):
+        # B is one left node joined to one right node: an engine answer
+        # with no matched edge puts the deficiency at -1, while the empty
+        # set of missed left nodes has surplus 0
+        assert solve2._min_surplus([[1], [0]], 1) == (0, [])
+        unmatched = ([-1, -1], [False, False])
+        monkeypatch.setattr(solve2, "maximum_matching", lambda adjacency: unmatched)
+        with pytest.raises(InternalConsistencyError, match="does not match its minimizer"):
+            solve2._min_surplus([[1], [0]], 1)
 
 
 @st.composite
