@@ -209,12 +209,20 @@ def format_certificate(k: int, cert: Certificate) -> str:
 def parse_certificate(text: str) -> tuple[int, Certificate]:
     """Read the certificate format: a bound line ``k``, a line ``W:`` with
     the vertex ids, then one ``e n_e`` line per occupied edge.  Every
-    number is a plain decimal integer (see :func:`integer_tokens`)."""
+    number is a plain decimal integer (see :func:`integer_tokens`); a
+    vertex id or an edge listed twice raises MalformedLineError."""
     lines = text.splitlines()
     (k,) = integer_tokens(lines[0] if lines else "", 1, "an integer bound 'k'", 1)
     if len(lines) < 2 or not lines[1].strip().startswith("W:"):
         raise MalformedLineError("expected a 'W: ...' line", line=2)
-    vertices = frozenset(integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids"))
+    ids = integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids")
+    vertices = frozenset(ids)
+    if len(vertices) != len(ids):
+        seen: set[int] = set()
+        for v in ids:
+            if v in seen:
+                raise MalformedLineError(f"vertex {v} listed twice", line=2)
+            seen.add(v)
     counts: dict[int, int] = {}
     for lineno, raw in enumerate(lines[2:], start=3):
         if not raw.split():

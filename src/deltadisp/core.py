@@ -27,12 +27,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
-from operator import eq, index, sub
+from operator import eq, index, itemgetter, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
+    GraphFormatError,
     InternalConsistencyError,
     MalformedLineError,
     SelfLoopError,
@@ -72,10 +73,12 @@ class Graph:
     handle; points on edges refer to edges by this index.  Construction is
     the one place a graph from outside is validated: vertex range,
     self-loops, duplicate edges and connectivity, each with its own error
-    type (all are ``ValueError``).  ``first_line``, when given, is the text line of edge 0
-    and makes each edge error name its line (see :func:`parse_graph`).
-    Validation builds the sorted neighbour lists once, for one
-    breadth-first connectivity pass, and keeps them as :attr:`adjacency`.
+    type (all are ``ValueError``), checked over whole arrays by
+    :func:`_edge_fault`.  ``first_line``, when given, is the text line
+    of edge 0 and makes each edge error name its line (see
+    :func:`parse_graph`).  Validation builds the sorted neighbour lists
+    once, for one breadth-first connectivity pass, and keeps them as
+    :attr:`adjacency`.
     """
 
     vertex_count: int
@@ -91,25 +94,40 @@ class Graph:
         return g
 
     def __post_init__(self, first_line: int | None) -> None:
-        n = self.vertex_count
-        if n < 1:
+        if self.vertex_count < 1:
             raise ValueError("graph must have at least one vertex")
-        edges: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        for u, v in self.edges:
-            u, v = index(u), index(v)  # refuses floats and Fractions
-            key = u * n + v if u < v else v * n + u
-            if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
-                # the edge's position is how many came before it
-                line = None if first_line is None else first_line + len(edges)
-                if not (0 <= u < n and 0 <= v < n):
-                    raise VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=line)
-                if u == v:
-                    raise SelfLoopError(f"self-loop at vertex {u}", line=line)
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=line)
-            seen.add(key)
-            edges.append((u, v))
-        object.__setattr__(self, "edges", tuple(edges))
+        pairs = tuple(self.edges)
+        try:
+            paired = set(map(len, pairs)) <= {2}
+            # operator.index refuses floats and Fractions, which int() truncates
+            us = list(map(index, map(itemgetter(0), pairs)))
+            vs = list(map(index, map(itemgetter(1), pairs)))
+        except (TypeError, LookupError):
+            paired = False
+        if not paired:  # the first edge that is not two integers raises in its turn
+            raise _first_fault(self.vertex_count, pairs, first_line)
+        self._validate(us, vs, first_line)
+
+    @classmethod
+    def _from_ids(cls, n: int, us: list[int], vs: list[int], first_line: int) -> "Graph":
+        """The graph of n >= 1 vertices and edges ``(us[i], vs[i])`` of ints
+        read from text, validated as construction validates."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", n)
+        g._validate(us, vs, first_line)
+        return g
+
+    def _validate(self, us: list[int], vs: list[int], first_line: int | None) -> None:
+        """Check and store the edges ``(us[i], vs[i])``, then build the
+        neighbour lists and check connectivity."""
+        n = self.vertex_count
+        # a list first: tuple() of an iterator grows by resizing, and over
+        # many graphs those resizes fragment the heap
+        edges = tuple(list(zip(us, vs)))
+        fault = _edge_fault(n, us, vs, edges, first_line)
+        if fault is not None:
+            raise fault
+        object.__setattr__(self, "edges", edges)
         # fewer than n - 1 edges cannot connect n vertices: say so before
         # allocating anything sized by n
         if n > len(edges) + 1:
@@ -162,6 +180,45 @@ def _neighbour_lists(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[in
     return tuple(map(tuple, map(sorted, nbrs)))
 
 
+def _edge_fault(
+    n: int, us: list[int], vs: list[int], edges: tuple[tuple[int, int], ...], first_line: int | None
+) -> GraphFormatError | None:
+    """None when the edges ``(us[i], vs[i])``, held as `edges`, pass
+    whole-array checks: ids in [0, n) by min and max, and one key set
+    holding each edge once and no edge turned round.  A self-loop is its
+    own turned edge, so that set finds self-loops too.  Otherwise the
+    error of the first faulty edge, which only then is looked for, edge by
+    edge, by :func:`_first_fault`.
+    """
+    keys = set(edges)
+    if not edges or (
+        min(min(us), min(vs)) >= 0
+        and max(max(us), max(vs)) < n
+        and len(keys) == len(edges)
+        and keys.isdisjoint(zip(vs, us))
+    ):
+        return None
+    return _first_fault(n, edges, first_line)
+
+
+def _first_fault(n: int, pairs: Iterable, first_line: int | None) -> GraphFormatError:
+    """The error of the first edge that fails a check of
+    :func:`_edge_fault`, naming its line when `first_line` is given.  An
+    edge that is not a pair of integers raises here, in its turn."""
+    seen: set[tuple[int, int]] = set()
+    for position, (u, v) in enumerate(pairs):
+        u, v = index(u), index(v)
+        line = None if first_line is None else first_line + position
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=line)
+        if u == v:
+            return SelfLoopError(f"self-loop at vertex {u}", line=line)
+        if (u, v) in seen or (v, u) in seen:
+            return DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=line)
+        seen.add((u, v))
+    raise InternalConsistencyError("a whole-array edge check failed on no edge")
+
+
 def _dispersed(
     g: Graph,
     scale: int,
@@ -188,6 +245,12 @@ def _dispersed(
     compare their nearest points only, unless that is one point of edge
     xy seen from both ends: then every pair is farther apart than one that
     hop 0 at x or y compares.
+
+    The search from x is one-sided: it walks h hops only while
+    2 d0(x) + hL < limit.  A violating pair at h >= 1 hops has
+    d0(x) + d0(y) + hL < limit, so the end with the smaller d0, say x,
+    has 2 d0(x) + hL < limit and reaches the other; the pair is found
+    from that side.
 
     The cost is a pass over the sorted points, one over the edge ends, and
     per vertex that keeps a point its neighbour list when delta allows one
@@ -237,7 +300,7 @@ def _dispersed(
     for x, (d0, p0, d1) in near.items():
         if d0 + d1 < limit:
             return False  # hop 0: the two points nearest x
-        radius = (limit - d0 - 1) // length
+        radius = (limit - 2 * d0 - 1) // length  # one-sided: see above
         if radius < 1:
             continue
         # one hop reads x's neighbour list; more walk a ball from ring 1 on
@@ -468,17 +531,42 @@ def integer_tokens(text: str, line: int, expected: str, count: int | None = None
     line and what was `expected`.
     """
     tokens = text.split()
+    ids = _plain_integers(tokens) if count is None or len(tokens) == count else None
+    if ids is None:
+        raise MalformedLineError(f"expected {expected}", line=line)
+    return ids
+
+
+def _plain_integers(tokens: list[str]) -> list[int] | None:
+    """int() of every token when each is ``-?[0-9]+``, else None."""
     # free of what int() takes beyond -?[0-9]+ (underscores, a + sign,
-    # non-ASCII digits), int() reads exactly those tokens; non-ASCII
-    # whitespace only separates them
+    # non-ASCII digits), int() reads exactly those tokens
     joined = "".join(tokens)
-    plain = joined.isascii() and "_" not in joined and "+" not in joined
-    if plain and (count is None or len(tokens) == count):
+    if joined.isascii() and "_" not in joined and "+" not in joined:
         try:
             return list(map(int, tokens))
         except ValueError:
             pass
-    raise MalformedLineError(f"expected {expected}", line=line)
+    return None
+
+
+def _edge_ids(lines: list[str]) -> list[int] | None:
+    """``u0, v0, u1, v1, ...`` when every one of `lines` holds exactly two
+    plain integers ``u v``, else None.
+
+    One split of the lines joined by ``;`` tokenizes them all.  The joiners
+    sit at every third token exactly when each line has two tokens, and
+    they are dropped there unread: a joiner anywhere else is left among
+    the ids and fails int(), as does a ``;`` a line holds itself, so no
+    list is made per line.
+    """
+    if not lines:
+        return []
+    tokens = " ; ".join(lines).split()
+    if len(tokens) != 3 * len(lines) - 1:
+        return None
+    del tokens[2::3]
+    return _plain_integers(tokens)
 
 
 def parse_graph(text: str) -> Graph:
@@ -487,10 +575,14 @@ def parse_graph(text: str) -> Graph:
     Vertex ids are 0-based and every number is a plain decimal integer
     (see :func:`integer_tokens`).  Raises a distinct error naming the
     offending line for each failure mode: malformed line, vertex id out of
-    range, self-loop, duplicate edge, disconnected graph.  Errors come in
-    line order: the edge lines are parsed lazily while :class:`Graph`
-    validates them, and the trailing lines are checked before
-    connectivity.
+    range, self-loop, duplicate edge, disconnected graph.
+
+    The edge lines are read and checked in whole-body passes, and errors
+    come in line order all the same: a faulty edge on a line before a
+    malformed or missing edge line, or before an extra non-blank line
+    after the m edge lines, is the error raised, and the trailing lines
+    are checked before connectivity.  Only after a pass fails does the
+    reader look for the first line it failed on.
     """
     lines = text.splitlines()
     n, m = integer_tokens(lines[0] if lines else "", 1, "header 'n m'", 2)
@@ -498,20 +590,21 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError("vertex count must be positive", line=1)
     if m < 0:
         raise MalformedLineError("edge count must be non-negative", line=1)
-    return Graph(n, _edge_lines(lines, m), first_line=2)
-
-
-def _edge_lines(lines: list[str], m: int) -> Iterator[list[int]]:
-    """The m edge lines after the header as ``[u, v]``, then a check that
-    nothing but blank lines follows them."""
     body = lines[1 : m + 1]
-    for lineno, text in enumerate(body, start=2):
-        yield integer_tokens(text, lineno, "'u v'", 2)
-    if len(body) < m:
-        raise MalformedLineError("missing edge line", line=len(body) + 2)
-    for extra, content in enumerate(lines[m + 1 :], start=m + 2):
-        if content.split():
-            raise MalformedLineError("unexpected extra line", line=extra)
+    ids = _edge_ids(body)
+    if ids is None:
+        bad = next(i for i, line in enumerate(body) if _edge_ids([line]) is None)
+        fault = MalformedLineError("expected 'u v'", line=bad + 2)
+        ids = _edge_ids(body[:bad])
+    elif len(body) < m:
+        fault = MalformedLineError("missing edge line", line=len(body) + 2)
+    elif "".join(lines[m + 1 :]).strip():
+        extra = next(i for i, line in enumerate(lines[m + 1 :], start=m + 2) if line.strip())
+        fault = MalformedLineError("unexpected extra line", line=extra)
+    else:
+        return Graph._from_ids(n, ids[0::2], ids[1::2], first_line=2)
+    us, vs = ids[0::2], ids[1::2]
+    raise _edge_fault(n, us, vs, tuple(zip(us, vs)), 2) or fault  # an earlier line's fault wins
 
 
 def format_graph(g: Graph) -> str:

@@ -162,15 +162,18 @@ def maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], lis
     """A maximum matching (partner per vertex, -1 free) and, per vertex,
     whether some maximum matching misses it.
 
-    Each phase grows one alternating forest from every exposed vertex and
+    A greedy pass in ascending degree order seeds the matching.  Each
+    phase grows one alternating forest from every exposed vertex and
     augments along every bridge it records.  The first phase that records
     none proves the matching maximum, and its outer vertices are D
     (Gallai-Edmonds structure theorem).
     """
     n = len(adjacency)
     match = [-1] * n
-    # greedy seed: most vertices start matched
-    for v in range(n):
+    # greedy seed, lowest degree first (a stable sort: ties by index): an
+    # edge at a leaf lies in some maximum matching, while a hub matched
+    # first can strand its leaves and leave more phases to augment
+    for v in sorted(range(n), key=list(map(len, adjacency)).__getitem__):
         if match[v] == -1:
             for u in adjacency[v]:
                 if match[u] == -1:

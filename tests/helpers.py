@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,14 @@ from typing import Sequence
 
 from deltadisp import Graph, WitnessSet, as_rational, matching
 from deltadisp.core import hop_ball
-from deltadisp.errors import InternalConsistencyError
+from deltadisp.errors import (
+    DisconnectedGraphError,
+    DuplicateEdgeError,
+    InternalConsistencyError,
+    MalformedLineError,
+    SelfLoopError,
+    VertexRangeError,
+)
 from deltadisp.matching import EGDecomposition
 from deltadisp.solve2 import _min_surplus, disp2
 
@@ -1201,3 +1209,68 @@ def reference_gadget_points(inst, independent) -> list[Point]:
         first = Fraction(delta.numerator + 1, 2 * delta.denominator)
         points.extend(along(cycle, first + j * delta) for j in range(c.y2))
     return points
+
+
+_PLAIN_INTEGER = re.compile("-?[0-9]+")
+
+
+def _reference_line(text: str, line: int, expected: str) -> list[int]:
+    """The two tokens of one line as ints, each matching ``-?[0-9]+``."""
+    tokens = text.split()
+    if len(tokens) == 2 and all(map(_PLAIN_INTEGER.fullmatch, tokens)):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise MalformedLineError(f"expected {expected}", line=line)
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """The graph reader line by line and edge by edge: each edge line is
+    tokenized, converted and checked (range, self-loop, duplicate) before
+    the next is read, then missing and extra lines, then connectivity by a
+    breadth-first search.  The result's neighbour lists are built here
+    too, so comparing ``adjacency`` checks the package's."""
+    lines = text.splitlines()
+    n, m = _reference_line(lines[0] if lines else "", 1, "header 'n m'")
+    if n < 1:
+        raise MalformedLineError("vertex count must be positive", line=1)
+    if m < 0:
+        raise MalformedLineError("edge count must be non-negative", line=1)
+    edges: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    body = lines[1 : m + 1]
+    for lineno, raw in enumerate(body, start=2):
+        u, v = _reference_line(raw, lineno, "'u v'")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) outside [0, {n})", line=lineno)
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}", line=lineno)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})", line=lineno)
+        seen.add(key)
+        edges.append((u, v))
+    if len(body) < m:
+        raise MalformedLineError("missing edge line", line=len(body) + 2)
+    for extra, content in enumerate(lines[m + 1 :], start=m + 2):
+        if content.split():
+            raise MalformedLineError("unexpected extra line", line=extra)
+    if n > len(edges) + 1:
+        raise DisconnectedGraphError("graph is not connected")
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        for y in nbrs[queue.popleft()]:
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    if len(reached) != n:
+        raise DisconnectedGraphError("graph is not connected")
+    g = Graph._unchecked(n, tuple(edges))
+    object.__setattr__(g, "adjacency", tuple(tuple(sorted(x)) for x in nbrs))
+    return g

@@ -322,6 +322,16 @@ class TestFormat:
             parse_certificate(text)
         assert err.value.line == line
 
+    def test_repeated_vertex_rejected(self):
+        # a repeated id must not merge into one vertex: "1\nW: 0 0" would
+        # otherwise be accepted on P3 at delta = 2
+        from deltadisp import MalformedLineError
+
+        for text, repeated in (("1\nW: 0 0\n", 0), ("2\nW: 3 1 2 1 3\n0 1\n", 1)):
+            with pytest.raises(MalformedLineError, match=f"vertex {repeated} listed twice") as err:
+                parse_certificate(text)
+            assert err.value.line == 2
+
     def test_negative_tokens_reach_the_checks(self):
         k, cert = parse_certificate("-1\nW: -2\n")
         assert k == -1 and cert.vertices == {-2}

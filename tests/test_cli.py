@@ -308,6 +308,14 @@ class TestVerify:
         assert out.startswith("reject: infeasible system: x(")
         assert err == ""
 
+    def test_repeated_certificate_vertex_exits_2(self, k2, tmp_path, capsys):
+        cert = tmp_path / "c.txt"
+        cert.write_text("1\nW: 0 0\n")
+        assert run(["verify", str(k2), "--delta", "2", "--certificate", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2: vertex 0 listed twice" in captured.err
+
     def test_bad_certificate_file(self, star, tmp_path):
         cert = tmp_path / "c.txt"
         cert.write_text("zzz\n")

@@ -21,10 +21,13 @@ from helpers import (
     point_distance,
     random_cactus,
     random_connected_graph,
+    random_sparse_graph,
     random_tree,
     reference_format_witness,
     reference_is_dispersed,
+    reference_parse_graph,
     source_point,
+    triangle_chain,
     vertex_point,
     vicinity,
     witness_of,
@@ -41,6 +44,7 @@ from deltadisp import (
     EGDecomposition,
     GadgetInstance,
     Graph,
+    GraphFormatError,
     MalformedLineError,
     SelfLoopError,
     SizeGuardExceededError,
@@ -181,6 +185,149 @@ def connected_graphs(draw):
 @given(g=connected_graphs())
 def test_graph_format_roundtrip_property(g):
     assert parse_graph(format_graph(g)) == g
+
+
+def _read(parser, text):
+    """A reader's graph as (n, edges, adjacency), or its error's type and line."""
+    try:
+        g = parser(text)
+    except GraphFormatError as exc:
+        return type(exc), exc.line
+    return g.vertex_count, g.edges, g.adjacency
+
+
+def _graph_lines(rng, n):
+    """A seeded tree, sparse graph, cactus or triangle chain on about n
+    vertices as its header and edge lines, edges shuffled and turned."""
+    g = rng.choice(
+        (
+            lambda: random_tree(rng, n),
+            lambda: random_sparse_graph(rng, n, n // 3),
+            lambda: random_cactus(rng, n),
+            lambda: triangle_chain(n),
+        )
+    )()
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(edges)
+    return [f"{g.vertex_count} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+
+
+# the faults one edge line can carry: a bad token, a wrong count of tokens,
+# an id out of range or negative, a self-loop, and a repeat of an earlier
+# line in either orientation
+_LINE_FAULTS = {
+    "1_0": (MalformedLineError, "{u} 1_0"),
+    "+1": (MalformedLineError, "+1 {v}"),
+    "arabic": (MalformedLineError, "{u} \u0661"),
+    "1.0": (MalformedLineError, "1.0 {v}"),
+    "-": (MalformedLineError, "{u} -"),
+    "three": (MalformedLineError, "{u} {v} {u}"),
+    "one": (MalformedLineError, "{u}"),
+    "range": (VertexRangeError, "{u} {n}"),
+    "negative": (VertexRangeError, "-1 {v}"),
+    "loop": (SelfLoopError, "{u} {u}"),
+    "repeat": (DuplicateEdgeError, "{a} {b}"),
+    "turned": (DuplicateEdgeError, "{b} {a}"),
+}
+
+
+def _with_fault(lines, kind, at, rng):
+    """`lines` with edge line `at` (0-based, at least 1) replaced by fault
+    `kind`; a repeat copies a random earlier line."""
+    n = lines[0].split()[0]
+    u, v = lines[at + 1].split()
+    a, b, *_ = lines[rng.randrange(1, at + 1)].split() + ["", ""]
+    faulty = _LINE_FAULTS[kind][1].format(u=u, v=v, n=n, a=a, b=b)
+    return lines[: at + 1] + [faulty] + lines[at + 2 :]
+
+
+class TestReaderMatchesReference:
+    """parse_graph against the line-by-line reader of tests/helpers.py: an
+    equal graph, or the same error type and line."""
+
+    def test_valid_texts(self):
+        rng = random.Random(20)
+        for case in range(160):
+            lines = _graph_lines(rng, rng.randint(1, 200))
+            text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\n\n  \n"))
+            got = _read(parse_graph, text)
+            assert got == _read(reference_parse_graph, text), case
+            assert not isinstance(got[0], type), (case, got)
+
+    @pytest.mark.parametrize("kind", sorted(_LINE_FAULTS))
+    def test_one_faulty_line(self, kind):
+        rng = random.Random(kind)
+        error = _LINE_FAULTS[kind][0]
+        for _ in range(12):
+            lines = _graph_lines(rng, rng.randint(4, 200))
+            at = rng.randrange(1, len(lines) - 1)
+            text = "\n".join(_with_fault(lines, kind, at, rng)) + "\n"
+            assert _read(parse_graph, text) == _read(reference_parse_graph, text) == (error, at + 2)
+
+    def test_bad_structure(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            lines = _graph_lines(rng, rng.randint(4, 200))
+            n, m = map(int, lines[0].split())
+            cases = (
+                # a missing edge line, named after the last one given
+                (lines[:-1], (MalformedLineError, m + 1)),
+                # an extra non-blank line after blank ones
+                (lines + ["", " 0 1"], (MalformedLineError, m + 3)),
+                # an isolated vertex more
+                ([f"{n + 1} {m}"] + lines[1:], (DisconnectedGraphError, None)),
+            )
+            for faulty, want in cases:
+                text = "\n".join(faulty) + "\n"
+                assert _read(parse_graph, text) == _read(reference_parse_graph, text) == want
+
+    def test_two_faults_in_either_order(self):
+        rng = random.Random(22)
+        kinds = sorted(_LINE_FAULTS)
+        for _ in range(150):
+            lines = _graph_lines(rng, rng.randint(5, 200))
+            first, second = sorted(rng.sample(range(1, len(lines) - 1), 2))
+            a, b = rng.sample(kinds, 2)
+            for x, y in ((a, b), (b, a)):
+                faulty = _with_fault(_with_fault(lines, x, first, rng), y, second, rng)
+                text = "\n".join(faulty) + "\n"
+                want = (_LINE_FAULTS[x][0], first + 2)
+                assert _read(parse_graph, text) == _read(reference_parse_graph, text) == want
+            # a faulty edge line wins over a missing or an extra line too
+            for tail in (faulty[:-1], faulty + ["7 7"]):
+                text = "\n".join(tail) + "\n"
+                assert _read(parse_graph, text) == _read(reference_parse_graph, text) == want
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "-1", "01", "1_0", "+1", "\u0661", ";", "x", "-"])
+_GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", " ; "])
+
+
+@st.composite
+def short_graph_texts(draw):
+    """A small connected graph's text with, now and then, an edge line
+    rewritten as a few drawn tokens or as two drawn ids, the edge count
+    moved by one, or a line more."""
+    g = draw(connected_graphs())
+    n = g.vertex_count
+    lines = [f"{n} {g.edge_count + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))}"]
+    for u, v in g.edges:
+        rewrite = draw(st.sampled_from(["no"] * 8 + ["tokens", "ids"]))
+        if rewrite == "tokens":
+            lines.append(draw(_GAPS).join(draw(st.lists(_TOKENS, max_size=3))))
+        elif rewrite == "ids":
+            lines.append(f"{draw(st.integers(-1, n))} {draw(st.integers(-1, n))}")
+        else:
+            lines.append(f"{u} {v}")
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["", " ", "0 1", ";"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\x1c"])).join(lines)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(text=short_graph_texts() | st.text(alphabet="0123 \t\n-;_+.\u00a0", max_size=24))
+def test_reader_matches_reference_property(text):
+    assert _read(parse_graph, text) == _read(reference_parse_graph, text)
 
 
 def dispersed(g, points, delta) -> bool:
@@ -571,6 +718,37 @@ class TestIsDispersed:
         assert mismatches == []
         assert min(verdicts.values()) >= 800, verdicts
 
+    @pytest.mark.parametrize("delta", ["3/2", "2", "5/2", "3", "7/3"])
+    def test_one_sided_balls_on_solver_witnesses(self, delta):
+        # a search ball walks only 2 d0 + hL < limit: on optimal sets with
+        # one point fewer, one more, or one moved (which leaves a lone
+        # conflict, found from the nearer side only), the verdict is the
+        # reference's, whose balls reach limit - d0 from every side
+        delta = Fraction(delta)
+        rng = random.Random(str(delta))
+        verdicts = {True: 0, False: 0}
+        for case in range(60):
+            n = rng.randint(3, 12)
+            if case % 3 == 0:
+                g = random_tree(rng, n)
+            elif case % 3 == 1:
+                g = random_sparse_graph(rng, n, n // 3)
+            else:
+                g = random_cactus(rng, n)
+            _, ws = disp(g, delta, allow_bruteforce=True)
+            points = list(witness_points(ws))
+            changed = [points[:-1], points[1:]]
+            for q in (2, 3, 4, 5, 6, 8):
+                extra = Point(rng.randrange(g.edge_count), Fraction(rng.randint(0, q), q))
+                moved = points[:]
+                moved[rng.randrange(len(moved))] = extra
+                changed += [points + [extra], moved]
+            for pts in changed:
+                want = reference_is_dispersed(g, pts, delta)
+                verdicts[want] += 1
+                assert dispersed(g, pts, delta) == want, (g, pts, delta)
+        assert min(verdicts.values()) >= 100, verdicts
+
     def test_same_edge_pairs_compare_directly(self):
         pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
         assert dispersed(C3, pts, Fraction(3, 5))
@@ -772,6 +950,20 @@ class TestGraphValidation:
             Graph(2, ((0, bad),))
         with pytest.raises(TypeError):
             Graph(3, ((bad, 2), (0, 1)))
+
+    def test_faults_come_in_edge_order(self):
+        # the whole-array checks fail together; the first faulty edge names
+        # the error, a non-integral id or a non-pair included
+        for edges, error in (
+            (((0, 3), (0, 1.5)), VertexRangeError),
+            (((0, 1.5), (0, 3)), TypeError),
+            (((0, 1), (1, 0), (0, 1, 2)), DuplicateEdgeError),
+            (((1, 1), (0,)), SelfLoopError),
+            (((0, 1), (0, 1, 2)), ValueError),
+        ):
+            with pytest.raises(error) as err:
+                Graph(3, edges)
+            assert type(err.value) is error
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
