@@ -14,6 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import isnan
 from pathlib import Path
 
 from .certify import parse_certificate, verify_certificate
@@ -159,6 +160,10 @@ def run(argv: list[str]) -> int:
 
     try:
         if args.command == "solve":
+            # the polynomial routes ignore the timeout, so the oracle's own
+            # check would not see it
+            if args.timeout is not None and isnan(args.timeout):
+                raise ValueError("timeout must be a number of seconds, not NaN")
             value, witness = disp(
                 graph,
                 args.delta,

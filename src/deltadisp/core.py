@@ -22,7 +22,7 @@ solver path.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -74,16 +74,13 @@ class Graph:
     the one place a graph from outside is validated: vertex range,
     self-loops, duplicate edges and connectivity, each with its own error
     type (all are ``ValueError``), checked over whole arrays by
-    :func:`_edge_fault`.  ``first_line``, when given, is the text line
-    of edge 0 and makes each edge error name its line (see
-    :func:`parse_graph`).  Validation builds the sorted neighbour lists
+    :func:`_edge_fault`.  Validation builds the sorted neighbour lists
     once, for one breadth-first connectivity pass, and keeps them as
     :attr:`adjacency`.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    first_line: InitVar[int | None] = None
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
@@ -93,7 +90,7 @@ class Graph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    def __post_init__(self, first_line: int | None) -> None:
+    def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph must have at least one vertex")
         pairs = tuple(self.edges)
@@ -105,13 +102,14 @@ class Graph:
         except (TypeError, LookupError):
             paired = False
         if not paired:  # the first edge that is not two integers raises in its turn
-            raise _first_fault(self.vertex_count, pairs, first_line)
-        self._validate(us, vs, first_line)
+            raise _first_fault(self.vertex_count, pairs, None)
+        self._validate(us, vs, None)
 
     @classmethod
     def _from_ids(cls, n: int, us: list[int], vs: list[int], first_line: int) -> "Graph":
         """The graph of n >= 1 vertices and edges ``(us[i], vs[i])`` of ints
-        read from text, validated as construction validates."""
+        read from text, validated as construction validates; `first_line`
+        is the text line of edge 0, so each edge error names its line."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", n)
         g._validate(us, vs, first_line)
@@ -158,15 +156,6 @@ class Graph:
         """Sorted neighbour lists, indexed by vertex."""
         return _neighbour_lists(self.vertex_count, self.edges)
 
-    @cached_property
-    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices incident to each vertex, ascending."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return tuple(tuple(x) for x in inc)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -177,7 +166,8 @@ def _neighbour_lists(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[in
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    return tuple(map(tuple, map(sorted, nbrs)))
+    # a list first, as in Graph._validate: it keeps the heap from fragmenting
+    return tuple(list(map(tuple, map(sorted, nbrs))))
 
 
 def _edge_fault(
@@ -618,14 +608,17 @@ def format_witness(g: Graph, ws: WitnessSet) -> str:
     in lowest terms, sorted by edge and offset: a vertex is written on its
     lowest-indexed edge, the lone vertex of an edgeless graph as
     ``-1 0 0 0/1``."""
-    incident, edges, s = g.incident_edges, g.edges, ws.scale
+    edges, s = g.edges, ws.scale
     keys = list(ws.interior)  # (edge, x): the point x/s along the edge
-    for v in ws.vertices:
-        if incident[v]:
-            e = incident[v][0]
-            keys.append((e, 0 if edges[e][0] == v else s))
-        else:
-            keys.append((-1, 0))
+    if ws.vertices:
+        # one pass from the last edge down leaves each vertex its key on
+        # its lowest-indexed edge
+        end: dict[int, tuple[int, int]] = {}
+        for e in range(len(edges) - 1, -1, -1):
+            u, v = edges[e]
+            end[u] = (e, 0)
+            end[v] = (e, s)
+        keys += [end.get(v, (-1, 0)) for v in ws.vertices]
     keys.sort()
     out = []
     offsets: dict[int, str] = {}

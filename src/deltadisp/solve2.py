@@ -9,9 +9,10 @@ inessential vertices to keep as vertex points.  That decision minimizes
 the bipartite singleton/separator graph; the same matching engine that
 builds the decomposition solves it.
 
-:func:`disp2` returns the value and the canonical witness as vertex ids and
-midpoint edge indices, unchecked: its caller, ``dispatch.disp``, places
-points from them and verifies the witness it returns.
+At delta = 2/b, b = 2z+1 odd, the same set plus z points per edge is
+optimal.  :func:`disp2` returns the value and that witness in the integer
+form of :meth:`~deltadisp.core.WitnessSet.verified`, unchecked: its
+caller, ``dispatch.disp``, verifies it.
 """
 
 from __future__ import annotations
@@ -45,13 +46,22 @@ def _min_surplus(adjacency: list[list[int]], left: int) -> tuple[int, list[int]]
     return value, chosen
 
 
-def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
-    """The 2-dispersion number and an optimal canonical witness: the chosen
-    vertices and the edges whose midpoints it holds.  Unchecked; the caller
-    verifies the points it places from them.  The value is the matching
-    number (the remainder's, odd components' and separator's matched
-    edges) minus the minimum surplus of B, whose node adjacency is built
-    from the decomposition's arrays."""
+def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, int]]]]:
+    """The 2/b-dispersion number, b = 2z+1 odd, and an optimal witness as
+    ``(2b, vertex ids, (edge, k) pairs)``, unchecked.
+
+    The delta = 2 value is the matching number (the remainder's, odd
+    components' and separator's matched edges) minus the minimum surplus
+    of B, whose node adjacency is built from the decomposition's arrays;
+    every edge adds z.  The canonical delta = 2 witness splits the edges
+    into those touching one of its vertices, those holding one of its
+    midpoints, and the rest, and each class gets its own evenly spaced
+    refill: i*delta from the chosen vertex, (i - 3/4)*delta and
+    (i - 1/4)*delta from the first end.  At b = 1 the refill is the
+    canonical witness itself.
+    """
+    if b % 2 == 0:
+        raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
     n = g.vertex_count
     dec = edmonds_gallai(g)
     kind, adjacency = dec.kind, g.adjacency
@@ -78,9 +88,26 @@ def disp2(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     # inessential set; all of its edges become midpoints except at separator
     # vertices next to a chosen singleton.
     mate = list(dec.mate)
+    held = bytearray(n)
     for x in chosen:
+        held[x] = 1
         for y in adjacency[x]:
             mate[y] = mate[dec.mate[y]] = -1
-    midpoints = frozenset([e for e, (u, v) in enumerate(g.edges) if mate[u] == v])
-    value = (n - dec.mate.count(-1)) // 2 - best_surplus
-    return value, frozenset(chosen), midpoints
+    z, q = (b - 1) // 2, 2 * b
+    # offsets in units of 1/(2b) per edge code held[u] + 2 held[v] + 4
+    # (midpoint edge); codes 3, 5, 6 and 7 are witness faults
+    patterns = (
+        range(3, 4 * z, 4),  # neither end chosen: 4i - 1
+        range(4, 4 * z + 1, 4),  # first end chosen: 4i
+        range(q - 4 * z, q, 4),  # second end chosen: q - 4i
+        (),
+        range(1, 4 * z + 2, 4),  # midpoint edge: 4i - 3
+    )
+    codes = [held[u] + 2 * held[v] + (4 if mate[u] == v else 0) for u, v in g.edges]
+    if 3 in codes or 7 in codes:
+        raise InternalConsistencyError("adjacent vertices in a 2-dispersed set")
+    if 5 in codes or 6 in codes:
+        raise InternalConsistencyError("midpoint edge touches a chosen vertex")
+    interior = [(e, k) for e, code in enumerate(codes) for k in patterns[code]]
+    value = (n - dec.mate.count(-1)) // 2 - best_surplus + z * g.edge_count
+    return value, (q, chosen, interior)

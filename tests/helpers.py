@@ -21,9 +21,10 @@ reads off the decomposition's arrays.  So does the point form of a
 witness: a :class:`Point` per point, with an exact `Fraction` offset, and
 the readers between points and the integer form of ``WitnessSet``, and so
 do the bipartite cut instance with its surplus and its adapter to the
-minimum-surplus solver, the catalogue of small cubic graphs, the lookup
-of an edge by its ends, and the gadget's chains, walked off its graph
-independently of the block layout the gadget computes them from.
+minimum-surplus solver, the catalogue of small cubic graphs, the edges at
+a vertex and the lookup of an edge by its ends, and the gadget's chains,
+walked off its graph independently of the block layout the gadget
+computes them from.
 """
 
 from __future__ import annotations
@@ -71,11 +72,25 @@ class Point:
             object.__setattr__(self, "offset", as_rational(self.offset))
 
 
+@lru_cache(maxsize=64)
+def _incidence(g: Graph) -> tuple[tuple[int, ...], ...]:
+    inc: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append(i)
+        inc[v].append(i)
+    return tuple(map(tuple, inc))
+
+
+def incident_edges(g: Graph, v: int) -> tuple[int, ...]:
+    """Indices of the edges at vertex v, ascending."""
+    return _incidence(g)[v]
+
+
 def vertex_point(g: Graph, v: int) -> Point:
     """The canonical point sitting at vertex v."""
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range")
-    incident = g.incident_edges[v]
+    incident = incident_edges(g, v)
     if not incident:
         return Point(-1, Fraction(0))  # only the single-vertex graph
     e = incident[0]
@@ -317,7 +332,7 @@ def vicinity(g: Graph, v: int) -> frozenset[Point]:
     """Vertex v together with the midpoints of all its incident edges."""
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range")
-    return frozenset([vertex_point(g, v)] + [midpoint(g, e) for e in g.incident_edges[v]])
+    return frozenset([vertex_point(g, v)] + [midpoint(g, e) for e in incident_edges(g, v)])
 
 
 def matching_and_inessential(adjacency) -> tuple[tuple[int, ...], frozenset[int]]:
@@ -329,7 +344,7 @@ def matching_and_inessential(adjacency) -> tuple[tuple[int, ...], frozenset[int]
 
 def edge_index(g: Graph, u: int, v: int) -> int | None:
     """Index of the edge joining u and v, or None if absent."""
-    return next((e for e in g.incident_edges[u] if v in g.edges[e]), None)
+    return next((e for e in incident_edges(g, u) if v in g.edges[e]), None)
 
 
 def maximum_matching(g: Graph) -> frozenset[int]:
@@ -832,7 +847,7 @@ def validate_canonical(
     """Check the structural properties an optimal canonical witness satisfies.
 
     The witness is the points at `vertices` plus the midpoints of
-    `midpoint_edges`, as ``solve2.disp2`` returns them.
+    `midpoint_edges`, as :func:`canonical_witness` reads them.
 
     P1: the midpoint edges induce a near-perfect matching in every odd
     inessential component of size >= 3.  P2: each separator vertex sees the
@@ -1130,11 +1145,18 @@ def reference_unit_numerator_points(g: Graph, b: int) -> list[Point]:
     ]
 
 
+def canonical_witness(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The delta = 2 value of ``solve2.disp2(g, 1)``, and its canonical
+    witness as the chosen vertices and the edges holding a midpoint."""
+    value, (_, vertices, interior) = disp2(g, 1)
+    return value, frozenset(vertices), frozenset(e for e, _ in interior)
+
+
 def reference_numerator_two_points(g: Graph, b: int) -> list[Point]:
-    """The witness at delta = 2/b (b odd) as points: disp2's vertices, and
-    each edge's refill pattern by its class."""
+    """The witness at delta = 2/b (b odd) as points: the canonical delta =
+    2 witness's vertices, and each edge's refill pattern by its class."""
     z = (b - 1) // 2
-    _, vertices, mids = disp2(g)
+    _, vertices, mids = canonical_witness(g)
     points = [vertex_point(g, v) for v in vertices]
     for e, (u, v) in enumerate(g.edges):
         if u in vertices:

@@ -40,6 +40,13 @@ def c3(tmp_path):
 
 
 @pytest.fixture
+def p3(tmp_path):
+    p = tmp_path / "p3.graph"
+    p.write_text("3 2\n0 1\n1 2\n")
+    return p
+
+
+@pytest.fixture
 def k4(tmp_path):
     p = tmp_path / "k4.graph"
     p.write_text(K4_TEXT)
@@ -228,10 +235,19 @@ class TestOracle:
         assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3
 
     @pytest.mark.parametrize(
-        "command", [["oracle"], ["solve", "--brute-force"]], ids=["oracle", "solve"]
+        "command,delta",
+        [
+            (["oracle"], "3/2"),
+            (["solve", "--brute-force"], "3/2"),
+            (["solve"], "3"),
+            (["solve"], "2"),
+        ],
+        ids=["oracle", "solve", "solve-tree", "solve-delta-2"],
     )
-    def test_nan_timeout_exits_2(self, k4, capsys, command):
-        argv = [command[0], str(k4), *command[1:], "--delta", "3/2", "--timeout", "nan"]
+    def test_nan_timeout_exits_2(self, k4, p3, capsys, command, delta):
+        # the tree route and numerator two never reach the oracle
+        graph = p3 if delta == "3" else k4
+        argv = [command[0], str(graph), *command[1:], "--delta", delta, "--timeout", "nan"]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

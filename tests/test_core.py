@@ -16,6 +16,7 @@ from helpers import (
     brute_is_dispersed,
     connected_graphs_max_edges,
     hop_table,
+    incident_edges,
     midpoint,
     normalize_point,
     point_distance,
@@ -623,7 +624,7 @@ def _as_other_edge(g, p, rng):
     v = _point_key(g, p)
     if isinstance(v, tuple):
         return p
-    e = rng.choice(g.incident_edges[v])
+    e = rng.choice(incident_edges(g, v))
     return Point(e, Fraction(0) if g.edges[e][0] == v else Fraction(1))
 
 

@@ -1,4 +1,4 @@
-"""Routing of spacings to the closed forms, the delta=2 reduction, or the oracle."""
+"""Routing of spacings to the closed forms, the numerator-two route, or the oracle."""
 
 import itertools
 import random
@@ -25,6 +25,7 @@ from helpers import (
 )
 
 from deltadisp import (
+    EGDecomposition,
     Graph,
     InternalConsistencyError,
     NPHardRegimeError,
@@ -44,6 +45,7 @@ from deltadisp.solve2 import disp2
 K2 = Graph(2, ((0, 1),))
 C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
+P3 = Graph(3, ((0, 1), (1, 2)))
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
 
@@ -90,7 +92,7 @@ class TestNumeratorTwo:
         rng = random.Random(23)
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 6))
-            assert disp(g, Fraction(2))[0] == disp2(g)[0]
+            assert disp(g, Fraction(2))[0] == disp2(g, 1)[0]
 
     def test_surcharge_identity(self):
         rng = random.Random(24)
@@ -98,7 +100,7 @@ class TestNumeratorTwo:
             z = (b - 1) // 2
             for _ in range(8):
                 g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 5))
-                assert disp(g, Fraction(2, b))[0] == disp2(g)[0] + z * g.edge_count
+                assert disp(g, Fraction(2, b))[0] == disp2(g, 1)[0] + z * g.edge_count
 
 
 class TestBruteforceGate:
@@ -118,7 +120,7 @@ class TestBruteforceGate:
 
     def test_reduction_happens_before_gate(self):
         # 4/2 reduces to numerator 2: polynomial, no opt-in needed
-        assert disp(K2, Fraction(4, 2))[0] == disp2(K2)[0]
+        assert disp(K2, Fraction(4, 2))[0] == disp2(K2, 1)[0]
 
 
 class TestAgainstOracle:
@@ -262,7 +264,9 @@ class TestOneBuildOneCheck:
 
     def test_solve2_builds_and_checks_nothing(self, counts):
         counts.update(build=0, check=0)
-        disp2(random_cactus(random.Random(73), 12))
+        g = random_cactus(random.Random(73), 12)
+        for b in (1, 3):
+            disp2(g, b)
         assert counts == {"build": 0, "check": 0}
 
 
@@ -285,16 +289,40 @@ class TestCheckedExit:
 
     @pytest.mark.parametrize("delta", [Fraction(2), Fraction(2, 3)], ids=["2", "2/3"])
     def test_corrupted_delta_two_witness(self, monkeypatch, delta):
-        # both ends of K2; vertex 0 of P4 and the midpoint of edge (1, 2),
-        # 3/2 apart, which only the witness check sees
-        from deltadisp import dispatch
+        # crafted decompositions and minimum-surplus answers: K2 with
+        # singleton 0 next to non-separator 1; both ends of K2 chosen; end 0
+        # chosen while its edge keeps its midpoint (an asymmetric mate);
+        # both midpoints of P3, 1 apart, which only the witness check sees
+        from deltadisp import solve2
 
-        cases = ((K2, {0, 1}, (), "adjacent vertices"), (P4, {0}, {1}, "fails verification"))
-        for g, chosen, mids, message in cases:
-            answer = (2, frozenset(chosen), frozenset(mids))
-            monkeypatch.setattr(dispatch, "disp2", lambda g, answer=answer: answer)
+        cases = (
+            (K2, ([0, 0, 3], [[0], [1]], (-1, -1)), None, "outside the separator"),
+            (K2, ([1, 1, 3], [[0], [1]], (1, 0)), (0, [0, 1]), "adjacent vertices"),
+            (K2, ([0, 1, 3], [[0]], (1, -1)), (0, [0]), "midpoint edge touches"),
+            (P3, ([2, 2, 2, 3], [], (1, 2, -1)), (-1, []), "fails verification"),
+        )
+        for g, dec, surplus, message in cases:
+            dec = EGDecomposition(*dec)
+            monkeypatch.setattr(solve2, "edmonds_gallai", lambda g, dec=dec: dec)
+            monkeypatch.setattr(solve2, "_min_surplus", lambda nodes, left, s=surplus: s)
             with pytest.raises(InternalConsistencyError, match=message):
                 disp(g, delta)
+
+    def test_min_surplus_value_one_low(self, monkeypatch):
+        # the surplus is subtracted, so the value comes out one too high
+        from deltadisp import solve2
+
+        route = solve2._min_surplus
+
+        def one_low(nodes, left):
+            value, chosen = route(nodes, left)
+            return value - 1, chosen
+
+        monkeypatch.setattr(solve2, "_min_surplus", one_low)
+        for g in (STAR, P4, K2):
+            for delta in (Fraction(2), Fraction(2, 5)):
+                with pytest.raises(InternalConsistencyError, match="fails verification"):
+                    disp(g, delta)
 
     def test_predicted_bound_off_by_one(self, monkeypatch):
         from deltadisp import gadget

@@ -12,6 +12,7 @@ from helpers import (
     brute_is_dispersed,
     CutInstance,
     brute_min_surplus,
+    canonical_witness,
     decomposition_views,
     matching_number,
     min_surplus,
@@ -32,7 +33,6 @@ from deltadisp import (
     edmonds_gallai,
 )
 from deltadisp import solve2
-from deltadisp.solve2 import disp2
 
 TWO = Fraction(2)
 
@@ -127,9 +127,7 @@ class TestDisp2:
         assert disp(g, TWO)[0] == value
 
     def test_single_vertex(self):
-        g = Graph(1, ())
-        value, vertices, _ = disp2(g)
-        assert value == 1 and vertices == {0}
+        assert solve2.disp2(Graph(1, ()), 1) == (1, (2, [0], []))
 
     def test_matches_oracle_small_exhaustive(self):
         for n in range(1, 5):
@@ -181,7 +179,7 @@ class TestDisp2:
             value, ws = disp(g, TWO)
             assert len(ws) == value
             assert brute_is_dispersed(g, witness_points(ws), Fraction(2))
-            _, vertices, mids = disp2(g)
+            _, vertices, mids = canonical_witness(g)
             assert validate_canonical(g, vertices, mids, edmonds_gallai(g))
 
     def test_disp_witness_is_the_canonical_witness(self):
@@ -189,7 +187,7 @@ class TestDisp2:
         rng = random.Random(12)
         for _ in range(60):
             g = random_connected_graph(rng, rng.randint(1, 10), rng.randint(0, 8))
-            value, vertices, mids = disp2(g)
+            value, vertices, mids = canonical_witness(g)
             canonical = {vertex_point(g, v) for v in vertices} | {midpoint(g, e) for e in mids}
             assert disp(g, TWO) == (value, witness_of(g, canonical, TWO))
             assert len(canonical) == value
@@ -197,13 +195,13 @@ class TestDisp2:
 
 class TestValidateCanonical:
     def test_star_witness_valid(self):
-        _, vertices, mids = disp2(STAR)
+        _, vertices, mids = canonical_witness(STAR)
         assert validate_canonical(STAR, vertices, mids, edmonds_gallai(STAR))
 
     def test_extra_separator_vertex_point_rejected(self):
-        _, vertices, mids = disp2(STAR)
+        _, vertices, mids = canonical_witness(STAR)
         assert not validate_canonical(STAR, vertices | {0}, mids, edmonds_gallai(STAR))
 
     def test_k2_witness_valid(self):
-        _, vertices, mids = disp2(K2)
+        _, vertices, mids = canonical_witness(K2)
         assert validate_canonical(K2, vertices, mids, edmonds_gallai(K2))
