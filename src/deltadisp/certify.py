@@ -10,6 +10,13 @@ its doubled constraint graph has no negative cycle (Mine, *The Octagon
 Abstract Domain*, 2006; Lahiri & Musuvathi, FroCoS 2005).  Weights are
 integers once scaled by delta's denominator, only endpoints fewer than
 delta hops apart give constraints, and a rejection names the cycle.
+
+Each stage is one pass.  The reader takes all ``e n_e`` lines in one
+tokenization.  The check adds each row's arcs to the doubled graph as it
+finds the row, walking from every occupied end a ball of radius
+floor((p-1)/q) for delta = p/q, and nothing past hop 0 when delta <= 1, so
+its cost is the occupied ends times that ball.  The cycle search keeps its
+state in flat arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from operator import index
 from typing import Mapping
 
-from .core import Graph, WitnessSet, as_rational, hop_ball, integer_tokens
+from .core import Graph, WitnessSet, _edge_ids, as_rational, hop_ball, integer_tokens
 from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
@@ -38,6 +45,15 @@ class Certificate:
 
     vertices: frozenset[int]
     interior_counts: Mapping[int, int]
+
+    @classmethod
+    def _unchecked(cls, vertices: frozenset[int], counts: dict[int, int]) -> "Certificate":
+        """A certificate of int ids and positive int counts, as the reader
+        builds them, skipping the conversion construction makes."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "vertices", vertices)
+        object.__setattr__(cert, "interior_counts", counts)
+        return cert
 
     def __post_init__(self) -> None:
         # operator.index refuses floats and Fractions, which int() truncates
@@ -80,77 +96,82 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    for e in cert.interior_counts:
-        if not 0 <= e < g.edge_count:
-            raise ValueError(f"invalid edge index {e} in certificate")
-    for v in cert.vertices:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"invalid vertex id {v} in certificate")
+    counts, vertices = cert.interior_counts, cert.vertices
+    if counts and not (min(counts) >= 0 and max(counts) < g.edge_count):
+        e = next(e for e in counts if not 0 <= e < g.edge_count)
+        raise ValueError(f"invalid edge index {e} in certificate")
+    if vertices and not (min(vertices) >= 0 and max(vertices) < g.vertex_count):
+        v = next(v for v in vertices if not 0 <= v < g.vertex_count)
+        raise ValueError(f"invalid vertex id {v} in certificate")
 
     if cert.total < k:
         return Verdict(False, f"cardinality shortfall: certificate claims {cert.total} < k={k}")
 
     p, q = delta.numerator, delta.denominator
     radius = (p - 1) // q  # the largest hop count below delta
-    for u in sorted(cert.vertices):
-        for hops, ring in hop_ball(g, u, radius):
-            for w in ring:
-                if w > u and w in cert.vertices:
-                    return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
+    if radius:  # hop 0 holds no pair of distinct vertices
+        for u in sorted(vertices):
+            for hops, ring in hop_ball(g, u, radius):
+                for w in ring:
+                    if w > u and w in vertices:
+                        return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
 
-    occupied = sorted(cert.interior_counts)
-    cap = int(1 / delta) + 1
-    for e in occupied:
-        if cert.interior_counts[e] > cap:
+    # x_i, i = 2 pos + side: distance from end `side` of the pos-th occupied
+    # edge to its nearest interior point, in units of 1/q.  Rows are
+    # x_i + x_j <= b or >= b, or x_i >= b; node 2i of the doubled graph
+    # stands for +x_i, 2i+1 for -x_i, and each row's arcs are added as it
+    # is found, its (i, j, relation, b) kept only to word a rejection.
+    # x >= 0 implies every row whose ends are delta or more hops apart, and
+    # the wrap-around row of an edge (c >= 2 only when delta <= 1).
+    occupied = sorted(counts)
+    edges = g.edges
+    cap = q // p + 1  # the most points one edge holds at spacing p/q
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(4 * len(occupied))]
+    labels: list[tuple[int, int | None, str, int]] = []
+    ends: dict[int, list[int]] = {}  # vertex -> the variables at it, ascending
+    for pos, e in enumerate(occupied):
+        count = counts[e]
+        if count > cap:
             return Verdict(
-                False,
-                f"infeasible system: edge {e} cannot hold {cert.interior_counts[e]} "
-                f"points at spacing {delta}",
+                False, f"infeasible system: edge {e} cannot hold {count} points at spacing {delta}"
             )
+        i, b = 2 * pos, q - (count - 1) * p
+        arcs[2 * i + 1].append((2 * i + 2, b, pos))
+        arcs[2 * i + 3].append((2 * i, b, pos))
+        labels.append((i, i + 1, "<=", b))
+        u, v = edges[e]
+        ends.setdefault(u, []).append(i)
+        ends.setdefault(v, []).append(i + 1)
 
-    # x(u,e): distance from end u of occupied edge e to its nearest interior
-    # point, in units of 1/q.  Rows are x_i + x_j <= b or >= b (j is None
-    # for x_i >= b); node 2i of the doubled graph stands for +x_i, 2i+1 for
-    # -x_i.  x >= 0 implies every row whose ends are delta or more hops
-    # apart, and the wrap-around row of an edge (c >= 2 only when delta <= 1).
-    variables = [(u, e) for e in occupied for u in g.edges[e]]
-    ends: dict[int, list[tuple[int, int]]] = {}  # vertex -> (edge, variable)
-    for i, (u, e) in enumerate(variables):
-        ends.setdefault(u, []).append((e, i))
-    lower = [0] * len(variables)
-    rows: list[tuple[int, int | None, str, int]] = []
-    for i in range(0, len(variables), 2):
-        count = cert.interior_counts[variables[i][1]]
-        rows.append((i, i + 1, "<=", q - (count - 1) * p))
+    lower = [0] * (2 * len(occupied))
     for u, here in ends.items():
-        for hops, ring in hop_ball(g, u, radius):
+        for hops, ring in hop_ball(g, u, radius) if radius else ((0, (u,)),):
             need = p - hops * q
             for w in ring:
-                for e, i in here:
-                    if w in cert.vertices:
-                        lower[i] = max(lower[i], need)
-                    rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
-    rows.extend((i, None, ">=", b) for i, b in enumerate(lower))
+                there = ends.get(w, ())
+                held = w in vertices
+                for i in here:
+                    if held and lower[i] < need:
+                        lower[i] = need
+                    for j in there:
+                        if i < j and i >> 1 != j >> 1:  # the ends of one edge have its <= row
+                            arcs[2 * i].append((2 * j + 1, -need, len(labels)))
+                            arcs[2 * j].append((2 * i + 1, -need, len(labels)))
+                            labels.append((i, j, ">=", need))
+    for i, b in enumerate(lower):
+        arcs[2 * i].append((2 * i + 1, -2 * b, len(labels)))
+        labels.append((i, None, ">=", b))
 
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * len(variables))]
-    for r, (i, j, relation, b) in enumerate(rows):
-        if j is None:
-            arcs[2 * i].append((2 * i + 1, -2 * b, r))
-        elif relation == "<=":
-            arcs[2 * i + 1].append((2 * j, b, r))
-            arcs[2 * j + 1].append((2 * i, b, r))
-        else:
-            arcs[2 * i].append((2 * j + 1, -b, r))
-            arcs[2 * j].append((2 * i + 1, -b, r))
     cycle = _negative_cycle(arcs)
     if cycle is None:
         return Verdict(True)
 
     def name(i: int) -> str:
-        return "x({},{})".format(*variables[i])
+        e = occupied[i >> 1]
+        return f"x({edges[e][i & 1]},{e})"
 
     said = []
-    for i, j, relation, b in (rows[r] for r in dict.fromkeys(cycle)):
+    for i, j, relation, b in (labels[r] for r in dict.fromkeys(cycle)):
         pair = name(i) if j is None else f"{name(i)} + {name(j)}"
         said.append(f"{pair} {relation} {Fraction(b, q)}")
     return Verdict(False, "infeasible system: " + "; ".join(said))
@@ -166,32 +187,50 @@ def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
     negative (Cherkassky & Goldberg, *Negative-cycle detection algorithms*,
     1999), so a rejection costs rounds in proportion to the cycle's length.
     Weights are integers, so without such a cycle the rounds end.
+
+    The state is flat: a node's parent arc is its tail, weight and row in
+    three lists, one list holds the round that last lowered each node (so
+    no mark is cleared between rounds), and one stamp list numbers the walk
+    that last passed each node, so a walk stops at a node stamped earlier
+    in its round and has found a cycle at one stamped by itself.
     """
-    dist = [0] * len(arcs)
-    parent: list[tuple[int, int, int] | None] = [None] * len(arcs)  # tail, weight, row
-    lowered = list(range(len(arcs)))
+    size = len(arcs)
+    dist = [0] * size
+    tail = [-1] * size
+    weight = [0] * size
+    row = [0] * size
+    lowered_in = [0] * size
+    stamp = [0] * size
+    walk = rounds = 0
+    lowered = list(range(size))
     while lowered:
-        changed: dict[int, None] = {}
+        rounds += 1
+        changed = []
         for t in lowered:
+            here = dist[t]
             for h, w, r in arcs[t]:
-                if dist[t] + w < dist[h]:
-                    dist[h] = dist[t] + w
-                    parent[h] = (t, w, r)
-                    changed[h] = None
-        lowered = list(changed)
-        done: set[int] = set()
+                if here + w < dist[h]:
+                    dist[h] = here + w
+                    tail[h], weight[h], row[h] = t, w, r
+                    if lowered_in[h] != rounds:
+                        lowered_in[h] = rounds
+                        changed.append(h)
+        lowered = changed
+        first = walk + 1  # the number of this round's first walk
         for v in lowered:
-            path: dict[int, tuple[int, int, int]] = {}
-            while v not in done and v not in path and parent[v] is not None:
-                path[v] = parent[v]
-                v = parent[v][0]
-            if v in path:
-                nodes = list(path)
-                cycle = [path[x] for x in reversed(nodes[nodes.index(v) :])]
-                if sum(w for _, w, _ in cycle) >= 0:
-                    raise InternalConsistencyError("parent cycle of non-negative weight")
-                return [r for _, _, r in cycle]
-            done.update(path)
+            walk += 1
+            while stamp[v] < first and tail[v] >= 0:
+                stamp[v] = walk
+                v = tail[v]
+            if stamp[v] == walk:
+                cycle = [v]
+                x = tail[v]
+                while x != v and len(cycle) < size:  # no cycle is longer
+                    cycle.append(x)
+                    x = tail[x]
+                if x != v or sum(weight[x] for x in cycle) >= 0:
+                    raise InternalConsistencyError("parent arcs hold no negative cycle")
+                return [row[x] for x in reversed(cycle)]
     return None
 
 
@@ -208,9 +247,16 @@ def format_certificate(k: int, cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> tuple[int, Certificate]:
     """Read the certificate format: a bound line ``k``, a line ``W:`` with
-    the vertex ids, then one ``e n_e`` line per occupied edge.  Every
-    number is a plain decimal integer (see :func:`integer_tokens`); a
-    vertex id or an edge listed twice raises MalformedLineError."""
+    the vertex ids, then one ``e n_e`` line, n_e >= 1, per occupied edge;
+    blank lines are skipped.  Every number is a plain decimal integer (see
+    :func:`integer_tokens`); a vertex id or an edge listed twice, or a
+    count below 1, raises MalformedLineError naming the line.
+
+    The ``e n_e`` lines are read and checked in whole-body passes, as
+    :func:`parse_graph` reads edges; only after a pass fails does the
+    reader look for the first line it failed on, so errors still come in
+    line order.
+    """
     lines = text.splitlines()
     (k,) = integer_tokens(lines[0] if lines else "", 1, "an integer bound 'k'", 1)
     if len(lines) < 2 or not lines[1].strip().startswith("W:"):
@@ -223,14 +269,27 @@ def parse_certificate(text: str) -> tuple[int, Certificate]:
             if v in seen:
                 raise MalformedLineError(f"vertex {v} listed twice", line=2)
             seen.add(v)
-    counts: dict[int, int] = {}
-    for lineno, raw in enumerate(lines[2:], start=3):
-        if not raw.split():
-            continue
-        e, c = integer_tokens(raw, lineno, "integers 'e n_e'", 2)
-        if e in counts:
-            raise MalformedLineError(f"edge {e} listed twice", line=lineno)
-        if c < 0:
-            raise MalformedLineError("interior count must be non-negative", line=lineno)
-        counts[e] = c
-    return k, Certificate(vertices, counts)
+    body = lines[2:]
+    numbers = range(3, len(lines) + 1)  # the line number of each of `body`
+    fault = None
+    pairs = _edge_ids(body)
+    if pairs is None:  # blank lines, or a malformed line
+        numbers = [n for n, line in zip(numbers, body) if line.split()]
+        body = [lines[n - 1] for n in numbers]
+        pairs = _edge_ids(body)
+        if pairs is None:
+            bad = next(i for i, line in enumerate(body) if _edge_ids([line]) is None)
+            fault = MalformedLineError("expected integers 'e n_e'", line=numbers[bad])
+            pairs = _edge_ids(body[:bad])
+    es, cs = pairs[0::2], pairs[1::2]
+    counts = dict(zip(es, cs))
+    if fault is None and len(counts) == len(es) and (not cs or min(cs) >= 1):
+        return k, Certificate._unchecked(vertices, counts)
+    seen = set()
+    for n, e, c in zip(numbers, es, cs):  # the first faulty line, in line order
+        if e in seen:
+            raise MalformedLineError(f"edge {e} listed twice", line=n)
+        if c < 1:
+            raise MalformedLineError("interior count must be positive", line=n)
+        seen.add(e)
+    raise fault  # the malformed line, as no line before it is at fault

@@ -188,12 +188,15 @@ def run(argv: list[str]) -> int:
             return 0
 
         if args.command == "verify":
+            # format and decode errors are ValueErrors, and so is an id
+            # outside the graph (delta is positive here): each is the
+            # certificate file's fault
             try:
                 k, cert = parse_certificate(args.certificate.read_text())
-            except (OSError, GraphFormatError, UnicodeDecodeError) as exc:
+                verdict = verify_certificate(graph, args.delta, cert, k)
+            except (OSError, ValueError) as exc:
                 print(f"error: {args.certificate}: {exc}", file=sys.stderr)
                 return 2
-            verdict = verify_certificate(graph, args.delta, cert, k)
             if verdict.accepted:
                 print("accept")
                 return 0

@@ -24,7 +24,10 @@ do the bipartite cut instance with its surplus and its adapter to the
 minimum-surplus solver, the catalogue of small cubic graphs, the edges at
 a vertex and the lookup of an edge by its ends, and the gadget's chains,
 walked off its graph independently of the block layout the gadget
-computes them from.
+computes them from.  The certificate check as it was first written (rows
+built as tuples before any arc, a hop ball walked at every radius, a
+negative-cycle search keeping a dict per walk) and the line-by-line
+certificate reader are the differential references for ``certify``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from deltadisp import Graph, WitnessSet, as_rational, matching
-from deltadisp.core import hop_ball
+from deltadisp import Certificate, Graph, Verdict, WitnessSet, as_rational, matching
+from deltadisp.core import hop_ball, integer_tokens
 from deltadisp.errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -1296,3 +1299,146 @@ def reference_parse_graph(text: str) -> Graph:
     g = Graph._unchecked(n, tuple(edges))
     object.__setattr__(g, "adjacency", tuple(tuple(sorted(x)) for x in nbrs))
     return g
+
+
+def reference_verify_certificate(g: Graph, delta: Fraction, cert, k: int):
+    """The certificate check row by row, the reference for
+    ``certify.verify_certificate``: every row of the placement system is
+    built as an ``(i, j, relation, b)`` tuple first, the hop ball is walked
+    at every radius, and the doubled graph's arcs are built from the rows
+    after, for :func:`reference_negative_cycle`."""
+    delta = as_rational(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    for e in cert.interior_counts:
+        if not 0 <= e < g.edge_count:
+            raise ValueError(f"invalid edge index {e} in certificate")
+    for v in cert.vertices:
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"invalid vertex id {v} in certificate")
+
+    if cert.total < k:
+        return Verdict(False, f"cardinality shortfall: certificate claims {cert.total} < k={k}")
+
+    p, q = delta.numerator, delta.denominator
+    radius = (p - 1) // q
+    for u in sorted(cert.vertices):
+        for hops, ring in hop_ball(g, u, radius):
+            for w in ring:
+                if w > u and w in cert.vertices:
+                    return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
+
+    occupied = sorted(cert.interior_counts)
+    cap = int(1 / delta) + 1
+    for e in occupied:
+        if cert.interior_counts[e] > cap:
+            return Verdict(
+                False,
+                f"infeasible system: edge {e} cannot hold {cert.interior_counts[e]} "
+                f"points at spacing {delta}",
+            )
+
+    variables = [(u, e) for e in occupied for u in g.edges[e]]
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for i, (u, e) in enumerate(variables):
+        ends.setdefault(u, []).append((e, i))
+    lower = [0] * len(variables)
+    rows: list[tuple[int, int | None, str, int]] = []
+    for i in range(0, len(variables), 2):
+        count = cert.interior_counts[variables[i][1]]
+        rows.append((i, i + 1, "<=", q - (count - 1) * p))
+    for u, here in ends.items():
+        for hops, ring in hop_ball(g, u, radius):
+            need = p - hops * q
+            for w in ring:
+                for e, i in here:
+                    if w in cert.vertices:
+                        lower[i] = max(lower[i], need)
+                    rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
+    rows.extend((i, None, ">=", b) for i, b in enumerate(lower))
+
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * len(variables))]
+    for r, (i, j, relation, b) in enumerate(rows):
+        if j is None:
+            arcs[2 * i].append((2 * i + 1, -2 * b, r))
+        elif relation == "<=":
+            arcs[2 * i + 1].append((2 * j, b, r))
+            arcs[2 * j + 1].append((2 * i, b, r))
+        else:
+            arcs[2 * i].append((2 * j + 1, -b, r))
+            arcs[2 * j].append((2 * i + 1, -b, r))
+    cycle = reference_negative_cycle(arcs)
+    if cycle is None:
+        return Verdict(True)
+
+    def name(i: int) -> str:
+        return "x({},{})".format(*variables[i])
+
+    said = []
+    for i, j, relation, b in (rows[r] for r in dict.fromkeys(cycle)):
+        pair = name(i) if j is None else f"{name(i)} + {name(j)}"
+        said.append(f"{pair} {relation} {Fraction(b, q)}")
+    return Verdict(False, "infeasible system: " + "; ".join(said))
+
+
+def reference_negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
+    """Rows on a negative cycle, the reference for
+    ``certify._negative_cycle``: the same rounds and walks to the root,
+    with each parent a tuple, each round's lowered nodes a dict and each
+    walk a dict of its own."""
+    dist = [0] * len(arcs)
+    parent: list[tuple[int, int, int] | None] = [None] * len(arcs)
+    lowered = list(range(len(arcs)))
+    while lowered:
+        changed: dict[int, None] = {}
+        for t in lowered:
+            for h, w, r in arcs[t]:
+                if dist[t] + w < dist[h]:
+                    dist[h] = dist[t] + w
+                    parent[h] = (t, w, r)
+                    changed[h] = None
+        lowered = list(changed)
+        done: set[int] = set()
+        for v in lowered:
+            path: dict[int, tuple[int, int, int]] = {}
+            while v not in done and v not in path and parent[v] is not None:
+                path[v] = parent[v]
+                v = parent[v][0]
+            if v in path:
+                nodes = list(path)
+                cycle = [path[x] for x in reversed(nodes[nodes.index(v) :])]
+                if sum(w for _, w, _ in cycle) >= 0:
+                    raise InternalConsistencyError("parent cycle of non-negative weight")
+                return [r for _, _, r in cycle]
+            done.update(path)
+    return None
+
+
+def reference_parse_certificate(text: str):
+    """The certificate reader line by line, the reference for
+    ``certify.parse_certificate``: each ``e n_e`` line is tokenized,
+    converted and checked (edge listed twice, count below 1) before the
+    next is read."""
+    lines = text.splitlines()
+    (k,) = integer_tokens(lines[0] if lines else "", 1, "an integer bound 'k'", 1)
+    if len(lines) < 2 or not lines[1].strip().startswith("W:"):
+        raise MalformedLineError("expected a 'W: ...' line", line=2)
+    ids = integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids")
+    vertices = frozenset(ids)
+    if len(vertices) != len(ids):
+        seen: set[int] = set()
+        for v in ids:
+            if v in seen:
+                raise MalformedLineError(f"vertex {v} listed twice", line=2)
+            seen.add(v)
+    counts: dict[int, int] = {}
+    for lineno, raw in enumerate(lines[2:], start=3):
+        if not raw.split():
+            continue
+        e, c = integer_tokens(raw, lineno, "integers 'e n_e'", 2)
+        if e in counts:
+            raise MalformedLineError(f"edge {e} listed twice", line=lineno)
+        if c < 1:
+            raise MalformedLineError("interior count must be positive", line=lineno)
+        counts[e] = c
+    return k, Certificate(vertices, counts)

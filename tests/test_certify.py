@@ -1,6 +1,7 @@
 """Certificate extraction, exact LP feasibility, and the text format."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,11 @@ from helpers import (
     midpoint,
     random_cactus,
     random_connected_graph,
+    random_sparse_graph,
     random_tree,
+    reference_negative_cycle,
+    reference_parse_certificate,
+    reference_verify_certificate,
     vertex_point,
     witness_of,
 )
@@ -21,13 +26,16 @@ from hypothesis import strategies as st
 from deltadisp import (
     Certificate,
     Graph,
+    MalformedLineError,
     brute_disp,
+    certify,
     disp,
     extract_certificate,
     format_certificate,
     parse_certificate,
     verify_certificate,
 )
+from deltadisp.core import hop_ball
 
 K2 = Graph(2, ((0, 1),))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -261,26 +269,178 @@ def test_verify_matches_reference_property(case):
     assert verify_certificate(g, delta, cert, 0).accepted == bool(want)
 
 
+def _benchmark_certificates(rng):
+    """(graph, delta, certificate) triples from the certify benchmark's
+    families: sparse graphs with m = 6 to 8 at four spacings, each with an
+    optimal certificate and every certificate with one point more."""
+    for n, chords in ((5, 2), (6, 1), (6, 2), (7, 2)):
+        for delta in (Fraction(2, 3), Fraction(2, 5), Fraction(2), Fraction(3, 2)):
+            g = random_sparse_graph(rng, n, chords)
+            _, witness = disp(g, delta, allow_bruteforce=True)
+            cert = extract_certificate(g, witness)
+            yield g, delta, cert
+            for e in range(g.edge_count):
+                counts = dict(cert.interior_counts)
+                counts[e] = counts.get(e, 0) + 1
+                yield g, delta, Certificate(cert.vertices, counts)
+
+
+class TestAgainstReference:
+    """The one-pass stages against the row-by-row reference in helpers."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a search that never ends instead of hanging: a walk mark
+        kept too long stops the rounds from finding a cycle, and one kept
+        too short sends the cycle walk round forever."""
+
+        def expire(signum, frame):
+            raise AssertionError("the check did not end within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def paired_cycle_search(self, monkeypatch):
+        """Run both cycle searches on every arc list the check builds, and
+        require the same rows in the same order."""
+        search = certify._negative_cycle
+
+        def both(arcs):
+            rows = search(arcs)
+            assert rows == reference_negative_cycle(arcs)
+            return rows
+
+        monkeypatch.setattr(certify, "_negative_cycle", both)
+
+    def test_verdicts_match(self, paired_cycle_search):
+        rng = random.Random(46)
+        cases = list(_random_certificates(rng, 2400))
+        for _ in range(3):
+            cases.extend(_benchmark_certificates(rng))
+        outcomes = {True: 0, False: 0}
+        radii = set()
+        for g, delta, cert in cases:
+            verdict = verify_certificate(g, delta, cert, 0)
+            assert verdict == reference_verify_certificate(g, delta, cert, 0), (g, delta, cert)
+            k = cert.total + 1
+            assert verify_certificate(g, delta, cert, k) == reference_verify_certificate(g, delta, cert, k)
+            outcomes[verdict.accepted] += 1
+            radii.add(min((delta.numerator - 1) // delta.denominator, 1))
+        assert len(cases) >= 2000
+        assert min(outcomes.values()) >= 500, outcomes
+        assert radii == {0, 1}
+
+    def test_id_errors_match(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        for cert in (
+            Certificate(frozenset({0}), {1: 1, 5: 1, -1: 2}),
+            Certificate(frozenset({2, 3, -4}), {0: 1}),
+            Certificate(frozenset({-1}), {}),
+        ):
+            with pytest.raises(ValueError) as want:
+                reference_verify_certificate(g, Fraction(2), cert, 0)
+            with pytest.raises(ValueError) as got:
+                verify_certificate(g, Fraction(2), cert, 0)
+            assert str(got.value) == str(want.value)
+
+    def test_reader_matches(self):
+        rng = random.Random(47)
+        lines = ["", "  ", "0 1", "1 1", "1 2", "2 3", "0 0", "3 -1", "4 1 1", "5", "x 1",
+                 "1_0 1", "2 ;", "; 2", "-1 1", "7 1"]
+        for _ in range(3000):
+            head = rng.choice(["3"] * 8 + ["0", "k", "1 2"])
+            w = rng.choice(["W: 0 2"] * 4 + ["W:"] * 4 + ["W: 1 1", "W: 5 3 x", "0 1", ""])
+            body = [rng.choice(lines) for _ in range(rng.randint(0, 8))]
+            text = "\n".join([head, w] + body)
+            if rng.random() < 0.2:
+                text = text[: rng.randint(0, len(text))]
+            try:
+                want = reference_parse_certificate(text)
+            except MalformedLineError as err:
+                with pytest.raises(MalformedLineError) as got:
+                    parse_certificate(text)
+                assert (str(got.value), got.value.line) == (str(err), err.line), text
+            else:
+                assert parse_certificate(text) == want, text
+
+
+def _large_graph(kind):
+    """A 2,000-vertex random tree, or the same tree with 200 chords."""
+    rng = random.Random(44)
+    edges = set(random_tree(rng, 2000).edges)
+    while kind == "sparse" and len(edges) < 2199:
+        u, v = rng.sample(range(2000), 2)
+        if (v, u) not in edges:
+            edges.add((u, v))
+    return Graph(2000, tuple(sorted(edges)))
+
+
+def _one_more(g, delta, cert):
+    """The certificate with one more interior point: on the lowest occupied
+    edge with room for it, else on the lowest empty edge at a certificate
+    vertex."""
+    counts = dict(cert.interior_counts)
+    room = [e for e, c in sorted(counts.items()) if c < int(1 / delta) + 1]
+    e = room[0] if room else min(
+        e for e, (u, v) in enumerate(g.edges)
+        if e not in counts and (u in cert.vertices or v in cert.vertices)
+    )
+    counts[e] = counts.get(e, 0) + 1
+    return Certificate(cert.vertices, counts)
+
+
 class TestUntrustedCertificates:
     @pytest.mark.parametrize("kind", ["tree", "sparse"])
     def test_large_certificates_stay_local(self, kind):
-        rng = random.Random(44)
-        edges = set(random_tree(rng, 2000).edges)
-        while kind == "sparse" and len(edges) < 2199:
-            u, v = rng.sample(range(2000), 2)
-            if (v, u) not in edges:
-                edges.add((u, v))
-        g = Graph(2000, tuple(sorted(edges)))
+        g = _large_graph(kind)
         delta = Fraction(2, 3)
         value, witness = disp(g, delta)
         cert = extract_certificate(g, witness)
         assert len(cert.interior_counts) == g.edge_count  # every edge occupied
         assert verify_certificate(g, delta, cert, value).accepted
-        counts = dict(cert.interior_counts)
-        counts[min(e for e, c in counts.items() if c < int(1 / delta) + 1)] += 1
-        verdict = verify_certificate(g, delta, Certificate(cert.vertices, counts), 0)
+        verdict = verify_certificate(g, delta, _one_more(g, delta, cert), 0)
         assert not verdict.accepted
         assert verdict.reason.startswith("infeasible system: x(")
+
+    @pytest.mark.parametrize("delta", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+    @pytest.mark.parametrize("kind", ["tree", "sparse"])
+    def test_large_certificates_at_radius_one(self, kind, delta):
+        # numerator 3 has no polynomial route on a graph with cycles, but a
+        # 2-dispersed set is 3/2-dispersed; there the one more point sits
+        # inside an edge at a certificate vertex, closer than 1 to it
+        g = _large_graph(kind)
+        _, witness = disp(g, delta if g.is_tree else Fraction(2))
+        cert = extract_certificate(g, witness)
+        assert verify_certificate(g, delta, cert, cert.total).accepted
+        verdict = verify_certificate(g, delta, _one_more(g, delta, cert), 0)
+        assert not verdict.accepted
+        assert verdict.reason.startswith("infeasible system: x(")
+
+    def test_no_hop_ball_below_spacing_one(self, monkeypatch):
+        # at delta <= 1 only hop 0 gives rows, so no search is started
+        calls = []
+
+        def counted(g, source, radius):
+            calls.append(radius)
+            return hop_ball(g, source, radius)
+
+        monkeypatch.setattr(certify, "hop_ball", counted)
+        g = random_sparse_graph(random.Random(45), 40, 8)
+        for delta in (Fraction(2, 3), Fraction(2, 5)):
+            value, witness = disp(g, delta)
+            cert = extract_certificate(g, witness)
+            assert verify_certificate(g, delta, cert, value).accepted
+            assert not verify_certificate(g, delta, _one_more(g, delta, cert), 0).accepted
+        assert calls == []
+        _, witness = disp(g, Fraction(2))
+        verify_certificate(g, Fraction(2), extract_certificate(g, witness), 0)
+        assert calls and set(calls) == {1}
 
 
 class TestFormat:
@@ -331,6 +491,14 @@ class TestFormat:
             with pytest.raises(MalformedLineError, match=f"vertex {repeated} listed twice") as err:
                 parse_certificate(text)
             assert err.value.line == 2
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_rejected(self, count):
+        # a zero count would be dropped, hiding edge 99, which P3 lacks
+        with pytest.raises(MalformedLineError, match="interior count must be positive") as err:
+            parse_certificate(f"1\nW: 0\n\n99 {count}\n")
+        assert err.value.line == 4
+        assert Certificate(frozenset({0}), {99: 0}).interior_counts == {}  # the library's no-op
 
     def test_negative_tokens_reach_the_checks(self):
         k, cert = parse_certificate("-1\nW: -2\n")

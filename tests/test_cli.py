@@ -332,6 +332,28 @@ class TestVerify:
         assert captured.out == ""
         assert "line 2: vertex 0 listed twice" in captured.err
 
+    def test_zero_count_line_exits_2(self, p3, tmp_path, capsys):
+        # dropping the zero count would hide edge 99, which P3 lacks
+        cert = tmp_path / "c.txt"
+        cert.write_text("1\nW: 0\n99 0\n")
+        assert run(["verify", str(p3), "--delta", "2", "--certificate", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cert}: line 3: interior count must be positive\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("1\nW:\n5 1\n", "invalid edge index 5"), ("1\nW: 2 7\n", "invalid vertex id 7")],
+        ids=["edge", "vertex"],
+    )
+    def test_id_outside_the_graph_names_the_file(self, star, tmp_path, capsys, text, message):
+        cert = tmp_path / "c.txt"
+        cert.write_text(text)
+        assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cert}: {message} in certificate\n"
+
     def test_bad_certificate_file(self, star, tmp_path):
         cert = tmp_path / "c.txt"
         cert.write_text("zzz\n")
