@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import index
 from typing import Mapping
 
@@ -41,27 +42,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Certificate:
-    """Vertex facilities plus per-edge interior facility counts."""
+    """Vertex facilities plus per-edge interior facility counts.
+
+    Construction is the one way in, the reader's included: every id and
+    count goes through ``operator.index``, which refuses floats and
+    Fractions (int() would truncate them), before zero counts are dropped
+    and a negative one raises ValueError.
+    """
 
     vertices: frozenset[int]
     interior_counts: Mapping[int, int]
 
-    @classmethod
-    def _unchecked(cls, vertices: frozenset[int], counts: dict[int, int]) -> "Certificate":
-        """A certificate of int ids and positive int counts, as the reader
-        builds them, skipping the conversion construction makes."""
-        cert = object.__new__(cls)
-        object.__setattr__(cert, "vertices", vertices)
-        object.__setattr__(cert, "interior_counts", counts)
-        return cert
-
     def __post_init__(self) -> None:
-        # operator.index refuses floats and Fractions, which int() truncates
         object.__setattr__(self, "vertices", frozenset(map(index, self.vertices)))
-        counts = {index(e): index(c) for e, c in self.interior_counts.items() if index(c) != 0}
-        if any(c < 0 for c in counts.values()):
+        counts = {index(e): index(c) for e, c in self.interior_counts.items()}
+        if min(counts.values(), default=0) < 0:
             raise ValueError("interior counts must be non-negative")
-        object.__setattr__(self, "interior_counts", counts)
+        object.__setattr__(self, "interior_counts", {e: c for e, c in counts.items() if c})
 
     @property
     def total(self) -> int:
@@ -173,7 +170,8 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     said = []
     for i, j, relation, b in (labels[r] for r in dict.fromkeys(cycle)):
         pair = name(i) if j is None else f"{name(i)} + {name(j)}"
-        said.append(f"{pair} {relation} {Fraction(b, q)}")
+        d = gcd(b, q)  # b/q in lowest terms, worded as str(Fraction(b, q))
+        said.append(f"{pair} {relation} {b // d}" + (f"/{q // d}" if q != d else ""))
     return Verdict(False, "infeasible system: " + "; ".join(said))
 
 
@@ -284,7 +282,7 @@ def parse_certificate(text: str) -> tuple[int, Certificate]:
     es, cs = pairs[0::2], pairs[1::2]
     counts = dict(zip(es, cs))
     if fault is None and len(counts) == len(es) and (not cs or min(cs) >= 1):
-        return k, Certificate._unchecked(vertices, counts)
+        return k, Certificate(vertices, counts)
     seen = set()
     for n, e, c in zip(numbers, es, cs):  # the first faulty line, in line order
         if e in seen:

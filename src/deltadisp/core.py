@@ -650,11 +650,11 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
         parts = raw.split()
         if not parts:
             continue
-        if len(parts) != 4 or parts[3].count("/") != 1:
+        offset = parts[3].split("/") if len(parts) == 4 else ()
+        ids = _plain_integers(parts[:3] + offset) if len(offset) == 2 else None
+        if ids is None or ids[4] < 1:
             raise MalformedLineError("expected 'e u v num/den'", line=lineno)
-        e, u, v, num, den = integer_tokens(raw.replace("/", " "), lineno, "'e u v num/den'", 5)
-        if den < 1:
-            raise MalformedLineError("expected 'e u v num/den'", line=lineno)
+        e, u, v, num, den = ids
         if e == -1:
             if g.edges or (u, v, num) != (0, 0, 0):
                 raise MalformedLineError(

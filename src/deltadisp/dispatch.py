@@ -12,6 +12,7 @@ in the oracle for it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isnan
 
 from .core import Graph, WitnessSet, as_rational, check_grid
 from .errors import NPHardRegimeError
@@ -37,7 +38,8 @@ def disp(
     proven optimal by an edge-ball cover; any other graph raises
     NPHardRegimeError unless `allow_bruteforce` is set, and then returns
     :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
-    oracle only.  Every other route first checks the instance's 1/(2b)
+    oracle only, but a NaN `timeout` raises ValueError on every route,
+    before routing.  Every other route first checks the instance's 1/(2b)
     grid, n + m(2b-1) points, against
     :data:`~deltadisp.core.GRID_LIMIT` and raises SizeGuardExceededError
     over it, before it allocates anything of the grid's size.
@@ -52,6 +54,8 @@ def disp(
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if timeout is not None and isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, not NaN")
     a, b = delta.numerator, delta.denominator
     if a >= 3 and not g.is_tree:
         if not allow_bruteforce:

@@ -124,7 +124,9 @@ def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
             fresh += length - 1
             edges.extend(zip(verts, verts[1:]))
 
-    g = Graph(fresh, tuple(edges))
+    # h is connected and each chain runs through fresh vertices, so g is
+    # simple and connected by construction, as subdivide's graphs are
+    g = Graph._unchecked(fresh, tuple(edges))
     if g.edge_count != (2 * x1 + x2) * mh:
         raise InternalConsistencyError("gadget edge count off")
     return GadgetInstance(g=g, h=h, delta=delta, coeffs=coeffs)

@@ -75,6 +75,10 @@ class TestCertificateValidation:
             Certificate(frozenset(), {0: bad})
         with pytest.raises(TypeError):
             Certificate(frozenset({bad}), {})
+        # a zero count is dropped only after its edge id is converted
+        with pytest.raises(TypeError):
+            Certificate(frozenset(), {bad: 0})
+        assert Certificate(frozenset(), {99: 0}).interior_counts == {}
 
 
 class TestVerify:

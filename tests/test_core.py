@@ -913,7 +913,7 @@ class TestWitnessIO:
     @pytest.mark.parametrize(
         "line",
         ["0 0 1 1_0/20", "0 0 1 1/+2", "0 0 \u0661 1/2", "0 0 1 1/0", "0 0 1 1//2", "0 0 1 1",
-         "0 0 1 -1/-2"],
+         "0 0 1 -1/-2", "0/ 0 1 1/3"],
     )
     def test_only_plain_integer_tokens(self, line):
         assert parse_witness(K2, "0 0 1 1/2\n", Fraction(1)).interior == ((0, 1),)

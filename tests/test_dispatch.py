@@ -200,6 +200,15 @@ class TestEdgeCases:
             value, witness = disp(g, delta)
             assert len(witness) == value
 
+    @pytest.mark.parametrize(
+        "g, delta",
+        [(C3, Fraction(1, 2)), (C3, Fraction(2, 3)), (P3, Fraction(3)), (C3, Fraction(3, 2))],
+        ids=["closed-form", "numerator-two", "tree", "oracle"],
+    )
+    def test_nan_timeout_refused_on_every_route(self, g, delta):
+        with pytest.raises(ValueError, match="not NaN"):
+            disp(g, delta, allow_bruteforce=True, timeout=float("nan"))
+
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             disp(K2, Fraction(0))

@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from deltadisp import (
+    Graph,
     bezout_coeffs,
     brute_disp,
     build_gadget,
@@ -100,6 +101,14 @@ class TestBuildGadget:
                     assert cyc[0] == cyc[-1] == h.vertex_count + e
                     walked = [pair for chain in chains for pair in zip(chain, chain[1:])]
                     assert walked == list(inst.g.edges[e * block:(e + 1) * block])
+
+    def test_graph_equals_the_validated_one(self):
+        # the gadget's graph is built unchecked: validation must agree with it
+        for h in cubic_catalogue().values():
+            for delta in (Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(5), Fraction(7, 3)):
+                g = build_gadget(h, delta).g
+                checked = Graph(g.vertex_count, g.edges)
+                assert g == checked and g.adjacency == checked.adjacency
 
     def test_rejects_non_cubic(self):
         path = parse_graph("3 2\n0 1\n1 2")
