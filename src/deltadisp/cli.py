@@ -2,8 +2,8 @@
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
 error, 3 resource guard tripped (the oracle's candidate cap or timeout, or
-the grid limit of every polynomial route and of ``subdivide``; a timeout
-names the verified lower bound the oracle had found), 4 internal
+the grid limit of every polynomial route, of ``subdivide`` and of ``gadget``;
+a timeout names the verified lower bound the oracle had found), 4 internal
 error (a structural guarantee failed; a bug, not bad input).
 """
 
@@ -15,12 +15,12 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import Callable, TypeVar
 
-from .certify import parse_certificate, verify_certificate
+from .certify import Verdict, parse_certificate, verify_certificate
 from .core import format_graph, format_witness, parse_graph, subdivide
 from .dispatch import disp
 from .errors import (
-    GraphFormatError,
     InternalConsistencyError,
     NPHardRegimeError,
     OracleTimeoutError,
@@ -30,6 +30,7 @@ from .gadget import build_gadget, format_gadget_map, predicted_bound
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
 
 _DELTA_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+_T = TypeVar("_T")
 
 
 def _parse_delta(text: str) -> Fraction:
@@ -57,47 +58,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="dispersion number via the best exact algorithm")
-    solve.add_argument("graph", type=Path)
-    solve.add_argument("--delta", type=_parse_delta, required=True)
-    solve.add_argument("--witness", type=Path, help="write the witness to this file")
+    # each shared option defined once; a parser takes those of its parents
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", type=Path)
+    spacing = argparse.ArgumentParser(add_help=False, parents=[graph])
+    spacing.add_argument("--delta", type=_parse_delta, required=True)
+    search = argparse.ArgumentParser(add_help=False, parents=[spacing])
+    search.add_argument("--witness", type=Path, help="write the witness to this file")
+    search.add_argument(
+        "--cap", type=int, default=DEFAULT_CANDIDATE_CAP, help="candidate cap of the oracle"
+    )
+    search.add_argument(
+        "--timeout", type=float, default=None, help="time budget in seconds of the oracle"
+    )
+
+    solve = sub.add_parser(
+        "solve", parents=[search], help="dispersion number via the best exact algorithm"
+    )
     solve.add_argument(
         "--brute-force",
         action="store_true",
-        help="allow the exponential oracle for numerators >= 3 on non-trees",
+        help="allow the exponential oracle for numerators >= 3 on non-trees; "
+        "--cap and --timeout apply to it alone, and trees ignore them",
     )
-    solve.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_CANDIDATE_CAP,
-        help="candidate cap of the --brute-force oracle only; trees ignore it",
-    )
-    solve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="time budget in seconds of the --brute-force oracle only; trees ignore it",
-    )
-
-    oracle = sub.add_parser("oracle", help="brute-force value and witness")
-    oracle.add_argument("graph", type=Path)
-    oracle.add_argument("--delta", type=_parse_delta, required=True)
-    oracle.add_argument("--witness", type=Path, help="write the witness to this file")
-    oracle.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
-    oracle.add_argument("--timeout", type=float, default=None)
-
-    verify = sub.add_parser("verify", help="check a certificate file")
-    verify.add_argument("graph", type=Path)
-    verify.add_argument("--delta", type=_parse_delta, required=True)
+    sub.add_parser("oracle", parents=[search], help="brute-force value and witness")
+    verify = sub.add_parser("verify", parents=[spacing], help="check a certificate file")
     verify.add_argument("--certificate", type=Path, required=True)
-
-    gadget = sub.add_parser("gadget", help="emit a hard instance from a cubic graph")
-    gadget.add_argument("graph", type=Path)
-    gadget.add_argument("--delta", type=_parse_delta, required=True)
+    gadget = sub.add_parser(
+        "gadget", parents=[spacing], help="emit a hard instance from a cubic graph"
+    )
     gadget.add_argument("--out", default="gadget", help="output file prefix")
-
-    subdiv = sub.add_parser("subdivide", help="emit the c-subdivision of a graph")
-    subdiv.add_argument("graph", type=Path)
+    subdiv = sub.add_parser("subdivide", parents=[graph], help="emit the c-subdivision of a graph")
     subdiv.add_argument("--factor", type=int, required=True)
 
     for name, command in sub.choices.items():
@@ -122,6 +113,21 @@ def _write(*outputs: tuple[Path, str]) -> None:
                 done.unlink(missing_ok=True)
             raise ValueError(f"{path}: {exc.strerror or exc}") from None
         written.append(path)
+
+
+def _read(path: Path, parse: Callable[[str], _T]) -> _T:
+    """`parse` applied to the text of the input file at `path`.
+
+    A failed read, and a ValueError while parsing (a format or decoding
+    error, or an id the graph lacks), is a ValueError naming the path,
+    worded as :func:`_write` words a failed write.
+    """
+    try:
+        return parse(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 #: one set of parsers per process: building them costs more than most commands
@@ -149,49 +155,27 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
-        graph = parse_graph(args.graph.read_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, UnicodeDecodeError) as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "solve":
-            value, witness = disp(
-                graph,
-                args.delta,
-                allow_bruteforce=args.brute_force,
-                cap=args.cap,
-                timeout=args.timeout,
+        graph = _read(args.graph, parse_graph)
+        if args.command in ("solve", "oracle"):
+            value, witness = (
+                disp(graph, args.delta, args.brute_force, args.cap, args.timeout)
+                if args.command == "solve"
+                else brute_disp(graph, args.delta, cap=args.cap, timeout=args.timeout)
             )
             if args.witness:
                 _write((args.witness, format_witness(graph, witness)))
             print(value)
-            return 0
-
-        if args.command == "oracle":
-            value, witness = brute_disp(graph, args.delta, cap=args.cap, timeout=args.timeout)
-            text = format_witness(graph, witness)
-            if args.witness:
-                _write((args.witness, text))
-                print(value)
-            else:
-                print(value)
-                sys.stdout.write(text)
+            if args.command == "oracle" and not args.witness:
+                sys.stdout.write(format_witness(graph, witness))
             return 0
 
         if args.command == "verify":
-            # format and decode errors are ValueErrors, and so is an id
-            # outside the graph (delta is positive here): each is the
-            # certificate file's fault
-            try:
-                k, cert = parse_certificate(args.certificate.read_text())
-                verdict = verify_certificate(graph, args.delta, cert, k)
-            except (OSError, ValueError) as exc:
-                print(f"error: {args.certificate}: {exc}", file=sys.stderr)
-                return 2
+            # an id the graph lacks is the certificate's fault: check it as it is read
+            def check(text: str) -> Verdict:
+                k, cert = parse_certificate(text)
+                return verify_certificate(graph, args.delta, cert, k)
+
+            verdict = _read(args.certificate, check)
             if verdict.accepted:
                 print("accept")
                 return 0

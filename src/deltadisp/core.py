@@ -91,12 +91,13 @@ class Graph:
         return g
 
     def __post_init__(self) -> None:
+        # operator.index refuses floats and Fractions, which int() truncates
+        object.__setattr__(self, "vertex_count", index(self.vertex_count))
         if self.vertex_count < 1:
             raise ValueError("graph must have at least one vertex")
         pairs = tuple(self.edges)
         try:
             paired = set(map(len, pairs)) <= {2}
-            # operator.index refuses floats and Fractions, which int() truncates
             us = list(map(index, map(itemgetter(0), pairs)))
             vs = list(map(index, map(itemgetter(1), pairs)))
         except (TypeError, LookupError):
@@ -375,6 +376,9 @@ class WitnessSet:
     ) -> "WitnessSet":
         """Sort the integer form, check it names distinct points of g, and
         reduce it to the smallest scale.  Raises ValueError otherwise."""
+        delta = as_rational(delta)
+        if delta <= 0:
+            raise ValueError("delta must be positive")
         vertices = sorted(vertices)
         interior = sorted(interior)
         if any(map(eq, vertices, vertices[1:])) or any(map(eq, interior, interior[1:])):
@@ -393,7 +397,7 @@ class WitnessSet:
                 interior = [(e, k // common) for e, k in interior]
         else:
             scale = 1
-        return cls(g, scale, tuple(vertices), tuple(interior), as_rational(delta))
+        return cls(g, scale, tuple(vertices), tuple(interior), delta)
 
     @classmethod
     def verified(

@@ -52,10 +52,10 @@ class NPHardRegimeError(DispersionError):
 
 class SizeGuardExceededError(DispersionError):
     """A grid is larger than its guard allows: the brute-force candidate
-    set over the configured cap, or a grid over the one fixed limit,
+    set over the configured cap, or a graph over the one fixed limit,
     ``core.GRID_LIMIT`` points, that every polynomial route (the 1/(2b)
-    grid of spacing a/b) and ``subdivide`` share.  Raised before anything
-    of the grid's size is allocated."""
+    grid of spacing a/b), ``subdivide`` and ``build_gadget`` share.
+    Raised before anything of the graph's size is allocated."""
 
 
 class OracleTimeoutError(DispersionError):

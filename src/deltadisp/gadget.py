@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Graph, WitnessSet, as_rational
+from .core import Graph, WitnessSet, as_rational, check_grid
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -105,7 +105,11 @@ class GadgetInstance:
 
 
 def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
-    """Translate a connected cubic graph into a dispersion instance."""
+    """Translate a connected cubic graph into a dispersion instance.
+
+    Raises SizeGuardExceededError, before building, when the gadget has
+    more than :data:`~deltadisp.core.GRID_LIMIT` vertices.
+    """
     delta = as_rational(delta)
     for v in range(h.vertex_count):
         if h.degree(v) != 3:
@@ -115,6 +119,8 @@ def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
 
     nh, mh = h.vertex_count, h.edge_count
     x1, x2 = coeffs.x1, coeffs.x2
+    # nh + mh*(2*x1 + x2 - 2) vertices: as many as h's grid of step 1/(2*x1 + x2 - 1)
+    check_grid(h, 2 * x1 + x2 - 1, "this gadget")
     fresh = nh + mh  # the next unused vertex id
     edges: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(h.edges):

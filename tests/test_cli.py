@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from helpers import brute_is_dispersed, witness_points
 
-from deltadisp import InternalConsistencyError, parse_graph, parse_witness
-from deltadisp.cli import run
+from deltadisp import InternalConsistencyError, core, parse_graph, parse_witness
+from deltadisp.cli import _parse_delta, build_parser, run
 
 K2_TEXT = "2 1\n0 1\n"
 STAR_TEXT = "4 3\n0 1\n0 2\n0 3\n"
@@ -129,6 +129,28 @@ class TestSolve:
 
     def test_missing_graph(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.graph"), "--delta", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "name,reason",
+        [("nope.graph", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_graph_names_its_path(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert run(["solve", str(path), "--delta", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {reason}\n"
+
+    def test_internal_error_while_reading_exits_4(self, k2, capsys, monkeypatch):
+        def broken(text):
+            raise InternalConsistencyError("reader broke")
+
+        monkeypatch.setattr("deltadisp.cli.parse_graph", broken)
+        assert run(["solve", str(k2), "--delta", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: reader broke\n"
 
     def test_bad_graph_file(self, tmp_path, capsys):
         p = tmp_path / "bad.graph"
@@ -359,6 +381,13 @@ class TestVerify:
         cert.write_text("zzz\n")
         assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 2
 
+    def test_missing_certificate_names_its_path_once(self, star, tmp_path, capsys):
+        cert = tmp_path / "nope.txt"
+        assert run(["verify", str(star), "--delta", "2", "--certificate", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cert}: No such file or directory\n"
+
     def test_undecodable_certificate_file(self, star, tmp_path, capsys):
         cert = tmp_path / "c.txt"
         cert.write_bytes(b"3\nW: 1 2 \xff3\n")
@@ -419,6 +448,19 @@ class TestGadget:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: gg.map: {os.strerror(errno.ENOSPC)}"]
         assert set(tmp_path.iterdir()) == before
+
+    def test_over_grid_limit_exits_3(self, k4, tmp_path, capsys, monkeypatch):
+        # K4's gadget at delta = 3 has 64 vertices
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(core, "GRID_LIMIT", 63)
+        assert run(["gadget", str(k4), "--delta", "3", "--out", "gg"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: this gadget has 64 points, over the limit of 63\n"
+        assert sorted(tmp_path.iterdir()) == [k4]
+        monkeypatch.setattr(core, "GRID_LIMIT", 64)
+        assert run(["gadget", str(k4), "--delta", "3", "--out", "gg"]) == 0
+        assert parse_graph((tmp_path / "gg.graph").read_text()).vertex_count == 64
 
     def test_non_cubic_rejected(self, star, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -505,3 +547,32 @@ class TestUsage:
             assert capsys.readouterr().out.startswith("usage: deltadisp solve")
             assert run(["solve", str(k2), "--delta", "2"]) == 0
             assert capsys.readouterr().out == "1\n"
+
+    def test_each_command_keeps_its_options(self, capsys):
+        # (dest, option strings, type, default, required) of every option
+        graph = ("graph", (), Path, None, True)
+        delta = ("delta", ("--delta",), _parse_delta, None, True)
+        search = (
+            ("witness", ("--witness",), Path, None, False),
+            ("cap", ("--cap",), int, 2000, False),
+            ("timeout", ("--timeout",), float, None, False),
+        )
+        brute_force = ("brute_force", ("--brute-force",), None, False, False)
+        expected = {
+            "solve": {graph, delta, *search, brute_force},
+            "oracle": {graph, delta, *search},
+            "verify": {graph, delta, ("certificate", ("--certificate",), Path, None, True)},
+            "gadget": {graph, delta, ("out", ("--out",), None, "gadget", False)},
+            "subdivide": {graph, ("factor", ("--factor",), int, None, True)},
+        }
+        _, commands = build_parser()
+        assert set(commands) == set(expected)
+        for name, options in expected.items():
+            actions = [a for a in commands[name]._actions if a.dest != "help"]
+            assert {
+                (a.dest, tuple(a.option_strings), a.type, a.default, a.required) for a in actions
+            } == options, name
+            assert run([name, "--help"]) == 0
+            help_text = capsys.readouterr().out
+            named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text)) - {"--help"}
+            assert named == {flag for _, flags, *_ in options for flag in flags}, name

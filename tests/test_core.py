@@ -46,6 +46,7 @@ from deltadisp import (
     GadgetInstance,
     Graph,
     GraphFormatError,
+    InternalConsistencyError,
     MalformedLineError,
     SelfLoopError,
     SizeGuardExceededError,
@@ -925,6 +926,14 @@ class TestWitnessIO:
         with pytest.raises(MalformedLineError):
             parse_witness(K2, "0 0 1 3/2\n", Fraction(1))
 
+    @pytest.mark.parametrize("delta", [0, -1, Fraction(-3, 2)])
+    def test_spacing_must_be_positive(self, delta):
+        # at delta <= 0 any distinct points pass the dispersion check
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            parse_witness(P3, "0 0 1 0/1\n0 0 1 1/2\n0 0 1 1/1\n", delta)
+        with pytest.raises(InternalConsistencyError, match="delta must be positive"):
+            WitnessSet.verified(P3, 2, [0, 1, 2], [(0, 1)], delta, 4)
+
 
 class TestExactnessBoundary:
     def test_float_offsets_rejected(self):
@@ -951,6 +960,13 @@ class TestGraphValidation:
             Graph(2, ((0, bad),))
         with pytest.raises(TypeError):
             Graph(3, ((bad, 2), (0, 1)))
+
+    def test_vertex_count_is_an_integer(self):
+        for bad, edges in ((1.5, ()), (2.5, ((0, 1),)), (Fraction(2), ((0, 1),))):
+            with pytest.raises(TypeError):
+                Graph(bad, edges)
+        g = Graph(True, ())
+        assert type(g.vertex_count) is int and g == Graph(1, ())
 
     def test_faults_come_in_edge_order(self):
         # the whole-array checks fail together; the first faulty edge names

@@ -15,6 +15,7 @@ from helpers import (
 
 from deltadisp import (
     Graph,
+    SizeGuardExceededError,
     bezout_coeffs,
     brute_disp,
     build_gadget,
@@ -23,6 +24,7 @@ from deltadisp import (
     predicted_bound,
     witness_from_independent_set,
 )
+from deltadisp import core
 
 K4 = cubic_catalogue()["k4"]
 K33 = cubic_catalogue()["k33"]
@@ -109,6 +111,16 @@ class TestBuildGadget:
                 g = build_gadget(h, delta).g
                 checked = Graph(g.vertex_count, g.edges)
                 assert g == checked and g.adjacency == checked.adjacency
+
+    def test_size_guard_before_building(self, monkeypatch):
+        # nh + mh*(2*x1 + x2 - 2) vertices, read against the limit at call time
+        for delta, size in (("3", 64), ("5/2", 82), ("4", 88), ("9/2", 154)):
+            assert build_gadget(K4, Fraction(delta)).g.vertex_count == size
+        monkeypatch.setattr(core, "GRID_LIMIT", 63)
+        with pytest.raises(SizeGuardExceededError, match="64 points, over the limit of 63"):
+            build_gadget(K4, Fraction(3))
+        monkeypatch.setattr(core, "GRID_LIMIT", 64)
+        assert build_gadget(K4, Fraction(3)).g.vertex_count == 64
 
     def test_rejects_non_cubic(self):
         path = parse_graph("3 2\n0 1\n1 2")
