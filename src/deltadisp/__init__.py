@@ -3,19 +3,19 @@
 from .certify import (
     Certificate,
     Verdict,
+    WitnessSet,
     extract_certificate,
     format_certificate,
+    format_witness,
     parse_certificate,
+    parse_witness,
     verify_certificate,
 )
 from .core import (
     Graph,
-    WitnessSet,
     as_rational,
     format_graph,
-    format_witness,
     parse_graph,
-    parse_witness,
     subdivide,
 )
 from .dispatch import disp

@@ -1,4 +1,10 @@
-"""Compact certificates for dispersion lower bounds, verified exactly.
+"""The one place an answer is checked: witnesses, tree covers, certificates.
+
+Every route's answer leaves through this module, which reads only ``core``
+and ``errors``, so no check leans on a solver it checks:
+:meth:`WitnessSet.verified` is the exit every solver's witness passes,
+:func:`format_witness` and :func:`parse_witness` are the witness's text
+format, and :func:`check_cover` checks the cover proving a tree's value.
 
 A certificate names the vertices that carry facilities plus, per edge, how
 many facilities sit strictly inside it.  Whether some placement with those
@@ -21,16 +27,20 @@ state in flat arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from operator import index
-from typing import Mapping
+from itertools import islice
+from math import gcd, lcm
+from operator import eq, index, sub
+from typing import Iterable, Mapping, Sequence
 
-from .core import Graph, WitnessSet, _edge_ids, as_rational, hop_ball, integer_tokens
+from .core import Graph, _edge_ids, _plain_integers, as_rational, hop_ball, integer_tokens
 from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
+    "WitnessSet",
+    "format_witness",
+    "parse_witness",
     "Certificate",
     "Verdict",
     "extract_certificate",
@@ -38,6 +48,296 @@ __all__ = [
     "format_certificate",
     "parse_certificate",
 ]
+
+
+@dataclass(frozen=True)
+class WitnessSet:
+    """A finite set of points claimed to be delta-dispersed, in integers.
+
+    ``vertices`` are the vertex ids holding a point, ascending, and
+    ``interior`` the ``(edge, k)`` pairs, ascending, of the points strictly
+    inside an edge, at offset k/scale from its first endpoint (0 < k <
+    scale).  ``scale`` is the smallest common denominator of those offsets
+    (1 when there are none), so equal sets compare equal.
+    """
+
+    graph: Graph = field(compare=False, repr=False)
+    scale: int
+    vertices: tuple[int, ...]
+    interior: tuple[tuple[int, int], ...]
+    delta: Fraction
+
+    def __len__(self) -> int:
+        return len(self.vertices) + len(self.interior)
+
+    def is_dispersed(self) -> bool:
+        """True iff every two of the points are at least delta apart: the one
+        dispersion check.
+
+        Offsets and delta are scaled by L = lcm(scale, delta's denominator),
+        so an edge is L long.  Two points on one edge are exactly their offset
+        difference apart (a route around the edge is at least L long), so only
+        neighbours in offset order are compared.
+        Every other route leaves one point's edge at an end x and enters the
+        other's at an end y, and costs at least L hops(x, y); a pair closer
+        than delta therefore has ends fewer than delta hops apart.  Along such
+        a route a nearer point on the same edge, or the vertex itself, is
+        closer still, so each vertex keeps only its nearest point and the
+        distance to the next (an occupied vertex only its own point: the
+        offset check has put every other point at least delta away from it).
+        Hop 0 compares those two.  Ends x and y at least one hop apart
+        compare their nearest points only, unless that is one point of edge
+        xy seen from both ends: then every pair is farther apart than one that
+        hop 0 at x or y compares.
+
+        The search from x is one-sided: it walks h hops only while
+        2 d0(x) + hL < limit.  A violating pair at h >= 1 hops has
+        d0(x) + d0(y) + hL < limit, so the end with the smaller d0, say x,
+        has 2 d0(x) + hL < limit and reaches the other; the pair is found
+        from that side.
+
+        The cost is a pass over the sorted points, one over the edge ends, and
+        per vertex that keeps a point its neighbour list when delta allows one
+        hop, or a search ball of radius below delta walked ring by ring when
+        it allows more: near-linear in the witness times the ball size, with
+        no all-pairs table and nothing sized by the graph.
+        """
+        g, scale, delta = self.graph, self.scale, self.delta
+        vertices, interior = self.vertices, self.interior
+        if len(vertices) + len(interior) < 2:
+            return True
+        length = lcm(scale, delta.denominator)
+        step = length // scale
+        limit = delta.numerator * (length // delta.denominator)
+
+        # Offsets on one edge closer than delta differ by less than `gap`
+        # units of 1/scale.  Laying edge e's offsets out from e * (scale + gap)
+        # puts points of different edges at least `gap` apart, so one scan of
+        # the sorted pairs compares every edge's neighbours in offset order.
+        gap = -(-limit // step)
+        stride = scale + gap
+        laid = [e * stride + k for e, k in interior]
+        if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
+            return False
+
+        # Per vertex, ``(d0, p0, d1)``: the distance and name of its nearest
+        # point and the distance of the next (`limit` if none): an occupied
+        # vertex's own point, named by its id, or the two nearest ends of
+        # edges (one per edge) at a vacant one, named (edge, k).  An end at an
+        # occupied vertex must be delta away from it instead.
+        occupied = set(vertices)
+        near = {v: (0, v, limit) for v in occupied}
+        edges = g.edges
+        ends = [(edges[e][0], k * step, (e, k)) for e, k in dict(reversed(interior)).items()]
+        ends += [(edges[e][1], (scale - k) * step, (e, k)) for e, k in dict(interior).items()]
+        for x, distance, point in ends:
+            kept = near.get(x)
+            if kept is None:
+                near[x] = (distance, point, limit)
+            elif x in occupied:
+                if distance < limit:
+                    return False
+            elif distance < kept[0]:
+                near[x] = (distance, point, kept[0])
+            elif distance < kept[2]:
+                near[x] = (kept[0], kept[1], distance)
+
+        adjacency = g.adjacency
+        for x, (d0, p0, d1) in near.items():
+            if d0 + d1 < limit:
+                return False  # hop 0: the two points nearest x
+            radius = (limit - 2 * d0 - 1) // length  # one-sided: see above
+            if radius < 1:
+                continue
+            # one hop reads x's neighbour list; more walk a ball from ring 1 on
+            rings = [(1, adjacency[x])] if radius == 1 else islice(hop_ball(g, x, radius), 1, None)
+            for hops, ring in rings:
+                reach = limit - hops * length
+                for y in ring:
+                    there = near.get(y)
+                    if there is not None and d0 + there[0] < reach and p0 != there[1]:
+                        return False
+        return True
+
+    @classmethod
+    def _from_form(
+        cls,
+        g: Graph,
+        scale: int,
+        vertices: Iterable[int],
+        interior: Iterable[tuple[int, int]],
+        delta: Fraction,
+    ) -> "WitnessSet":
+        """Sort the integer form, check it names distinct points of g, and
+        reduce it to the smallest scale.  Raises ValueError otherwise."""
+        delta = as_rational(delta)
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        vertices = sorted(vertices)
+        interior = sorted(interior)
+        if any(map(eq, vertices, vertices[1:])) or any(map(eq, interior, interior[1:])):
+            raise ValueError("witness points are not pairwise distinct")
+        if vertices and not (vertices[0] >= 0 and vertices[-1] < g.vertex_count):
+            raise ValueError("witness vertex outside the graph")
+        if interior:
+            ks = [k for _, k in interior]
+            if not (interior[0][0] >= 0 and interior[-1][0] < g.edge_count):
+                raise ValueError("witness edge outside the graph")
+            if min(ks) < 1 or max(ks) >= scale:
+                raise ValueError("witness offset outside its edge")
+            common = gcd(scale, *ks)
+            if common > 1:
+                scale //= common
+                interior = [(e, k // common) for e, k in interior]
+        else:
+            scale = 1
+        return cls(g, scale, tuple(vertices), tuple(interior), delta)
+
+    @classmethod
+    def verified(
+        cls,
+        g: Graph,
+        scale: int,
+        vertices: Iterable[int],
+        interior: Iterable[tuple[int, int]],
+        delta: Fraction,
+        size: int,
+    ) -> "WitnessSet":
+        """The one exit every solver's witness passes, given in the integer
+        form (in any order, at any scale): it must name `size` distinct
+        points of g, pairwise at least delta apart, checked by
+        :meth:`is_dispersed`.  Raises InternalConsistencyError otherwise, so
+        a construction bug cannot surface as a wrong answer."""
+        try:
+            witness = cls._from_form(g, scale, vertices, interior, delta)
+        except ValueError as exc:
+            raise InternalConsistencyError(f"solver witness rejected: {exc}") from None
+        if len(witness) != size or not witness.is_dispersed():
+            raise InternalConsistencyError(
+                f"witness of {len(witness)} points fails verification for value {size}"
+            )
+        return witness
+
+
+def format_witness(g: Graph, ws: WitnessSet) -> str:
+    """One line per point, ``e u v num/den`` with the offset taken from u,
+    in lowest terms, sorted by edge and offset: a vertex is written on its
+    lowest-indexed edge, the lone vertex of an edgeless graph as
+    ``-1 0 0 0/1``."""
+    edges, s = g.edges, ws.scale
+    keys = list(ws.interior)  # (edge, x): the point x/s along the edge
+    if ws.vertices:
+        # one pass from the last edge down leaves each vertex its key on
+        # its lowest-indexed edge
+        end: dict[int, tuple[int, int]] = {}
+        for e in range(len(edges) - 1, -1, -1):
+            u, v = edges[e]
+            end[u] = (e, 0)
+            end[v] = (e, s)
+        keys += [end.get(v, (-1, 0)) for v in ws.vertices]
+    keys.sort()
+    out = []
+    offsets: dict[int, str] = {}
+    edge = None
+    for e, x in keys:
+        if e != edge:  # the keys come edge by edge
+            edge = e
+            u, v = (0, 0) if e == -1 else edges[e]
+            prefix = f"{e} {u} {v} "
+        text = offsets.get(x)
+        if text is None:
+            d = gcd(x, s)
+            text = offsets[x] = f"{x // d}/{s // d}"
+        out.append(prefix + text)
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
+    """Read the text :func:`format_witness` writes, blank lines skipped.
+
+    Each ``e u v num/den`` line names the point num/den along stored edge
+    e = (u, v), 0 <= num/den <= 1; an end is that vertex, however written,
+    and ``-1 0 0 0/1`` is the lone vertex of an edgeless graph.  A line
+    that is malformed, names an edge not in g, or repeats a point raises
+    MalformedLineError naming the line.
+    """
+    seen: dict[int | tuple[int, int, int], int] = {}  # point -> line
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        offset = parts[3].split("/") if len(parts) == 4 else ()
+        ids = _plain_integers(parts[:3] + offset) if len(offset) == 2 else None
+        if ids is None or ids[4] < 1:
+            raise MalformedLineError("expected 'e u v num/den'", line=lineno)
+        e, u, v, num, den = ids
+        if e == -1:
+            if g.edges or (u, v, num) != (0, 0, 0):
+                raise MalformedLineError(
+                    "'-1 0 0 0/1' is the lone vertex of an edgeless graph only", line=lineno
+                )
+        elif not 0 <= e < g.edge_count:
+            raise MalformedLineError(f"invalid edge index {e}", line=lineno)
+        elif g.edges[e] != (u, v):
+            raise MalformedLineError(
+                f"edge {e} is stored as {g.edges[e]}, not ({u}, {v})", line=lineno
+            )
+        if not 0 <= num <= den:
+            raise MalformedLineError(f"offset {num}/{den} outside [0, 1]", line=lineno)
+        d = gcd(num, den)
+        point = u if num == 0 else v if num == den else (e, num // d, den // d)
+        if seen.setdefault(point, lineno) != lineno:
+            raise MalformedLineError(f"repeats the point of line {seen[point]}", line=lineno)
+    interior = [p for p in seen if isinstance(p, tuple)]
+    scale = lcm(*(den for _, _, den in interior))
+    return WitnessSet._from_form(
+        g,
+        scale,
+        [p for p in seen if not isinstance(p, tuple)],
+        [(e, num * (scale // den)) for e, num, den in interior],
+        delta,
+    )
+
+
+def check_cover(
+    adjacency: Sequence[Sequence[int]], balls: Iterable[tuple[int, int]], value: int, radius: int
+) -> None:
+    """Require `value` distinct balls, each an edge ``(c, p)`` of the graph
+    of neighbour lists `adjacency` (or c == p), that cover it, else raise
+    InternalConsistencyError.  A ball, the vertices at most `radius` hops
+    from c or p, holds at most one point of a set spaced 2 radius + 2
+    apart, so the cover bounds such a set by `value`.  It is checked by one
+    breadth-first search from all ends, stopped once a round adds nothing.
+    """
+    distinct = set()  # an edge is one ball however it is written
+    for c, p in balls:
+        if not (0 <= c < len(adjacency) and (c == p or p in adjacency[c])):
+            raise InternalConsistencyError(f"cover ball ({c}, {p}) is not a grid edge")
+        distinct.add((c, p) if c <= p else (p, c))
+    if len(distinct) != value:
+        raise InternalConsistencyError(
+            f"{len(distinct)} distinct cover balls for {value} taken points"
+        )
+    seen = bytearray(len(adjacency))
+    ring = list({x for ball in distinct for x in ball})
+    for x in ring:
+        seen[x] = 1
+    reached = len(ring)
+    for _ in range(radius):
+        grown = []
+        for x in ring:
+            for y in adjacency[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    grown.append(y)
+        if not grown:
+            break
+        reached += len(grown)
+        ring = grown
+    if reached != len(adjacency):
+        raise InternalConsistencyError(
+            f"{value} cover balls reach {reached} of {len(adjacency)} grid points"
+        )
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .certify import Verdict, parse_certificate, verify_certificate
-from .core import format_graph, format_witness, parse_graph, subdivide
+from .certify import Verdict, format_witness, parse_certificate, verify_certificate
+from .core import format_graph, parse_graph, subdivide
 from .dispatch import disp
 from .errors import (
     InternalConsistencyError,

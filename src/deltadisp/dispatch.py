@@ -4,19 +4,19 @@ Spacings with numerator 1 have closed-form answers; numerator 2 takes the
 polynomial :func:`~deltadisp.solve2.disp2`.  Numerator >= 3 is NP-hard in
 general: on a tree it takes the linear tree route at every spacing, and on
 any other graph it is only solvable here by the explicit brute-force
-oracle, which the caller must opt into.  Every route's witness
-passes one check, ``WitnessSet.verified``: here for the polynomial routes,
-in the oracle for it.
+oracle, which the caller must opt into.  Every route's witness passes
+``WitnessSet.verified`` in :mod:`deltadisp.certify`, the one place an
+answer is checked: here for the polynomial routes, in the oracle for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isnan
 
-from .core import Graph, WitnessSet, as_rational, check_grid
+from .certify import WitnessSet
+from .core import Graph, as_rational, check_grid
 from .errors import NPHardRegimeError
-from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp
+from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp, check_limits
 from .solve2 import disp2
 from .trees import tree_disp
 
@@ -38,15 +38,16 @@ def disp(
     proven optimal by an edge-ball cover; any other graph raises
     NPHardRegimeError unless `allow_bruteforce` is set, and then returns
     :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
-    oracle only, but a NaN `timeout` raises ValueError on every route,
-    before routing.  Every other route first checks the instance's 1/(2b)
-    grid, n + m(2b-1) points, against
-    :data:`~deltadisp.core.GRID_LIMIT` and raises SizeGuardExceededError
-    over it, before it allocates anything of the grid's size.
+    oracle only, but a `cap` below 1 or a `timeout` that is negative,
+    infinite or NaN raises ValueError on every route, before routing.
+    Every other route first checks the instance's 1/(2b) grid, n +
+    m(2b-1) points, against :data:`~deltadisp.core.GRID_LIMIT` and raises
+    SizeGuardExceededError over it, before it allocates anything of the
+    grid's size.
 
-    The polynomial routes return their value and witness unchecked, in
-    the integer form of :meth:`WitnessSet.verified`, and the witness is
-    verified (cardinality and pairwise spacing) once, here; the oracle's
+    The polynomial routes return their value and witness unchecked, and
+    the witness is verified (cardinality and pairwise spacing) once, here,
+    by :meth:`~deltadisp.certify.WitnessSet.verified`; the oracle's
     is verified the same way at its exit.  So an internal construction
     bug cannot surface as a wrong answer.  A single point is always
     placeable, so the value is >= 1.
@@ -54,8 +55,7 @@ def disp(
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if timeout is not None and isnan(timeout):
-        raise ValueError("timeout must be a number of seconds, not NaN")
+    check_limits(cap, timeout)
     a, b = delta.numerator, delta.denominator
     if a >= 3 and not g.is_tree:
         if not allow_bruteforce:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .core import WitnessSet
+    from .certify import WitnessSet
 
 
 class DispersionError(Exception):

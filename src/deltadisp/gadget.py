@@ -5,7 +5,8 @@ instances: every source edge becomes two paths joined at a fresh hub vertex
 plus a cycle through that hub, with path and cycle lengths chosen by a
 Bezout-style coefficient computation so that the spacings work out exactly.
 The factory also builds the dispersed witness that realizes a given
-independent set, and the bound it certifies.
+independent set, and the bound it certifies, checked in
+:mod:`deltadisp.certify`, the one place an answer is checked.
 
 The gadget graph's edge list is the one record of its layout (see
 :class:`GadgetInstance`); the chains, the witness's points and the
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Graph, WitnessSet, as_rational, check_grid
+from .certify import WitnessSet
+from .core import Graph, as_rational, check_grid
 from .errors import InternalConsistencyError
 
 __all__ = [

@@ -31,18 +31,20 @@ This solver is the ground truth the polynomial algorithms are tested
 against, and the only exact route in the NP-hard regime (numerator >= 3)
 on graphs that are not trees.  It is meant for desk-scale instances; a
 candidate cap and an optional time budget guard it, and a timeout still
-reports the best dispersed set found.
+reports the best dispersed set found, checked, like every witness it
+gives, in :mod:`deltadisp.certify`, the one place an answer is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isnan
+from math import inf, isnan
 from time import monotonic
 from typing import Callable
 
-from .core import Graph, WitnessSet, as_rational, grid_adjacency, grid_form
+from .certify import WitnessSet
+from .core import Graph, as_rational, grid_adjacency, grid_form
 from .errors import OracleTimeoutError, SizeGuardExceededError
 
 __all__ = ["ConflictGraph", "build_conflict_graph", "brute_disp", "DEFAULT_CANDIDATE_CAP"]
@@ -308,6 +310,19 @@ def _max_independent_set(
     return best, best_mask
 
 
+def check_limits(cap: int, timeout: float | None) -> None:
+    """Raise ValueError unless the candidate cap is at least 1 and the time
+    budget, if any, is a finite number of seconds >= 0."""
+    if cap < 1:
+        raise ValueError(f"the candidate cap must be at least 1, not {cap}")
+    if timeout is not None and not 0 <= timeout < inf:
+        raise ValueError(
+            "timeout must be a number of seconds, not NaN"
+            if isnan(timeout)
+            else f"timeout must be a finite number of seconds >= 0, not {timeout}"
+        )
+
+
 def brute_disp(
     g: Graph,
     delta: Fraction,
@@ -318,18 +333,17 @@ def brute_disp(
 
     Deterministic: ties in the search are broken by candidate index, so the
     returned witness is reproducible; it passes
-    :meth:`~deltadisp.core.WitnessSet.verified` before it is returned.
-    Raises SizeGuardExceededError when the grid is larger than `cap`,
-    ValueError when `timeout` is NaN (no deadline could ever pass), and
-    OracleTimeoutError when `timeout` seconds elapse, counted from the
+    :meth:`~deltadisp.certify.WitnessSet.verified` before it is returned.
+    Raises ValueError when :func:`check_limits` refuses `cap` or
+    `timeout`, SizeGuardExceededError when the grid is larger than `cap`,
+    and OracleTimeoutError when `timeout` seconds elapse, counted from the
     call: the budget covers the conflict build as well as the search.  The
     timeout error carries the best dispersed set found so far, verified
     the same way, as ``best`` and ``witness``: the search's incumbent, or a
     single vertex if the conflict build did not finish.
     """
     delta = as_rational(delta)
-    if timeout is not None and isnan(timeout):
-        raise ValueError("timeout must be a number of seconds, not NaN")
+    check_limits(cap, timeout)
     deadline = None if timeout is None else monotonic() + timeout
     try:
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
@@ -354,7 +368,7 @@ def _with_incumbent(
     exc: OracleTimeoutError, g: Graph, form: tuple, size: int, delta: Fraction
 ) -> OracleTimeoutError:
     """`exc`'s message with the `size` points of `form`, in
-    :func:`~deltadisp.core.grid_form`'s shape, attached as a verified
-    witness."""
+    :func:`~deltadisp.core.grid_form`'s shape, attached as a witness
+    verified by ``WitnessSet.verified``."""
     witness = WitnessSet.verified(g, *form, delta, size)
     return OracleTimeoutError(str(exc), best=size, witness=witness)

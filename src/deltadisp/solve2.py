@@ -11,8 +11,9 @@ builds the decomposition solves it.
 
 At delta = 2/b, b = 2z+1 odd, the same set plus z points per edge is
 optimal.  :func:`disp2` returns the value and that witness in the integer
-form of :meth:`~deltadisp.core.WitnessSet.verified`, unchecked: its
-caller, ``dispatch.disp``, verifies it.
+form of :meth:`~deltadisp.certify.WitnessSet.verified`, unchecked: its
+caller, ``dispatch.disp``, verifies it there, in :mod:`deltadisp.certify`,
+the one place an answer is checked.
 """
 
 from __future__ import annotations
@@ -53,12 +54,8 @@ def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, 
     The delta = 2 value is the matching number (the remainder's, odd
     components' and separator's matched edges) minus the minimum surplus
     of B, whose node adjacency is built from the decomposition's arrays;
-    every edge adds z.  The canonical delta = 2 witness splits the edges
-    into those touching one of its vertices, those holding one of its
-    midpoints, and the rest, and each class gets its own evenly spaced
-    refill: i*delta from the chosen vertex, (i - 3/4)*delta and
-    (i - 1/4)*delta from the first end.  At b = 1 the refill is the
-    canonical witness itself.
+    every edge adds z, by its class in the canonical delta = 2 witness
+    (see :func:`_refill`).  At b = 1 the refill is that witness itself.
     """
     if b % 2 == 0:
         raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
@@ -93,21 +90,25 @@ def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, 
         held[x] = 1
         for y in adjacency[x]:
             mate[y] = mate[dec.mate[y]] = -1
+    value = (n - dec.mate.count(-1)) // 2 - best_surplus + (b - 1) // 2 * g.edge_count
+    return value, (2 * b, chosen, _refill(g, held, mate, b))
+
+
+def _refill(g: Graph, held: bytearray, mate: list[int], b: int) -> list[tuple[int, int]]:
+    """The z = (b-1)/2 points per edge of the 2/b witness, as ``(edge, k)``
+    pairs at offset k/(2b): i*delta from a chosen end (``held``), else from
+    the first end (i - 3/4)*delta on a midpoint edge (``mate[u] == v``) and
+    (i - 1/4)*delta on the rest.  A midpoint edge at a chosen end, or both
+    ends chosen, is a fault: its pattern puts a point closer than 2/b to a
+    chosen end (at b = 1 the ends are 1 apart), so the exit rejects it."""
     z, q = (b - 1) // 2, 2 * b
-    # offsets in units of 1/(2b) per edge code held[u] + 2 held[v] + 4
-    # (midpoint edge); codes 3, 5, 6 and 7 are witness faults
+    # offsets in units of 1/(2b), by held[u] + 2 held[v] mod 3, or 3 on a
+    # midpoint edge whatever its ends
     patterns = (
         range(3, 4 * z, 4),  # neither end chosen: 4i - 1
         range(4, 4 * z + 1, 4),  # first end chosen: 4i
         range(q - 4 * z, q, 4),  # second end chosen: q - 4i
-        (),
         range(1, 4 * z + 2, 4),  # midpoint edge: 4i - 3
     )
-    codes = [held[u] + 2 * held[v] + (4 if mate[u] == v else 0) for u, v in g.edges]
-    if 3 in codes or 7 in codes:
-        raise InternalConsistencyError("adjacent vertices in a 2-dispersed set")
-    if 5 in codes or 6 in codes:
-        raise InternalConsistencyError("midpoint edge touches a chosen vertex")
-    interior = [(e, k) for e, code in enumerate(codes) for k in patterns[code]]
-    value = (n - dec.mate.count(-1)) // 2 - best_surplus + z * g.edge_count
-    return value, (q, chosen, interior)
+    codes = [3 if mate[u] == v else (held[u] + 2 * held[v]) % 3 for u, v in g.edges]
+    return [(e, k) for e, code in enumerate(codes) for k in patterns[code]]

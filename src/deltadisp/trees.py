@@ -13,15 +13,15 @@ time linear in the grid times a, with no conflict graph and no search.
 
 from __future__ import annotations
 
+from .certify import check_cover
 from .core import Graph, grid_adjacency, grid_form
-from .errors import InternalConsistencyError
 
 __all__ = ["tree_disp"]
 
 
 def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     """The a/b-dispersion number of the tree g, with a witness in the
-    integer form of :meth:`~deltadisp.core.WitnessSet.verified`.
+    integer form of :meth:`~deltadisp.certify.WitnessSet.verified`.
 
     The grid is numbered as by ``subdivide(g, 2b)``: vertex v is v, and
     step t of edge e is n + e(2b-1) + t-1.  Rooted at vertex 0 by one
@@ -52,19 +52,17 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     - *Sizes match.*  The taken vertices are pairwise at least 2a hops
       apart, so no two name the same ball.
 
-    Neither property is taken on trust: the route counts the distinct
-    balls, requires one per taken vertex, and requires one breadth-first
-    search, bounded at a-1 hops from every ball's ends, to reach every grid
-    vertex; it raises InternalConsistencyError otherwise.  The witness is
-    checked by the caller, through ``WitnessSet.verified``; the caller
-    also bounds the grid's size, at :data:`~deltadisp.core.GRID_LIMIT`.
+    Neither property is taken on trust: the balls go with the grid to
+    :func:`~deltadisp.certify.check_cover`, and the witness is checked by
+    the caller, both in :mod:`deltadisp.certify`, the one place an answer
+    is checked; the caller also bounds the grid's size at
+    :data:`~deltadisp.core.GRID_LIMIT`.
     """
     n, q = g.vertex_count, 2 * b
     adjacency = grid_adjacency(g, q)
     order, parent = _breadth_first(adjacency)
     taken = _greedy(adjacency, order, 2 * a)
-    centres = _ball_centres(parent, taken, a)
-    _check_cover(adjacency, parent, centres, len(taken), a)
+    check_cover(adjacency, _balls(parent, taken, a), len(taken), a - 1)
     return len(taken), grid_form(n, q, taken)
 
 
@@ -113,50 +111,15 @@ def _greedy(adjacency: list, order: list[int], spacing: int) -> list[int]:
     return taken
 
 
-def _ball_centres(parent: list[int], taken: list[int], a: int) -> list[int]:
-    """Per taken vertex, its ancestor a-1 hops up, or the root if nearer:
-    the centre c of its ball, the edge ball of (c, parent(c)), or the
-    vertex ball at the root."""
-    centres = []
+def _balls(parent: list[int], taken: list[int], a: int) -> list[tuple[int, int]]:
+    """Per taken vertex, its ball (c, parent(c)), c being its ancestor a-1
+    hops up: the edge ball of (c, parent(c)), or, if the root is nearer,
+    the vertex ball (0, 0) at the root, its own parent."""
+    balls = []
     for c in taken:
         for _ in range(a - 1):
             if c == 0:
                 break
             c = parent[c]
-        centres.append(c)
-    return centres
-
-
-def _check_cover(
-    adjacency: list, parent: list[int], centres: list[int], value: int, a: int
-) -> None:
-    """Require `value` distinct balls that cover the whole grid: one
-    breadth-first search from both ends of every edge ball and the centre
-    of a root ball, bounded at a-1 hops, must reach every vertex.  Like
-    the greedy's, the search stops once a round reaches nothing new, so its
-    rounds are bounded by the grid, not by a."""
-    balls = set(centres)
-    if len(balls) != value:
-        raise InternalConsistencyError(
-            f"{len(balls)} distinct cover balls for {value} taken points"
-        )
-    seen = bytearray(len(adjacency))
-    ring = list(balls | {parent[c] for c in balls})
-    for x in ring:
-        seen[x] = 1
-    reached = len(ring)
-    for _ in range(a - 1):
-        grown = []
-        for x in ring:
-            for y in adjacency[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    grown.append(y)
-        if not grown:
-            break
-        reached += len(grown)
-        ring = grown
-    if reached != len(adjacency):
-        raise InternalConsistencyError(
-            f"{value} cover balls reach {reached} of {len(adjacency)} grid points"
-        )
+        balls.append((c, parent[c]))
+    return balls

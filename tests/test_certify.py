@@ -1,8 +1,11 @@
-"""Certificate extraction, exact LP feasibility, and the text format."""
+"""The trusted checker: certificate extraction, exact LP feasibility, the
+text format, the tree route's cover check, and the module's imports."""
 
+import ast
 import random
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -26,16 +29,19 @@ from hypothesis import strategies as st
 from deltadisp import (
     Certificate,
     Graph,
+    InternalConsistencyError,
     MalformedLineError,
     brute_disp,
     certify,
+    core,
     disp,
     extract_certificate,
     format_certificate,
     parse_certificate,
+    trees,
     verify_certificate,
 )
-from deltadisp.core import hop_ball
+from deltadisp.core import grid_adjacency, hop_ball
 
 K2 = Graph(2, ((0, 1),))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -519,3 +525,61 @@ class TestWitnessSetInterface:
         cert = extract_certificate(STAR, ws)
         assert cert.vertices == {1}
         assert cert.interior_counts == {1: 1, 2: 1}
+
+
+def test_checker_reads_only_core_and_errors():
+    # the one trusted checker leans on no solver it checks
+    tree = ast.parse(Path(certify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.startswith(".") or "deltadisp" in name}
+    assert package == {".core", ".errors"}
+    assert not hasattr(core, "WitnessSet") and not hasattr(core, "_dispersed")
+    assert not hasattr(trees, "_check_cover")
+
+
+class TestCoverCheck:
+    """``certify.check_cover`` on the tree route's cover of a path's grid."""
+
+    PATH = Graph(10, tuple((i, i + 1) for i in range(9)))
+
+    @pytest.fixture
+    def cover(self):
+        # delta = 3: the 2-subdivision, a 19-vertex path, and balls of radius 2
+        adjacency = grid_adjacency(self.PATH, 2)
+        order, parent = trees._breadth_first(adjacency)
+        taken = trees._greedy(adjacency, order, 6)
+        balls = trees._balls(parent, taken, 3)
+        certify.check_cover(adjacency, balls, len(taken), 2)
+        assert len(balls) == disp(self.PATH, Fraction(3))[0] == 4
+        return adjacency, balls
+
+    def test_dropped_ball(self, cover):
+        adjacency, balls = cover
+        with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
+            certify.check_cover(adjacency, balls[1:], 4, 2)
+        with pytest.raises(InternalConsistencyError, match="cover balls reach"):
+            certify.check_cover(adjacency, balls[1:], 3, 2)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (5, 18), (-1, 0), (19, 18)])
+    def test_ball_not_a_grid_edge(self, cover, pair):
+        adjacency, balls = cover
+        with pytest.raises(InternalConsistencyError, match=r"is not a grid edge"):
+            certify.check_cover(adjacency, [pair] + balls[1:], 4, 2)
+
+    def test_repeated_ball(self, cover):
+        adjacency, balls = cover
+        (c, p), rest = balls[0], balls[1:]
+        for repeat in ((c, p), (p, c)):  # an edge is one ball however it is written
+            with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
+                certify.check_cover(adjacency, [(c, p), repeat] + rest[1:], 4, 2)
+
+    def test_vertex_ball(self):
+        # the lone vertex of an edgeless graph is its own ball
+        certify.check_cover([[]], [(0, 0)], 1, 4)
+        with pytest.raises(InternalConsistencyError, match="cover balls reach 1 of 2"):
+            certify.check_cover([[], []], [(0, 0)], 1, 4)

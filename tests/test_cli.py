@@ -276,6 +276,20 @@ class TestOracle:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "limit", [["--cap", "0"], ["--cap", "-5"], ["--timeout", "-1"], ["--timeout", "inf"]],
+        ids=["cap-0", "cap-negative", "timeout-negative", "timeout-inf"],
+    )
+    @pytest.mark.parametrize("command", [["oracle"], ["solve", "--brute-force"], ["solve"]])
+    def test_bad_limits_exit_2(self, k4, p3, capsys, command, limit):
+        # refused before routing: plain solve on a tree never reaches the oracle
+        graph = p3 if command == ["solve"] else k4
+        assert run([command[0], str(graph), *command[1:], "--delta", "3/2", *limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_timeout_names_verified_lower_bound(self, k4, capsys):
         assert run(["oracle", str(k4), "--delta", "3/2", "--timeout", "0"]) == 3
         captured = capsys.readouterr()

@@ -209,6 +209,19 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="not NaN"):
             disp(g, delta, allow_bruteforce=True, timeout=float("nan"))
 
+    @pytest.mark.parametrize(
+        "cap, timeout", [(0, None), (-5, None), (1, -1.0), (1, float("inf"))],
+        ids=["cap-0", "cap-negative", "timeout-negative", "timeout-inf"],
+    )
+    @pytest.mark.parametrize(
+        "g, delta",
+        [(C3, Fraction(1, 2)), (C3, Fraction(2, 3)), (P3, Fraction(3)), (C3, Fraction(3, 2))],
+        ids=["closed-form", "numerator-two", "tree", "oracle"],
+    )
+    def test_limits_refused_on_every_route(self, g, delta, cap, timeout):
+        with pytest.raises(ValueError, match="cap must be at least 1|finite number of seconds"):
+            disp(g, delta, allow_bruteforce=True, cap=cap, timeout=timeout)
+
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             disp(K2, Fraction(0))
@@ -221,16 +234,14 @@ class TestOneBuildOneCheck:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        from deltadisp import core
-
         counts = {"build": 0, "check": 0}
-        check = core._dispersed
+        check = WitnessSet.is_dispersed
 
         def checking(*args, **kwargs):
             counts["check"] += 1
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(core, "_dispersed", checking)
+        monkeypatch.setattr(WitnessSet, "is_dispersed", checking)
         build = WitnessSet._from_form.__func__
 
         def building(cls, *args, **kwargs):
@@ -299,15 +310,16 @@ class TestCheckedExit:
     @pytest.mark.parametrize("delta", [Fraction(2), Fraction(2, 3)], ids=["2", "2/3"])
     def test_corrupted_delta_two_witness(self, monkeypatch, delta):
         # crafted decompositions and minimum-surplus answers: K2 with
-        # singleton 0 next to non-separator 1; both ends of K2 chosen; end 0
-        # chosen while its edge keeps its midpoint (an asymmetric mate);
-        # both midpoints of P3, 1 apart, which only the witness check sees
+        # singleton 0 next to non-separator 1; both ends of K2 chosen (edge
+        # code 3); end 0 chosen while its edge keeps its midpoint (code 5,
+        # an asymmetric mate); both midpoints of P3, 1 apart.  Only the
+        # first is caught in disp2: the rest reach the witness check
         from deltadisp import solve2
 
         cases = (
             (K2, ([0, 0, 3], [[0], [1]], (-1, -1)), None, "outside the separator"),
-            (K2, ([1, 1, 3], [[0], [1]], (1, 0)), (0, [0, 1]), "adjacent vertices"),
-            (K2, ([0, 1, 3], [[0]], (1, -1)), (0, [0]), "midpoint edge touches"),
+            (K2, ([1, 1, 3], [[0], [1]], (1, 0)), (0, [0, 1]), "fails verification"),
+            (K2, ([0, 1, 3], [[0]], (1, -1)), (0, [0]), "fails verification"),
             (P3, ([2, 2, 2, 3], [], (1, 2, -1)), (-1, []), "fails verification"),
         )
         for g, dec, surplus, message in cases:
@@ -316,6 +328,28 @@ class TestCheckedExit:
             monkeypatch.setattr(solve2, "_min_surplus", lambda nodes, left, s=surplus: s)
             with pytest.raises(InternalConsistencyError, match=message):
                 disp(g, delta)
+
+    @pytest.mark.parametrize("delta", [Fraction(2), Fraction(2, 3)], ids=["2", "2/3"])
+    @pytest.mark.parametrize("code", [3, 5, 6, 7])
+    def test_faulty_edge_code_fails_the_exit(self, monkeypatch, code, delta):
+        # disp2's refill of K2's one edge with `code`: bit 1 chooses end 0,
+        # bit 2 end 1, bit 4 makes it a midpoint edge.  The value claimed is
+        # the witness's own size, so the dispersion check alone rejects it
+        from deltadisp import dispatch, solve2
+
+        def form(code):
+            held = bytearray([code & 1, code >> 1 & 1])
+            mate = [1 if code & 4 else -1, -1]
+            vertices = [v for v in (0, 1) if held[v]]
+            interior = solve2._refill(K2, held, mate, delta.denominator)
+            return len(vertices) + len(interior), (2 * delta.denominator, vertices, interior)
+
+        for valid in (0, 1, 2, 4):  # the sound codes pass the same exit
+            monkeypatch.setattr(dispatch, "disp2", lambda g, b, valid=valid: form(valid))
+            assert disp(K2, delta)[0] == form(valid)[0]
+        monkeypatch.setattr(dispatch, "disp2", lambda g, b: form(code))
+        with pytest.raises(InternalConsistencyError, match="fails verification"):
+            disp(K2, delta)
 
     def test_min_surplus_value_one_low(self, monkeypatch):
         # the surplus is subtracted, so the value comes out one too high
@@ -410,8 +444,6 @@ class TestIntegerWitness:
         return cases
 
     def test_matches_point_pipeline(self, monkeypatch):
-        from deltadisp import core
-
         cases = self._cases(monkeypatch)
         mismatches = []
         verdicts = {True: 0, False: 0}
@@ -426,7 +458,7 @@ class TestIntegerWitness:
                 want = reference_is_dispersed(g, reference, spacing)
                 verdicts[want] += 1
                 got = (
-                    core._dispersed(g, *form, spacing),
+                    WitnessSet(g, *form, spacing).is_dispersed(),
                     witness_of(g, points, spacing).is_dispersed(),
                 )
                 if got != (want, want):

@@ -439,6 +439,19 @@ class TestBruteDisp:
         with pytest.raises(ValueError, match="NaN"):
             brute_disp(K2, Fraction(3, 2), timeout=float("nan"))
 
+    @pytest.mark.parametrize(
+        "cap, timeout, message",
+        [
+            (0, None, "cap must be at least 1, not 0"),
+            (-5, None, "cap must be at least 1, not -5"),
+            (2000, -1.0, "finite number of seconds >= 0, not -1.0"),
+            (2000, float("inf"), "finite number of seconds >= 0, not inf"),
+        ],
+    )
+    def test_limits_are_refused(self, cap, timeout, message):
+        with pytest.raises(ValueError, match=message):
+            brute_disp(K2, Fraction(3, 2), cap=cap, timeout=timeout)
+
     def test_timeout_carries_verified_incumbent(self):
         g = random_connected_graph(random.Random(35), 8, 10)
         with pytest.raises(OracleTimeoutError) as err:

@@ -32,7 +32,7 @@ from deltadisp import (
     disp,
     edmonds_gallai,
 )
-from deltadisp import solve2
+from deltadisp import matching, solve2
 
 TWO = Fraction(2)
 
@@ -191,6 +191,19 @@ class TestDisp2:
             canonical = {vertex_point(g, v) for v in vertices} | {midpoint(g, e) for e in mids}
             assert disp(g, TWO) == (value, witness_of(g, canonical, TWO))
             assert len(canonical) == value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the matching engine's answer is trusted: no certificate of its maximality yet",
+)
+def test_wrong_maximum_matching_is_caught(monkeypatch):
+    # an engine that claims the matching {01} of P3 is maximum with every
+    # vertex outer: disp returns 1, and the true value is 2
+    monkeypatch.setattr(matching, "maximum_matching", lambda adjacency: ([1, 0, -1], [True] * 3))
+    with pytest.raises(InternalConsistencyError):
+        disp(P3, TWO)
 
 
 class TestValidateCanonical:

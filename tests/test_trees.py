@@ -69,10 +69,8 @@ def test_large_tree_builds_no_conflict_graph(monkeypatch, delta):
 
 def _ball_dropped(monkeypatch):
     # the last taken point shares the first one's ball
-    centres = trees._ball_centres
-    monkeypatch.setattr(
-        trees, "_ball_centres", lambda *args: (lambda c: c[:-1] + c[:1])(centres(*args))
-    )
+    balls = trees._balls
+    monkeypatch.setattr(trees, "_balls", lambda *args: (lambda c: c[:-1] + c[:1])(balls(*args)))
 
 
 def _vertex_too_many(monkeypatch):
@@ -84,8 +82,8 @@ def _vertex_too_many(monkeypatch):
 
 
 def _search_one_hop_short(monkeypatch):
-    check = trees._check_cover
-    monkeypatch.setattr(trees, "_check_cover", lambda *args: check(*args[:-1], args[-1] - 1))
+    check = trees.check_cover
+    monkeypatch.setattr(trees, "check_cover", lambda *args: check(*args[:-1], args[-1] - 1))
 
 
 @pytest.mark.parametrize(
