@@ -41,10 +41,6 @@ from .gadget import (
     predicted_bound,
     witness_from_independent_set,
 )
-from .matching import (
-    EGDecomposition,
-    edmonds_gallai,
-)
 from .oracle import (
     DEFAULT_CANDIDATE_CAP,
     ConflictGraph,

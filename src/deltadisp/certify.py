@@ -1,10 +1,13 @@
-"""The one place an answer is checked: witnesses, tree covers, certificates.
+"""The one place an answer is checked: witnesses, tree covers, matchings
+and certificates.
 
 Every route's answer leaves through this module, which reads only ``core``
 and ``errors``, so no check leans on a solver it checks:
 :meth:`WitnessSet.verified` is the exit every solver's witness passes,
 :func:`format_witness` and :func:`parse_witness` are the witness's text
-format, and :func:`check_cover` checks the cover proving a tree's value.
+format, :func:`check_cover` checks the cover proving a tree's value, and
+:func:`check_barrier` the Tutte-Berge barrier proving the numerator-two
+route's matching maximum.
 
 A certificate names the vertices that carry facilities plus, per edge, how
 many facilities sit strictly inside it.  Whether some placement with those
@@ -29,12 +32,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import eq, index, sub
 from typing import Iterable, Mapping, Sequence
 
-from .core import Graph, _edge_ids, _plain_integers, as_rational, hop_ball, integer_tokens
+from .core import (
+    Graph,
+    _edge_ids,
+    _plain_integers,
+    as_rational,
+    check_size,
+    hop_ball,
+    integer_tokens,
+)
 from .errors import InternalConsistencyError, MalformedLineError
 
 __all__ = [
@@ -340,6 +351,61 @@ def check_cover(
         )
 
 
+def check_barrier(
+    adjacency: Sequence[Sequence[int]], mate: Sequence[int], outer: Sequence[bool]
+) -> None:
+    """Require `mate` (partner per vertex, -1 free) to be a maximum matching
+    M of the graph of neighbour lists `adjacency`, proven by the barrier
+    that `outer` names, else raise an InternalConsistencyError.
+
+    Let D be the outer vertices, A = N(D) \\ D their outside neighbours,
+    and C the rest.  `mate` must be a matching (symmetric, and along
+    edges), every component of G[D] odd, every vertex of C matched inside
+    C, and 2|M| = n + |A| - c, c the number of components of G[D].  Each
+    of them is a component of G - A, so by the Tutte-Berge formula no
+    matching is larger than (n + |A| - c)/2, and M is maximum.  Given the
+    first three, the count holds exactly when A is matched into D, into
+    distinct components, and each component has one vertex matched
+    outside it: the Gallai-Edmonds structure a route reads off D and M.
+    The check takes time linear in the graph.
+    """
+    n = len(adjacency)
+    if len(mate) != n or len(outer) != n or any(
+        u != -1 and not (0 <= u < n and mate[u] == v and u in adjacency[v])
+        for v, u in enumerate(mate)
+    ):
+        raise InternalConsistencyError("the claimed maximum matching is not a matching")
+    kind = [0 if is_outer else 2 for is_outer in outer]  # 0 in D, 1 in A, 2 in C
+    reached = bytearray(n)
+    components = 0
+    for start in compress(range(n), outer):
+        if reached[start]:
+            continue
+        reached[start] = 1
+        group = [start]
+        for w in group:  # breadth-first: `group` grows as vertices are reached
+            for x in adjacency[w]:
+                if not outer[x]:
+                    kind[x] = 1
+                elif not reached[x]:
+                    reached[x] = 1
+                    group.append(x)
+        if len(group) % 2 == 0:
+            raise InternalConsistencyError(f"even-sized inessential component {sorted(group)}")
+        components += 1
+    kind.append(3)  # the kind of partner -1, an exposed vertex's
+    for v in compress(range(n), map((2).__eq__, kind)):
+        if kind[mate[v]] != 2:
+            raise InternalConsistencyError(
+                f"remainder vertex {v} is not matched inside the remainder"
+            )
+    size, bound = n - mate.count(-1), n + kind.count(1) - components
+    if size != bound:
+        raise InternalConsistencyError(
+            f"{size // 2} matched edges fall short of the barrier's Tutte-Berge bound {bound}/2"
+        )
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Vertex facilities plus per-edge interior facility counts.
@@ -389,6 +455,12 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     points than fit at spacing delta, or a negative cycle, reported as the
     constraints along it, e.g. ``infeasible system: x(1,0) >= 1/2;
     x(0,0) + x(1,0) <= 1; x(0,0) >= 3/2``.
+
+    The system has a row per pair of occupied edge ends fewer than delta
+    hops apart, so d of them at one vertex give d^2/2 rows: once the rows
+    emitted pass :data:`~deltadisp.core.GRID_LIMIT`, SizeGuardExceededError
+    is raised, checked after each end's rows, before the system outgrows
+    the budget every other size guard shares.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -444,17 +516,23 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     for u, here in ends.items():
         for hops, ring in hop_ball(g, u, radius) if radius else ((0, (u,)),):
             need = p - hops * q
+            weight = -need
             for w in ring:
-                there = ends.get(w, ())
-                held = w in vertices
+                if w in vertices:
+                    for i in here:
+                        if lower[i] < need:
+                            lower[i] = need
+                there = ends.get(w)
+                if there is None:
+                    continue
                 for i in here:
-                    if held and lower[i] < need:
-                        lower[i] = need
                     for j in there:
                         if i < j and i >> 1 != j >> 1:  # the ends of one edge have its <= row
-                            arcs[2 * i].append((2 * j + 1, -need, len(labels)))
-                            arcs[2 * j].append((2 * i + 1, -need, len(labels)))
+                            r = len(labels)
+                            arcs[2 * i].append((2 * j + 1, weight, r))
+                            arcs[2 * j].append((2 * i + 1, weight, r))
                             labels.append((i, j, ">=", need))
+                    check_size(len(labels), "this certificate's system", "rows")
     for i, b in enumerate(lower):
         arcs[2 * i].append((2 * i + 1, -2 * b, len(labels)))
         labels.append((i, None, ">=", b))

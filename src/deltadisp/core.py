@@ -241,7 +241,8 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 #: Largest grid, n + m(c-1) points for step 1/c, that a polynomial route
 #: (at c = 2b for spacing a/b) or :func:`subdivide` builds.  Their lists
 #: take up to about 180 bytes a point, so a run at the limit stays under
-#: about 1 GiB, its input included.
+#: about 1 GiB, its input included.  A certificate's system keeps to the
+#: same count of rows, about 320 bytes each, so about 1.3 GiB at the limit.
 GRID_LIMIT = 4_000_000
 
 
@@ -249,11 +250,14 @@ def check_grid(g: Graph, c: int, name: str) -> None:
     """Raise SizeGuardExceededError, naming the grid `name`, when the grid
     of step 1/c on g has more than :data:`GRID_LIMIT` points; called
     before anything of its size is allocated."""
-    size = g.vertex_count + g.edge_count * (c - 1)
+    check_size(g.vertex_count + g.edge_count * (c - 1), name, "points")
+
+
+def check_size(size: int, name: str, unit: str) -> None:
+    """Raise SizeGuardExceededError when `name` has `size` `unit`, more
+    than :data:`GRID_LIMIT`: the one budget every size guard shares."""
     if size > GRID_LIMIT:
-        raise SizeGuardExceededError(
-            f"{name} has {size} points, over the limit of {GRID_LIMIT}"
-        )
+        raise SizeGuardExceededError(f"{name} has {size} {unit}, over the limit of {GRID_LIMIT}")
 
 
 def subdivide(g: Graph, c: int) -> Graph:

@@ -1,4 +1,4 @@
-"""Maximum matching in general graphs and the structure of maximum matchings.
+"""Maximum matching in general graphs: the one matching engine.
 
 One engine, Edmonds' blossom-contracting alternating forest grown from
 every exposed vertex, augments along every edge it finds between two of
@@ -7,28 +7,18 @@ and its outer vertices are the vertices some maximum matching misses.  A
 blossom contraction costs its cycle paths plus the vertices it
 relabels, not the size of the graph; forests on sparse graphs with many
 blossoms (chains of triangles, cacti) take near-linear time, measured
-but not proven, and a handful of forests suffice in practice.  The
-decomposition built on the missed vertices exposes the guarantees
-every maximum matching satisfies (odd factor-critical components,
-perfectly matched even components, and the separator matched into
-distinct odd components).
+but not proven, and a handful of forests suffice in practice.  Nothing
+here is trusted: the outer vertices name a Tutte-Berge barrier, and
+:func:`deltadisp.certify.check_barrier` checks that the matching meets
+its bound.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import compress
 from typing import Sequence
 
-from .core import Graph
-from .errors import InternalConsistencyError
-
-__all__ = [
-    "EGDecomposition",
-    "maximum_matching",
-    "edmonds_gallai",
-]
+__all__ = ["maximum_matching"]
 
 
 def _search(
@@ -194,92 +184,3 @@ def maximum_matching(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], lis
                     nxt = match[prev]
                     match[v], match[prev] = prev, v
                     v = nxt
-
-
-@dataclass(frozen=True)
-class EGDecomposition:
-    """Partition of the vertices by maximum-matching structure, held as the
-    arrays it is labelled in: ``kind`` per vertex (0 inessential, the
-    vertices some maximum matching misses; 1 separator, their outside
-    neighbourhood; 2 remainder, the rest; and a last slot 3 for the
-    partner -1 of an exposed vertex), the ``components`` of the inessential
-    set as vertex lists, each led by its least vertex and ordered by it,
-    and ``mate``, the maximum matching they are read off, which matches
-    each separator vertex into its own inessential component and each
-    remainder vertex to a remainder vertex.
-    """
-
-    kind: Sequence[int] = field(repr=False)
-    components: Sequence[Sequence[int]] = field(repr=False)
-    mate: tuple[int, ...]
-
-
-def edmonds_gallai(g: Graph) -> EGDecomposition:
-    """Compute the decomposition and verify its structural guarantees.
-
-    The inessential set and the maximum matching the rest of the structure
-    is read off come from one call of the matching engine.  One pass over
-    a vertex-kind array labels the components of the inessential set, the
-    only components the decomposition keeps.  The remainder is checked
-    through the matching alone: every remainder vertex must be matched to
-    a remainder vertex.  A matched neighbour of the same kind lies in the
-    same component, so each remainder component is then perfectly matched,
-    and hence even.  Any violated guarantee raises InternalConsistencyError
-    rather than passing silently.
-    """
-    n = g.vertex_count
-    adjacency = g.adjacency
-    mate, outer = maximum_matching(adjacency)
-    kind = [0 if is_outer else 2 for is_outer in outer] + [3]
-    for v in compress(range(n), outer):
-        for u in adjacency[v]:
-            if not outer[u]:
-                kind[u] = 1
-    comp = [-1] * (n + 1)
-    components: list[list[int]] = []
-    for start in compress(range(n), outer):
-        if comp[start] != -1:
-            continue
-        comp[start] = start  # a component is named by its least vertex
-        group = [start]
-        for w in group:  # breadth-first: `group` grows as vertices are reached
-            for x in adjacency[w]:
-                if comp[x] == -1 and outer[x]:
-                    comp[x] = start
-                    group.append(x)
-        if len(group) % 2 == 0:
-            raise InternalConsistencyError(f"even-sized inessential component {sorted(group)}")
-        components.append(group)
-
-    owners = []  # the inessential component each separator vertex is matched into
-    for y in compress(range(n), map((1).__eq__, kind)):
-        x = mate[y]
-        if kind[x] != 0:
-            raise InternalConsistencyError(
-                f"separator vertex {y} is not matched into the inessential set"
-            )
-        owners.append(comp[x])
-    if len(set(owners)) != len(owners):
-        raise InternalConsistencyError(
-            "separator vertices matched into a shared inessential component"
-        )
-
-    for v in compress(range(n), map((2).__eq__, kind)):
-        if kind[mate[v]] != 2:  # kind[-1] == 3 covers an exposed vertex
-            raise InternalConsistencyError(
-                f"remainder vertex {v} is not matched inside the remainder"
-            )
-    for group in components:
-        c = group[0]
-        # a singleton's mate, if any, lies outside it
-        missed = group if len(group) == 1 else [v for v in group if comp[mate[v]] != c]
-        if len(missed) != 1:
-            raise InternalConsistencyError(
-                f"inessential component {sorted(group)} not near-perfectly matched"
-            )
-        if kind[mate[missed[0]]] not in (1, 3):
-            raise InternalConsistencyError(
-                f"vertex {missed[0]} matched outside separator"
-            )
-
-    return EGDecomposition(kind, components, tuple(mate))

@@ -6,23 +6,25 @@ decomposition: even components contribute perfect matchings, odd components
 near-perfect matchings, and the only real decision is which singleton
 inessential vertices to keep as vertex points.  That decision minimizes
 ``|neighbourhood(T)| - |T|``, whose minimum is the matching deficiency of
-the bipartite singleton/separator graph; the same matching engine that
-builds the decomposition solves it.
+the bipartite singleton/separator graph; the same matching engine whose
+maximum matching and outer vertices give the decomposition solves it.
 
 At delta = 2/b, b = 2z+1 odd, the same set plus z points per edge is
-optimal.  :func:`disp2` returns the value and that witness in the integer
-form of :meth:`~deltadisp.certify.WitnessSet.verified`, unchecked: its
-caller, ``dispatch.disp``, verifies it there, in :mod:`deltadisp.certify`,
-the one place an answer is checked.
+optimal.  Both checks live in :mod:`deltadisp.certify`, the one place an
+answer is checked: :func:`disp2` has the decomposition's matching checked
+there against its Tutte-Berge barrier, and returns the value and the
+witness in the integer form of
+:meth:`~deltadisp.certify.WitnessSet.verified`, unchecked, for its caller,
+``dispatch.disp``, to verify.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
+from .certify import check_barrier
 from .core import Graph
-from .errors import InternalConsistencyError
-from .matching import edmonds_gallai, maximum_matching
+from .matching import maximum_matching
 
 __all__ = ["disp2"]
 
@@ -37,41 +39,40 @@ def _min_surplus(adjacency: list[list[int]], left: int) -> tuple[int, list[int]]
     left nodes some maximum matching of B misses: those reachable by
     alternating paths from the exposed left nodes, whose neighbourhood is
     matched into T.  The empty set gives 0, so the value is never positive.
-    It is rechecked as the surplus of the nodes returned.
+    The value is not rechecked against T here: the witness built on T has
+    nu(G) - |N(T)| + |T| + z m points, so the exit, which compares its size
+    with the value, rejects a value that is not T's surplus.
     """
     match, outer = maximum_matching(adjacency)
-    value = (len(match) - match.count(-1)) // 2 - left
-    chosen = list(compress(range(left), outer))
-    if value != len({y for i in chosen for y in adjacency[i]}) - len(chosen):
-        raise InternalConsistencyError("matching deficiency does not match its minimizer")
-    return value, chosen
+    return (len(match) - match.count(-1)) // 2 - left, list(compress(range(left), outer))
 
 
 def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, int]]]]:
     """The 2/b-dispersion number, b = 2z+1 odd, and an optimal witness as
     ``(2b, vertex ids, (edge, k) pairs)``, unchecked.
 
-    The delta = 2 value is the matching number (the remainder's, odd
-    components' and separator's matched edges) minus the minimum surplus
-    of B, whose node adjacency is built from the decomposition's arrays;
-    every edge adds z, by its class in the canonical delta = 2 witness
-    (see :func:`_refill`).  At b = 1 the refill is that witness itself.
+    The maximum matching of g and its outer vertices D, the vertices some
+    maximum matching misses, come from one call of the matching engine,
+    and :func:`~deltadisp.certify.check_barrier` checks the matching
+    against the Tutte-Berge barrier D names before anything is read off
+    them.  The singletons are the outer vertices with no outer neighbour,
+    so each of their neighbours lies in the separator N(D) \\ D.  The
+    delta = 2 value is the matching number minus the minimum surplus of B,
+    the singleton/separator bipartite graph; every edge adds z, by its
+    class in the canonical delta = 2 witness (see :func:`_refill`).  At
+    b = 1 the refill is that witness itself.
     """
-    if b % 2 == 0:
-        raise InternalConsistencyError("numerator 2 with even denominator cannot occur")
-    n = g.vertex_count
-    dec = edmonds_gallai(g)
-    kind, adjacency = dec.kind, g.adjacency
-    singletons = [c[0] for c in dec.components if len(c) == 1]
+    n, adjacency = g.vertex_count, g.adjacency
+    mate, outer = maximum_matching(adjacency)
+    check_barrier(adjacency, mate, outer)
+    singletons = [
+        x for x in compress(range(n), outer) if not any(map(outer.__getitem__, adjacency[x]))
+    ]
     # singleton i is node i of B, and a separator vertex the next node when first met
     node = dict(zip(singletons, range(len(singletons))))
     nodes: list[list[int]] = [[] for _ in singletons]
     for i, x in enumerate(singletons):
         for y in adjacency[x]:
-            if kind[y] != 1:
-                raise InternalConsistencyError(
-                    f"neighbour {y} of singleton {x} is outside the separator"
-                )
             j = node.setdefault(y, len(nodes))
             if j == len(nodes):
                 nodes.append([])
@@ -80,18 +81,18 @@ def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, 
     best_surplus, chosen = _min_surplus(nodes, len(singletons))
     chosen = [singletons[i] for i in chosen]
 
-    # The matching ``mate`` is perfect on the remainder, near-perfect inside
-    # each odd component and matches every separator vertex into the
-    # inessential set; all of its edges become midpoints except at separator
-    # vertices next to a chosen singleton.
-    mate = list(dec.mate)
+    # The matching is perfect on the remainder, near-perfect inside each
+    # odd component and matches every separator vertex into the
+    # inessential set (check_barrier); all of its edges become midpoints
+    # except at separator vertices next to a chosen singleton.
+    midpoints = list(mate)
     held = bytearray(n)
     for x in chosen:
         held[x] = 1
         for y in adjacency[x]:
-            mate[y] = mate[dec.mate[y]] = -1
-    value = (n - dec.mate.count(-1)) // 2 - best_surplus + (b - 1) // 2 * g.edge_count
-    return value, (2 * b, chosen, _refill(g, held, mate, b))
+            midpoints[y] = midpoints[mate[y]] = -1
+    value = (n - mate.count(-1)) // 2 - best_surplus + (b - 1) // 2 * g.edge_count
+    return value, (2 * b, chosen, _refill(g, held, midpoints, b))
 
 
 def _refill(g: Graph, held: bytearray, mate: list[int], b: int) -> list[tuple[int, int]]:

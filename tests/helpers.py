@@ -15,9 +15,9 @@ it, edge midpoints, vertex vicinities, the matching shorthands, the split
 of a vertex set into components and the conflict-pair listing live here
 too, since only tests use them, and so does the earlier matching engine
 (one blossom search per exposed vertex), the differential reference for
-the alternating forest, and the earlier eager decomposition build, the
-reference for the decomposition's sets, which :func:`decomposition_views`
-reads off the decomposition's arrays.  So does the point form of a
+the alternating forest, and the earlier eager decomposition build, which
+keeps every structural check the decomposition once made, the reference
+for ``certify.check_barrier``.  So does the point form of a
 witness: a :class:`Point` per point, with an exact `Fraction` offset, and
 the readers between points and the integer form of ``WitnessSet``, and so
 do the bipartite cut instance with its surplus and its adapter to the
@@ -52,7 +52,6 @@ from deltadisp.errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from deltadisp.matching import EGDecomposition
 from deltadisp.solve2 import _min_surplus, disp2
 
 
@@ -467,9 +466,8 @@ def reference_matching_and_inessential(adjacency) -> tuple[list[int], frozenset[
 
 @dataclass(frozen=True)
 class ReferenceDecomposition:
-    """The decomposition's sets, built eagerly: by
-    :func:`reference_edmonds_gallai`, or by :func:`decomposition_views`
-    from an ``EGDecomposition``'s arrays."""
+    """The decomposition's sets, built eagerly by
+    :func:`reference_edmonds_gallai`."""
 
     inessential: frozenset[int]
     separator: frozenset[int]
@@ -480,14 +478,16 @@ class ReferenceDecomposition:
     mate: tuple[int, ...]
 
 
-def reference_edmonds_gallai(g: Graph) -> ReferenceDecomposition:
+def reference_edmonds_gallai(g: Graph, answer=None) -> ReferenceDecomposition:
     """The earlier decomposition build: the engine's matching and missed
-    set, both component kinds labelled by breadth-first search, every set
-    and the partner map built at once, and every structural guarantee
-    checked."""
+    set (or `answer`, a ``(mate, outer)`` pair in the engine's form), both
+    component kinds labelled by breadth-first search, every set and the
+    partner map built at once, and every structural guarantee checked,
+    each raising InternalConsistencyError.  It assumes `mate` is a
+    matching."""
     n = g.vertex_count
     adjacency = g.adjacency
-    mate, outer = matching.maximum_matching(adjacency)
+    mate, outer = matching.maximum_matching(adjacency) if answer is None else answer
     kind = [0 if is_outer else 2 for is_outer in outer] + [3]
     for v in itertools.compress(range(n), outer):
         for u in adjacency[v]:
@@ -533,24 +533,6 @@ def reference_edmonds_gallai(g: Graph) -> ReferenceDecomposition:
         odd_components=tuple(frozenset(group) for group in inessential_comps if len(group) > 1),
         partner=partner,
         mate=tuple(mate),
-    )
-
-
-def decomposition_views(dec: EGDecomposition) -> ReferenceDecomposition:
-    """The sets of `dec`, read off its ``kind``, ``components`` and
-    ``mate``: the inessential set (kind 0), the separator (kind 1) and the
-    remainder (kind 2), the inessential components split into singletons
-    and odd components of size >= 3, and each separator vertex's mate."""
-    n = len(dec.mate)
-    of_kind = [frozenset(v for v in range(n) if dec.kind[v] == k) for k in range(3)]
-    return ReferenceDecomposition(
-        inessential=of_kind[0],
-        separator=of_kind[1],
-        remainder=of_kind[2],
-        singletons=frozenset(c[0] for c in dec.components if len(c) == 1),
-        odd_components=tuple(frozenset(c) for c in dec.components if len(c) > 1),
-        partner={y: dec.mate[y] for y in sorted(of_kind[1])},
-        mate=dec.mate,
     )
 
 
@@ -845,7 +827,10 @@ def component_split(adjacency: Sequence[Sequence[int]], inside: frozenset[int]) 
 
 
 def validate_canonical(
-    g: Graph, vertices: frozenset[int], midpoint_edges: frozenset[int], dec: EGDecomposition
+    g: Graph,
+    vertices: frozenset[int],
+    midpoint_edges: frozenset[int],
+    dec: ReferenceDecomposition,
 ) -> bool:
     """Check the structural properties an optimal canonical witness satisfies.
 
@@ -861,7 +846,6 @@ def validate_canonical(
     points = frozenset(
         [vertex_point(g, v) for v in vertices] + [midpoint(g, e) for e in midpoint_edges]
     )
-    dec = decomposition_views(dec)
     remainder_components = tuple(component_split(g.adjacency, dec.remainder))
 
     for comp in dec.odd_components:

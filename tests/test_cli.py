@@ -360,6 +360,21 @@ class TestVerify:
         assert out.startswith("reject: infeasible system: x(")
         assert err == ""
 
+    def test_system_over_grid_limit_exits_3(self, star, tmp_path, capsys, monkeypatch):
+        # disp's own certificate on the star at 1/3: 3 edge rows and 3
+        # pair rows at the centre
+        cert = tmp_path / "c.txt"
+        cert.write_text("7\nW: 0 1 2 3\n0 2\n1 2\n2 2\n")
+        argv = ["verify", str(star), "--delta", "1/3", "--certificate", str(cert)]
+        monkeypatch.setattr(core, "GRID_LIMIT", 5)
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: this certificate's system has 6 rows, over the limit of 5\n"
+        monkeypatch.setattr(core, "GRID_LIMIT", 6)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "accept\n"
+
     def test_repeated_certificate_vertex_exits_2(self, k2, tmp_path, capsys):
         cert = tmp_path / "c.txt"
         cert.write_text("1\nW: 0 0\n")

@@ -25,7 +25,6 @@ from helpers import (
 )
 
 from deltadisp import (
-    EGDecomposition,
     Graph,
     InternalConsistencyError,
     NPHardRegimeError,
@@ -309,23 +308,30 @@ class TestCheckedExit:
 
     @pytest.mark.parametrize("delta", [Fraction(2), Fraction(2, 3)], ids=["2", "2/3"])
     def test_corrupted_delta_two_witness(self, monkeypatch, delta):
-        # crafted decompositions and minimum-surplus answers: K2 with
-        # singleton 0 next to non-separator 1; both ends of K2 chosen (edge
-        # code 3); end 0 chosen while its edge keeps its midpoint (code 5,
-        # an asymmetric mate); both midpoints of P3, 1 apart.  Only the
-        # first is caught in disp2: the rest reach the witness check
+        # crafted engine answers, on g and on the surplus graph B: both ends
+        # of K2 outer (an even component); end 0 alone matched (code 5, an
+        # asymmetric mate); both midpoints of P3, 1 apart (a mate that is
+        # not a matching); and on the star, B's engine claiming no matched
+        # edge, or its true matching with only one leaf missed.  The first
+        # three are caught by the barrier check, the last two reach the
+        # witness check
         from deltadisp import solve2
 
+        engine = solve2.maximum_matching
         cases = (
-            (K2, ([0, 0, 3], [[0], [1]], (-1, -1)), None, "outside the separator"),
-            (K2, ([1, 1, 3], [[0], [1]], (1, 0)), (0, [0, 1]), "fails verification"),
-            (K2, ([0, 1, 3], [[0]], (1, -1)), (0, [0]), "fails verification"),
-            (P3, ([2, 2, 2, 3], [], (1, 2, -1)), (-1, []), "fails verification"),
+            (K2, ([1, 0], [True, True]), None, "even-sized inessential component"),
+            (K2, ([1, -1], [True, False]), None, "is not a matching"),
+            (P3, ([1, 2, -1], [False] * 3), None, "is not a matching"),
+            (STAR, None, ([-1] * 4, [True, True, True, False]), "fails verification"),
+            (STAR, None, ([3, -1, -1, 0], [False, True, False, False]), "fails verification"),
         )
-        for g, dec, surplus, message in cases:
-            dec = EGDecomposition(*dec)
-            monkeypatch.setattr(solve2, "edmonds_gallai", lambda g, dec=dec: dec)
-            monkeypatch.setattr(solve2, "_min_surplus", lambda nodes, left, s=surplus: s)
+        for g, on_g, on_b, message in cases:
+
+            def crafted(adjacency, g=g, on_g=on_g, on_b=on_b):
+                answer = on_g if adjacency is g.adjacency else on_b
+                return engine(adjacency) if answer is None else answer
+
+            monkeypatch.setattr(solve2, "maximum_matching", crafted)
             with pytest.raises(InternalConsistencyError, match=message):
                 disp(g, delta)
 

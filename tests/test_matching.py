@@ -9,7 +9,6 @@ from helpers import (
     brute_factor_critical,
     brute_inessential,
     brute_matching_number,
-    decomposition_views,
     edge_index,
     matching_and_inessential,
     matching_number,
@@ -23,7 +22,7 @@ from helpers import (
     triangle_chain,
 )
 
-from deltadisp import Graph, InternalConsistencyError, disp, edmonds_gallai, matching
+from deltadisp import Graph, disp, matching
 
 K2 = Graph(2, ((0, 1),))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -148,21 +147,24 @@ class TestForest:
 
 
 class TestEdmondsGallai:
+    """The engine's matching and missed set, read into the decomposition
+    by the eager reference build, which checks its structure."""
+
     def test_path(self):
-        dec = decomposition_views(edmonds_gallai(P3))
+        dec = reference_edmonds_gallai(P3)
         assert dec.inessential == {0, 2}
         assert dec.separator == {1}
         assert dec.remainder == frozenset()
         assert dec.singletons == {0, 2}
 
     def test_k2(self):
-        dec = decomposition_views(edmonds_gallai(K2))
+        dec = reference_edmonds_gallai(K2)
         assert dec.inessential == frozenset()
         assert dec.separator == frozenset()
         assert dec.remainder == {0, 1}
 
     def test_triangle(self):
-        dec = decomposition_views(edmonds_gallai(C3))
+        dec = reference_edmonds_gallai(C3)
         assert dec.inessential == {0, 1, 2}
         assert dec.odd_components == (frozenset({0, 1, 2}),)
         assert dec.separator == frozenset() and dec.remainder == frozenset()
@@ -171,7 +173,7 @@ class TestEdmondsGallai:
         rng = random.Random(3)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6))
-            dec = decomposition_views(edmonds_gallai(g))
+            dec = reference_edmonds_gallai(g)
             comps = dec.odd_components + tuple(frozenset({s}) for s in dec.singletons)
             owners = []
             for y, x in dec.partner.items():
@@ -183,7 +185,7 @@ class TestEdmondsGallai:
     def test_exhaustive_inessential_up_to_5(self):
         for n in range(1, 6):
             for g in all_connected_graphs(n):
-                dec = decomposition_views(edmonds_gallai(g))
+                dec = reference_edmonds_gallai(g)
                 assert dec.inessential == brute_inessential(g)
 
     def test_random_inessential_against_brute(self):
@@ -191,21 +193,23 @@ class TestEdmondsGallai:
         for _ in range(300):
             n = rng.randint(7, 12)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
-            assert decomposition_views(edmonds_gallai(g)).inessential == brute_inessential(g)
+            assert reference_edmonds_gallai(g).inessential == brute_inessential(g)
 
     def test_base_matching_structure(self):
         rng = random.Random(4)
         for _ in range(50):
             g = random_connected_graph(rng, rng.randint(2, 10), rng.randint(0, 6))
-            dec = decomposition_views(edmonds_gallai(g))
+            dec = reference_edmonds_gallai(g)
             for v in dec.remainder:
                 assert dec.mate[v] in dec.remainder
             for comp in dec.odd_components:
                 inside = sum(1 for v in comp if dec.mate[v] in comp)
                 assert inside == len(comp) - 1
 
-
     def test_views_match_eager_reference(self):
+        # disp2 reads the decomposition off the engine's arrays: the
+        # separator as the outer vertices' outside neighbours, a singleton
+        # as an outer vertex with no outer neighbour
         rng = random.Random(13)
         families = (
             lambda n: random_tree(rng, n),
@@ -213,55 +217,29 @@ class TestEdmondsGallai:
             lambda n: random_cactus(rng, n),
             triangle_chain,
         )
-        fields = ("inessential", "separator", "remainder", "singletons", "odd_components",
-                  "partner", "mate")
-        seen = dict.fromkeys(fields, 0)
+        seen = dict.fromkeys(("inessential", "separator", "singletons", "odd_components"), 0)
         mismatches = []
         for case in range(320):
             g = families[case % 4](rng.randint(1, 90))
-            dec, ref = decomposition_views(edmonds_gallai(g)), reference_edmonds_gallai(g)
-            for name in fields:
+            mate, outer = matching.maximum_matching(g.adjacency)
+            ref = reference_edmonds_gallai(g)
+            for name in seen:
                 seen[name] += bool(getattr(ref, name))
-                if getattr(dec, name) != getattr(ref, name):
+            inessential = {v for v in range(g.vertex_count) if outer[v]}
+            views = {
+                "inessential": inessential,
+                "separator": {u for v in inessential for u in g.adjacency[v]} - inessential,
+                "singletons": {
+                    v for v in inessential if not any(outer[u] for u in g.adjacency[v])
+                },
+                "mate": tuple(mate),
+            }
+            for name, view in views.items():
+                if view != getattr(ref, name):
                     mismatches.append((g, name))
         assert mismatches == []
-        # every field is non-empty on some graph, odd components included
+        # every set is non-empty on some graph, odd components included
         assert min(seen.values()) > 0, seen
-
-
-class TestDecompositionChecks:
-    """Each guarantee edmonds_gallai checks, tripped by a crafted engine
-    answer: the matching engine is replaced by one returning ``(mate,
-    outer)`` as given."""
-
-    @pytest.mark.parametrize(
-        "g,mate,outer,message",
-        [
-            (K2, [1, 0], [True, True], "even-sized inessential component"),
-            (P3, [-1, -1, -1], [True, False, True], "separator vertex 1 is not matched into"),
-            # triangle 0-1-2 with pendants 3 at 0 and 4 at 1
-            (
-                Graph(5, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4))),
-                [3, 4, -1, 0, 1],
-                [True, True, True, False, False],
-                "separator vertices matched into a shared inessential component",
-            ),
-            (P3, [1, 0, -1], [False, False, False], "remainder vertex 2 is not matched inside"),
-            (C3, [-1, -1, -1], [True, True, True], r"component \[0, 1, 2\] not near-perfectly"),
-            # path 0-1-2-3: vertex 0 alone inessential, its mate 2 in the remainder
-            (
-                Graph(4, ((0, 1), (1, 2), (2, 3))),
-                [2, 0, 3, 2],
-                [True, False, False, False],
-                "vertex 0 matched outside separator",
-            ),
-        ],
-    )
-    def test_violated_guarantee_raises(self, monkeypatch, g, mate, outer, message):
-        edmonds_gallai(g)  # the engine's own answer passes
-        monkeypatch.setattr(matching, "maximum_matching", lambda adjacency: (mate, outer))
-        with pytest.raises(InternalConsistencyError, match=message):
-            edmonds_gallai(g)
 
 
 class TestNearPerfectMatching:
@@ -269,6 +247,6 @@ class TestNearPerfectMatching:
         rng = random.Random(5)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 7))
-            dec = decomposition_views(edmonds_gallai(g))
+            dec = reference_edmonds_gallai(g)
             for comp in dec.odd_components:
                 assert brute_factor_critical(g, comp)

@@ -13,11 +13,11 @@ from helpers import (
     CutInstance,
     brute_min_surplus,
     canonical_witness,
-    decomposition_views,
     matching_number,
     min_surplus,
     midpoint,
     random_connected_graph,
+    reference_edmonds_gallai,
     surplus,
     validate_canonical,
     vertex_point,
@@ -30,9 +30,8 @@ from deltadisp import (
     InternalConsistencyError,
     brute_disp,
     disp,
-    edmonds_gallai,
 )
-from deltadisp import matching, solve2
+from deltadisp import solve2
 
 TWO = Fraction(2)
 
@@ -82,15 +81,21 @@ class TestMinSurplus:
             assert value == surplus(inst, chosen)
             assert value == brute_min_surplus(inst)
 
-    def test_recheck_catches_a_wrong_matching(self, monkeypatch):
-        # B is one left node joined to one right node: an engine answer
-        # with no matched edge puts the deficiency at -1, while the empty
-        # set of missed left nodes has surplus 0
-        assert solve2._min_surplus([[1], [0]], 1) == (0, [])
-        unmatched = ([-1, -1], [False, False])
-        monkeypatch.setattr(solve2, "maximum_matching", lambda adjacency: unmatched)
-        with pytest.raises(InternalConsistencyError, match="does not match its minimizer"):
-            solve2._min_surplus([[1], [0]], 1)
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_exit_catches_a_wrong_surplus(self, monkeypatch, error):
+        # the surplus is not rechecked: the witness keeps the size of the
+        # minimizer's surplus, so a value off by one fails at the exit
+        route = solve2._min_surplus
+
+        def off(adjacency, left):
+            value, chosen = route(adjacency, left)
+            return value + error, chosen
+
+        monkeypatch.setattr(solve2, "_min_surplus", off)
+        for g in (STAR, P3, K2, C5):
+            for delta in (TWO, Fraction(2, 3)):
+                with pytest.raises(InternalConsistencyError, match="fails verification"):
+                    disp(g, delta)
 
 
 @st.composite
@@ -151,7 +156,7 @@ class TestDisp2:
         seen = 0
         for _ in range(200):
             g = random_connected_graph(rng, rng.choice([2, 4, 6, 8]), rng.randint(0, 8))
-            dec = decomposition_views(edmonds_gallai(g))
+            dec = reference_edmonds_gallai(g)
             if dec.remainder == frozenset(range(g.vertex_count)):
                 assert disp(g, TWO)[0] == matching_number(g)
                 seen += 1
@@ -162,7 +167,7 @@ class TestDisp2:
         seen = 0
         for _ in range(200):
             g = random_connected_graph(rng, rng.choice([3, 5, 7, 9]), rng.randint(1, 9))
-            dec = decomposition_views(edmonds_gallai(g))
+            dec = reference_edmonds_gallai(g)
             if (
                 dec.inessential == frozenset(range(g.vertex_count))
                 and len(dec.odd_components) == 1
@@ -180,7 +185,7 @@ class TestDisp2:
             assert len(ws) == value
             assert brute_is_dispersed(g, witness_points(ws), Fraction(2))
             _, vertices, mids = canonical_witness(g)
-            assert validate_canonical(g, vertices, mids, edmonds_gallai(g))
+            assert validate_canonical(g, vertices, mids, reference_edmonds_gallai(g))
 
     def test_disp_witness_is_the_canonical_witness(self):
         # disp(g, 2) places exactly disp2's vertex points and midpoints
@@ -196,12 +201,21 @@ class TestDisp2:
 @pytest.mark.xfail(
     strict=True,
     raises=pytest.fail.Exception,
-    reason="the matching engine's answer is trusted: no certificate of its maximality yet",
+    reason="the barrier proves the matching maximum, not the outer set: no ear decompositions yet",
 )
 def test_wrong_maximum_matching_is_caught(monkeypatch):
-    # an engine that claims the matching {01} of P3 is maximum with every
-    # vertex outer: disp returns 1, and the true value is 2
-    monkeypatch.setattr(matching, "maximum_matching", lambda adjacency: ([1, 0, -1], [True] * 3))
+    # an engine that claims, on P3 itself, that the matching {01} is maximum
+    # with every vertex outer: the barrier's bound, (3 + 0 - 1)/2, holds, so
+    # disp returns 1, and the true value is 2; the surplus problem's call
+    # gets the engine's true answer
+    engine = solve2.maximum_matching
+
+    def lying(adjacency):
+        if adjacency is P3.adjacency:
+            return [1, 0, -1], [True] * 3
+        return engine(adjacency)
+
+    monkeypatch.setattr(solve2, "maximum_matching", lying)
     with pytest.raises(InternalConsistencyError):
         disp(P3, TWO)
 
@@ -209,12 +223,12 @@ def test_wrong_maximum_matching_is_caught(monkeypatch):
 class TestValidateCanonical:
     def test_star_witness_valid(self):
         _, vertices, mids = canonical_witness(STAR)
-        assert validate_canonical(STAR, vertices, mids, edmonds_gallai(STAR))
+        assert validate_canonical(STAR, vertices, mids, reference_edmonds_gallai(STAR))
 
     def test_extra_separator_vertex_point_rejected(self):
         _, vertices, mids = canonical_witness(STAR)
-        assert not validate_canonical(STAR, vertices | {0}, mids, edmonds_gallai(STAR))
+        assert not validate_canonical(STAR, vertices | {0}, mids, reference_edmonds_gallai(STAR))
 
     def test_k2_witness_valid(self):
         _, vertices, mids = canonical_witness(K2)
-        assert validate_canonical(K2, vertices, mids, edmonds_gallai(K2))
+        assert validate_canonical(K2, vertices, mids, reference_edmonds_gallai(K2))
