@@ -456,11 +456,12 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     constraints along it, e.g. ``infeasible system: x(1,0) >= 1/2;
     x(0,0) + x(1,0) <= 1; x(0,0) >= 3/2``.
 
-    The system has a row per pair of occupied edge ends fewer than delta
-    hops apart, so d of them at one vertex give d^2/2 rows: once the rows
-    emitted pass :data:`~deltadisp.core.GRID_LIMIT`, SizeGuardExceededError
-    is raised, checked after each end's rows, before the system outgrows
-    the budget every other size guard shares.
+    Each row is kept once, as its arcs, and a rejection is worded from the
+    cycle's arcs.  There is a row per pair of occupied edge ends fewer than
+    delta hops apart, so d of them at one vertex give d^2/2 rows: once the
+    rows emitted pass :data:`~deltadisp.core.GRID_LIMIT`,
+    SizeGuardExceededError is raised, checked after each end's rows, before
+    the system outgrows the budget every other size guard shares.
     """
     delta = as_rational(delta)
     if delta <= 0:
@@ -488,15 +489,14 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
     # x_i, i = 2 pos + side: distance from end `side` of the pos-th occupied
     # edge to its nearest interior point, in units of 1/q.  Rows are
     # x_i + x_j <= b or >= b, or x_i >= b; node 2i of the doubled graph
-    # stands for +x_i, 2i+1 for -x_i, and each row's arcs are added as it
-    # is found, its (i, j, relation, b) kept only to word a rejection.
+    # stands for +x_i, 2i+1 for -x_i, and each row is kept only as its arcs
+    # (head, weight), two or one for x_i >= b, added when it is found.
     # x >= 0 implies every row whose ends are delta or more hops apart, and
     # the wrap-around row of an edge (c >= 2 only when delta <= 1).
     occupied = sorted(counts)
     edges = g.edges
     cap = q // p + 1  # the most points one edge holds at spacing p/q
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(4 * len(occupied))]
-    labels: list[tuple[int, int | None, str, int]] = []
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(4 * len(occupied))]
     ends: dict[int, list[int]] = {}  # vertex -> the variables at it, ascending
     for pos, e in enumerate(occupied):
         count = counts[e]
@@ -505,13 +505,13 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
                 False, f"infeasible system: edge {e} cannot hold {count} points at spacing {delta}"
             )
         i, b = 2 * pos, q - (count - 1) * p
-        arcs[2 * i + 1].append((2 * i + 2, b, pos))
-        arcs[2 * i + 3].append((2 * i, b, pos))
-        labels.append((i, i + 1, "<=", b))
+        arcs[2 * i + 1].append((2 * i + 2, b))
+        arcs[2 * i + 3].append((2 * i, b))
         u, v = edges[e]
         ends.setdefault(u, []).append(i)
         ends.setdefault(v, []).append(i + 1)
 
+    rows = len(occupied)
     lower = [0] * (2 * len(occupied))
     for u, here in ends.items():
         for hops, ring in hop_ball(g, u, radius) if radius else ((0, (u,)),):
@@ -528,14 +528,12 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
                 for i in here:
                     for j in there:
                         if i < j and i >> 1 != j >> 1:  # the ends of one edge have its <= row
-                            r = len(labels)
-                            arcs[2 * i].append((2 * j + 1, weight, r))
-                            arcs[2 * j].append((2 * i + 1, weight, r))
-                            labels.append((i, j, ">=", need))
-                    check_size(len(labels), "this certificate's system", "rows")
+                            arcs[2 * i].append((2 * j + 1, weight))
+                            arcs[2 * j].append((2 * i + 1, weight))
+                            rows += 1
+                    check_size(rows, "this certificate's system", "rows")
     for i, b in enumerate(lower):
-        arcs[2 * i].append((2 * i + 1, -2 * b, len(labels)))
-        labels.append((i, None, ">=", b))
+        arcs[2 * i].append((2 * i + 1, -2 * b))
 
     cycle = _negative_cycle(arcs)
     if cycle is None:
@@ -545,18 +543,20 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
         e = occupied[i >> 1]
         return f"x({edges[e][i & 1]},{e})"
 
-    said = []
-    for i, j, relation, b in (labels[r] for r in dict.fromkeys(cycle)):
-        pair = name(i) if j is None else f"{name(i)} + {name(j)}"
+    said = []  # each arc's row, read back off it, named once if both its arcs are on the cycle
+    for t, h, w in cycle:
+        i, j = sorted((t >> 1, h >> 1))  # odd t: <= w; even: >= -w, or -w/2 if i == j
+        pair = name(i) if i == j else f"{name(i)} + {name(j)}"
+        relation, b = ("<=", w) if t & 1 else (">=", -w // 2 if i == j else -w)
         d = gcd(b, q)  # b/q in lowest terms, worded as str(Fraction(b, q))
         said.append(f"{pair} {relation} {b // d}" + (f"/{q // d}" if q != d else ""))
-    return Verdict(False, "infeasible system: " + "; ".join(said))
+    return Verdict(False, "infeasible system: " + "; ".join(dict.fromkeys(said)))
 
 
-def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
-    """Rows on a negative cycle of the graph, or None if it has none.
+def _negative_cycle(arcs: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]] | None:
+    """Arcs ``(tail, head, weight)`` of a negative cycle, in its order, or None.
 
-    ``arcs[t]`` lists ``(head, weight, row)``.  Bellman-Ford from a virtual
+    ``arcs[t]`` lists ``(head, weight)``.  Bellman-Ford from a virtual
     source joined to every node by a zero arc, relaxing in rounds the arcs
     out of the nodes lowered in the round before.  After each round the
     parent arcs of the lowered nodes are followed: a cycle among them is
@@ -564,9 +564,9 @@ def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
     1999), so a rejection costs rounds in proportion to the cycle's length.
     Weights are integers, so without such a cycle the rounds end.
 
-    The state is flat: a node's parent arc is its tail, weight and row in
-    three lists, one list holds the round that last lowered each node (so
-    no mark is cleared between rounds), and one stamp list numbers the walk
+    The state is flat: a node's parent arc is its tail and weight in two
+    lists, one list holds the round that last lowered each node (so no
+    mark is cleared between rounds), and one stamp list numbers the walk
     that last passed each node, so a walk stops at a node stamped earlier
     in its round and has found a cycle at one stamped by itself.
     """
@@ -574,7 +574,6 @@ def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
     dist = [0] * size
     tail = [-1] * size
     weight = [0] * size
-    row = [0] * size
     lowered_in = [0] * size
     stamp = [0] * size
     walk = rounds = 0
@@ -584,10 +583,10 @@ def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
         changed = []
         for t in lowered:
             here = dist[t]
-            for h, w, r in arcs[t]:
+            for h, w in arcs[t]:
                 if here + w < dist[h]:
                     dist[h] = here + w
-                    tail[h], weight[h], row[h] = t, w, r
+                    tail[h], weight[h] = t, w
                     if lowered_in[h] != rounds:
                         lowered_in[h] = rounds
                         changed.append(h)
@@ -606,7 +605,7 @@ def _negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
                     x = tail[x]
                 if x != v or sum(weight[x] for x in cycle) >= 0:
                     raise InternalConsistencyError("parent arcs hold no negative cycle")
-                return [row[x] for x in reversed(cycle)]
+                return [(tail[x], x, weight[x]) for x in reversed(cycle)]
     return None
 
 

@@ -242,7 +242,8 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 #: (at c = 2b for spacing a/b) or :func:`subdivide` builds.  Their lists
 #: take up to about 180 bytes a point, so a run at the limit stays under
 #: about 1 GiB, its input included.  A certificate's system keeps to the
-#: same count of rows, about 320 bytes each, so about 1.3 GiB at the limit.
+#: same count of rows, each kept once as its arcs, about 190 bytes a row,
+#: so about 0.8 GiB at the limit (813 MiB peak RSS for K1,4000 at 1/3).
 GRID_LIMIT = 4_000_000
 
 

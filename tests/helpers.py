@@ -1289,8 +1289,10 @@ def reference_verify_certificate(g: Graph, delta: Fraction, cert, k: int):
     """The certificate check row by row, the reference for
     ``certify.verify_certificate``: every row of the placement system is
     built as an ``(i, j, relation, b)`` tuple first, the hop ball is walked
-    at every radius, and the doubled graph's arcs are built from the rows
-    after, for :func:`reference_negative_cycle`."""
+    at every radius, and the doubled graph's arcs ``(head, weight)`` are
+    built from the rows after, for :func:`reference_negative_cycle`.  Each
+    arc's ends map back to the row that made it, and a rejection words the
+    cycle's rows from the rows themselves, each once."""
     delta = as_rational(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -1341,16 +1343,18 @@ def reference_verify_certificate(g: Graph, delta: Fraction, cert, k: int):
                     rows.extend((i, j, ">=", need) for f, j in ends.get(w, ()) if f != e and i < j)
     rows.extend((i, None, ">=", b) for i, b in enumerate(lower))
 
-    arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * len(variables))]
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(variables))]
+    made: dict[tuple[int, int], int] = {}  # (tail, head) -> the row of that arc
     for r, (i, j, relation, b) in enumerate(rows):
         if j is None:
-            arcs[2 * i].append((2 * i + 1, -2 * b, r))
+            row_arcs = [(2 * i, 2 * i + 1, -2 * b)]
         elif relation == "<=":
-            arcs[2 * i + 1].append((2 * j, b, r))
-            arcs[2 * j + 1].append((2 * i, b, r))
+            row_arcs = [(2 * i + 1, 2 * j, b), (2 * j + 1, 2 * i, b)]
         else:
-            arcs[2 * i].append((2 * j + 1, -b, r))
-            arcs[2 * j].append((2 * i + 1, -b, r))
+            row_arcs = [(2 * i, 2 * j + 1, -b), (2 * j, 2 * i + 1, -b)]
+        for t, h, w in row_arcs:
+            assert made.setdefault((t, h), r) == r, "two rows make one arc"
+            arcs[t].append((h, w))
     cycle = reference_negative_cycle(arcs)
     if cycle is None:
         return Verdict(True)
@@ -1359,27 +1363,27 @@ def reference_verify_certificate(g: Graph, delta: Fraction, cert, k: int):
         return "x({},{})".format(*variables[i])
 
     said = []
-    for i, j, relation, b in (rows[r] for r in dict.fromkeys(cycle)):
+    for i, j, relation, b in (rows[r] for r in dict.fromkeys(made[t, h] for t, h, _ in cycle)):
         pair = name(i) if j is None else f"{name(i)} + {name(j)}"
         said.append(f"{pair} {relation} {Fraction(b, q)}")
     return Verdict(False, "infeasible system: " + "; ".join(said))
 
 
-def reference_negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int] | None:
-    """Rows on a negative cycle, the reference for
-    ``certify._negative_cycle``: the same rounds and walks to the root,
-    with each parent a tuple, each round's lowered nodes a dict and each
-    walk a dict of its own."""
+def reference_negative_cycle(arcs: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]] | None:
+    """The arcs ``(tail, head, weight)`` of a negative cycle, in the order
+    it runs, the reference for ``certify._negative_cycle``: the same rounds
+    and walks to the root, with each parent a tuple, each round's lowered
+    nodes a dict and each walk a dict of its own."""
     dist = [0] * len(arcs)
     parent: list[tuple[int, int, int] | None] = [None] * len(arcs)
     lowered = list(range(len(arcs)))
     while lowered:
         changed: dict[int, None] = {}
         for t in lowered:
-            for h, w, r in arcs[t]:
+            for h, w in arcs[t]:
                 if dist[t] + w < dist[h]:
                     dist[h] = dist[t] + w
-                    parent[h] = (t, w, r)
+                    parent[h] = (t, h, w)
                     changed[h] = None
         lowered = list(changed)
         done: set[int] = set()
@@ -1391,9 +1395,9 @@ def reference_negative_cycle(arcs: list[list[tuple[int, int, int]]]) -> list[int
             if v in path:
                 nodes = list(path)
                 cycle = [path[x] for x in reversed(nodes[nodes.index(v) :])]
-                if sum(w for _, w, _ in cycle) >= 0:
+                if sum(w for _, _, w in cycle) >= 0:
                     raise InternalConsistencyError("parent cycle of non-negative weight")
-                return [r for _, _, r in cycle]
+                return cycle
             done.update(path)
     return None
 

@@ -5,6 +5,7 @@ barrier check, and the module's imports."""
 import ast
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,16 +328,21 @@ class TestAgainstReference:
 
     @pytest.fixture
     def paired_cycle_search(self, monkeypatch):
-        """Run both cycle searches on every arc list the check builds, and
-        require the same rows in the same order."""
+        """Run both cycle searches on every arc list the check builds,
+        require the same arcs in the same order, and return the list of the
+        cycles found."""
         search = certify._negative_cycle
+        cycles = []
 
         def both(arcs):
-            rows = search(arcs)
-            assert rows == reference_negative_cycle(arcs)
-            return rows
+            cycle = search(arcs)
+            assert cycle == reference_negative_cycle(arcs)
+            if cycle is not None:
+                cycles.append(cycle)
+            return cycle
 
         monkeypatch.setattr(certify, "_negative_cycle", both)
+        return cycles
 
     def test_verdicts_match(self, paired_cycle_search):
         rng = random.Random(46)
@@ -345,6 +351,7 @@ class TestAgainstReference:
             cases.extend(_benchmark_certificates(rng))
         outcomes = {True: 0, False: 0}
         radii = set()
+        worded = {"<=": 0, ">= pair": 0, "lower bound": 0}
         for g, delta, cert in cases:
             verdict = verify_certificate(g, delta, cert, 0)
             assert verdict == reference_verify_certificate(g, delta, cert, 0), (g, delta, cert)
@@ -352,9 +359,22 @@ class TestAgainstReference:
             assert verify_certificate(g, delta, cert, k) == reference_verify_certificate(g, delta, cert, k)
             outcomes[verdict.accepted] += 1
             radii.add(min((delta.numerator - 1) // delta.denominator, 1))
+            if not verdict.accepted and verdict.reason.startswith("infeasible system: x("):
+                for row in verdict.reason.removeprefix("infeasible system: ").split("; "):
+                    kind = "<=" if "<=" in row else ">= pair" if " + " in row else "lower bound"
+                    worded[kind] += 1
         assert len(cases) >= 2000
         assert min(outcomes.values()) >= 500, outcomes
         assert radii == {0, 1}
+        # every way an arc reads back its row is taken, and some cycle uses
+        # both arcs of one row, which the rejection must name once
+        assert min(worded.values()) >= 1, worded
+        assert any(
+            (h ^ 1, t ^ 1) in on_cycle
+            for on_cycle in ({(t, h) for t, h, _ in cycle} for cycle in paired_cycle_search)
+            for t, h in on_cycle
+            if t >> 1 != h >> 1
+        )
 
     def test_id_errors_match(self):
         g = Graph(3, ((0, 1), (1, 2)))
@@ -477,6 +497,27 @@ class TestUntrustedCertificates:
             verify_certificate(g, Fraction(1, 3), cert, value)
         monkeypatch.setattr(core, "GRID_LIMIT", 6)
         assert verify_certificate(g, Fraction(1, 3), cert, value).accepted
+
+    def test_memory_per_row(self):
+        """Each row is kept once, as its arcs, so the system stays well under
+        the guard's budget at GRID_LIMIT rows: the peak traced while checking
+        disp's own witness on K1,300 at delta = 1/3 is under 250 bytes a row.
+        It is about 185; one more copy of each row, as a tuple naming it,
+        puts it past 300."""
+        g = Graph(301, tuple((0, v) for v in range(1, 301)))
+        value, witness = disp(g, Fraction(1, 3))
+        cert = extract_certificate(g, witness)
+        assert sorted(cert.interior_counts) == list(range(300))
+        # a <= row and two lower bounds per edge, and a >= row per pair of
+        # edge ends at the centre
+        rows = 3 * 300 + 300 * 299 // 2
+        tracemalloc.start()
+        try:
+            assert verify_certificate(g, Fraction(1, 3), cert, value).accepted
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows < 250, (peak, rows)
 
 
 class TestFormat:
