@@ -30,6 +30,7 @@ state in flat arrays.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
@@ -311,44 +312,114 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
 
 
 def check_cover(
-    adjacency: Sequence[Sequence[int]], balls: Iterable[tuple[int, int]], value: int, radius: int
+    g: Graph, q: int, balls: Iterable[tuple[int, int]], value: int, radius: int
 ) -> None:
-    """Require `value` distinct balls, each an edge ``(c, p)`` of the graph
-    of neighbour lists `adjacency` (or c == p), that cover it, else raise
-    InternalConsistencyError.  A ball, the vertices at most `radius` hops
-    from c or p, holds at most one point of a set spaced 2 radius + 2
-    apart, so the cover bounds such a set by `value`.  It is checked by one
-    breadth-first search from all ends, stopped once a round adds nothing.
+    """Require `value` distinct balls that cover the 1/q grid of g, else
+    raise InternalConsistencyError.
+
+    The grid is numbered as by ``subdivide(g, q)``: vertex v is v, and step
+    k of edge e is n + e(q-1) + k-1.  A ball ``(c, p)`` is a grid edge, or
+    c == p, and holds the grid points at most `radius` hops from c or p, so
+    it holds at most one point of a set spaced 2 radius + 2 apart, and the
+    cover bounds such a set by `value`.
+
+    The grid is not built.  A ball is a grid edge by arithmetic on that
+    numbering.  A grid path from a ball end to a vertex of g leaves the
+    end's chain at one of the chain's ends and then crosses whole chains of
+    q hops, so the vertices' hop distances to the nearest end come from one
+    search over g in rounds, round j holding the vertices j chains from an
+    end: a bucket queue whose buckets are q wide.  Each chain is then
+    covered from its two ends, and a chain holding ball ends is swept in
+    step order.  The cost is linear in g and the balls, plus one sort of
+    the balls' ends, whatever q is.
     """
+    n, edges, adjacency = g.vertex_count, g.edges, g.adjacency
+    s = q - 1
+    size = n + len(edges) * s
     distinct = set()  # an edge is one ball however it is written
     for c, p in balls:
-        if not (0 <= c < len(adjacency) and (c == p or p in adjacency[c])):
+        ball = (c, p) if c <= p else (p, c)
+        if not (0 <= ball[0] and ball[1] < size and (c == p or _grid_edge(g, s, *ball))):
             raise InternalConsistencyError(f"cover ball ({c}, {p}) is not a grid edge")
-        distinct.add((c, p) if c <= p else (p, c))
+        distinct.add(ball)
     if len(distinct) != value:
         raise InternalConsistencyError(
             f"{len(distinct)} distinct cover balls for {value} taken points"
         )
-    seen = bytearray(len(adjacency))
-    ring = list({x for ball in distinct for x in ball})
-    for x in ring:
-        seen[x] = 1
-    reached = len(ring)
-    for _ in range(radius):
+
+    # the search from the ends, in rounds one chain apart: an end at step k
+    # of edge e = (u, w) starts u at k hops and w at q - k, and `reach` is
+    # radius - hops, -1 if over.  A round only reaches vertices no earlier
+    # round did, each at fewer hops than the next round reaches any.
+    ends = sorted({x for ball in distinct for x in ball})
+    first = bisect_left(ends, n)  # ends[:first] are vertices of g
+    reach = [-1] * n
+    for x in islice(ends, first):
+        reach[x] = radius
+    steps: dict[int, list[int]] = {}  # edge -> the steps of the ends on it, ascending
+    for x in islice(ends, first, None):
+        e, k = divmod(x - n, s)
+        k += 1
+        steps.setdefault(e, []).append(k)
+        u, w = edges[e]
+        if radius - k > reach[u]:
+            reach[u] = radius - k
+        if radius - q + k > reach[w]:
+            reach[w] = radius - q + k
+    ring = [x for x in range(n) if reach[x] >= 0]
+    while ring:
         grown = []
         for x in ring:
-            for y in adjacency[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    grown.append(y)
-        if not grown:
-            break
-        reached += len(grown)
+            r = reach[x] - q
+            if r >= 0:
+                for y in adjacency[x]:
+                    if r > reach[y]:
+                        if reach[y] < 0:
+                            grown.append(y)
+                        reach[y] = r
         ring = grown
-    if reached != len(adjacency):
+
+    # a vertex covers `reach` inner steps of each of its chains, and an end
+    # at step k the steps k - radius..k + radius: the steps a chain misses
+    # are the gaps between those intervals, taken in step order, so a chain
+    # with no ends on it misses s - reach(u) - reach(w) if that is positive
+    missing = reach.count(-1)
+    if missing:
+        reach = [r if r > 0 else 0 for r in reach]
+    short = [s - reach[u] - reach[w] for u, w in edges]
+    width = 2 * radius + 1
+    for e, ks in steps.items():
+        u, w = edges[e]
+        ks.append(q + radius - reach[w])  # where an end would cover what w does
+        gaps, last = 0, reach[u] - radius  # and the same for u
+        for k in ks:
+            if k - last > width:
+                gaps += k - last - width
+            last = k
+        short[e] = gaps
+    missing += sum(filter((0).__lt__, short))
+    if missing:
         raise InternalConsistencyError(
-            f"{value} cover balls reach {reached} of {len(adjacency)} grid points"
+            f"{value} cover balls reach {size - missing} of {size} grid points"
         )
+
+
+def _grid_edge(g: Graph, s: int, c: int, p: int) -> bool:
+    """Whether grid points c < p, numbered as by ``subdivide(g, s + 1)``,
+    are adjacent: steps k and k+1 of one chain, a chain's first or last
+    step and that end of its edge, or, when s == 0, an edge of g."""
+    n = g.vertex_count
+    if c >= n:
+        return p == c + 1 and (p - n) % s != 0
+    if p >= n:
+        e, k = divmod(p - n, s)
+        u, w = g.edges[e]
+        return (k == 0 and u == c) or (k == s - 1 and w == c)
+    if s:
+        return False
+    nbrs = g.adjacency[c]
+    i = bisect_left(nbrs, p)
+    return i < len(nbrs) and nbrs[i] == p
 
 
 def check_barrier(
@@ -513,6 +584,10 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
 
     rows = len(occupied)
     lower = [0] * (2 * len(occupied))
+    # each variable's latest arc into it, (2i + 1, weight), shared by every
+    # row found at that weight; row weights are negative, so the first
+    # lookup makes one
+    into = [(0, 0)] * len(lower)
     for u, here in ends.items():
         for hops, ring in hop_ball(g, u, radius) if radius else ((0, (u,)),):
             need = p - hops * q
@@ -528,8 +603,13 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
                 for i in here:
                     for j in there:
                         if i < j and i >> 1 != j >> 1:  # the ends of one edge have its <= row
-                            arcs[2 * i].append((2 * j + 1, weight))
-                            arcs[2 * j].append((2 * i + 1, weight))
+                            into_i, into_j = into[i], into[j]
+                            if into_i[1] != weight:
+                                into_i = into[i] = (2 * i + 1, weight)
+                            if into_j[1] != weight:
+                                into_j = into[j] = (2 * j + 1, weight)
+                            arcs[2 * i].append(into_j)
+                            arcs[2 * j].append(into_i)
                             rows += 1
                     check_size(rows, "this certificate's system", "rows")
     for i, b in enumerate(lower):

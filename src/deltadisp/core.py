@@ -242,8 +242,9 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 #: (at c = 2b for spacing a/b) or :func:`subdivide` builds.  Their lists
 #: take up to about 180 bytes a point, so a run at the limit stays under
 #: about 1 GiB, its input included.  A certificate's system keeps to the
-#: same count of rows, each kept once as its arcs, about 190 bytes a row,
-#: so about 0.8 GiB at the limit (813 MiB peak RSS for K1,4000 at 1/3).
+#: same count of rows, each kept once as its arcs, which share one tuple
+#: per end and weight: about 24 bytes a row, so under 0.1 GiB at the limit
+#: (89 MiB peak RSS for K1,4000 at 1/3).
 GRID_LIMIT = 4_000_000
 
 
@@ -286,7 +287,9 @@ def grid_adjacency(g: Graph, c: int) -> list:
     """Neighbours of every vertex of ``subdivide(g, c)``, in its numbering,
     built straight from g's edges: unlike that graph's ``adjacency``, with
     no edge list and no sort, in a quarter of the time and half the
-    memory.  Chain vertices get a pair, g's vertices a list."""
+    memory.  Chain vertices get a pair, g's vertices a list.  The oracle
+    is its one caller: the tree route and the cover check work on g's
+    chains by arithmetic."""
     n = g.vertex_count
     s = c - 1
     adjacency: list = [[] for _ in range(n)]

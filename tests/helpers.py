@@ -27,7 +27,9 @@ walked off its graph independently of the block layout the gadget
 computes them from.  The certificate check as it was first written (rows
 built as tuples before any arc, a hop ball walked at every radius, a
 negative-cycle search keeping a dict per walk) and the line-by-line
-certificate reader are the differential references for ``certify``.
+certificate reader are the differential references for ``certify``, and
+the tree route over the built grid and the cover check over it are those
+for ``trees.tree_disp`` and ``certify.check_cover``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from math import lcm
 from typing import Sequence
 
 from deltadisp import Certificate, Graph, Verdict, WitnessSet, as_rational, matching
-from deltadisp.core import hop_ball, integer_tokens
+from deltadisp.core import grid_adjacency, grid_form, hop_ball, integer_tokens
 from deltadisp.errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -1430,3 +1432,116 @@ def reference_parse_certificate(text: str):
             raise MalformedLineError("interior count must be positive", line=lineno)
         counts[e] = c
     return k, Certificate(vertices, counts)
+
+
+def grid_tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple, list[tuple[int, int]]]:
+    """The tree route over the materialized 1/(2b) grid, the reference for
+    ``trees.tree_disp``: the grid's neighbour lists, one breadth-first
+    order of the whole grid from vertex 0, the deepest-first greedy over
+    it, each taken point's ball found by walking a-1 grid parents up, and
+    the cover checked by :func:`grid_check_cover`.  Returns the value, the
+    witness in the integer form of ``WitnessSet.verified`` and the balls."""
+    adjacency = grid_adjacency(g, 2 * b)
+    order, parent = grid_breadth_first(adjacency)
+    taken = grid_greedy(adjacency, order, 2 * a)
+    balls = grid_balls(parent, taken, a)
+    grid_check_cover(adjacency, balls, len(taken), a - 1)
+    return len(taken), grid_form(g.vertex_count, 2 * b, taken), balls
+
+
+def grid_breadth_first(adjacency: list) -> tuple[list[int], list[int]]:
+    """The vertices in breadth-first order from vertex 0, which is its own
+    parent, and each vertex's parent."""
+    parent = [-1] * len(adjacency)
+    parent[0] = 0
+    order = [0]
+    for x in order:
+        for y in adjacency[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def grid_greedy(adjacency: list, order: list[int], spacing: int) -> list[int]:
+    """Scan `order` backwards, deepest first, and take each vertex that is
+    at least `spacing` hops from every vertex taken before it.
+
+    ``near[x]`` is x's hop distance to the nearest taken vertex, capped at
+    `spacing`.  Taking v lowers it by a search from v that only walks into
+    vertices whose value drops: beyond a vertex it does not lower, another
+    taken vertex is already as near, so each vertex is lowered at most
+    `spacing` times.
+    """
+    near = [spacing] * len(adjacency)
+    taken = []
+    for v in reversed(order):
+        if near[v] < spacing:
+            continue
+        taken.append(v)
+        near[v] = 0
+        ring = [v]
+        for hops in range(1, spacing):
+            grown = []
+            for x in ring:
+                for y in adjacency[x]:
+                    if near[y] > hops:
+                        near[y] = hops
+                        grown.append(y)
+            if not grown:
+                break
+            ring = grown
+    return taken
+
+
+def grid_balls(parent: list[int], taken: list[int], a: int) -> list[tuple[int, int]]:
+    """Per taken vertex, its ball (c, parent(c)), c being its ancestor a-1
+    hops up: the edge ball of (c, parent(c)), or, if the root is nearer,
+    the vertex ball (0, 0) at the root, its own parent."""
+    balls = []
+    for c in taken:
+        for _ in range(a - 1):
+            if c == 0:
+                break
+            c = parent[c]
+        balls.append((c, parent[c]))
+    return balls
+
+
+def grid_check_cover(
+    adjacency: Sequence[Sequence[int]], balls, value: int, radius: int
+) -> None:
+    """The cover check over the materialized grid, the reference for
+    ``certify.check_cover``: `value` distinct balls, each an edge ``(c, p)``
+    of the graph of neighbour lists `adjacency` (or c == p), that cover it
+    by one breadth-first search from all ends, stopped once a round adds
+    nothing; else InternalConsistencyError, worded as that check words it."""
+    distinct = set()
+    for c, p in balls:
+        if not (0 <= c < len(adjacency) and (c == p or p in adjacency[c])):
+            raise InternalConsistencyError(f"cover ball ({c}, {p}) is not a grid edge")
+        distinct.add((c, p) if c <= p else (p, c))
+    if len(distinct) != value:
+        raise InternalConsistencyError(
+            f"{len(distinct)} distinct cover balls for {value} taken points"
+        )
+    seen = bytearray(len(adjacency))
+    ring = list({x for ball in distinct for x in ball})
+    for x in ring:
+        seen[x] = 1
+    reached = len(ring)
+    for _ in range(radius):
+        grown = []
+        for x in ring:
+            for y in adjacency[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    grown.append(y)
+        if not grown:
+            break
+        reached += len(grown)
+        ring = grown
+    if reached != len(adjacency):
+        raise InternalConsistencyError(
+            f"{value} cover balls reach {reached} of {len(adjacency)} grid points"
+        )

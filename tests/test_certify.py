@@ -14,6 +14,7 @@ from helpers import (
     all_connected_graphs,
     dense_certificate_system,
     fourier_motzkin_feasible,
+    grid_check_cover,
     grid_feasible,
     midpoint,
     random_cactus,
@@ -499,11 +500,11 @@ class TestUntrustedCertificates:
         assert verify_certificate(g, Fraction(1, 3), cert, value).accepted
 
     def test_memory_per_row(self):
-        """Each row is kept once, as its arcs, so the system stays well under
-        the guard's budget at GRID_LIMIT rows: the peak traced while checking
-        disp's own witness on K1,300 at delta = 1/3 is under 250 bytes a row.
-        It is about 185; one more copy of each row, as a tuple naming it,
-        puts it past 300."""
+        """Each row is kept once, as its arcs, which share one tuple per end
+        and weight, so the system stays well under the guard's budget at
+        GRID_LIMIT rows: the peak traced while checking disp's own witness
+        on K1,300 at delta = 1/3 is under 64 bytes a row.  It is about 24;
+        a fresh tuple per arc puts it near 185."""
         g = Graph(301, tuple((0, v) for v in range(1, 301)))
         value, witness = disp(g, Fraction(1, 3))
         cert = extract_certificate(g, witness)
@@ -517,7 +518,7 @@ class TestUntrustedCertificates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / rows < 250, (peak, rows)
+        assert peak / rows < 64, (peak, rows)
 
 
 class TestFormat:
@@ -622,57 +623,105 @@ def test_solvers_raise_no_consistency_error():
     assert raisers == []
 
 
+def _rejection(check, *args) -> str | None:
+    """The message of the InternalConsistencyError `check` raises on
+    `args`, or None if it accepts them."""
+    try:
+        check(*args)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
 class TestCoverCheck:
     """``certify.check_cover`` on the tree route's cover of a path's grid."""
 
     PATH = Graph(10, tuple((i, i + 1) for i in range(9)))
 
     @pytest.fixture
-    def cover(self):
-        # delta = 3: the 2-subdivision, a 19-vertex path, and balls of radius 2
-        adjacency = grid_adjacency(self.PATH, 2)
-        order, parent = trees._breadth_first(adjacency)
-        taken = trees._greedy(adjacency, order, 6)
-        balls = trees._balls(parent, taken, 3)
-        certify.check_cover(adjacency, balls, len(taken), 2)
+    def cover(self, monkeypatch):
+        # delta = 3: the 2-subdivision, a 19-point path, and balls of radius 2
+        handed = []
+        monkeypatch.setattr(trees, "check_cover", lambda *args: handed.append(args))
+        trees.tree_disp(self.PATH, 3, 1)
+        ((g, q, balls, value, radius),) = handed
+        assert (g, q, value, radius) == (self.PATH, 2, 4, 2)
+        certify.check_cover(g, q, balls, value, radius)
         assert len(balls) == disp(self.PATH, Fraction(3))[0] == 4
-        return adjacency, balls
+        return balls
 
     def test_dropped_ball(self, cover):
-        adjacency, balls = cover
+        balls = cover
         with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
-            certify.check_cover(adjacency, balls[1:], 4, 2)
+            certify.check_cover(self.PATH, 2, balls[1:], 4, 2)
         with pytest.raises(InternalConsistencyError, match="cover balls reach"):
-            certify.check_cover(adjacency, balls[1:], 3, 2)
+            certify.check_cover(self.PATH, 2, balls[1:], 3, 2)
 
     @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (5, 18), (-1, 0), (19, 18)])
     def test_ball_not_a_grid_edge(self, cover, pair):
-        adjacency, balls = cover
+        balls = cover
         with pytest.raises(InternalConsistencyError, match=r"is not a grid edge"):
-            certify.check_cover(adjacency, [pair] + balls[1:], 4, 2)
+            certify.check_cover(self.PATH, 2, [pair] + balls[1:], 4, 2)
 
     def test_repeated_ball(self, cover):
-        adjacency, balls = cover
+        balls = cover
         (c, p), rest = balls[0], balls[1:]
         for repeat in ((c, p), (p, c)):  # an edge is one ball however it is written
             with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
-                certify.check_cover(adjacency, [(c, p), repeat] + rest[1:], 4, 2)
+                certify.check_cover(self.PATH, 2, [(c, p), repeat] + rest[1:], 4, 2)
 
     def test_vertex_ball(self):
         # the lone vertex of an edgeless graph is its own ball
-        certify.check_cover([[]], [(0, 0)], 1, 4)
+        certify.check_cover(Graph(1, ()), 2, [(0, 0)], 1, 4)
         with pytest.raises(InternalConsistencyError, match="cover balls reach 1 of 2"):
-            certify.check_cover([[], []], [(0, 0)], 1, 4)
+            certify.check_cover(K2, 1, [(0, 0)], 1, 0)
+
+    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    def test_matches_grid_reference(self, q):
+        """The check and the one over the materialized grid accept and
+        reject alike, with the same message, on random ball sets over
+        seeded trees and general graphs: grid edges, vertex balls, pairs
+        that are not grid edges, an edge written both ways, and covers
+        with a ball dropped or moved one hop."""
+        rng = random.Random(640 + q)
+        verdicts = set()
+        for case in range(600):
+            n = rng.randint(1, 12)
+            if case % 2:
+                g = random_tree(rng, n)
+            else:
+                g = random_connected_graph(rng, n, rng.randint(1, 5))
+            adjacency = grid_adjacency(g, q)
+            size = len(adjacency)
+            edges = [(x, y) for x in range(size) for y in adjacency[x]]
+            balls = (
+                [rng.choice(edges) for _ in range(rng.randint(0, 1 + size // 4))] if edges else []
+            )
+            balls += [(x, x) for x in rng.sample(range(size), rng.randint(0, min(2, size)))]
+            rng.shuffle(balls)
+            fault = rng.randrange(6)
+            if balls and fault == 1:
+                balls.pop(rng.randrange(len(balls)))
+            elif balls and fault == 2:
+                c, p = balls.pop(rng.randrange(len(balls)))
+                balls.append((p, rng.choice(adjacency[p])) if adjacency[p] else (c, c))
+            elif balls and fault == 3:
+                balls.append(balls[rng.randrange(len(balls))][::-1])
+            elif fault == 4:
+                balls.append((rng.randrange(-1, size + 1), rng.randrange(-1, size + 1)))
+            value = len({(min(ball), max(ball)) for ball in balls}) + (fault == 5)
+            radius = rng.randint(0, 3 * q)
+            got = _rejection(certify.check_cover, g, q, balls, value, radius)
+            want = _rejection(grid_check_cover, adjacency, balls, value, radius)
+            assert got == want, (g, q, balls, value, radius)
+            verdicts.add(want if want is None else want.split()[1])
+        assert verdicts == {None, "ball", "distinct", "cover"}
 
 
 def _barrier_verdict(check, *args) -> bool:
     """Whether `check` accepts `args`: False iff it raises
     InternalConsistencyError."""
-    try:
-        check(*args)
-    except InternalConsistencyError:
-        return False
-    return True
+    return _rejection(check, *args) is None
 
 
 def _barrier_disagreements(graphs):

@@ -81,9 +81,9 @@ class TestSolve:
 
     def test_tree_grid_over_limit_exits_3(self, k2, capsys, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the grid was built before its size was checked")
+            raise AssertionError("the route ran before the grid's size was checked")
 
-        monkeypatch.setattr("deltadisp.trees.grid_adjacency", forbidden)
+        monkeypatch.setattr("deltadisp.dispatch.tree_disp", forbidden)
         assert run(["solve", str(k2), "--delta", "3/1000000000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import random_tree
+from helpers import grid_tree_disp, random_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,16 +68,18 @@ def test_large_tree_builds_no_conflict_graph(monkeypatch, delta):
 
 
 def _ball_dropped(monkeypatch):
-    # the last taken point shares the first one's ball
-    balls = trees._balls
-    monkeypatch.setattr(trees, "_balls", lambda *args: (lambda c: c[:-1] + c[:1])(balls(*args)))
+    # the last kept point's ball is handed to the check as the first one's
+    check = trees.check_cover
+    monkeypatch.setattr(
+        trees, "check_cover", lambda g, q, balls, *rest: check(g, q, balls[:-1] + balls[:1], *rest)
+    )
 
 
 def _vertex_too_many(monkeypatch):
-    # a neighbour of the first taken vertex is taken too
+    # the chain point one hop above the first kept vertex is kept too
     greedy = trees._greedy
     monkeypatch.setattr(
-        trees, "_greedy", lambda adj, *args: (lambda t: t + [adj[t[0]][0]])(greedy(adj, *args))
+        trees, "_greedy", lambda *args: (lambda k: k + [(k[0][0], 1)])(greedy(*args))
     )
 
 
@@ -102,9 +104,9 @@ def test_corrupted_route_raises(monkeypatch, corrupt, message):
 
 def test_grid_guard_allocates_nothing(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the grid was built before its size was checked")
+        raise AssertionError("the route ran before the grid's size was checked")
 
-    monkeypatch.setattr(trees, "grid_adjacency", forbidden)
+    monkeypatch.setattr("deltadisp.dispatch.tree_disp", forbidden)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardExceededError, match="2000000001 points"):
@@ -113,3 +115,28 @@ def test_grid_guard_allocates_nothing(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+SPACINGS = [(a, b) for a in range(3, 8) for b in range(1, 7) if gcd(a, b) == 1]
+
+
+@pytest.mark.parametrize("a, b", SPACINGS)
+def test_matches_grid_reference(a, b):
+    # the value of the route over the materialized grid, on seeded trees
+    rng = random.Random(113 + 10 * a + b)
+    for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(120)]:
+        g = random_tree(rng, n)
+        assert trees.tree_disp(g, a, b)[0] == grid_tree_disp(g, a, b)[0], (g, a, b)
+
+
+def test_long_path_allocates_no_grid():
+    # 2,000 edges at 999/500: 1,999,001 grid points, 1,002 of them kept
+    g = Graph(2001, tuple((i, i + 1) for i in range(2000)))
+    tracemalloc.start()
+    try:
+        value, witness = disp(g, Fraction(999, 500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == len(witness) == 1002
+    assert peak < 16 << 20, peak
