@@ -2,9 +2,10 @@
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
 error, 3 resource guard tripped (the oracle's candidate cap or timeout, or
-the grid limit of every polynomial route, of ``subdivide`` and of ``gadget``;
-a timeout names the verified lower bound the oracle had found), 4 internal
-error (a structural guarantee failed; a bug, not bad input).
+the one size limit: of the grid at numerators 1 and 2, of the tree route's
+answer, of ``subdivide`` and of ``gadget``; a timeout names the verified
+lower bound the oracle had found), 4 internal error (a structural guarantee
+failed; a bug, not bad input).
 """
 
 from __future__ import annotations

@@ -238,13 +238,14 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 # ---------------------------------------------------------------------------
 
 
-#: Largest grid, n + m(c-1) points for step 1/c, that a polynomial route
-#: (at c = 2b for spacing a/b) or :func:`subdivide` builds.  Their lists
-#: take up to about 180 bytes a point, so a run at the limit stays under
-#: about 1 GiB, its input included.  A certificate's system keeps to the
-#: same count of rows, each kept once as its arcs, which share one tuple
-#: per end and weight: about 24 bytes a row, so under 0.1 GiB at the limit
-#: (89 MiB peak RSS for K1,4000 at 1/3).
+#: Largest grid, n + m(c-1) points for step 1/c, that the routes of
+#: numerators 1 and 2 (at c = 2b for spacing a/b) or :func:`subdivide`
+#: build, and the most points, n + m*ceil(b/a), an answer of the tree
+#: route may hold.  Their lists take up to about 180 bytes a point, so a
+#: run at the limit stays under about 1 GiB, its input included.  A
+#: certificate's system keeps to the same count of rows, each kept once as
+#: its arcs, which share one tuple per end and weight: about 24 bytes a
+#: row, so under 0.1 GiB at the limit (89 MiB peak RSS for K1,4000 at 1/3).
 GRID_LIMIT = 4_000_000
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certify import WitnessSet
-from .core import Graph, as_rational, check_grid
+from .core import Graph, as_rational, check_grid, check_size
 from .errors import NPHardRegimeError
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp, check_limits
 from .solve2 import disp2
@@ -40,10 +40,11 @@ def disp(
     :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
     oracle only, but a `cap` below 1 or a `timeout` that is negative,
     infinite or NaN raises ValueError on every route, before routing.
-    Every other route first checks the instance's 1/(2b) grid, n +
-    m(2b-1) points, against :data:`~deltadisp.core.GRID_LIMIT` and raises
-    SizeGuardExceededError over it, before it allocates anything of the
-    grid's size.
+    Numerators 1 and 2 first check the instance's 1/(2b) grid, n +
+    m(2b-1) points, against :data:`~deltadisp.core.GRID_LIMIT`; the tree
+    route, which builds no grid, checks the most points its answer can
+    hold, n + m*ceil(b/a).  Either raises SizeGuardExceededError over the
+    limit, before anything of that size is allocated.
 
     The polynomial routes return their value and witness unchecked, and
     the witness is verified (cardinality and pairwise spacing) once, here,
@@ -65,13 +66,15 @@ def disp(
                 f"allow_bruteforce=True to run the exponential oracle"
             )
         return brute_disp(g, delta, cap, timeout)
-    check_grid(g, 2 * b, f"the {a}/{b} grid of this graph")
-    if a == 1:
-        value, form = _unit_numerator(g, b)
-    elif a == 2:
-        value, form = disp2(g, b)
-    else:
+    if a >= 3:
+        # a dispersed set holds at most one point per vertex and ceil(b/a)
+        # inside an edge, and the tree route keeps no more
+        bound = g.vertex_count + g.edge_count * -(-b // a)
+        check_size(bound, f"the {a}/{b} tree route's answer", "points at most")
         value, form = tree_disp(g, a, b)
+    else:
+        check_grid(g, 2 * b, f"the {a}/{b} grid of this graph")
+        value, form = _unit_numerator(g, b) if a == 1 else disp2(g, b)
     return value, WitnessSet.verified(g, *form, delta, value)
 
 

@@ -51,11 +51,12 @@ class NPHardRegimeError(DispersionError):
 
 
 class SizeGuardExceededError(DispersionError):
-    """A grid is larger than its guard allows: the brute-force candidate
-    set over the configured cap, or a graph over the one fixed limit,
-    ``core.GRID_LIMIT`` points, that every polynomial route (the 1/(2b)
-    grid of spacing a/b), ``subdivide`` and ``build_gadget`` share.
-    Raised before anything of the graph's size is allocated."""
+    """An instance is larger than its guard allows: the brute-force
+    candidate set over the configured cap, or a size over the one fixed
+    limit, ``core.GRID_LIMIT`` points, that the routes of numerators 1
+    and 2 (the 1/(2b) grid of spacing a/b), the tree route (the most
+    points its answer may hold), ``subdivide`` and ``build_gadget`` share.
+    Raised before anything of that size is allocated."""
 
 
 class OracleTimeoutError(DispersionError):

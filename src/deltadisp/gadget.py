@@ -22,7 +22,6 @@ from typing import Iterable
 
 from .certify import WitnessSet
 from .core import Graph, as_rational, check_grid
-from .errors import InternalConsistencyError
 
 __all__ = [
     "BezoutCoefficients",
@@ -55,7 +54,9 @@ def _minimal_solution(b: int, a: int, target: int, min_x: int) -> tuple[int, int
     """Smallest x >= min_x with y >= 1 solving ``b*x - a*y = target``.
 
     Solutions form a lattice with steps (a, b); the minimum is computed
-    directly on the residue class of x modulo a.
+    directly on the residue class of x modulo a.  That class, x = target *
+    b^-1 (mod a), makes the division exact, and x >= (target + a) / b makes
+    y >= 1.
     """
     x0 = (target * pow(b, -1, a)) % a
     lowest = max(min_x, -(-(target + a) // b))  # y >= 1  <=>  b*x >= target + a
@@ -63,10 +64,7 @@ def _minimal_solution(b: int, a: int, target: int, min_x: int) -> tuple[int, int
         x = x0
     else:
         x = x0 + a * (-(-(lowest - x0) // a))
-    y, rem = divmod(b * x - target, a)
-    if rem or x < 1 or y < 1:
-        raise InternalConsistencyError("lattice walk produced a non-solution")
-    return x, y
+    return x, (b * x - target) // a
 
 
 def bezout_coeffs(a: int, b: int) -> BezoutCoefficients:

@@ -332,43 +332,36 @@ def brute_disp(
     """Exact dispersion number by exhaustive search over the half-step grid.
 
     Deterministic: ties in the search are broken by candidate index, so the
-    returned witness is reproducible; it passes
-    :meth:`~deltadisp.certify.WitnessSet.verified` before it is returned.
+    returned witness is reproducible.
     Raises ValueError when :func:`check_limits` refuses `cap` or
     `timeout`, SizeGuardExceededError when the grid is larger than `cap`,
     and OracleTimeoutError when `timeout` seconds elapse, counted from the
     call: the budget covers the conflict build as well as the search.  The
-    timeout error carries the best dispersed set found so far, verified
-    the same way, as ``best`` and ``witness``: the search's incumbent, or a
-    single vertex if the conflict build did not finish.
+    timeout error carries the best dispersed set found so far as ``best``
+    and ``witness``: the search's incumbent, or vertex 0 alone if the
+    conflict build did not finish.  The answer and a timeout's incumbent
+    leave by one exit, which checks either with
+    :meth:`~deltadisp.certify.WitnessSet.verified`.
     """
     delta = as_rational(delta)
     check_limits(cap, timeout)
     deadline = None if timeout is None else monotonic() + timeout
+    message = None
     try:
         cg = build_conflict_graph(g, delta, cap=cap, deadline=deadline)
+        size, mask = _max_independent_set(cg.conflicts, deadline, cg.far)
     except OracleTimeoutError as exc:
-        raise _with_incumbent(exc, g, (1, [0], []), 1, delta) from None
-    n, q = g.vertex_count, 2 * delta.denominator
-    try:
-        value, mask = _max_independent_set(cg.conflicts, deadline, cg.far)
-    except _SearchTimeout as exc:
-        size = exc.mask.bit_count()
-        form = grid_form(n, q, _members(exc.mask))
-        raise _with_incumbent(exc, g, form, size, delta) from None
-    return value, WitnessSet.verified(g, *grid_form(n, q, _members(mask)), delta, value)
+        # the search's incumbent, or vertex 0 (candidate 0) if the build stopped
+        message = str(exc)
+        mask = exc.mask if isinstance(exc, _SearchTimeout) else 1
+        size = mask.bit_count()
+    form = grid_form(g.vertex_count, 2 * delta.denominator, _members(mask))
+    witness = WitnessSet.verified(g, *form, delta, size)
+    if message is not None:
+        raise OracleTimeoutError(message, best=size, witness=witness)
+    return size, witness
 
 
 def _members(mask: int) -> list[int]:
     """The candidate indices set in `mask`, ascending."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _with_incumbent(
-    exc: OracleTimeoutError, g: Graph, form: tuple, size: int, delta: Fraction
-) -> OracleTimeoutError:
-    """`exc`'s message with the `size` points of `form`, in
-    :func:`~deltadisp.core.grid_form`'s shape, attached as a witness
-    verified by ``WitnessSet.verified``."""
-    witness = WitnessSet.verified(g, *form, delta, size)
-    return OracleTimeoutError(str(exc), best=size, witness=witness)

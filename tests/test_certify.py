@@ -39,11 +39,13 @@ from deltadisp import (
     SizeGuardExceededError,
     brute_disp,
     certify,
+    cli,
     core,
     disp,
     dispatch,
     extract_certificate,
     format_certificate,
+    gadget,
     matching,
     oracle,
     parse_certificate,
@@ -611,10 +613,10 @@ def test_checker_reads_only_core_and_errors():
 
 
 def test_solvers_raise_no_consistency_error():
-    # a solver's answer is judged in certify alone: no route module raises
-    # InternalConsistencyError itself
+    # a solver's answer is judged in certify alone: no route module, nor
+    # the gadget factory or the command line, raises InternalConsistencyError
     raisers = []
-    for module in (dispatch, solve2, matching, trees, oracle):
+    for module in (dispatch, solve2, matching, trees, oracle, gadget, cli):
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc

@@ -80,8 +80,9 @@ class TestSolve:
         assert capsys.readouterr().out.strip() == "1"
 
     def test_tree_grid_over_limit_exits_3(self, k2, capsys, monkeypatch):
+        # the tree route's guard counts its answer's bound, 2 + ceil(10**9 / 3)
         def forbidden(*args):
-            raise AssertionError("the route ran before the grid's size was checked")
+            raise AssertionError("the route ran before the answer's size was checked")
 
         monkeypatch.setattr("deltadisp.dispatch.tree_disp", forbidden)
         assert run(["solve", str(k2), "--delta", "3/1000000000"]) == 3
@@ -89,7 +90,7 @@ class TestSolve:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "2000000001 points" in lines[0]
+        assert "333333336 points at most" in lines[0]
 
     def test_unit_numerator_grid_over_limit_exits_3(self, k2, capsys):
         assert run(["solve", str(k2), "--delta", "1/1000000000"]) == 3

@@ -398,16 +398,18 @@ def test_package_keeps_no_test_only_names():
 
 def test_one_grid_limit_guards_routes_and_subdivide(monkeypatch):
     # K2's grid of step 1/c has c + 1 points; at a limit of 10, c = 9 is
-    # the largest built, by a route (c = 2b) and by subdivide alike
+    # the largest built, by a route (c = 2b) and by subdivide alike.  The
+    # tree route builds no grid: its guard counts its answer's bound, 2 +
+    # ceil(5/3) = 4 points at 3/5
     monkeypatch.setattr(core, "GRID_LIMIT", 10)
     assert subdivide(K2, 9).vertex_count == 10
     assert disp(K2, Fraction(1, 4))[0] == 5
     assert disp(K2, Fraction(3, 4))[0] == 2
+    assert disp(K2, Fraction(3, 5))[0] == 2
     for refused in (
         lambda: subdivide(K2, 10),
         lambda: disp(K2, Fraction(1, 5)),
         lambda: disp(K2, Fraction(2, 5)),
-        lambda: disp(K2, Fraction(3, 5)),
     ):
         with pytest.raises(SizeGuardExceededError, match="11 points, over the limit of 10"):
             refused()

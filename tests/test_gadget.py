@@ -46,22 +46,29 @@ class TestBezoutCoefficients:
         assert c.parity == ("odd" if a % 2 else "even")
 
     def test_equations_hold_for_random_coprime_pairs(self):
-        rng = random.Random(50)
+        # every coprime pair with 3 <= a <= 40 and b <= 40, both parities:
+        # each x solves k*b*x - k*a*y = r with y >= 1 (k = 2 for x1, 1 for
+        # x2), and no smaller x at or above its floor (1 for x1, 3 for x2)
+        # has such a y
         checked = 0
-        while checked < 50:
-            a = rng.randint(3, 20)
-            b = rng.randint(1, 20)
-            if math.gcd(a, b) != 1:
-                continue
-            c = bezout_coeffs(a, b)
-            assert c.x1 >= 1 and c.y1 >= 1 and c.x2 >= 3 and c.y2 >= 1
-            if a % 2:
-                assert 2 * b * c.x1 - 2 * a * c.y1 == a - 1
-                assert b * c.x2 - a * c.y2 == 1
-            else:
-                assert 2 * b * c.x1 - 2 * a * c.y1 == a - 2
-                assert b * c.x2 - a * c.y2 == 2
-            checked += 1
+        for a in range(3, 41):
+            for b in range(1, 41):
+                if math.gcd(a, b) != 1:
+                    continue
+                c = bezout_coeffs(a, b)
+                assert c.parity == ("odd" if a % 2 else "even")
+                assert c.x1 >= 1 and c.y1 >= 1 and c.x2 >= 3 and c.y2 >= 1
+                r1, r2 = (a - 1, 1) if a % 2 else (a - 2, 2)
+                assert 2 * b * c.x1 - 2 * a * c.y1 == r1
+                assert b * c.x2 - a * c.y2 == r2
+                for k, x, r, floor in ((2, c.x1, r1, 1), (1, c.x2, r2, 3)):
+                    smaller = [
+                        s for s in range(floor, x)
+                        if (k * b * s - r) % (k * a) == 0 and k * b * s - r >= k * a
+                    ]
+                    assert smaller == [], (a, b, k, x, smaller)
+                checked += 1
+        assert checked == 919
 
     def test_rejects_small_or_non_coprime(self):
         with pytest.raises(ValueError):

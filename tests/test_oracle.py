@@ -377,6 +377,30 @@ class TestCliqueCover:
         assert ours == searched(first_fit_cover_size)
 
 
+def _expire(monkeypatch, stop):
+    """Patch the oracle's clock so a deadline one second after the call
+    passes at `stop`: "build" reads 0 when brute_disp takes its deadline
+    and far past it afterwards, so the first row of the conflict build
+    stops; "search" stands still through the deadline and the build, then
+    passes the deadline at the search's first node."""
+    from deltadisp import oracle
+
+    if stop == "build":
+        readings = iter([0.0])
+        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        return
+    clock = [0.0]
+    build = oracle.build_conflict_graph
+
+    def build_then_expire(*args, **kwargs):
+        cg = build(*args, **kwargs)
+        clock[0] = 1e9
+        return cg
+
+    monkeypatch.setattr(oracle, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(oracle, "build_conflict_graph", build_then_expire)
+
+
 class TestBruteDisp:
     def test_5x5_grid_at_5_3(self):
         g = _grid_graph(5, 5)
@@ -460,23 +484,10 @@ class TestBruteDisp:
         assert brute_is_dispersed(g, witness_points(err.value.witness), Fraction(3, 2))
 
     def test_search_timeout_keeps_greedy_incumbent(self, monkeypatch):
-        # the clock stands still through the deadline and the conflict
-        # build, then passes the deadline at the search's first node
-        from deltadisp import oracle
-
         g = random_connected_graph(random.Random(39), 9, 6)
         delta = Fraction(7, 2)
         optimum = brute_disp(g, delta)[0]
-        clock = [0.0]
-        build = oracle.build_conflict_graph
-
-        def build_then_expire(*args, **kwargs):
-            cg = build(*args, **kwargs)
-            clock[0] = 1e9
-            return cg
-
-        monkeypatch.setattr(oracle, "monotonic", lambda: clock[0])
-        monkeypatch.setattr(oracle, "build_conflict_graph", build_then_expire)
+        _expire(monkeypatch, "search")
         with pytest.raises(OracleTimeoutError, match="independent-set search") as err:
             brute_disp(g, delta, timeout=1.0)
         best, witness = err.value.best, err.value.witness
@@ -484,15 +495,38 @@ class TestBruteDisp:
         assert brute_is_dispersed(g, witness_points(witness), delta)
 
     def test_deadline_covers_conflict_build(self, monkeypatch):
-        # the clock reads 0 when brute_disp takes its deadline and far past
-        # it afterwards, so the first row of the conflict build must stop it
-        from deltadisp import oracle
-
-        readings = iter([0.0])
-        monkeypatch.setattr(oracle, "monotonic", lambda: next(readings, 1e9))
+        _expire(monkeypatch, "build")
         g = random_connected_graph(random.Random(36), 8, 10)
         with pytest.raises(OracleTimeoutError, match="conflict-graph build"):
             brute_disp(g, Fraction(3, 2), timeout=1.0)
+
+    @pytest.mark.parametrize("stop", [None, "build", "search"])
+    def test_one_verified_exit(self, monkeypatch, stop):
+        # the answer, a build timeout's vertex 0 and a search timeout's
+        # incumbent each pass WitnessSet.verified once, at the one exit
+        from deltadisp import oracle
+
+        g = random_connected_graph(random.Random(39), 9, 6)
+        delta = Fraction(7, 2)
+        calls = []
+        verified = oracle.WitnessSet.verified
+
+        def counted(*args):
+            calls.append(args)
+            return verified(*args)
+
+        if stop is not None:
+            _expire(monkeypatch, stop)
+        monkeypatch.setattr(oracle.WitnessSet, "verified", counted)
+        if stop is None:
+            brute_disp(g, delta, timeout=1.0)
+        else:
+            with pytest.raises(OracleTimeoutError, match=stop) as err:
+                brute_disp(g, delta, timeout=1.0)
+        assert len(calls) == 1
+        if stop == "build":
+            assert err.value.best == 1
+            assert err.value.witness == verified(g, 1, [0], [], delta, 1)
 
     def test_expired_deadline_stops_build_at_first_row(self, monkeypatch):
         # the build reads the clock once before each round of ball growth:

@@ -103,13 +103,14 @@ def test_corrupted_route_raises(monkeypatch, corrupt, message):
 
 
 def test_grid_guard_allocates_nothing(monkeypatch):
+    # the guard counts the answer's bound, n + m*ceil(b/a) = 2 + 333,333,334
     def forbidden(*args):
-        raise AssertionError("the route ran before the grid's size was checked")
+        raise AssertionError("the route ran before the answer's size was checked")
 
     monkeypatch.setattr("deltadisp.dispatch.tree_disp", forbidden)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeGuardExceededError, match="2000000001 points"):
+        with pytest.raises(SizeGuardExceededError, match="333333336 points at most"):
             disp(K2, Fraction(3, 10**9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -130,13 +131,16 @@ def test_matches_grid_reference(a, b):
 
 
 def test_long_path_allocates_no_grid():
-    # 2,000 edges at 999/500: 1,999,001 grid points, 1,002 of them kept
-    g = Graph(2001, tuple((i, i + 1) for i in range(2000)))
-    tracemalloc.start()
-    try:
-        value, witness = disp(g, Fraction(999, 500))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == len(witness) == 1002
-    assert peak < 16 << 20, peak
+    # 2,000 edges at 999/500: 1,999,001 grid points, 1,002 of them kept;
+    # 5,000 edges: 5,000,001 grid points, over the limit, but at most
+    # 5,001 + 5,000 points in an answer, so the size guard lets it through
+    for m, kept in ((2000, 1002), (5000, 2503)):
+        g = Graph(m + 1, tuple((i, i + 1) for i in range(m)))
+        tracemalloc.start()
+        try:
+            value, witness = disp(g, Fraction(999, 500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == len(witness) == kept
+        assert peak < 16 << 20, peak
