@@ -66,21 +66,26 @@ __all__ = [
 class WitnessSet:
     """A finite set of points claimed to be delta-dispersed, in integers.
 
-    ``vertices`` are the vertex ids holding a point, ascending, and
-    ``interior`` the ``(edge, k)`` pairs, ascending, of the points strictly
-    inside an edge, at offset k/scale from its first endpoint (0 < k <
-    scale).  ``scale`` is the smallest common denominator of those offsets
-    (1 when there are none), so equal sets compare equal.
+    ``vertices`` are the vertex ids holding a point, ascending.  ``runs``
+    holds the points strictly inside edges as arithmetic runs ``(edge,
+    first, step, count)``: the points at offset (first + i step)/scale from
+    the edge's first endpoint, for i < count, each strictly between 0 and
+    1.  Runs are sorted by edge and first point, and canonical, so equal
+    sets compare equal: each edge's points are cut into maximal runs
+    greedily from the left, a run of one point has step 1, and ``scale``
+    is the smallest common denominator of the offsets (1 when there are
+    none).  A witness so takes room in proportion to its runs, however
+    many points they hold; ``len`` counts the points.
     """
 
     graph: Graph = field(compare=False, repr=False)
     scale: int
     vertices: tuple[int, ...]
-    interior: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int, int], ...]
     delta: Fraction
 
     def __len__(self) -> int:
-        return len(self.vertices) + len(self.interior)
+        return len(self.vertices) + sum(run[3] for run in self.runs)
 
     def is_dispersed(self) -> bool:
         """True iff every two of the points are at least delta apart: the one
@@ -89,18 +94,22 @@ class WitnessSet:
         Offsets and delta are scaled by L = lcm(scale, delta's denominator),
         so an edge is L long.  Two points on one edge are exactly their offset
         difference apart (a route around the edge is at least L long), so only
-        neighbours in offset order are compared.
+        neighbours in offset order are compared: within a run its step, and
+        between two runs of one edge their facing ends.
         Every other route leaves one point's edge at an end x and enters the
         other's at an end y, and costs at least L hops(x, y); a pair closer
         than delta therefore has ends fewer than delta hops apart.  Along such
         a route a nearer point on the same edge, or the vertex itself, is
-        closer still, so each vertex keeps only its nearest point and the
-        distance to the next (an occupied vertex only its own point: the
-        offset check has put every other point at least delta away from it).
-        Hop 0 compares those two.  Ends x and y at least one hop apart
-        compare their nearest points only, unless that is one point of edge
-        xy seen from both ends: then every pair is farther apart than one that
-        hop 0 at x or y compares.
+        closer still, so each edge gives each end only its point nearest that
+        end, and only if it is nearer than delta (one farther meets nothing
+        through that end), and each vertex keeps only its nearest point (an
+        occupied vertex its own point).  Hop 0 compares each point that
+        reaches a vertex with the nearest one there so far, so the two
+        nearest are compared when the later of them arrives.  Ends x and y
+        at least one hop apart compare their nearest points only, unless
+        that is one point of edge xy seen from both ends: then every pair is
+        farther apart than one that hop 0 at x or y compares.  When delta
+        <= 1 no two ends are fewer than delta hops apart, and hop 0 is all.
 
         The search from x is one-sided: it walks h hops only while
         2 d0(x) + hL < limit.  A violating pair at h >= 1 hops has
@@ -108,56 +117,56 @@ class WitnessSet:
         has 2 d0(x) + hL < limit and reaches the other; the pair is found
         from that side.
 
-        The cost is a pass over the sorted points, one over the edge ends, and
-        per vertex that keeps a point its neighbour list when delta allows one
-        hop, or a search ball of radius below delta walked ring by ring when
-        it allows more: near-linear in the witness times the ball size, with
-        no all-pairs table and nothing sized by the graph.
+        The cost is a pass over the runs, whatever they hold, and per vertex
+        that keeps a point its neighbour list when delta allows one hop, or
+        a search ball of radius below delta walked ring by ring when it
+        allows more: linear in the vertices and runs times the ball size,
+        with no all-pairs table, and nothing sized by the count of points.
         """
         g, scale, delta = self.graph, self.scale, self.delta
-        vertices, interior = self.vertices, self.interior
-        if len(vertices) + len(interior) < 2:
+        if len(self) < 2:
             return True
         length = lcm(scale, delta.denominator)
-        step = length // scale
+        unit = length // scale
         limit = delta.numerator * (length // delta.denominator)
+        gap = -(-limit // unit)  # offsets closer than delta differ by less
 
-        # Offsets on one edge closer than delta differ by less than `gap`
-        # units of 1/scale.  Laying edge e's offsets out from e * (scale + gap)
-        # puts points of different edges at least `gap` apart, so one scan of
-        # the sorted pairs compares every edge's neighbours in offset order.
-        gap = -(-limit // step)
-        stride = scale + gap
-        laid = [e * stride + k for e, k in interior]
-        if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
-            return False
-
-        # Per vertex, ``(d0, p0, d1)``: the distance and name of its nearest
-        # point and the distance of the next (`limit` if none): an occupied
-        # vertex's own point, named by its id, or the two nearest ends of
-        # edges (one per edge) at a vacant one, named (edge, k).  An end at an
-        # occupied vertex must be delta away from it instead.
-        occupied = set(vertices)
-        near = {v: (0, v, limit) for v in occupied}
+        # Per vertex, ``(d0, p0)``: the distance and name of its nearest
+        # point: an occupied vertex's own point, named by its id, or the
+        # nearest end of an edge at a vacant one, named (edge, k)
+        near = {v: (0, v) for v in self.vertices}
         edges = g.edges
-        ends = [(edges[e][0], k * step, (e, k)) for e, k in dict(reversed(interior)).items()]
-        ends += [(edges[e][1], (scale - k) * step, (e, k)) for e, k in dict(interior).items()]
+        ends = []  # (vertex, distance, point): an edge's outermost points nearer than delta
+        edge = last = -1
+        for e, first, step, count in self.runs:
+            if count > 1 and step < gap:
+                return False
+            if e == edge:
+                if first - last < gap:
+                    return False
+            else:
+                if edge >= 0 and (scale - last) * unit < limit:
+                    ends.append((edges[edge][1], (scale - last) * unit, (edge, last)))
+                if first * unit < limit:
+                    ends.append((edges[e][0], first * unit, (e, first)))
+                edge = e
+            last = first + (count - 1) * step
+        if edge >= 0 and (scale - last) * unit < limit:
+            ends.append((edges[edge][1], (scale - last) * unit, (edge, last)))
+
         for x, distance, point in ends:
             kept = near.get(x)
-            if kept is None:
-                near[x] = (distance, point, limit)
-            elif x in occupied:
-                if distance < limit:
-                    return False
-            elif distance < kept[0]:
-                near[x] = (distance, point, kept[0])
-            elif distance < kept[2]:
-                near[x] = (kept[0], kept[1], distance)
+            if kept is not None:
+                if distance + kept[0] < limit:
+                    return False  # hop 0: this point and x's nearest so far
+                if distance >= kept[0]:
+                    continue
+            near[x] = (distance, point)
+        if limit <= length:
+            return True  # delta <= 1: no two ends fewer than delta hops apart
 
         adjacency = g.adjacency
-        for x, (d0, p0, d1) in near.items():
-            if d0 + d1 < limit:
-                return False  # hop 0: the two points nearest x
+        for x, (d0, p0) in near.items():
             radius = (limit - 2 * d0 - 1) // length  # one-sided: see above
             if radius < 1:
                 continue
@@ -172,38 +181,72 @@ class WitnessSet:
         return True
 
     @classmethod
-    def _from_form(
+    def _from_runs(
         cls,
         g: Graph,
         scale: int,
         vertices: Iterable[int],
-        interior: Iterable[tuple[int, int]],
+        runs: Iterable[tuple[int, int, int, int]],
         delta: Fraction,
     ) -> "WitnessSet":
         """Sort the integer form, check it names distinct points of g, and
-        reduce it to the smallest scale.  Raises ValueError otherwise."""
+        bring it to the canonical form.  Raises ValueError otherwise.
+
+        A run must hold a point, have a positive step if it holds two, and
+        lie inside its edge; runs of one edge must not overlap or
+        interleave, so each run's points come after the last of the run
+        before it.  The runs are then merged greedily from the left, in one
+        pass over them, and the scale divided by the gcd of scale, every
+        first point and every step of a run of two points or more.
+        """
         delta = as_rational(delta)
         if delta <= 0:
             raise ValueError("delta must be positive")
         vertices = sorted(vertices)
-        interior = sorted(interior)
-        if any(map(eq, vertices, vertices[1:])) or any(map(eq, interior, interior[1:])):
+        if any(map(eq, vertices, vertices[1:])):
             raise ValueError("witness points are not pairwise distinct")
         if vertices and not (vertices[0] >= 0 and vertices[-1] < g.vertex_count):
             raise ValueError("witness vertex outside the graph")
-        if interior:
-            ks = [k for _, k in interior]
-            if not (interior[0][0] >= 0 and interior[-1][0] < g.edge_count):
-                raise ValueError("witness edge outside the graph")
-            if min(ks) < 1 or max(ks) >= scale:
+        runs = sorted(runs)
+        if not runs:
+            return cls(g, 1, tuple(vertices), (), delta)
+        if not (runs[0][0] >= 0 and runs[-1][0] < g.edge_count):
+            raise ValueError("witness edge outside the graph")
+        merged = []
+        # the run being grown, (first, step, count) on `edge`, and its last point
+        edge, first, step, count, last = -1, 0, 1, 0, 0
+        for e, f, s, c in runs:
+            if c < 1 or (c > 1 and s < 1):
+                raise ValueError("witness run holds no point, or repeats one")
+            end = f + (c - 1) * s
+            if f < 1 or end >= scale:
                 raise ValueError("witness offset outside its edge")
-            common = gcd(scale, *ks)
-            if common > 1:
-                scale //= common
-                interior = [(e, k // common) for e, k in interior]
-        else:
-            scale = 1
-        return cls(g, scale, tuple(vertices), tuple(interior), delta)
+            if e == edge and f <= last:
+                raise ValueError("witness runs overlap or interleave on one edge")
+            if e == edge and (count == 1 or f == last + step):
+                # f extends the run being grown, and the rest of its run
+                # extends it further or starts the next
+                if count == 1:
+                    step = f - first
+                count += 1
+                if c > 1 and s == step:
+                    count += c - 1
+                elif c > 1:
+                    merged.append((edge, first, step, count))
+                    first, step, count = f + s, s, c - 1
+            else:
+                if count:
+                    merged.append((edge, first, step if count > 1 else 1, count))
+                edge, first, step, count = e, f, s, c
+            last = end
+        merged.append((edge, first, step if count > 1 else 1, count))
+        common = gcd(scale, *(f for _, f, _, _ in merged), *(s for _, _, s, c in merged if c > 1))
+        if common > 1:
+            scale //= common
+            merged = [
+                (e, f // common, s // common if c > 1 else 1, c) for e, f, s, c in merged
+            ]
+        return cls(g, scale, tuple(vertices), tuple(merged), delta)
 
     @classmethod
     def verified(
@@ -211,17 +254,18 @@ class WitnessSet:
         g: Graph,
         scale: int,
         vertices: Iterable[int],
-        interior: Iterable[tuple[int, int]],
+        runs: Iterable[tuple[int, int, int, int]],
         delta: Fraction,
         size: int,
     ) -> "WitnessSet":
         """The one exit every solver's witness passes, given in the integer
-        form (in any order, at any scale): it must name `size` distinct
-        points of g, pairwise at least delta apart, checked by
-        :meth:`is_dispersed`.  Raises InternalConsistencyError otherwise, so
-        a construction bug cannot surface as a wrong answer."""
+        form (vertex ids and ``(edge, first, step, count)`` runs, in any
+        order, at any scale, split into runs in any way): it must name
+        `size` distinct points of g, pairwise at least delta apart, checked
+        by :meth:`is_dispersed`.  Raises InternalConsistencyError otherwise,
+        so a construction bug cannot surface as a wrong answer."""
         try:
-            witness = cls._from_form(g, scale, vertices, interior, delta)
+            witness = cls._from_runs(g, scale, vertices, runs, delta)
         except ValueError as exc:
             raise InternalConsistencyError(f"solver witness rejected: {exc}") from None
         if len(witness) != size or not witness.is_dispersed():
@@ -233,34 +277,50 @@ class WitnessSet:
 
 def format_witness(g: Graph, ws: WitnessSet) -> str:
     """One line per point, ``e u v num/den`` with the offset taken from u,
-    in lowest terms, sorted by edge and offset: a vertex is written on its
+    in lowest terms, by edge and offset: a vertex is written on its
     lowest-indexed edge, the lone vertex of an edgeless graph as
-    ``-1 0 0 0/1``."""
+    ``-1 0 0 0/1``.
+
+    This is the one place a witness is expanded point by point, so it
+    first checks the count of points against
+    :data:`~deltadisp.core.GRID_LIMIT` and raises SizeGuardExceededError
+    over it, before any text is built.  The text is written in one pass
+    over the edges, each run's lines by one join.
+    """
+    check_size(len(ws), "this witness", "points")
     edges, s = g.edges, ws.scale
-    keys = list(ws.interior)  # (edge, x): the point x/s along the edge
-    if ws.vertices:
-        # one pass from the last edge down leaves each vertex its key on
-        # its lowest-indexed edge
-        end: dict[int, tuple[int, int]] = {}
-        for e in range(len(edges) - 1, -1, -1):
-            u, v = edges[e]
-            end[u] = (e, 0)
-            end[v] = (e, s)
-        keys += [end.get(v, (-1, 0)) for v in ws.vertices]
-    keys.sort()
+    if not edges:
+        return "-1 0 0 0/1\n" if ws.vertices else ""
+    wanted = bytearray(g.vertex_count)  # a vertex of the witness not yet written
+    for v in ws.vertices:
+        wanted[v] = 1
+    texts: dict[tuple[int, int, int], list[str]] = {}  # a run's offsets, by (first, step, count)
+    runs = ws.runs
+    i = 0
+    on = runs[0][0] if runs else -1  # the edge of runs[i]
     out = []
-    offsets: dict[int, str] = {}
-    edge = None
-    for e, x in keys:
-        if e != edge:  # the keys come edge by edge
-            edge = e
-            u, v = (0, 0) if e == -1 else edges[e]
-            prefix = f"{e} {u} {v} "
-        text = offsets.get(x)
-        if text is None:
-            d = gcd(x, s)
-            text = offsets[x] = f"{x // d}/{s // d}"
-        out.append(prefix + text)
+    for e, (u, v) in enumerate(edges):
+        if e != on and not wanted[u] and not wanted[v]:
+            continue
+        prefix = f"{e} {u} {v} "
+        if wanted[u]:
+            wanted[u] = 0
+            out.append(prefix + "0/1")
+        while e == on:
+            shape = runs[i][1:]
+            text = texts.get(shape)
+            if text is None:
+                first, step, count = shape
+                text = texts[shape] = []
+                for x in range(first, first + count * step, step):
+                    d = gcd(x, s)
+                    text.append(f"{x // d}/{s // d}")
+            out.append(prefix + ("\n" + prefix).join(text))
+            i += 1
+            on = runs[i][0] if i < len(runs) else -1
+        if wanted[v]:
+            wanted[v] = 0
+            out.append(prefix + "1/1")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -271,7 +331,9 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
     e = (u, v), 0 <= num/den <= 1; an end is that vertex, however written,
     and ``-1 0 0 0/1`` is the lone vertex of an edgeless graph.  A line
     that is malformed, names an edge not in g, or repeats a point raises
-    MalformedLineError naming the line.
+    MalformedLineError naming the line.  Each interior point is read as a
+    run of one point, in any order, and the witness's constructor merges
+    them into its canonical runs.
     """
     seen: dict[int | tuple[int, int, int], int] = {}  # point -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -302,11 +364,11 @@ def parse_witness(g: Graph, text: str, delta: Fraction) -> WitnessSet:
             raise MalformedLineError(f"repeats the point of line {seen[point]}", line=lineno)
     interior = [p for p in seen if isinstance(p, tuple)]
     scale = lcm(*(den for _, _, den in interior))
-    return WitnessSet._from_form(
+    return WitnessSet._from_runs(
         g,
         scale,
         [p for p in seen if not isinstance(p, tuple)],
-        [(e, num * (scale // den)) for e, num, den in interior],
+        [(e, num * (scale // den), 1, 1) for e, num, den in interior],
         delta,
     )
 
@@ -510,10 +572,10 @@ class Verdict:
 
 def extract_certificate(g: Graph, ws: WitnessSet) -> Certificate:
     """Forget exact offsets: keep vertex hits and per-edge interior counts,
-    read from the witness's integer form."""
+    the witness's run counts summed per edge."""
     counts: dict[int, int] = {}
-    for e, _ in ws.interior:
-        counts[e] = counts.get(e, 0) + 1
+    for e, _, _, count in ws.runs:
+        counts[e] = counts.get(e, 0) + count
     return Certificate(frozenset(ws.vertices), counts)
 
 

@@ -2,10 +2,14 @@
 
 Exit codes: 0 success/accept, 1 reject or infeasible, 2 usage or input
 error, 3 resource guard tripped (the oracle's candidate cap or timeout, or
-the one size limit: of the grid at numerators 1 and 2, of the tree route's
-answer, of ``subdivide`` and of ``gadget``; a timeout names the verified
-lower bound the oracle had found), 4 internal error (a structural guarantee
-failed; a bug, not bad input).
+the one size limit: of the tree route's answer, of a witness written out
+with ``--witness`` or by ``oracle``, one line per point, of ``subdivide``,
+of ``gadget`` and of ``verify``'s system; a timeout names the verified
+lower bound the oracle had found), 4 internal error (a structural
+guarantee failed; a bug, not bad input).  A witness over the limit is
+refused before its file is opened, so ``solve --witness`` then leaves no
+file and prints no value; ``solve`` without it prints the value, which at
+numerators 1 and 2 has no size limit.
 """
 
 from __future__ import annotations

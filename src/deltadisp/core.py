@@ -238,12 +238,14 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 # ---------------------------------------------------------------------------
 
 
-#: Largest grid, n + m(c-1) points for step 1/c, that the routes of
-#: numerators 1 and 2 (at c = 2b for spacing a/b) or :func:`subdivide`
-#: build, and the most points, n + m*ceil(b/a), an answer of the tree
-#: route may hold.  Their lists take up to about 180 bytes a point, so a
-#: run at the limit stays under about 1 GiB, its input included.  A
-#: certificate's system keeps to the same count of rows, each kept once as
+#: Largest grid, n + m(c-1) points for step 1/c, that :func:`subdivide`
+#: or ``build_gadget`` builds, the most points, n + m*ceil(b/a), an
+#: answer of the tree route may hold (its cover holds a ball per point),
+#: and the most points a witness's text may hold, one line each.  The
+#: routes of numerators 1 and 2 build no grid: their witnesses are runs,
+#: one per edge, whatever b is.  Those lists take up to about 180 bytes a
+#: point, so a run at the limit stays under about 1 GiB, its input
+#: included.  A certificate's system keeps to the same count of rows, each kept once as
 #: its arcs, which share one tuple per end and weight: about 24 bytes a
 #: row, so under 0.1 GiB at the limit (89 MiB peak RSS for K1,4000 at 1/3).
 GRID_LIMIT = 4_000_000
@@ -314,20 +316,21 @@ def grid_adjacency(g: Graph, c: int) -> list:
 
 def grid_form(
     n: int, c: int, chosen: Iterable[int]
-) -> tuple[int, list[int], list[tuple[int, int]]]:
+) -> tuple[int, list[int], list[tuple[int, int, int, int]]]:
     """Vertices `chosen` of ``subdivide(g, c)``, g having n vertices, in the
     integer form of :meth:`~deltadisp.certify.WitnessSet.verified`: ``(c,
-    vertex ids, (edge, k) pairs)``.  Vertex i < n is vertex i of g, and vertex n + e(c-1) +
-    k-1 the point k/c along edge e."""
+    vertex ids, runs)``, a run ``(e, k, 1, 1)`` of one point per chosen
+    vertex inside an edge.  Vertex i < n is vertex i of g, and vertex
+    n + e(c-1) + k-1 the point k/c along edge e."""
     vertices: list[int] = []
-    interior: list[tuple[int, int]] = []
+    runs: list[tuple[int, int, int, int]] = []
     for i in chosen:
         if i < n:
             vertices.append(i)
         else:
             e, r = divmod(i - n, c - 1)
-            interior.append((e, r + 1))
-    return c, vertices, interior
+            runs.append((e, r + 1, 1, 1))
+    return c, vertices, runs
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certify import WitnessSet
-from .core import Graph, as_rational, check_grid, check_size
+from .core import Graph, as_rational, check_size
 from .errors import NPHardRegimeError
 from .oracle import DEFAULT_CANDIDATE_CAP, brute_disp, check_limits
 from .solve2 import disp2
@@ -40,11 +40,15 @@ def disp(
     :func:`brute_disp`'s answer.  `cap` and `timeout` apply to that
     oracle only, but a `cap` below 1 or a `timeout` that is negative,
     infinite or NaN raises ValueError on every route, before routing.
-    Numerators 1 and 2 first check the instance's 1/(2b) grid, n +
-    m(2b-1) points, against :data:`~deltadisp.core.GRID_LIMIT`; the tree
-    route, which builds no grid, checks the most points its answer can
-    hold, n + m*ceil(b/a).  Either raises SizeGuardExceededError over the
-    limit, before anything of that size is allocated.
+    Numerators 1 and 2 place each edge's points as one arithmetic run, so
+    their witness takes O(n + m) room, and its check O(n + m) time,
+    whatever b is; only writing such a witness out, one line per point,
+    meets :data:`~deltadisp.core.GRID_LIMIT` (see
+    :func:`~deltadisp.certify.format_witness`).  The tree route still
+    checks the most points its answer can hold, n + m*ceil(b/a), against
+    that limit, since its cover holds one ball per point, and raises
+    SizeGuardExceededError over it before anything of that size is
+    allocated.
 
     The polynomial routes return their value and witness unchecked, and
     the witness is verified (cardinality and pairwise spacing) once, here,
@@ -73,7 +77,6 @@ def disp(
         check_size(bound, f"the {a}/{b} tree route's answer", "points at most")
         value, form = tree_disp(g, a, b)
     else:
-        check_grid(g, 2 * b, f"the {a}/{b} grid of this graph")
         value, form = _unit_numerator(g, b) if a == 1 else disp2(g, b)
     return value, WitnessSet.verified(g, *form, delta, value)
 
@@ -82,12 +85,13 @@ def _unit_numerator(g: Graph, b: int) -> tuple[int, tuple]:
     """delta = 1/b: trees fit b points per edge plus one, others b per edge.
 
     Returns the value and the witness in the integer form ``(scale,
-    vertex ids, (edge, k) pairs)`` that :meth:`WitnessSet.verified` takes.
+    vertex ids, runs)`` that :meth:`WitnessSet.verified` takes: one run
+    per edge, at k/b for 0 < k < b on a tree, at (2k - 1)/(2b) for 0 < k
+    <= b otherwise.
     """
     m = g.edge_count
     if g.is_tree:
-        interior = [(e, i) for e in range(m) for i in range(1, b)]
-        return b * m + 1, (b, range(g.vertex_count), interior)
-    interior = [(e, 2 * i - 1) for e in range(m) for i in range(1, b + 1)]
-    return b * m, (2 * b, (), interior)
+        runs = [(e, 1, 1, b - 1) for e in range(m)] if b > 1 else []
+        return b * m + 1, (b, range(g.vertex_count), runs)
+    return b * m, (2 * b, (), [(e, 1, 2, b) for e in range(m)])
 

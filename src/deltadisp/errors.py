@@ -53,10 +53,10 @@ class NPHardRegimeError(DispersionError):
 class SizeGuardExceededError(DispersionError):
     """An instance is larger than its guard allows: the brute-force
     candidate set over the configured cap, or a size over the one fixed
-    limit, ``core.GRID_LIMIT`` points, that the routes of numerators 1
-    and 2 (the 1/(2b) grid of spacing a/b), the tree route (the most
-    points its answer may hold), ``subdivide`` and ``build_gadget`` share.
-    Raised before anything of that size is allocated."""
+    limit, ``core.GRID_LIMIT`` points, that the tree route (the most
+    points its answer may hold), a witness's text (its points, one line
+    each), ``subdivide`` and ``build_gadget`` share.  Raised before
+    anything of that size is allocated."""
 
 
 class OracleTimeoutError(DispersionError):

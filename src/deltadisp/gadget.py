@@ -173,7 +173,7 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
     a, q = inst.delta.numerator, 2 * inst.delta.denominator
     c = inst.coeffs
     vertices = sorted(chosen)
-    interior: list[tuple[int, int]] = []
+    runs: list[tuple[int, int, int, int]] = []  # one per point
     for e, (u, v) in enumerate(inst.h.edges):
         f = e * (2 * c.x1 + c.x2)
         # per chain: its first edge, its first point's distance, its point count
@@ -185,12 +185,12 @@ def witness_from_independent_set(inst: GadgetInstance, independent: Iterable[int
             for t in range(start, start + 2 * a * count, 2 * a):
                 step, k = divmod(t, q)
                 if k:
-                    interior.append((first + step, k))
+                    runs.append((first + step, k, 1, 1))
                 else:
                     vertices.append(g.edges[first + step][0])
 
     return WitnessSet.verified(
-        g, q, vertices, interior, inst.delta, predicted_bound(inst, len(chosen))
+        g, q, vertices, runs, inst.delta, predicted_bound(inst, len(chosen))
     )
 
 

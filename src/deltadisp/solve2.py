@@ -47,9 +47,9 @@ def _min_surplus(adjacency: list[list[int]], left: int) -> tuple[int, list[int]]
     return (len(match) - match.count(-1)) // 2 - left, list(compress(range(left), outer))
 
 
-def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, int]]]]:
+def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, int, int, int]]]]:
     """The 2/b-dispersion number, b = 2z+1 odd, and an optimal witness as
-    ``(2b, vertex ids, (edge, k) pairs)``, unchecked.
+    ``(2b, vertex ids, (edge, first, step, count) runs)``, unchecked.
 
     The maximum matching of g and its outer vertices D, the vertices some
     maximum matching misses, come from one call of the matching engine,
@@ -95,21 +95,24 @@ def disp2(g: Graph, b: int) -> tuple[int, tuple[int, list[int], list[tuple[int, 
     return value, (2 * b, chosen, _refill(g, held, midpoints, b))
 
 
-def _refill(g: Graph, held: bytearray, mate: list[int], b: int) -> list[tuple[int, int]]:
-    """The z = (b-1)/2 points per edge of the 2/b witness, as ``(edge, k)``
-    pairs at offset k/(2b): i*delta from a chosen end (``held``), else from
-    the first end (i - 3/4)*delta on a midpoint edge (``mate[u] == v``) and
+def _refill(
+    g: Graph, held: bytearray, mate: list[int], b: int
+) -> list[tuple[int, int, int, int]]:
+    """The z = (b-1)/2 points per edge of the 2/b witness, as one run
+    ``(edge, first, step, count)`` per occupied edge, at offsets k/(2b):
+    i*delta from a chosen end (``held``), else from the first end
+    (i - 3/4)*delta on a midpoint edge (``mate[u] == v``) and
     (i - 1/4)*delta on the rest.  A midpoint edge at a chosen end, or both
     ends chosen, is a fault: its pattern puts a point closer than 2/b to a
     chosen end (at b = 1 the ends are 1 apart), so the exit rejects it."""
     z, q = (b - 1) // 2, 2 * b
-    # offsets in units of 1/(2b), by held[u] + 2 held[v] mod 3, or 3 on a
-    # midpoint edge whatever its ends
+    # runs (first, step, count) in units of 1/(2b), by held[u] + 2 held[v]
+    # mod 3, or 3 on a midpoint edge whatever its ends
     patterns = (
-        range(3, 4 * z, 4),  # neither end chosen: 4i - 1
-        range(4, 4 * z + 1, 4),  # first end chosen: 4i
-        range(q - 4 * z, q, 4),  # second end chosen: q - 4i
-        range(1, 4 * z + 2, 4),  # midpoint edge: 4i - 3
+        (3, 4, z),  # neither end chosen: 4i - 1
+        (4, 4, z),  # first end chosen: 4i
+        (q - 4 * z, 4, z),  # second end chosen: q - 4i
+        (1, 4, z + 1),  # midpoint edge: 4i - 3
     )
     codes = [3 if mate[u] == v else (held[u] + 2 * held[v]) % 3 for u, v in g.edges]
-    return [(e, k) for e, code in enumerate(codes) for k in patterns[code]]
+    return [(e, *patterns[code]) for e, code in enumerate(codes) if z or code == 3]

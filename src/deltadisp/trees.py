@@ -22,14 +22,15 @@ no conflict graph and no search.
 from __future__ import annotations
 
 from .certify import check_cover
-from .core import Graph, grid_form
+from .core import Graph
 
 __all__ = ["tree_disp"]
 
 
 def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     """The a/b-dispersion number of the tree g, with a witness in the
-    integer form of :meth:`~deltadisp.certify.WitnessSet.verified`.
+    integer form of :meth:`~deltadisp.certify.WitnessSet.verified`, each
+    chain's points one run, spaced S apart.
 
     Let q = 2b and S = 2a: the answer is a largest set of points of the
     1/q grid pairwise at least S grid hops apart.  Rooted at vertex 0, the
@@ -95,48 +96,64 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
             if y and parent[y] < 0:
                 parent[y] = x
                 order.append(y)
-    kept = _greedy(order, parent, q, 2 * a)
+    spacing = 2 * a
+    kept = _greedy(order, parent, q, spacing)
 
     # the point t hops up from vertex v, 0 < t < q, is grid point base[v] +
-    # step[v] t (step -1: v is the far end of the edge up to its parent)
+    # step[v] t, and lies on edge up[v] (step -1: v is the far end of that
+    # edge, so the point is q - t steps along it)
     base = [0] * n
     step = [1] * n
+    up = [0] * n
     for e, (u, w) in enumerate(g.edges):
         if parent[w] == u:
-            base[w], step[w] = n + e * s + s, -1
+            base[w], step[w], up[w] = n + e * s + s, -1, e
         else:
-            base[u] = n + e * s - 1
-    points: list[int] = []
+            base[u], up[u] = n + e * s - 1, e
+    vertices: list[int] = []
+    runs: list[tuple[int, int, int, int]] = []
     balls: list[tuple[int, int]] = []
     climb = a - 1
-    for v, t in kept:
-        points.append(base[v] + step[v] * t if t else v)
-        t += climb  # to c, the grid point a-1 hops up
-        while t >= q and v:
-            t -= q
-            v = parent[v]
-        if not v:
-            balls.append((0, 0))
-            continue
-        c = base[v] + step[v] * t if t else v
-        balls.append((c, parent[v] if t == s else base[v] + step[v] * (t + 1)))
-    check_cover(g, q, balls, len(points), climb)
-    return len(points), grid_form(n, q, points)
+    for v, first, count in kept:
+        if not first:
+            vertices.append(v)
+        elif step[v] == 1:
+            runs.append((up[v], first, spacing, count))
+        else:
+            runs.append((up[v], q - first - (count - 1) * spacing, spacing, count))
+        for t in range(first + climb, first + climb + count * spacing, spacing):
+            x = v  # to c, the grid point a-1 hops above the point t - climb up from v
+            while t >= q and x:
+                t -= q
+                x = parent[x]
+            if not x:
+                balls.append((0, 0))
+                continue
+            c = base[x] + step[x] * t if t else x
+            balls.append((c, parent[x] if t == s else base[x] + step[x] * (t + 1)))
+    value = sum(count for _, _, count in kept)
+    check_cover(g, q, balls, value, climb)
+    return value, (q, vertices, runs)
 
 
-def _greedy(order: list[int], parent: list[int], q: int, spacing: int) -> list[tuple[int, int]]:
-    """The points the bottom-up pass keeps, as ``(v, t)``: t hops up from
-    vertex v towards its parent, 0 <= t < q, for the tree of `parent`
-    links, visited in reverse breadth-first `order` from the root, with
-    chains of q hops and points at least `spacing` hops apart."""
+def _greedy(order: list[int], parent: list[int], q: int, spacing: int) -> list[list[int]]:
+    """The points the bottom-up pass keeps, as runs ``[v, t, count]``: the
+    count points t, t + spacing, ... hops up from vertex v towards its
+    parent, 0 <= t < q (t = 0 is v's own point, alone), for the tree of
+    `parent` links, visited in reverse breadth-first `order` from the
+    root, with chains of q hops and points at least `spacing` hops apart.
+
+    A point is only ever dropped while it is the nearest kept point below
+    a vertex, so it is the last of its run, and each run loses at most
+    that one point: the runs stay arithmetic."""
     near = [spacing] * len(order)  # hops to the nearest kept point below, capped
-    top = [-1] * len(order)  # that point's position in `kept`
-    kept: list = []  # None once dropped
+    top = [-1] * len(order)  # the run in `kept` whose last point that is
+    kept: list[list[int]] = []
     for v in reversed(order):
         h = near[v]
         if h == spacing:
             h, point = 0, len(kept)
-            kept.append((v, 0))
+            kept.append([v, 0, 1])
         else:
             point = top[v]
         p = parent[v]
@@ -144,18 +161,18 @@ def _greedy(order: list[int], parent: list[int], q: int, spacing: int) -> list[t
             break
         count = (h + q - 1) // spacing
         if count:
-            kept.extend([(v, t) for t in range(spacing - h, q, spacing)])
-            point = len(kept) - 1
+            point = len(kept)
+            kept.append([v, spacing - h, count])
             x = h + q - spacing * count
         else:
             x = h + q
         y = near[p]
         if x + y < spacing:  # drop the point nearer p, this chain's on a tie
             if x <= y:
-                kept[point] = None
+                kept[point][2] -= 1
             else:
-                kept[top[p]] = None
+                kept[top[p]][2] -= 1
                 near[p], top[p] = x, point
         elif x < y:
             near[p], top[p] = x, point
-    return [point for point in kept if point is not None]
+    return [run for run in kept if run[2]]

@@ -29,7 +29,10 @@ built as tuples before any arc, a hop ball walked at every radius, a
 negative-cycle search keeping a dict per walk) and the line-by-line
 certificate reader are the differential references for ``certify``, and
 the tree route over the built grid and the cover check over it are those
-for ``trees.tree_disp`` and ``certify.check_cover``.
+for ``trees.tree_disp`` and ``certify.check_cover``.  The witness form the
+runs replaced, ``(edge, k)`` pairs with its constructor and its
+point-by-point dispersion check (:class:`PairWitness`), and the expander
+from runs to those pairs are the references for ``WitnessSet``.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ import itertools
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from operator import eq, sub
+from typing import Iterable, Sequence
 
 from deltadisp import Certificate, Graph, Verdict, WitnessSet, as_rational, matching
 from deltadisp.core import grid_adjacency, grid_form, hop_ball, integer_tokens
@@ -129,24 +133,50 @@ def normalize_point(g: Graph, p: Point) -> Point:
 
 def witness_of(g: Graph, points, delta) -> WitnessSet:
     """`points`, validated and repeats dropped, as a WitnessSet at spacing
-    `delta`: ``witness_of(g, points, delta).is_dispersed()`` decides them."""
+    `delta`, each interior point given as a run of one:
+    ``witness_of(g, points, delta).is_dispersed()`` decides them."""
     keys = {_point_key(g, p) for p in points}
     interior = [key for key in keys if isinstance(key, tuple)]
     scale = lcm(*(den for _, _, den in interior))
-    return WitnessSet._from_form(
+    return WitnessSet._from_runs(
         g,
         scale,
         [key for key in keys if not isinstance(key, tuple)],
-        [(e, num * (scale // den)) for e, num, den in interior],
+        [(e, num * (scale // den), 1, 1) for e, num, den in interior],
         delta,
     )
+
+
+def expand_runs(runs) -> list[tuple[int, int]]:
+    """The ``(edge, k)`` pairs of the points of ``(edge, first, step,
+    count)`` runs, run by run: the form the runs replaced."""
+    return [(e, first + i * step) for e, first, step, count in runs for i in range(count)]
+
+
+def reference_runs(interior) -> list[tuple[int, int, int, int]]:
+    """The canonical runs of ascending ``(edge, k)`` pairs, point by point:
+    each point extends the last run when it is on the same edge and is
+    that run's second point or its next step, else starts a run of one
+    point, step 1."""
+    runs: list[tuple[int, int, int, int]] = []
+    for e, k in interior:
+        if runs and runs[-1][0] == e:
+            _, first, step, count = runs[-1]
+            if count == 1:
+                runs[-1] = (e, first, k - first, 2)
+                continue
+            if k == first + count * step:
+                runs[-1] = (e, first, step, count + 1)
+                continue
+        runs.append((e, k, 1, 1))
+    return runs
 
 
 def witness_points(ws: WitnessSet) -> tuple[Point, ...]:
     """The points of a witness, normalized and sorted by edge and offset."""
     g, s = ws.graph, ws.scale
     points = [vertex_point(g, v) for v in ws.vertices]
-    return tuple(sorted(points + [Point(e, Fraction(k, s)) for e, k in ws.interior]))
+    return tuple(sorted(points + [Point(e, Fraction(k, s)) for e, k in expand_runs(ws.runs)]))
 
 
 def source_point(g: Graph, c: int, v: int) -> Point:
@@ -1046,6 +1076,157 @@ def induced_conflicts(conflicts, mask: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PairWitness:
+    """The witness form the runs of ``WitnessSet`` replaced, kept with its
+    constructor and its point-by-point dispersion check as their
+    differential reference.
+
+    ``vertices`` are the vertex ids holding a point, ascending, and
+    ``interior`` the ``(edge, k)`` pairs, ascending, of the points strictly
+    inside an edge, at offset k/scale from its first endpoint (0 < k <
+    scale).  ``scale`` is the smallest common denominator of those offsets
+    (1 when there are none), so equal sets compare equal.
+    """
+
+    graph: Graph = field(compare=False, repr=False)
+    scale: int
+    vertices: tuple[int, ...]
+    interior: tuple[tuple[int, int], ...]
+    delta: Fraction
+
+    def __len__(self) -> int:
+        return len(self.vertices) + len(self.interior)
+
+    def is_dispersed(self) -> bool:
+        """True iff every two of the points are at least delta apart, by
+        the check over sorted pairs that the run check replaced.
+
+        Offsets and delta are scaled by L = lcm(scale, delta's denominator),
+        so an edge is L long.  Two points on one edge are exactly their offset
+        difference apart (a route around the edge is at least L long), so only
+        neighbours in offset order are compared.
+        Every other route leaves one point's edge at an end x and enters the
+        other's at an end y, and costs at least L hops(x, y); a pair closer
+        than delta therefore has ends fewer than delta hops apart.  Along such
+        a route a nearer point on the same edge, or the vertex itself, is
+        closer still, so each vertex keeps only its nearest point and the
+        distance to the next (an occupied vertex only its own point: the
+        offset check has put every other point at least delta away from it).
+        Hop 0 compares those two.  Ends x and y at least one hop apart
+        compare their nearest points only, unless that is one point of edge
+        xy seen from both ends: then every pair is farther apart than one that
+        hop 0 at x or y compares.
+
+        The search from x is one-sided: it walks h hops only while
+        2 d0(x) + hL < limit.  A violating pair at h >= 1 hops has
+        d0(x) + d0(y) + hL < limit, so the end with the smaller d0, say x,
+        has 2 d0(x) + hL < limit and reaches the other; the pair is found
+        from that side.
+
+        The cost is a pass over the sorted points, one over the edge ends, and
+        per vertex that keeps a point its neighbour list when delta allows one
+        hop, or a search ball of radius below delta walked ring by ring when
+        it allows more: near-linear in the witness times the ball size, with
+        no all-pairs table and nothing sized by the graph.
+        """
+        g, scale, delta = self.graph, self.scale, self.delta
+        vertices, interior = self.vertices, self.interior
+        if len(vertices) + len(interior) < 2:
+            return True
+        length = lcm(scale, delta.denominator)
+        step = length // scale
+        limit = delta.numerator * (length // delta.denominator)
+
+        # Offsets on one edge closer than delta differ by less than `gap`
+        # units of 1/scale.  Laying edge e's offsets out from e * (scale + gap)
+        # puts points of different edges at least `gap` apart, so one scan of
+        # the sorted pairs compares every edge's neighbours in offset order.
+        gap = -(-limit // step)
+        stride = scale + gap
+        laid = [e * stride + k for e, k in interior]
+        if len(laid) > 1 and min(map(sub, laid[1:], laid)) < gap:
+            return False
+
+        # Per vertex, ``(d0, p0, d1)``: the distance and name of its nearest
+        # point and the distance of the next (`limit` if none): an occupied
+        # vertex's own point, named by its id, or the two nearest ends of
+        # edges (one per edge) at a vacant one, named (edge, k).  An end at an
+        # occupied vertex must be delta away from it instead.
+        occupied = set(vertices)
+        near = {v: (0, v, limit) for v in occupied}
+        edges = g.edges
+        ends = [(edges[e][0], k * step, (e, k)) for e, k in dict(reversed(interior)).items()]
+        ends += [(edges[e][1], (scale - k) * step, (e, k)) for e, k in dict(interior).items()]
+        for x, distance, point in ends:
+            kept = near.get(x)
+            if kept is None:
+                near[x] = (distance, point, limit)
+            elif x in occupied:
+                if distance < limit:
+                    return False
+            elif distance < kept[0]:
+                near[x] = (distance, point, kept[0])
+            elif distance < kept[2]:
+                near[x] = (kept[0], kept[1], distance)
+
+        adjacency = g.adjacency
+        for x, (d0, p0, d1) in near.items():
+            if d0 + d1 < limit:
+                return False  # hop 0: the two points nearest x
+            radius = (limit - 2 * d0 - 1) // length  # one-sided: see above
+            if radius < 1:
+                continue
+            # one hop reads x's neighbour list; more walk a ball from ring 1 on
+            rings = [(1, adjacency[x])] if radius == 1 else itertools.islice(hop_ball(g, x, radius), 1, None)
+            for hops, ring in rings:
+                reach = limit - hops * length
+                for y in ring:
+                    there = near.get(y)
+                    if there is not None and d0 + there[0] < reach and p0 != there[1]:
+                        return False
+        return True
+
+    @classmethod
+    def from_form(
+        cls,
+        g: Graph,
+        scale: int,
+        vertices: Iterable[int],
+        interior: Iterable[tuple[int, int]],
+        delta: Fraction,
+    ) -> "PairWitness":
+        """Sort the integer form, check it names distinct points of g, and
+        reduce it to the smallest scale.  Raises ValueError otherwise."""
+        delta = as_rational(delta)
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        vertices = sorted(vertices)
+        interior = sorted(interior)
+        if any(map(eq, vertices, vertices[1:])) or any(map(eq, interior, interior[1:])):
+            raise ValueError("witness points are not pairwise distinct")
+        if vertices and not (vertices[0] >= 0 and vertices[-1] < g.vertex_count):
+            raise ValueError("witness vertex outside the graph")
+        if interior:
+            ks = [k for _, k in interior]
+            if not (interior[0][0] >= 0 and interior[-1][0] < g.edge_count):
+                raise ValueError("witness edge outside the graph")
+            if min(ks) < 1 or max(ks) >= scale:
+                raise ValueError("witness offset outside its edge")
+            common = gcd(scale, *ks)
+            if common > 1:
+                scale //= common
+                interior = [(e, k // common) for e, k in interior]
+        else:
+            scale = 1
+        return cls(g, scale, tuple(vertices), tuple(interior), delta)
+
+    @classmethod
+    def of(cls, ws: WitnessSet) -> "PairWitness":
+        """The points of `ws`, its runs expanded."""
+        return cls.from_form(ws.graph, ws.scale, ws.vertices, expand_runs(ws.runs), ws.delta)
+
+
 def reference_build(g: Graph, points) -> tuple[Point, ...]:
     """Normalized points sorted by edge and offset; ValueError on a repeat."""
     norm = [normalize_point(g, p) for p in points]
@@ -1137,8 +1318,8 @@ def reference_unit_numerator_points(g: Graph, b: int) -> list[Point]:
 def canonical_witness(g: Graph) -> tuple[int, frozenset[int], frozenset[int]]:
     """The delta = 2 value of ``solve2.disp2(g, 1)``, and its canonical
     witness as the chosen vertices and the edges holding a midpoint."""
-    value, (_, vertices, interior) = disp2(g, 1)
-    return value, frozenset(vertices), frozenset(e for e, _ in interior)
+    value, (_, vertices, runs) = disp2(g, 1)
+    return value, frozenset(vertices), frozenset(e for e, *_ in runs)
 
 
 def reference_numerator_two_points(g: Graph, b: int) -> list[Point]:

@@ -92,13 +92,18 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "333333336 points at most" in lines[0]
 
-    def test_unit_numerator_grid_over_limit_exits_3(self, k2, capsys):
-        assert run(["solve", str(k2), "--delta", "1/1000000000"]) == 3
+    def test_unit_numerator_grid_over_limit_exits_3(self, k2, tmp_path, capsys):
+        # the value is printed; only writing its 10^9 + 1 points out, one
+        # line each, is over the limit: exit 3, and no file is left
+        assert run(["solve", str(k2), "--delta", "1/1000000000"]) == 0
+        assert capsys.readouterr().out == "1000000001\n"
+        out = tmp_path / "k2.witness"
+        assert run(["solve", str(k2), "--delta", "1/1000000000", "--witness", str(out)]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not out.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "2000000001 points" in lines[0]
+        assert "this witness has 1000000001 points" in lines[0]
 
     def test_brute_force_flag_reaches_oracle(self, c3, capsys, monkeypatch):
         from deltadisp import dispatch

@@ -398,18 +398,23 @@ def test_package_keeps_no_test_only_names():
 
 def test_one_grid_limit_guards_routes_and_subdivide(monkeypatch):
     # K2's grid of step 1/c has c + 1 points; at a limit of 10, c = 9 is
-    # the largest built, by a route (c = 2b) and by subdivide alike.  The
-    # tree route builds no grid: its guard counts its answer's bound, 2 +
-    # ceil(5/3) = 4 points at 3/5
+    # the largest subdivide builds.  The tree route builds no grid: its
+    # guard counts its answer's bound, 2 + ceil(5/3) = 4 points at 3/5.
+    # Numerators 1 and 2 build neither: they answer at any b, and only a
+    # witness of more points than the limit is refused, when written out
     monkeypatch.setattr(core, "GRID_LIMIT", 10)
     assert subdivide(K2, 9).vertex_count == 10
     assert disp(K2, Fraction(1, 4))[0] == 5
     assert disp(K2, Fraction(3, 4))[0] == 2
     assert disp(K2, Fraction(3, 5))[0] == 2
+    assert disp(K2, Fraction(1, 5))[0] == 6
+    assert format_witness(K2, disp(K2, Fraction(1, 9))[1]).count("\n") == 10
+    one, two = disp(K2, Fraction(1, 10)), disp(K2, Fraction(2, 21))
+    assert one[0] == two[0] == 11
     for refused in (
         lambda: subdivide(K2, 10),
-        lambda: disp(K2, Fraction(1, 5)),
-        lambda: disp(K2, Fraction(2, 5)),
+        lambda: format_witness(K2, one[1]),
+        lambda: format_witness(K2, two[1]),
     ):
         with pytest.raises(SizeGuardExceededError, match="11 points, over the limit of 10"):
             refused()
@@ -565,7 +570,7 @@ class TestSubdivide:
             for c in (1, 2, 3, 6):
                 grid = [source_point(g, c, i) for i in range(subdivide(g, c).vertex_count)]
                 for i, p in enumerate(grid):
-                    ws = WitnessSet._from_form(g, *grid_form(g.vertex_count, c, [i]), Fraction(1))
+                    ws = WitnessSet._from_runs(g, *grid_form(g.vertex_count, c, [i]), Fraction(1))
                     assert witness_points(ws) == (p,) == (normalize_point(g, p),)
                 assert sorted(grid) == sorted({
                     normalize_point(g, Point(e, Fraction(k, c)))
@@ -882,7 +887,7 @@ class TestWitnessIO:
     def test_duplicate_points_rejected(self):
         # vertex 2 of the triangle, written on edge (1,2) and edge (0,2)
         with pytest.raises(ValueError):
-            WitnessSet._from_form(C3, 1, [2, 2], [], Fraction(1))
+            WitnessSet._from_runs(C3, 1, [2, 2], [], Fraction(1))
         with pytest.raises(MalformedLineError) as err:
             parse_witness(C3, "1 1 2 1/1\n2 0 2 1/1\n", Fraction(1))
         assert err.value.line == 2
@@ -923,7 +928,7 @@ class TestWitnessIO:
          "0 0 1 -1/-2", "0/ 0 1 1/3"],
     )
     def test_only_plain_integer_tokens(self, line):
-        assert parse_witness(K2, "0 0 1 1/2\n", Fraction(1)).interior == ((0, 1),)
+        assert parse_witness(K2, "0 0 1 1/2\n", Fraction(1)).runs == ((0, 1, 1, 1),)
         with pytest.raises(MalformedLineError) as err:
             parse_witness(K2, "0 0 1 1/2\n" + line + "\n", Fraction(1))
         assert err.value.line == 2
@@ -938,7 +943,7 @@ class TestWitnessIO:
         with pytest.raises(ValueError, match="^delta must be positive$"):
             parse_witness(P3, "0 0 1 0/1\n0 0 1 1/2\n0 0 1 1/1\n", delta)
         with pytest.raises(InternalConsistencyError, match="delta must be positive"):
-            WitnessSet.verified(P3, 2, [0, 1, 2], [(0, 1)], delta, 4)
+            WitnessSet.verified(P3, 2, [0, 1, 2], [(0, 1, 1, 1)], delta, 4)
 
 
 class TestExactnessBoundary:
@@ -950,7 +955,7 @@ class TestExactnessBoundary:
         with pytest.raises(TypeError):
             witness_of(K2, [midpoint(K2, 0)], 0.5)
         with pytest.raises(TypeError):
-            WitnessSet.verified(K2, 2, [], [(0, 1)], 0.5, 1)
+            WitnessSet.verified(K2, 2, [], [(0, 1, 1, 1)], 0.5, 1)
 
     def test_string_fraction_accepted(self):
         from deltadisp import as_rational

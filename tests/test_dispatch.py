@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    PairWitness,
     connected_graphs_max_edges,
     cubic_catalogue,
     random_cactus,
@@ -181,15 +182,20 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("delta", [Fraction(1, 10**9), Fraction(2, 10**9 + 1)])
     def test_grid_guard_of_numerators_one_and_two_allocates_nothing(self, delta):
-        # K2's grid of step 1/(2b) has 2b + 1 points, over the limit: refused
-        # before a witness of a billion points is built
+        # K2's grid of step 1/(2b) has 2b + 1 points, far over the limit, but
+        # its witness is one run: answered and checked in under 1 MiB.  The
+        # guard sits where the witness is expanded, in its text, and refuses
+        # before any text is built
+        value = delta.denominator + 1 if delta.numerator == 1 else 1 + delta.denominator // 2
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardExceededError, match=f"{2 * delta.denominator + 1} points"):
-                disp(K2, delta)
+            answer, witness = disp(K2, delta)
+            with pytest.raises(SizeGuardExceededError, match=f"this witness has {value} points"):
+                format_witness(K2, witness)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert answer == len(witness) == value and len(witness.runs) == 1
         assert peak < 1 << 20
 
     def test_polynomial_routes_on_2000_vertex_trees(self):
@@ -241,13 +247,13 @@ class TestOneBuildOneCheck:
             return check(*args, **kwargs)
 
         monkeypatch.setattr(WitnessSet, "is_dispersed", checking)
-        build = WitnessSet._from_form.__func__
+        build = WitnessSet._from_runs.__func__
 
         def building(cls, *args, **kwargs):
             counts["build"] += 1
             return build(cls, *args, **kwargs)
 
-        monkeypatch.setattr(WitnessSet, "_from_form", classmethod(building))
+        monkeypatch.setattr(WitnessSet, "_from_runs", classmethod(building))
         return counts
 
     def _once(self, counts, solve):
@@ -347,8 +353,9 @@ class TestCheckedExit:
             held = bytearray([code & 1, code >> 1 & 1])
             mate = [1 if code & 4 else -1, -1]
             vertices = [v for v in (0, 1) if held[v]]
-            interior = solve2._refill(K2, held, mate, delta.denominator)
-            return len(vertices) + len(interior), (2 * delta.denominator, vertices, interior)
+            runs = solve2._refill(K2, held, mate, delta.denominator)
+            size = len(vertices) + sum(count for _, _, _, count in runs)
+            return size, (2 * delta.denominator, vertices, runs)
 
         for valid in (0, 1, 2, 4):  # the sound codes pass the same exit
             monkeypatch.setattr(dispatch, "disp2", lambda g, b, valid=valid: form(valid))
@@ -459,15 +466,17 @@ class TestIntegerWitness:
                 mismatches.append(("points", g, delta))
             if format_witness(g, witness) != reference_format_witness(g, points):
                 mismatches.append(("text", g, delta))
-            form = (witness.scale, witness.vertices, witness.interior)
+            pairs = PairWitness.of(witness)
+            form = (witness.scale, witness.vertices, witness.runs)
             for spacing in (delta, delta * Fraction(9, 8), delta * Fraction(3, 2)):
                 want = reference_is_dispersed(g, reference, spacing)
                 verdicts[want] += 1
                 got = (
                     WitnessSet(g, *form, spacing).is_dispersed(),
                     witness_of(g, points, spacing).is_dispersed(),
+                    PairWitness(g, pairs.scale, pairs.vertices, pairs.interior, spacing).is_dispersed(),
                 )
-                if got != (want, want):
+                if got != (want, want, want):
                     mismatches.append(("verdict", g, spacing))
         # two witnesses on one graph are equal exactly when their reference
         # points and spacings are

@@ -430,7 +430,7 @@ class TestBruteDisp:
         g = Graph(1, ())
         value, witness = brute_disp(g, Fraction(delta))
         assert value == 1
-        assert (witness.vertices, witness.interior) == ((0,), ())
+        assert (witness.vertices, witness.runs) == ((0,), ())
         assert format_witness(g, witness) == "-1 0 0 0/1\n"
 
     def test_value_at_least_one(self):

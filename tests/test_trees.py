@@ -79,7 +79,7 @@ def _vertex_too_many(monkeypatch):
     # the chain point one hop above the first kept vertex is kept too
     greedy = trees._greedy
     monkeypatch.setattr(
-        trees, "_greedy", lambda *args: (lambda k: k + [(k[0][0], 1)])(greedy(*args))
+        trees, "_greedy", lambda *args: (lambda k: k + [[k[0][0], 1, 1]])(greedy(*args))
     )
 
 
