@@ -21,11 +21,12 @@ integers once scaled by delta's denominator, only endpoints fewer than
 delta hops apart give constraints, and a rejection names the cycle.
 
 Each stage is one pass.  The reader takes all ``e n_e`` lines in one
-tokenization.  The check adds each row's arcs to the doubled graph as it
-finds the row, walking from every occupied end a ball of radius
-floor((p-1)/q) for delta = p/q, and nothing past hop 0 when delta <= 1, so
-its cost is the occupied ends times that ball.  The cycle search keeps its
-state in flat arrays.
+tokenization.  Two certificate vertices fewer than delta hops apart are
+found by the dispersion check's linear sweep.  The check adds each row's
+arcs to the doubled graph as it finds the row, walking from every
+occupied end a ball of radius floor((p-1)/q) for delta = p/q, and nothing
+past hop 0 when delta <= 1, so its cost is the occupied ends times that
+ball.  The cycle search keeps its state in flat arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
-from operator import eq, index, sub
+from operator import eq, index
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -105,23 +106,44 @@ class WitnessSet:
         through that end), and each vertex keeps only its nearest point (an
         occupied vertex its own point).  Hop 0 compares each point that
         reaches a vertex with the nearest one there so far, so the two
-        nearest are compared when the later of them arrives.  Ends x and y
-        at least one hop apart compare their nearest points only, unless
-        that is one point of edge xy seen from both ends: then every pair is
-        farther apart than one that hop 0 at x or y compares.  When delta
+        nearest are compared when the later of them arrives.  When delta
         <= 1 no two ends are fewer than delta hops apart, and hop 0 is all.
 
-        The search from x is one-sided: it walks h hops only while
-        2 d0(x) + hL < limit.  A violating pair at h >= 1 hops has
-        d0(x) + d0(y) + hL < limit, so the end with the smaller d0, say x,
-        has 2 d0(x) + hL < limit and reaches the other; the pair is found
-        from that side.
+        Past hop 0 one sweep labels the vertices with their nearest points,
+        as Mehlhorn's Voronoi regions do (*A faster approximation algorithm
+        for the Steiner problem in graphs*, IPL 27, 1988).  Labels ``(d,
+        point)`` start from hop 0's, each nearer than L, and go out one hop
+        a round, so they are taken in order of d, and a vertex keeps the
+        first that reaches it: a nearest point.  A vertex at distance d
 
-        The cost is a pass over the runs, whatever they hold, and per vertex
-        that keeps a point its neighbour list when delta allows one hop, or
-        a search ball of radius below delta walked ring by ring when it
-        allows more: linear in the vertices and runs times the ball size,
-        with no all-pairs table, and nothing sized by the count of points.
+        - compares its point with each labelled neighbour's while
+          2d + L < delta: a different point d' from that neighbour, with
+          d + L + d' < delta, is a pair closer than delta, joined by a walk
+          of that length;
+        - hands ``(d + L, point)`` to each unlabelled neighbour while
+          d + 2L < delta, and that neighbour takes its turn only if it can
+          hand on in turn (one that cannot compares nothing either).
+
+        No pair closer than delta is missed.  Take a closest pair P, Q,
+        closer than delta, that the checks before the sweep pass, and a
+        shortest route from P's edge's end x to Q's edge's end y: x != y,
+        or hop 0 at x would have compared two points as close.  x is
+        labelled P, since a point R != P as near x is at most 2 d(x, P) <
+        d(x, P) + L <= |PQ| from P; likewise y is labelled Q.  Each vertex
+        of the route lies within delta - L of P or of Q, the other being at
+        least a hop further on, and so is labelled.  The labels therefore
+        change across some edge (u, v) of the route with d_u + L + d_v <=
+        |PQ| < delta, and its nearer end, say u, has 2 d_u + L < delta and
+        scans v.  v is labelled by then: a label given after u's turn is at
+        least d_u + L, which makes d_u + 2L < delta, and then u hands v its
+        own point at its turn.
+
+        The cost is a pass over the runs, whatever they hold, one sort of
+        the hop-0 labels, and a sweep that labels each vertex once and reads
+        each neighbour list at most once: O(n + m + runs) whatever delta
+        is, with no all-pairs table, and nothing sized by the count of
+        points.  At delta = 2 only the vertices within L/2 of a point read
+        their neighbour lists.
         """
         g, scale, delta = self.graph, self.scale, self.delta
         if len(self) < 2:
@@ -164,21 +186,7 @@ class WitnessSet:
             near[x] = (distance, point)
         if limit <= length:
             return True  # delta <= 1: no two ends fewer than delta hops apart
-
-        adjacency = g.adjacency
-        for x, (d0, p0) in near.items():
-            radius = (limit - 2 * d0 - 1) // length  # one-sided: see above
-            if radius < 1:
-                continue
-            # one hop reads x's neighbour list; more walk a ball from ring 1 on
-            rings = [(1, adjacency[x])] if radius == 1 else islice(hop_ball(g, x, radius), 1, None)
-            for hops, ring in rings:
-                reach = limit - hops * length
-                for y in ring:
-                    there = near.get(y)
-                    if there is not None and d0 + there[0] < reach and p0 != there[1]:
-                        return False
-        return True
+        return not _close_pair(g.adjacency, near, limit, length)
 
     @classmethod
     def _from_runs(
@@ -273,6 +281,41 @@ class WitnessSet:
                 f"witness of {len(witness)} points fails verification for value {size}"
             )
         return witness
+
+
+def _close_pair(
+    adjacency: Sequence[Sequence[int]], label: dict[int, tuple[int, object]], limit: int, length: int
+) -> bool:
+    """Whether two points are joined by a walk shorter than `limit`, by the
+    nearest-point sweep that :meth:`WitnessSet.is_dispersed` sets out, with
+    why it misses no such pair.
+
+    ``label`` maps each vertex that has a point nearer than `length`, the
+    length of every edge, to ``(distance, point)`` for its nearest one;
+    the sweep adds the labels it hands on.  When any is handed on, the
+    first round is sorted by distance, and every later one comes out in
+    that order; when none is (limit <= 2 length), order does not matter.
+    """
+    reach = limit - length  # a pair across an edge, d + L + d' < limit, has d + d' < reach
+    queue = list(label.items())
+    if reach > length:
+        queue.sort(key=lambda item: item[1][0])
+    for x, (d, point) in queue:  # `queue` grows by one round after another
+        compare, hand = 2 * d < reach, d + length < reach
+        if not (compare or hand):
+            continue
+        given = (d + length, point)
+        onward = hand and d + 2 * length < reach  # whether a neighbour given `given` hands on
+        for y in adjacency[x]:
+            there = label.get(y)
+            if there is None:
+                if hand:
+                    label[y] = given
+                    if onward:
+                        queue.append((y, given))
+            elif compare and there[1] != point and d + there[0] < reach:
+                return True
+    return False
 
 
 def format_witness(g: Graph, ws: WitnessSet) -> str:
@@ -612,12 +655,16 @@ def verify_certificate(g: Graph, delta: Fraction, cert: Certificate, k: int) -> 
 
     p, q = delta.numerator, delta.denominator
     radius = (p - 1) // q  # the largest hop count below delta
-    if radius:  # hop 0 holds no pair of distinct vertices
+    # hop 0 holds no pair of distinct vertices; past it the sweep tells
+    # whether two are fewer than delta hops apart, and only then does a
+    # search in vertex order name the first such pair
+    if radius and _close_pair(g.adjacency, {v: (0, v) for v in vertices}, p, q):
         for u in sorted(vertices):
             for hops, ring in hop_ball(g, u, radius):
                 for w in ring:
                     if w > u and w in vertices:
                         return Verdict(False, f"vertex pair ({u}, {w}) at distance {hops} < {delta}")
+        raise InternalConsistencyError("the search misses the vertex pair the sweep found")
 
     # x_i, i = 2 pos + side: distance from end `side` of the pos-th occupied
     # edge to its nearest interior point, in units of 1/q.  Rows are

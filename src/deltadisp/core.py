@@ -205,11 +205,14 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
     one comes up empty.
 
     A breadth-first search that stops at the radius, so its cost is the
-    size of the ball, not of the graph; this is the one search the local
-    checks of :mod:`deltadisp.certify` (the dispersion check past one hop,
-    certificates) share.  The graph's connectivity check does not use it:
-    :class:`Graph` runs one plain breadth-first pass over the neighbour
-    lists it builds anyway.
+    size of the ball, not of the graph.  The certificate check of
+    :mod:`deltadisp.certify` walks it from each occupied edge end for the
+    rows of its system, and from each vertex in order to name the first
+    pair of vertices too close, once its linear sweep has found there is
+    one; the tests use it as a reference.  The dispersion check does not
+    (it sweeps once over the graph), nor does the graph's connectivity
+    check: :class:`Graph` runs one plain breadth-first pass over the
+    neighbour lists it builds anyway.
     """
     yield 0, [source]
     adjacency = g.adjacency

@@ -522,6 +522,35 @@ class TestUntrustedCertificates:
             tracemalloc.stop()
         assert peak / rows < 64, (peak, rows)
 
+    def test_spider_checks_read_neighbour_lists_linearly(self):
+        """On a spider of 500 legs of 10 edges at delta = 39/2, whose
+        diameter is 20, disp (its route and its witness check) reads at
+        most 4n neighbour lists, and the certificate of the 500 tips is
+        accepted within 2n: a walk of radius 19 from every tip reads
+        about 240n."""
+
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        legs, length = 500, 10
+        n = 1 + legs * length
+        g = Graph(n, tuple((v, 0 if v % length == 1 else v - 1) for v in range(1, n)))
+        adjacency = Counted(g.adjacency)
+        object.__setattr__(g, "adjacency", adjacency)
+        delta = Fraction(39, 2)
+        value, _ = disp(g, delta)
+        reads, adjacency.reads = adjacency.reads, 0
+        assert value == legs
+        assert reads <= 4 * n, reads / n
+        tips = Certificate(frozenset(range(length, n, length)), {})
+        assert verify_certificate(g, delta, tips, legs).accepted
+        reads = adjacency.reads
+        assert reads <= 2 * n, reads / n
+
 
 class TestFormat:
     def test_roundtrip(self):

@@ -731,23 +731,28 @@ class TestIsDispersed:
         assert mismatches == []
         assert min(verdicts.values()) >= 800, verdicts
 
-    @pytest.mark.parametrize("delta", ["3/2", "2", "5/2", "3", "7/3"])
+    @pytest.mark.parametrize("delta", ["3/2", "2", "5/2", "3", "7/3", "7/2", "9/2", "13/2"])
     def test_one_sided_balls_on_solver_witnesses(self, delta):
-        # a search ball walks only 2 d0 + hL < limit: on optimal sets with
-        # one point fewer, one more, or one moved (which leaves a lone
-        # conflict, found from the nearer side only), the verdict is the
-        # reference's, whose balls reach limit - d0 from every side
+        # the sweep compares across an edge only from its nearer end, 2d +
+        # L < limit, and hands labels on while d + 2L < limit: on optimal
+        # sets with one point fewer, one more, or one moved (which leaves a
+        # lone conflict, found from the nearer side only), the verdict is
+        # the reference's, whose balls reach limit - d0 from every side.
+        # Past 3 only trees, of up to 40 vertices, so that labels travel
+        # several hops among many points
         delta = Fraction(delta)
         rng = random.Random(str(delta))
         verdicts = {True: 0, False: 0}
         for case in range(60):
-            n = rng.randint(3, 12)
-            if case % 3 == 0:
-                g = random_tree(rng, n)
+            if delta > 3:
+                g = random_tree(rng, rng.randint(3, 40))
+            elif case % 3 == 0:
+                g = random_tree(rng, rng.randint(3, 12))
             elif case % 3 == 1:
+                n = rng.randint(3, 12)
                 g = random_sparse_graph(rng, n, n // 3)
             else:
-                g = random_cactus(rng, n)
+                g = random_cactus(rng, rng.randint(3, 12))
             _, ws = disp(g, delta, allow_bruteforce=True)
             points = list(witness_points(ws))
             changed = [points[:-1], points[1:]]
@@ -761,6 +766,67 @@ class TestIsDispersed:
                 verdicts[want] += 1
                 assert dispersed(g, pts, delta) == want, (g, pts, delta)
         assert min(verdicts.values()) >= 100, verdicts
+
+    @pytest.mark.parametrize("delta", ["3/2", "2", "5/2", "3", "7/2", "9/2", "13/2"])
+    def test_tied_labels_match_reference(self, delta):
+        # points as far from one vertex along two or three of its branches,
+        # so their labels reach it, or its neighbours, at one distance; and
+        # on an even cycle two points mirrored about vertex 0, so that it
+        # and the vertex opposite are each as far from both.  The pair sits
+        # 1/(2q) inside delta, on it, or outside it, and the cycle's other
+        # arc is drawn around delta too
+        delta = Fraction(delta)
+        q = delta.denominator
+        rng = random.Random(f"ties {delta}")
+        verdicts = {True: 0, False: 0}
+
+        def check(g, pts):
+            want = reference_is_dispersed(g, pts, delta)
+            verdicts[want] += 1
+            assert dispersed(g, pts, delta) == want, (g, pts, delta)
+
+        for _ in range(300):
+            half = delta / 2 + Fraction(rng.choice((-1, 0, 1)), 4 * q)
+            whole, part = divmod(half, 1)
+            # a deep random tree, each vertex hung from one of the four before it
+            n = rng.randint(2 * whole + 3, 40)
+            g = Graph(n, tuple((i, rng.randrange(max(0, i - 4), i)) for i in range(1, n)))
+            w = rng.randrange(n)
+            hops, branch = {w: 0}, {w: None}  # branch: the neighbour of w a vertex lies past
+            order = [w]
+            for x in order:  # breadth-first: `order` grows as vertices are reached
+                for y in g.adjacency[x]:
+                    if y not in hops:
+                        hops[y], branch[y] = hops[x] + 1, y if x == w else branch[x]
+                        order.append(y)
+            at: dict[int, list[Point]] = {}  # branch -> points `half` from w in it
+            for e, (u, v) in enumerate(g.edges):
+                a, b = (u, v) if hops[u] < hops[v] else (v, u)
+                if hops[a] == whole:
+                    at.setdefault(branch[b], []).append(Point(e, part if a == u else 1 - part))
+            if len(at) < 2:
+                continue
+            pts = [rng.choice(at[b]) for b in rng.sample(sorted(at), min(len(at), rng.choice((2, 3))))]
+            check(g, pts)
+
+        for _ in range(300):
+            half = delta / 2 + Fraction(rng.choice((-1, 0, 1)), 4 * q)
+            k = rng.randint(max(2, int(half) + 1), int(delta) + 3)
+            cycle = Graph(2 * k, tuple((i, (i + 1) % (2 * k)) for i in range(2 * k)))
+            pts = [Point(int(x) % (2 * k), x - int(x)) for x in (half, 2 * k - half)]
+            check(cycle, pts)
+        assert min(verdicts.values()) >= 100, verdicts
+
+    def test_labels_are_taken_nearest_first(self):
+        # vertex 0 is 3/2 from the point on edge 0, whose end is labelled
+        # first, and 5/4 from the one on edge 1: it must keep the nearer,
+        # which is 5/2 from the point on edge 2, or that pair is missed
+        g = Graph(7, ((1, 4), (2, 5), (3, 6), (0, 1), (0, 2), (0, 3)))
+        pts = [Point(0, Fraction(1, 2)), Point(1, Fraction(1, 4)), Point(2, Fraction(1, 4))]
+        assert brute_is_dispersed(g, pts, Fraction(5, 2))
+        assert not brute_is_dispersed(g, pts, Fraction(11, 4))
+        assert dispersed(g, pts, Fraction(5, 2))
+        assert not dispersed(g, pts, Fraction(11, 4))
 
     def test_same_edge_pairs_compare_directly(self):
         pts = [Point(0, Fraction(1, 5)), Point(0, Fraction(4, 5))]
