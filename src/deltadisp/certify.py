@@ -31,10 +31,9 @@ ball.  The cycle search keeps its state in flat arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, lcm
 from operator import eq, index
 from typing import Iterable, Mapping, Sequence
@@ -422,55 +421,51 @@ def check_cover(
     """Require `value` distinct balls that cover the 1/q grid of g, else
     raise InternalConsistencyError.
 
-    The grid is numbered as by ``subdivide(g, q)``: vertex v is v, and step
-    k of edge e is n + e(q-1) + k-1.  A ball ``(c, p)`` is a grid edge, or
-    c == p, and holds the grid points at most `radius` hops from c or p, so
-    it holds at most one point of a set spaced 2 radius + 2 apart, and the
-    cover bounds such a set by `value`.
+    A ball ``(e, k)``, 0 <= k < q, is the grid edge from step k to step
+    k+1 of edge e = (u, w), step 0 being u and step q being w, and holds
+    the grid points at most `radius` hops from either end, so it holds at
+    most one point of a set spaced 2 radius + 2 apart, and the cover
+    bounds such a set by `value`.  A graph with no edge has one grid point
+    and no grid edge: it is accepted at value 1, with no balls.
 
-    The grid is not built.  A ball is a grid edge by arithmetic on that
-    numbering.  A grid path from a ball end to a vertex of g leaves the
-    end's chain at one of the chain's ends and then crosses whole chains of
-    q hops, so the vertices' hop distances to the nearest end come from one
-    search over g in rounds, round j holding the vertices j chains from an
-    end: a bucket queue whose buckets are q wide.  Each chain is then
-    covered from its two ends, and a chain holding ball ends is swept in
-    step order.  The cost is linear in g and the balls, plus one sort of
-    the balls' ends, whatever q is.
+    The grid is not built.  A grid path from a ball end to a vertex of g
+    leaves the end's chain at one of the chain's ends and then crosses
+    whole chains of q hops, so the vertices' hop distances to the nearest
+    end come from one search over g in rounds, round j holding the
+    vertices j chains from an end: a bucket queue whose buckets are q
+    wide.  Each chain is then covered from its two ends, and a chain
+    holding balls is swept in step order.  The cost is linear in g and the
+    balls, plus sorting the balls on each edge, whatever q is.
     """
     n, edges, adjacency = g.vertex_count, g.edges, g.adjacency
-    s = q - 1
-    size = n + len(edges) * s
-    distinct = set()  # an edge is one ball however it is written
-    for c, p in balls:
-        ball = (c, p) if c <= p else (p, c)
-        if not (0 <= ball[0] and ball[1] < size and (c == p or _grid_edge(g, s, *ball))):
-            raise InternalConsistencyError(f"cover ball ({c}, {p}) is not a grid edge")
-        distinct.add(ball)
+    m, s = len(edges), q - 1
+    distinct = set()
+    for e, k in balls:
+        if not (0 <= e < m and 0 <= k < q):
+            raise InternalConsistencyError(f"cover ball ({e}, {k}) is not a grid edge")
+        distinct.add((e, k))
+    if not edges:
+        if value != 1:
+            raise InternalConsistencyError(f"a graph with no edge holds 1 point, not {value}")
+        return
     if len(distinct) != value:
         raise InternalConsistencyError(
             f"{len(distinct)} distinct cover balls for {value} taken points"
         )
 
-    # the search from the ends, in rounds one chain apart: an end at step k
-    # of edge e = (u, w) starts u at k hops and w at q - k, and `reach` is
+    # the search from the ends, in rounds one chain apart: ball (e, k) on
+    # e = (u, w) starts u at k hops and w at q - k - 1, and `reach` is
     # radius - hops, -1 if over.  A round only reaches vertices no earlier
     # round did, each at fewer hops than the next round reaches any.
-    ends = sorted({x for ball in distinct for x in ball})
-    first = bisect_left(ends, n)  # ends[:first] are vertices of g
     reach = [-1] * n
-    for x in islice(ends, first):
-        reach[x] = radius
-    steps: dict[int, list[int]] = {}  # edge -> the steps of the ends on it, ascending
-    for x in islice(ends, first, None):
-        e, k = divmod(x - n, s)
-        k += 1
+    steps: dict[int, list[int]] = {}  # edge -> the steps k of its balls
+    for e, k in distinct:
         steps.setdefault(e, []).append(k)
         u, w = edges[e]
         if radius - k > reach[u]:
             reach[u] = radius - k
-        if radius - q + k > reach[w]:
-            reach[w] = radius - q + k
+        if radius - s + k > reach[w]:
+            reach[w] = radius - s + k
     ring = [x for x in range(n) if reach[x] >= 0]
     while ring:
         grown = []
@@ -484,19 +479,20 @@ def check_cover(
                         reach[y] = r
         ring = grown
 
-    # a vertex covers `reach` inner steps of each of its chains, and an end
-    # at step k the steps k - radius..k + radius: the steps a chain misses
-    # are the gaps between those intervals, taken in step order, so a chain
-    # with no ends on it misses s - reach(u) - reach(w) if that is positive
+    # a vertex covers `reach` inner steps of each of its chains, and ball k
+    # the steps k - radius..k + 1 + radius: the steps a chain misses are
+    # the gaps between those intervals, taken in step order, so a chain
+    # with no balls on it misses s - reach(u) - reach(w) if that is positive
     missing = reach.count(-1)
     if missing:
         reach = [r if r > 0 else 0 for r in reach]
     short = [s - reach[u] - reach[w] for u, w in edges]
-    width = 2 * radius + 1
+    width = 2 * radius + 2
     for e, ks in steps.items():
         u, w = edges[e]
-        ks.append(q + radius - reach[w])  # where an end would cover what w does
-        gaps, last = 0, reach[u] - radius  # and the same for u
+        ks.sort()
+        ks.append(q + radius - reach[w])  # where a ball would cover what w does
+        gaps, last = 0, reach[u] - radius - 1  # and the same for u
         for k in ks:
             if k - last > width:
                 gaps += k - last - width
@@ -504,27 +500,10 @@ def check_cover(
         short[e] = gaps
     missing += sum(filter((0).__lt__, short))
     if missing:
+        size = n + m * s
         raise InternalConsistencyError(
             f"{value} cover balls reach {size - missing} of {size} grid points"
         )
-
-
-def _grid_edge(g: Graph, s: int, c: int, p: int) -> bool:
-    """Whether grid points c < p, numbered as by ``subdivide(g, s + 1)``,
-    are adjacent: steps k and k+1 of one chain, a chain's first or last
-    step and that end of its edge, or, when s == 0, an edge of g."""
-    n = g.vertex_count
-    if c >= n:
-        return p == c + 1 and (p - n) % s != 0
-    if p >= n:
-        e, k = divmod(p - n, s)
-        u, w = g.edges[e]
-        return (k == 0 and u == c) or (k == s - 1 and w == c)
-    if s:
-        return False
-    nbrs = g.adjacency[c]
-    i = bisect_left(nbrs, p)
-    return i < len(nbrs) and nbrs[i] == p
 
 
 def check_barrier(

@@ -275,7 +275,10 @@ def subdivide(g: Graph, c: int) -> Graph:
     is vertex n + e(c-1) + k-1, n being g's vertex count (see
     :func:`grid_form`).  ``c == 1`` yields a graph equal to g.  Raises
     SizeGuardExceededError when it has more than :data:`GRID_LIMIT`
-    vertices.
+    vertices.  Its one caller in the package is the CLI's ``subdivide``
+    command; the oracle builds the same numbering with
+    :func:`grid_adjacency`, and the tree route's cover names grid edges by
+    edge and step.
     """
     if c < 1:
         raise ValueError("subdivision factor must be >= 1")
@@ -324,7 +327,8 @@ def grid_form(
     integer form of :meth:`~deltadisp.certify.WitnessSet.verified`: ``(c,
     vertex ids, runs)``, a run ``(e, k, 1, 1)`` of one point per chosen
     vertex inside an edge.  Vertex i < n is vertex i of g, and vertex
-    n + e(c-1) + k-1 the point k/c along edge e."""
+    n + e(c-1) + k-1 the point k/c along edge e.  The oracle is its one
+    caller in the package, and the tests' grid references use it too."""
     vertices: list[int] = []
     runs: list[tuple[int, int, int, int]] = []
     for i in chosen:

@@ -15,8 +15,8 @@ over the tree's own vertices carries a single distance across each chain
 by arithmetic (cf. Tamir, *Obnoxious facility location on graphs*, SIAM J.
 Discrete Math. 1991, for the continuous problem on trees), and the cover
 is checked chain by chain in the same way.  The route takes time linear
-in the tree plus its answer, up to one sort of the cover's ball ends, with
-no conflict graph and no search.
+in the tree plus its answer, up to sorting the cover's balls on each edge,
+with no conflict graph and no search.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     dropped, so the kept points stay pairwise at least S apart.
 
     Each kept point p names one ball: for c, p's grid ancestor a-1 hops
-    up (or the root, if that is nearer), the edge ball of (c, parent(c)),
-    the grid points at most a-1 hops from c or from parent(c), or the
-    vertex ball of radius a-1 at the root.  Balls are written in the
-    numbering of ``subdivide(g, q)``: vertex v is v, and step t of edge e
-    is n + e(q-1) + t-1.
+    up, the edge ball of (c, parent(c)), the grid points at most a-1 hops
+    from c or from parent(c).  When the root is nearer than that, c is the
+    root and its ball the edge ball of the grid edge down its first chain,
+    which holds every grid point a-1 hops from the root.  A ball is
+    written ``(e, k)``: the grid edge from step k to step k+1 of edge e =
+    (u, w), step 0 being u and step q being w.  A tree with no edge has
+    one grid point and no ball.
 
     Why the answer is optimal:
 
@@ -87,7 +89,6 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     is checked.
     """
     n, q = g.vertex_count, 2 * b
-    s = q - 1
     parent = [-1] * n  # rooted at vertex 0, which keeps -1
     order = [0]  # breadth-first
     adjacency = g.adjacency
@@ -99,38 +100,38 @@ def tree_disp(g: Graph, a: int, b: int) -> tuple[int, tuple]:
     spacing = 2 * a
     kept = _greedy(order, parent, q, spacing)
 
-    # the point t hops up from vertex v, 0 < t < q, is grid point base[v] +
-    # step[v] t, and lies on edge up[v] (step -1: v is the far end of that
-    # edge, so the point is q - t steps along it)
-    base = [0] * n
-    step = [1] * n
+    # the point t hops up from vertex v, 0 <= t <= q, lies on edge up[v], t
+    # steps along it, or q - t when v is that edge's second end (far[v]),
+    # so the grid edge from t to t + 1 hops up is ball (up[v], t or q-1-t)
     up = [0] * n
+    far = [False] * n
     for e, (u, w) in enumerate(g.edges):
         if parent[w] == u:
-            base[w], step[w], up[w] = n + e * s + s, -1, e
+            up[w], far[w] = e, True
         else:
-            base[u], up[u] = n + e * s - 1, e
+            up[u] = e
     vertices: list[int] = []
     runs: list[tuple[int, int, int, int]] = []
     balls: list[tuple[int, int]] = []
-    climb = a - 1
+    climb, s = a - 1, q - 1
     for v, first, count in kept:
         if not first:
             vertices.append(v)
-        elif step[v] == 1:
-            runs.append((up[v], first, spacing, count))
-        else:
+        elif far[v]:
             runs.append((up[v], q - first - (count - 1) * spacing, spacing, count))
+        else:
+            runs.append((up[v], first, spacing, count))
         for t in range(first + climb, first + climb + count * spacing, spacing):
             x = v  # to c, the grid point a-1 hops above the point t - climb up from v
             while t >= q and x:
                 t -= q
                 x = parent[x]
-            if not x:
-                balls.append((0, 0))
-                continue
-            c = base[x] + step[x] * t if t else x
-            balls.append((c, parent[x] if t == s else base[x] + step[x] * (t + 1)))
+            if not x:  # the root, or past it: the root's grid edge towards its
+                # first child, order[1], is the last of that child's chain
+                if n == 1:
+                    continue
+                x, t = order[1], s
+            balls.append((up[x], s - t if far[x] else t))
     value = sum(count for _, _, count in kept)
     check_cover(g, q, balls, value, climb)
     return value, (q, vertices, runs)

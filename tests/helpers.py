@@ -28,8 +28,9 @@ computes them from.  The certificate check as it was first written (rows
 built as tuples before any arc, a hop ball walked at every radius, a
 negative-cycle search keeping a dict per walk) and the line-by-line
 certificate reader are the differential references for ``certify``, and
-the tree route over the built grid and the cover check over it are those
-for ``trees.tree_disp`` and ``certify.check_cover``.  The witness form the
+the tree route over the built grid and the cover check over it, with a
+converter from that check's balls to grid edges, are those for
+``trees.tree_disp`` and ``certify.check_cover``.  The witness form the
 runs replaced, ``(edge, k)`` pairs with its constructor and its
 point-by-point dispersion check (:class:`PairWitness`), and the expander
 from runs to those pairs are the references for ``WitnessSet``.
@@ -1693,15 +1694,20 @@ def grid_check_cover(
     adjacency: Sequence[Sequence[int]], balls, value: int, radius: int
 ) -> None:
     """The cover check over the materialized grid, the reference for
-    ``certify.check_cover``: `value` distinct balls, each an edge ``(c, p)``
-    of the graph of neighbour lists `adjacency` (or c == p), that cover it
-    by one breadth-first search from all ends, stopped once a round adds
-    nothing; else InternalConsistencyError, worded as that check words it."""
+    ``certify.check_cover`` (its balls through :func:`grid_edges`): `value`
+    distinct balls, each an edge ``(c, p)`` of the graph of neighbour lists
+    `adjacency` (or c == p), that cover it by one breadth-first search from
+    all ends, stopped once a round adds nothing, or, on a grid of one point,
+    value 1; else InternalConsistencyError, worded as that check words it."""
     distinct = set()
     for c, p in balls:
         if not (0 <= c < len(adjacency) and (c == p or p in adjacency[c])):
             raise InternalConsistencyError(f"cover ball ({c}, {p}) is not a grid edge")
         distinct.add((c, p) if c <= p else (p, c))
+    if len(adjacency) == 1:
+        if value != 1:
+            raise InternalConsistencyError(f"a graph with no edge holds 1 point, not {value}")
+        return
     if len(distinct) != value:
         raise InternalConsistencyError(
             f"{len(distinct)} distinct cover balls for {value} taken points"
@@ -1726,3 +1732,19 @@ def grid_check_cover(
         raise InternalConsistencyError(
             f"{value} cover balls reach {reached} of {len(adjacency)} grid points"
         )
+
+
+def grid_edges(g: Graph, q: int, balls):
+    """The cover balls ``(e, k)`` of ``certify.check_cover`` as the grid
+    edges of ``subdivide(g, q)`` that :func:`grid_check_cover` takes, one
+    by one: step k of edge e = (u, w) is u at k = 0, w at k = q and vertex
+    n + e(q-1) + k-1 between.  A ball with no grid edge raises
+    InternalConsistencyError when its turn comes, worded as that check
+    words it."""
+    n = g.vertex_count
+    for e, k in balls:
+        if not (0 <= e < g.edge_count and 0 <= k < q):
+            raise InternalConsistencyError(f"cover ball ({e}, {k}) is not a grid edge")
+        u, w = g.edges[e]
+        chain = [u, *range(n + e * (q - 1), n + (e + 1) * (q - 1)), w]
+        yield chain[k], chain[k + 1]

@@ -15,6 +15,7 @@ from helpers import (
     dense_certificate_system,
     fourier_motzkin_feasible,
     grid_check_cover,
+    grid_edges,
     grid_feasible,
     midpoint,
     random_cactus,
@@ -688,32 +689,39 @@ class TestCoverCheck:
         with pytest.raises(InternalConsistencyError, match="cover balls reach"):
             certify.check_cover(self.PATH, 2, balls[1:], 3, 2)
 
-    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (5, 18), (-1, 0), (19, 18)])
+    # an edge outside the path, and a step before the first or past the last
+    @pytest.mark.parametrize("pair", [(9, 0), (-1, 0), (0, -1), (8, 2), (4, 2)])
     def test_ball_not_a_grid_edge(self, cover, pair):
         balls = cover
         with pytest.raises(InternalConsistencyError, match=r"is not a grid edge"):
             certify.check_cover(self.PATH, 2, [pair] + balls[1:], 4, 2)
 
     def test_repeated_ball(self, cover):
-        balls = cover
-        (c, p), rest = balls[0], balls[1:]
-        for repeat in ((c, p), (p, c)):  # an edge is one ball however it is written
-            with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
-                certify.check_cover(self.PATH, 2, [(c, p), repeat] + rest[1:], 4, 2)
+        first, _, *rest = cover
+        with pytest.raises(InternalConsistencyError, match="3 distinct cover balls for 4"):
+            certify.check_cover(self.PATH, 2, [first, first] + rest, 4, 2)
 
-    def test_vertex_ball(self):
-        # the lone vertex of an edgeless graph is its own ball
-        certify.check_cover(Graph(1, ()), 2, [(0, 0)], 1, 4)
-        with pytest.raises(InternalConsistencyError, match="cover balls reach 1 of 2"):
-            certify.check_cover(K2, 1, [(0, 0)], 1, 0)
+    def test_smallest_grids(self):
+        # the lone vertex of an edgeless graph needs no ball, and holds one point
+        certify.check_cover(Graph(1, ()), 2, [], 1, 4)
+        for value in (0, 2):
+            with pytest.raises(InternalConsistencyError, match=f"no edge holds 1 point, not {value}"):
+                certify.check_cover(Graph(1, ()), 2, [], value, 4)
+        with pytest.raises(InternalConsistencyError, match=r"ball \(0, 0\) is not a grid edge"):
+            certify.check_cover(Graph(1, ()), 2, [(0, 0)], 1, 4)
+        # at q = 1 the one grid edge of K2 is the edge itself, both its points
+        certify.check_cover(K2, 1, [(0, 0)], 1, 0)
+        with pytest.raises(InternalConsistencyError, match="cover balls reach 2 of 3"):
+            certify.check_cover(K2, 2, [(0, 0)], 1, 0)
 
     @pytest.mark.parametrize("q", [1, 2, 4, 6])
     def test_matches_grid_reference(self, q):
-        """The check and the one over the materialized grid accept and
+        """The check and the one over the materialized grid, handed the
+        same balls as grid edges by ``helpers.grid_edges``, accept and
         reject alike, with the same message, on random ball sets over
-        seeded trees and general graphs: grid edges, vertex balls, pairs
-        that are not grid edges, an edge written both ways, and covers
-        with a ball dropped or moved one hop."""
+        seeded trees and general graphs: grid edges, balls off the grid,
+        and covers with a ball dropped, moved one step along its edge or
+        one short of the value."""
         rng = random.Random(640 + q)
         verdicts = set()
         for case in range(600):
@@ -723,30 +731,24 @@ class TestCoverCheck:
             else:
                 g = random_connected_graph(rng, n, rng.randint(1, 5))
             adjacency = grid_adjacency(g, q)
-            size = len(adjacency)
-            edges = [(x, y) for x in range(size) for y in adjacency[x]]
-            balls = (
-                [rng.choice(edges) for _ in range(rng.randint(0, 1 + size // 4))] if edges else []
-            )
-            balls += [(x, x) for x in rng.sample(range(size), rng.randint(0, min(2, size)))]
-            rng.shuffle(balls)
-            fault = rng.randrange(6)
+            m = g.edge_count
+            count = rng.randint(0, 1 + len(adjacency) // 4) if m else 0
+            balls = [(rng.randrange(m), rng.randrange(q)) for _ in range(count)]
+            fault = rng.randrange(5)
             if balls and fault == 1:
                 balls.pop(rng.randrange(len(balls)))
-            elif balls and fault == 2:
-                c, p = balls.pop(rng.randrange(len(balls)))
-                balls.append((p, rng.choice(adjacency[p])) if adjacency[p] else (c, c))
-            elif balls and fault == 3:
-                balls.append(balls[rng.randrange(len(balls))][::-1])
-            elif fault == 4:
-                balls.append((rng.randrange(-1, size + 1), rng.randrange(-1, size + 1)))
-            value = len({(min(ball), max(ball)) for ball in balls}) + (fault == 5)
+            elif balls and fault == 2:  # wrapping round at the edge's ends
+                e, k = balls.pop(rng.randrange(len(balls)))
+                balls.append((e, (k + rng.choice((-1, 1))) % q))
+            elif fault == 3:
+                balls.append((rng.randrange(-1, m + 1), rng.randrange(-1, q + 1)))
+            value = len(set(balls)) + (fault == 4)
             radius = rng.randint(0, 3 * q)
             got = _rejection(certify.check_cover, g, q, balls, value, radius)
-            want = _rejection(grid_check_cover, adjacency, balls, value, radius)
+            want = _rejection(grid_check_cover, adjacency, grid_edges(g, q, balls), value, radius)
             assert got == want, (g, q, balls, value, radius)
             verdicts.add(want if want is None else want.split()[1])
-        assert verdicts == {None, "ball", "distinct", "cover"}
+        assert verdicts == {None, "ball", "distinct", "cover", "graph"}
 
 
 def _barrier_verdict(check, *args) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import grid_tree_disp, random_tree
+from helpers import expand_runs, grid_tree_disp, hop_table, random_tree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,10 +88,23 @@ def _search_one_hop_short(monkeypatch):
     monkeypatch.setattr(trees, "check_cover", lambda *args: check(*args[:-1], args[-1] - 1))
 
 
+def _ball_shifted(monkeypatch):
+    # the first kept point's ball, the grid edge two hops up from the
+    # path's end, moves one step further up its edge: the end is uncovered
+    check = trees.check_cover
+
+    def shifted(g, q, balls, *rest):
+        (e, k), *others = balls
+        check(g, q, [(e, k - 1)] + others, *rest)
+
+    monkeypatch.setattr(trees, "check_cover", shifted)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_ball_dropped, "distinct cover balls"),
+        (_ball_shifted, "cover balls reach 18 of 19"),
         (_vertex_too_many, "fails verification"),
         (_search_one_hop_short, "cover balls reach"),
     ],
@@ -128,6 +141,37 @@ def test_matches_grid_reference(a, b):
     for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(120)]:
         g = random_tree(rng, n)
         assert trees.tree_disp(g, a, b)[0] == grid_tree_disp(g, a, b)[0], (g, a, b)
+
+
+@pytest.mark.parametrize("a, b", SPACINGS)
+def test_spiders_match_grid_reference(a, b):
+    # seeded spiders centred on vertex 0, the root, with edges written
+    # either way round; some keep a point within a-1 grid hops of the
+    # centre, whose ball is the grid edge down the centre's first leg
+    rng = random.Random(114 + 10 * a + b)
+    central = 0
+    for _ in range(20):
+        edges: list[tuple[int, int]] = []
+        for _ in range(rng.randint(3, 6)):
+            u = 0
+            for _ in range(rng.randint(1, 8)):
+                v = len(edges) + 1
+                edges.append((u, v) if rng.randrange(2) else (v, u))
+                u = v
+        g = Graph(len(edges) + 1, tuple(edges))
+        value, (q, vertices, runs) = trees.tree_disp(g, a, b)
+        assert value == grid_tree_disp(g, a, b)[0], (g, a, b)
+        hops = hop_table(g)[0]
+        nearest = min(
+            [hops[v] * q for v in vertices]
+            + [
+                min(hops[u] * q + k, hops[w] * q + q - k)
+                for e, k in expand_runs(runs)
+                for u, w in [g.edges[e]]
+            ]
+        )
+        central += nearest <= a - 1
+    assert central
 
 
 def test_long_path_allocates_no_grid():
