@@ -20,13 +20,13 @@ Abstract Domain*, 2006; Lahiri & Musuvathi, FroCoS 2005).  Weights are
 integers once scaled by delta's denominator, only endpoints fewer than
 delta hops apart give constraints, and a rejection names the cycle.
 
-Each stage is one pass.  The reader takes all ``e n_e`` lines in one
-tokenization.  Two certificate vertices fewer than delta hops apart are
-found by the dispersion check's linear sweep.  The check adds each row's
-arcs to the doubled graph as it finds the row, walking from every
-occupied end a ball of radius floor((p-1)/q) for delta = p/q, and nothing
-past hop 0 when delta <= 1, so its cost is the occupied ends times that
-ball.  The cycle search keeps its state in flat arrays.
+Each stage is one pass.  The reader reads the lines once, in order.  Two
+certificate vertices fewer than delta hops apart are found by the
+dispersion check's linear sweep.  The check adds each row's arcs to the
+doubled graph as it finds the row, walking from every occupied end a ball
+of radius floor((p-1)/q) for delta = p/q, and nothing past hop 0 when
+delta <= 1, so its cost is the occupied ends times that ball.  The cycle
+search keeps its state in flat arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     Graph,
-    _edge_ids,
     _plain_integers,
     as_rational,
     check_size,
@@ -793,46 +792,26 @@ def parse_certificate(text: str) -> tuple[int, Certificate]:
     the vertex ids, then one ``e n_e`` line, n_e >= 1, per occupied edge;
     blank lines are skipped.  Every number is a plain decimal integer (see
     :func:`integer_tokens`); a vertex id or an edge listed twice, or a
-    count below 1, raises MalformedLineError naming the line.
-
-    The ``e n_e`` lines are read and checked in whole-body passes, as
-    :func:`parse_graph` reads edges; only after a pass fails does the
-    reader look for the first line it failed on, so errors still come in
-    line order.
+    count below 1, raises MalformedLineError naming the line.  The lines
+    are read in order, so the first faulty line is the one named.
     """
     lines = text.splitlines()
     (k,) = integer_tokens(lines[0] if lines else "", 1, "an integer bound 'k'", 1)
     if len(lines) < 2 or not lines[1].strip().startswith("W:"):
         raise MalformedLineError("expected a 'W: ...' line", line=2)
-    ids = integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids")
-    vertices = frozenset(ids)
-    if len(vertices) != len(ids):
-        seen: set[int] = set()
-        for v in ids:
-            if v in seen:
-                raise MalformedLineError(f"vertex {v} listed twice", line=2)
-            seen.add(v)
-    body = lines[2:]
-    numbers = range(3, len(lines) + 1)  # the line number of each of `body`
-    fault = None
-    pairs = _edge_ids(body)
-    if pairs is None:  # blank lines, or a malformed line
-        numbers = [n for n, line in zip(numbers, body) if line.split()]
-        body = [lines[n - 1] for n in numbers]
-        pairs = _edge_ids(body)
-        if pairs is None:
-            bad = next(i for i, line in enumerate(body) if _edge_ids([line]) is None)
-            fault = MalformedLineError("expected integers 'e n_e'", line=numbers[bad])
-            pairs = _edge_ids(body[:bad])
-    es, cs = pairs[0::2], pairs[1::2]
-    counts = dict(zip(es, cs))
-    if fault is None and len(counts) == len(es) and (not cs or min(cs) >= 1):
-        return k, Certificate(vertices, counts)
-    seen = set()
-    for n, e, c in zip(numbers, es, cs):  # the first faulty line, in line order
-        if e in seen:
-            raise MalformedLineError(f"edge {e} listed twice", line=n)
+    vertices: set[int] = set()
+    for v in integer_tokens(lines[1].strip()[2:], 2, "integer vertex ids"):
+        if v in vertices:
+            raise MalformedLineError(f"vertex {v} listed twice", line=2)
+        vertices.add(v)
+    counts: dict[int, int] = {}
+    for lineno, raw in enumerate(lines[2:], start=3):
+        if not raw.strip():
+            continue
+        e, c = integer_tokens(raw, lineno, "integers 'e n_e'", 2)
+        if e in counts:
+            raise MalformedLineError(f"edge {e} listed twice", line=lineno)
         if c < 1:
-            raise MalformedLineError("interior count must be positive", line=n)
-        seen.add(e)
-    raise fault  # the malformed line, as no line before it is at fault
+            raise MalformedLineError("interior count must be positive", line=lineno)
+        counts[e] = c
+    return k, Certificate(vertices, counts)

@@ -254,13 +254,6 @@ def hop_ball(g: Graph, source: int, radius: int) -> Iterator[tuple[int, Sequence
 GRID_LIMIT = 4_000_000
 
 
-def check_grid(g: Graph, c: int, name: str) -> None:
-    """Raise SizeGuardExceededError, naming the grid `name`, when the grid
-    of step 1/c on g has more than :data:`GRID_LIMIT` points; called
-    before anything of its size is allocated."""
-    check_size(g.vertex_count + g.edge_count * (c - 1), name, "points")
-
-
 def check_size(size: int, name: str, unit: str) -> None:
     """Raise SizeGuardExceededError when `name` has `size` `unit`, more
     than :data:`GRID_LIMIT`: the one budget every size guard shares."""
@@ -282,14 +275,15 @@ def subdivide(g: Graph, c: int) -> Graph:
     """
     if c < 1:
         raise ValueError("subdivision factor must be >= 1")
-    check_grid(g, c, f"the {c}-subdivision of this graph")
     n = g.vertex_count
+    size = n + g.edge_count * (c - 1)
+    check_size(size, f"the {c}-subdivision of this graph", "points")
     edges: list[tuple[int, int]] = []
     for j, (u, v) in enumerate(g.edges):
         chain = [u] + [n + j * (c - 1) + t for t in range(c - 1)] + [v]
         edges.extend((chain[s], chain[s + 1]) for s in range(c))
     # chains of fresh vertices keep it simple and connected: no need to re-validate
-    return Graph._unchecked(n + (c - 1) * g.edge_count, tuple(edges))
+    return Graph._unchecked(size, tuple(edges))
 
 
 def grid_adjacency(g: Graph, c: int) -> list:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .certify import WitnessSet
-from .core import Graph, as_rational, check_grid
+from .core import Graph, as_rational, check_size
 
 __all__ = [
     "BezoutCoefficients",
@@ -119,8 +119,7 @@ def build_gadget(h: Graph, delta: Fraction) -> GadgetInstance:
 
     nh, mh = h.vertex_count, h.edge_count
     x1, x2 = coeffs.x1, coeffs.x2
-    # nh + mh*(2*x1 + x2 - 2) vertices: as many as h's grid of step 1/(2*x1 + x2 - 1)
-    check_grid(h, 2 * x1 + x2 - 1, "this gadget")
+    check_size(nh + mh * (2 * x1 + x2 - 2), "this gadget", "points")
     fresh = nh + mh  # the next unused vertex id
     edges: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(h.edges):

@@ -355,13 +355,9 @@ def brute_disp(
         message = str(exc)
         mask = exc.mask if isinstance(exc, _SearchTimeout) else 1
         size = mask.bit_count()
-    form = grid_form(g.vertex_count, 2 * delta.denominator, _members(mask))
+    chosen = (i for i in range(mask.bit_length()) if mask >> i & 1)
+    form = grid_form(g.vertex_count, 2 * delta.denominator, chosen)
     witness = WitnessSet.verified(g, *form, delta, size)
     if message is not None:
         raise OracleTimeoutError(message, best=size, witness=witness)
     return size, witness
-
-
-def _members(mask: int) -> list[int]:
-    """The candidate indices set in `mask`, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]

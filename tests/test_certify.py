@@ -101,6 +101,10 @@ class TestCertificateValidation:
             Certificate(frozenset(), {bad: 0})
         assert Certificate(frozenset(), {99: 0}).interior_counts == {}
 
+    def test_refuses_negative_counts(self):
+        with pytest.raises(ValueError, match="^interior counts must be non-negative$"):
+            Certificate(frozenset(), {0: -1})
+
 
 class TestVerify:
     def test_star_accept(self):

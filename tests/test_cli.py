@@ -124,6 +124,11 @@ class TestSolve:
     def test_rejects_float_delta(self, k2):
         assert run(["solve", str(k2), "--delta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("delta", ["0", "0/5", "1/0"])
+    def test_rejects_zero_numerator_or_denominator(self, k2, capsys, delta):
+        assert run(["solve", str(k2), "--delta", delta]) == 2
+        assert "delta must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("delta", ["\u0661/\u0663", "\uff12", "2/\u0663"])
     def test_rejects_non_ascii_digits_in_delta(self, tmp_path, capsys, delta):
         # \d matches these digits and int() reads them: Arabic-Indic 1/3

@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 import deltadisp
 from deltadisp import (
+    Certificate,
     ConflictGraph,
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -51,6 +52,7 @@ from deltadisp import (
     SizeGuardExceededError,
     VertexRangeError,
     WitnessSet,
+    brute_disp,
     build_conflict_graph,
     disp,
     format_graph,
@@ -58,6 +60,7 @@ from deltadisp import (
     parse_graph,
     parse_witness,
     subdivide,
+    verify_certificate,
 )
 from deltadisp import core
 from deltadisp.core import grid_adjacency, grid_form, hop_ball, integer_tokens
@@ -959,18 +962,20 @@ class TestWitnessIO:
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
-        "g, text",
+        "g, text, message",
         [
-            (Graph(1, ()), "-1 5 7 0/1"),
-            (Graph(1, ()), "-1 0 0 1/2"),
-            (K2, "0 0 1 1/2\n0 0 1 2/4"),
-            (P3, "0 0 1 1/1\n1 1 2 0/1"),
-            (P3, "0 0 1 1/3\n\n1 1 2 0/1\n0 0 1 2/6"),
+            (Graph(1, ()), "-1 5 7 0/1", "lone vertex of an edgeless graph only"),
+            (Graph(1, ()), "-1 0 0 1/2", "lone vertex of an edgeless graph only"),
+            (K2, "0 0 1 1/2\n0 0 1 2/4", "repeats the point of line 2"),
+            (P3, "0 0 1 1/1\n1 1 2 0/1", "repeats the point of line 2"),
+            (P3, "0 0 1 1/3\n\n1 1 2 0/1\n0 0 1 2/6", "repeats the point of line 2"),
+            (P3, "0 0 1 1/2\n2 1 2 1/2", "invalid edge index 2$"),
         ],
-        ids=["edgeless-anchor", "edgeless-offset", "repeat", "vertex-twice", "repeat-later"],
+        ids=["edgeless-anchor", "edgeless-offset", "repeat", "vertex-twice", "repeat-later",
+             "edge-past"],
     )
-    def test_rejections_name_their_line(self, g, text):
-        with pytest.raises(MalformedLineError) as err:
+    def test_rejections_name_their_line(self, g, text, message):
+        with pytest.raises(MalformedLineError, match=message) as err:
             parse_witness(g, "\n" + text + "\n", Fraction(1))
         assert err.value.line == text.count("\n") + 2
 
@@ -1010,6 +1015,12 @@ class TestWitnessIO:
             parse_witness(P3, "0 0 1 0/1\n0 0 1 1/2\n0 0 1 1/1\n", delta)
         with pytest.raises(InternalConsistencyError, match="delta must be positive"):
             WitnessSet.verified(P3, 2, [0, 1, 2], [(0, 1, 1, 1)], delta, 4)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            verify_certificate(P3, delta, Certificate(frozenset({0, 2}), {}), 2)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            build_conflict_graph(P3, delta)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            brute_disp(P3, delta)
 
 
 class TestExactnessBoundary:

@@ -177,6 +177,11 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_from_independent_set(inst, {0, 1})
 
+    def test_rejects_unknown_vertices(self):
+        inst = build_gadget(K4, Fraction(3))
+        with pytest.raises(ValueError, match="^independent set contains unknown vertices$"):
+            witness_from_independent_set(inst, {99})
+
     def test_rejects_even_numerator(self):
         inst = build_gadget(K4, Fraction(4))
         with pytest.raises(ValueError):

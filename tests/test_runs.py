@@ -118,26 +118,28 @@ def test_equal_sets_in_different_splits_compare_equal():
 
 
 @pytest.mark.parametrize(
-    "runs, message",
+    "vertices, runs, message",
     [
-        ([(0, 1, 2, 3), (0, 3, 1, 1)], "overlap or interleave"),  # 1 3 5 and 3
-        ([(0, 1, 2, 3), (0, 2, 2, 2)], "overlap or interleave"),  # 1 3 5 and 2 4
-        ([(0, 1, 1, 1), (0, 1, 1, 1)], "overlap or interleave"),
-        ([(0, 2, 3, 3)], "outside its edge"),  # the last point, 8/8, at the end
-        ([(0, 0, 1, 1)], "outside its edge"),
-        ([(0, 1, 1, 0)], "holds no point"),
-        ([(0, 1, 0, 2)], "holds no point"),
-        ([(2, 1, 1, 1)], "edge outside the graph"),
-        ([(-1, 1, 1, 1)], "edge outside the graph"),
+        ([], [(0, 1, 2, 3), (0, 3, 1, 1)], "overlap or interleave"),  # 1 3 5 and 3
+        ([], [(0, 1, 2, 3), (0, 2, 2, 2)], "overlap or interleave"),  # 1 3 5 and 2 4
+        ([], [(0, 1, 1, 1), (0, 1, 1, 1)], "overlap or interleave"),
+        ([], [(0, 2, 3, 3)], "outside its edge"),  # the last point, 8/8, at the end
+        ([], [(0, 0, 1, 1)], "outside its edge"),
+        ([], [(0, 1, 1, 0)], "holds no point"),
+        ([], [(0, 1, 0, 2)], "holds no point"),
+        ([], [(2, 1, 1, 1)], "edge outside the graph"),
+        ([], [(-1, 1, 1, 1)], "edge outside the graph"),
+        ([0, 3], [], "vertex outside the graph"),
+        ([-1], [], "vertex outside the graph"),
     ],
     ids=["overlap", "interleave", "repeat", "last-at-end", "first-at-start", "count-0",
-         "step-0", "edge-past", "edge-negative"],
+         "step-0", "edge-past", "edge-negative", "vertex-past", "vertex-negative"],
 )
-def test_malformed_runs_are_refused(runs, message):
+def test_malformed_runs_are_refused(vertices, runs, message):
     with pytest.raises(ValueError, match=message):
-        WitnessSet._from_runs(P3, 8, [], runs, Fraction(1, 8))
+        WitnessSet._from_runs(P3, 8, vertices, runs, Fraction(1, 8))
     with pytest.raises(InternalConsistencyError, match=message):
-        WitnessSet.verified(P3, 8, [], runs, Fraction(1, 8), 3)
+        WitnessSet.verified(P3, 8, vertices, runs, Fraction(1, 8), 3)
 
 
 def test_a_shortened_step_fails_the_check():
