@@ -10,6 +10,14 @@ guarantee failed; a bug, not bad input).  A witness over the limit is
 refused before its file is opened, so ``solve --witness`` then leaves no
 file and prints no value; ``solve`` without it prints the value, which at
 numerators 1 and 2 has no size limit.
+
+Options are declared once, in :func:`build_parser`.  A plain command line
+(exact option strings with values that do not start with ``-``, flags, and
+the positional argument) is read off the command's own argparse actions,
+which gives the namespace argparse would; anything else (``-h``,
+``--opt=value``, an abbreviation, ``--``, a dash-led value or any usage
+error) is parsed by argparse itself, so help and usage messages are
+argparse's.
 """
 
 from __future__ import annotations
@@ -139,18 +147,98 @@ def _read(path: Path, parse: Callable[[str], _T]) -> _T:
 _shared_parsers = cache(build_parser)
 
 
+def _read_plain(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """``command.parse_args(argv)`` for a plain `argv`, else None.
+
+    Plain tokens are exact option strings of store actions (nargs None,
+    no choices), each followed by a value that does not start with ``-``;
+    exact option strings of ``store_true`` actions; and values that fill
+    the positional slots (all store actions of nargs None) exactly.  Any
+    other ``-``-led token (``-h``, ``--``, ``--opt=value``, an
+    abbreviation, an unknown option), any other action kind, a mutually
+    exclusive group, a missing or extra argument, an unset required
+    action, or a `type` raising one of the exceptions argparse catches
+    returns None, and argparse then parses `argv` as before.
+
+    Why the result equals argparse's: argparse classifies a token as an
+    option only when it starts with ``-``, and resolves an exact option
+    string before trying ``=`` or a prefix, so it finds the same action
+    for every option the reader takes, and reads every other token as a
+    value.  A store action of nargs None then takes the one value after
+    it, ``store_true`` takes none, and the remaining values fill the
+    positionals in order, one each.  Such an `argv` has no usage error
+    before conversion, so argparse calls each action's `type` on each
+    value in `argv` order and then on each string default of an unset
+    action, as the reader does, and so raises any exception it does not
+    catch at the same call.  The namespace starts from the action
+    defaults and then the parser defaults, as in ``parse_known_args``.
+    """
+    if command._mutually_exclusive_groups:
+        return None
+    slots = iter(command._get_positional_actions())
+    given: list[tuple[argparse.Action, str | None]] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            action = command._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                given.append((action, None))
+                continue
+            value = next(tokens, "-")
+        else:
+            action, value = next(slots, None), token
+        if (
+            type(action) is not argparse._StoreAction
+            or action.nargs is not None
+            or action.choices is not None
+            or value.startswith("-")
+        ):
+            return None
+        given.append((action, value))
+    seen = {action for action, _ in given}
+    if any(action.required and action not in seen for action in command._actions):
+        return None
+
+    namespace = argparse.Namespace()
+    fields = vars(namespace)
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        fields.setdefault(dest, default)
+
+    def convert(action: argparse.Action, text: str) -> object:
+        return command._registry_get("type", action.type, action.type)(text)
+
+    try:
+        for action, text in given:
+            fields[action.dest] = action.const if text is None else convert(action, text)
+        for action in command._actions:
+            default = action.default
+            if action not in seen and isinstance(default, str) and fields.get(action.dest) is default:
+                fields[action.dest] = convert(action, default)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return namespace
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """`argv` parsed once, by the named command's own parser.
 
-    Only an empty `argv`, a leading option such as ``--help`` or an
-    unknown command goes through the top-level parser, whose subcommand
-    action would otherwise parse every argument a second time.
+    A plain command line (see :func:`_read_plain`) is read off the
+    command's own actions without argparse's parse; the rest (``-h``,
+    ``--opt=value``, abbreviations, ``--``, dash-led values and every
+    usage error) goes to the command's parser.  Only an empty `argv`, a
+    leading option such as ``--help`` or an unknown command goes through
+    the top-level parser, whose subcommand action would otherwise parse
+    every argument a second time.
     """
     parser, commands = _shared_parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:])
+    args = _read_plain(command, argv[1:])
+    return command.parse_args(argv[1:]) if args is None else args
 
 
 def run(argv: list[str]) -> int:

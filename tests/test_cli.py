@@ -1,16 +1,19 @@
 """End-to-end command-line behaviour, exit codes, and file round-trips."""
 
+import argparse
 import errno
+import math
 import os
 import re
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from helpers import brute_is_dispersed, witness_points
 
-from deltadisp import InternalConsistencyError, core, parse_graph, parse_witness
-from deltadisp.cli import _parse_delta, build_parser, run
+from deltadisp import InternalConsistencyError, cli, core, parse_graph, parse_witness
+from deltadisp.cli import _parse_delta, _read_plain, build_parser, run
 
 K2_TEXT = "2 1\n0 1\n"
 STAR_TEXT = "4 3\n0 1\n0 2\n0 3\n"
@@ -616,3 +619,150 @@ class TestUsage:
             help_text = capsys.readouterr().out
             named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text)) - {"--help"}
             assert named == {flag for _, flags, *_ in options for flag in flags}, name
+
+
+# one plain command line per command, as groups of tokens: the positional,
+# then each option with its value, or a flag alone
+PLAIN = {
+    "solve": [
+        ["p3.graph"], ["--delta", "1/2"], ["--witness", "w.txt"], ["--cap", "50"],
+        ["--timeout", "5"], ["--brute-force"],
+    ],
+    "oracle": [["p3.graph"], ["--delta", "3/2"], ["--witness", "w.txt"], ["--cap", "50"],
+               ["--timeout", "5"]],
+    "verify": [["p3.graph"], ["--delta", "2"], ["--certificate", "p3.cert"]],
+    "gadget": [["k4.graph"], ["--delta", "3"], ["--out", "gg"]],
+    "subdivide": [["p3.graph"], ["--factor", "2"]],
+}
+ODD_VALUES = ["", "-1", "-5", "x", "0.5", "1/0", "0", "nan", "00"]
+
+
+def _corpus(groups: list[list[str]]) -> list[list[str]]:
+    """Command lines around one plain line: every order of its groups, and
+    each way of breaking it that the plain reader must leave to argparse."""
+    flat = [t for g in groups for t in g]
+    graph = groups[0][0]
+
+    def without(i: int) -> list[str]:
+        return [t for j, g in enumerate(groups) if j != i for t in g]
+
+    corpus = [[t for g in order for t in g] for order in permutations(groups)]
+    corpus += [without(i) for i in range(len(groups))]
+    for i, group in enumerate(groups[1:], 1):
+        option = group[0]
+        corpus += [flat + group, without(i) + [option]]
+        if len(group) == 1:
+            corpus += [without(i) + [f"{option}=1"], without(i) + [option[:-1]]]
+            continue
+        value = group[1]
+        corpus += [
+            without(i) + [f"{option}={value}"],
+            without(i) + [option[:-1], value],
+            without(i) + [option[:5], value],
+            without(i) + [option[:6], value],
+            flat + [option, "00"],
+        ]
+        corpus += [without(i) + [option, odd] for odd in ODD_VALUES]
+    corpus += [
+        ["--", *flat],
+        [*without(0), "--", graph],
+        [*without(0), ""],
+        [*without(0), "-g"],
+        [*without(0), "missing.graph"],
+        flat + ["extra.graph"],
+        flat + ["-h"],
+        flat + ["--bogus"],
+        flat + ["--bogus=1"],
+        flat + ["-x"],
+        ["-h"],
+        ["--help"],
+        [],
+    ]
+    return corpus
+
+
+def _fields(namespace: argparse.Namespace | None) -> dict | None:
+    # a NaN timeout equals no other value, itself included
+    if namespace is None:
+        return None
+    return {
+        k: "nan" if isinstance(v, float) and math.isnan(v) else v
+        for k, v in vars(namespace).items()
+    }
+
+
+@pytest.fixture
+def plain_files(tmp_path, monkeypatch):
+    """The files the plain lines name, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("p3.graph").write_text("3 2\n0 1\n1 2\n")
+    Path("k4.graph").write_text(K4_TEXT)
+    Path("p3.cert").write_text("2\nW: 0 2\n")
+    Path("reject.cert").write_text("3\nW: 0 1 2\n")
+    return tmp_path
+
+
+class TestPlainReader:
+    @pytest.mark.parametrize("name", sorted(PLAIN))
+    def test_same_namespace_and_output_as_argparse(self, name, plain_files, capsys, monkeypatch):
+        _, commands = build_parser()
+        command = commands[name]
+        orders = len(list(permutations(PLAIN[name])))
+        for i, rest in enumerate(_corpus(PLAIN[name])):
+            try:
+                expected = command.parse_args(rest)
+            except SystemExit:
+                expected = None
+            read = _read_plain(command, rest)
+            if i < orders:
+                assert read is not None, rest
+            if read is not None:
+                assert _fields(read) == _fields(expected), rest
+
+            argv = [name, *rest]
+            outputs = []
+            for reader in (_read_plain, lambda command, argv: None):
+                monkeypatch.setattr(cli, "_read_plain", reader)
+                capsys.readouterr()
+                code = run(argv)
+                outputs.append((code, *capsys.readouterr()))
+            assert outputs[0] == outputs[1], argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "p3.graph", "--delta", "1/3", "--witness", "w.txt"],
+            ["solve", "k4.graph", "--delta", "2"],
+            ["solve", "k4.graph", "--delta", "3/2", "--brute-force", "--cap", "100",
+             "--timeout", "10"],
+            ["verify", "p3.graph", "--delta", "2", "--certificate", "p3.cert"],
+            ["verify", "p3.graph", "--delta", "2", "--certificate", "reject.cert"],
+            ["oracle", "k4.graph", "--delta", "3/2", "--timeout", "10"],
+            ["gadget", "k4.graph", "--delta", "3", "--out", "gg"],
+            ["subdivide", "p3.graph", "--factor", "3"],
+        ],
+        ids=["closed-form", "numerator-two", "brute-force", "accept", "reject", "oracle",
+             "gadget", "subdivide"],
+    )
+    def test_traffic_is_read_without_argparse(self, argv, plain_files, capsys, monkeypatch):
+        # a later option change must not silently send these back to argparse
+        def fail(parser, args=None, namespace=None):
+            raise AssertionError(f"argparse parsed {args}")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", fail)
+        assert run(argv) == (1 if "reject.cert" in argv else 0)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("delta", ["0", "0/3", "00", "1/0"])
+    @pytest.mark.parametrize("name", ["solve", "oracle", "verify", "gadget"])
+    def test_zero_delta_is_a_usage_error(self, name, delta, plain_files, capsys):
+        # 1/0 would otherwise raise ZeroDivisionError, which argparse does not catch
+        argv = [name, "k4.graph", "--delta", delta]
+        if name == "verify":
+            argv += ["--certificate", "p3.cert"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"deltadisp {name}: error: argument --delta: delta must be positive"
+        )
